@@ -16,17 +16,17 @@ Trace-level checks (delivery logs of message sets):
 
 History-level checks (operations of the object layers):
 
-  * linearizable_bruteforce: exhaustive search over orders extending real
-    time, for small histories; a pending write of a crashed process is
-    "possibly effective" (tried included and excluded)
+  * linearizable_bruteforce and sequentially_consistent: one memoized
+    exhaustive search for small histories, run with two precedence
+    relations, real time and per-process program order.  A pending write of
+    a crashed process is "possibly effective": the search may place it or
+    leave it out.
   * linearizable_witness: reconstructs every process's timestamp-array
     trajectory from its delivery log, orders operations by the tag data the
     protocol itself produces, and validates the resulting single order; this
-    scales to histories the brute-force checker cannot touch.  A crashed
+    scales to histories the exhaustive search cannot touch.  A crashed
     writer's pending write counts exactly when some non-faulty process
     delivered its WRITE.
-  * sequentially_consistent: search over orders extending only per-process
-    program order
 
 Checkers return Verdicts (pass / fail / skip plus a short detail) and never
 raise on bad traces; skip marks a precondition gate such as a run that never
@@ -326,7 +326,9 @@ def extract_history(run: RunData) -> History:
                 op.ts = payload.ts
         elif ev.kind == "op_return" and ev.payload["op"] != "bcast":
             op = open_ops.pop(ev.proc)
-            assert op.seq == int(ev.payload["seq"])
+            if op.seq != int(ev.payload["seq"]):
+                raise ValueError(f"p{ev.proc} returns op {ev.payload['seq']} "
+                                 f"while op {op.seq} is open")
             op.return_idx = idx
             if "ts" in ev.payload:
                 op.ts = Timestamp.parse(ev.payload["ts"])
@@ -355,105 +357,46 @@ def _apply(regs: tuple, op: OpRecord):
     return regs if op.result_values == (regs[0],) else None  # read
 
 
-def _split_history(h: History):
-    """Complete ops, plus pending writes (possibly effective), dropping
-    pending reads and snapshots."""
-    complete = [op for op in h.ops if op.return_idx is not None]
-    pending_writes = [
-        op for op in h.ops if op.return_idx is None and op.kind == "write"
-    ]
-    return complete, pending_writes
+def _search(h: History, prop: str, bound: int, before) -> Verdict:
+    """Memoized search for a legal order of the complete ops that extends
+    before(a, b); a pending write may be placed or left out (possibly
+    effective), a pending read or snapshot is dropped."""
+    ops = [op for op in h.ops if op.return_idx is not None or op.kind == "write"]
+    if len(ops) > bound:
+        return _skip(prop, f"{len(ops)} ops exceed bound {bound}")
+    preds = [sum(1 << a for a, x in enumerate(ops) if before(x, y)) for y in ops]
+    complete = sum(1 << k for k, op in enumerate(ops) if op.return_idx is not None)
+    seen = set()
+
+    def dfs(placed: int, regs: tuple):
+        if placed & complete == complete:
+            return ()
+        if (placed, regs) in seen:
+            return None
+        seen.add((placed, regs))
+        for k, op in enumerate(ops):
+            if placed >> k & 1 or preds[k] & ~placed:
+                continue
+            nxt = _apply(regs, op)
+            rest = None if nxt is None else dfs(placed | 1 << k, nxt)
+            if rest is not None:
+                return (op.label,) + rest
+        return None
+
+    order = dfs(0, (INITIAL_VALUE,) * h.nregs)
+    if order is None:
+        return _fail(prop, f"no legal order over {complete.bit_count()} complete ops")
+    return _pass(prop, f"order {'<'.join(order)}" if order else "empty history")
 
 
 def check_linearizable_bruteforce(h: History, bound: int = 10) -> Verdict:
-    prop = "linearizable_bruteforce"
-    complete, pending = _split_history(h)
-    if len(complete) + len(pending) > bound:
-        return _skip(prop, f"{len(complete) + len(pending)} ops exceed bound {bound}")
-    initial = (INITIAL_VALUE,) * h.nregs
-
-    def search(chosen_pending):
-        ops = complete + list(chosen_pending)
-        order = sorted(range(len(ops)), key=lambda k: ops[k].invoke_idx)
-        ops = [ops[k] for k in order]
-        n_ops = len(ops)
-        preds = [
-            [
-                a
-                for a in range(n_ops)
-                if ops[a].return_idx is not None
-                and ops[a].return_idx < ops[b].invoke_idx
-            ]
-            for b in range(n_ops)
-        ]
-        seen_states = set()
-
-        def dfs(placed: frozenset, regs: tuple, trail: tuple):
-            if len(placed) == n_ops:
-                return trail
-            key = (placed, regs)
-            if key in seen_states:
-                return None
-            seen_states.add(key)
-            for k in range(n_ops):
-                if k in placed or any(a not in placed for a in preds[k]):
-                    continue
-                nxt = _apply(regs, ops[k])
-                if nxt is None:
-                    continue
-                hit = dfs(placed | {k}, nxt, trail + (ops[k].label,))
-                if hit is not None:
-                    return hit
-            return None
-
-        return dfs(frozenset(), initial, ())
-
-    for mask in range(1 << len(pending)):
-        chosen = [pending[k] for k in range(len(pending)) if mask & (1 << k)]
-        trail = search(chosen)
-        if trail is not None:
-            return _pass(prop, f"order {'<'.join(trail)}" if trail else "empty history")
-    return _fail(prop, f"no legal order over {len(complete)} complete ops")
+    return _search(h, "linearizable_bruteforce", bound,
+                   lambda a, b: a.return_idx is not None and a.return_idx < b.invoke_idx)
 
 
 def check_sequentially_consistent(h: History, bound: int = 16) -> Verdict:
-    prop = "sequentially_consistent"
-    complete, pending = _split_history(h)
-    if len(complete) + len(pending) > bound:
-        return _skip(prop, f"{len(complete) + len(pending)} ops exceed bound {bound}")
-    initial = (INITIAL_VALUE,) * h.nregs
-
-    def search(ops):
-        by_proc: dict = {}
-        for op in sorted(ops, key=lambda o: o.seq):
-            by_proc.setdefault(op.proc, []).append(op)
-        procs = sorted(by_proc)
-        seen_states = set()
-
-        def dfs(fronts: tuple, regs: tuple):
-            if all(fronts[k] == len(by_proc[p]) for k, p in enumerate(procs)):
-                return True
-            key = (fronts, regs)
-            if key in seen_states:
-                return False
-            seen_states.add(key)
-            for k, p in enumerate(procs):
-                if fronts[k] == len(by_proc[p]):
-                    continue
-                nxt = _apply(regs, by_proc[p][fronts[k]])
-                if nxt is None:
-                    continue
-                if dfs(fronts[:k] + (fronts[k] + 1,) + fronts[k + 1 :], nxt):
-                    return True
-            return False
-
-        return dfs((0,) * len(procs), initial)
-
-    for mask in range(1 << len(pending)):
-        chosen = complete + [pending[k] for k in range(len(pending)) if mask & (1 << k)]
-        if search(chosen):
-            return _pass(prop, f"{len(complete)} complete ops")
-    return _fail(prop, f"no program-order-respecting order over {len(complete)} ops")
+    return _search(h, "sequentially_consistent", bound,
+                   lambda a, b: a.proc == b.proc and a.seq < b.seq)
 
 
 # ---------------------------------------------------------------------------
@@ -658,9 +601,17 @@ OBJECT_WORKLOADS = (
     "sc_register_ops",
     "sc_snapshot_ops",
 )
+# verdicts that judge an object run's history; "consistency" is the gate
+# that replaces them on a run that never reached quiescence
+CONSISTENCY_PROPS = (
+    "consistency",
+    "linearizable_witness",
+    "linearizable_bruteforce",
+    "sequentially_consistent",
+)
 
 
-def evaluate_run(run: RunData, brute_bound: int = 10, sc_bound: int = 16) -> list:
+def evaluate_run(run: RunData) -> list:
     """All checks applicable to one run's trace, in a stable order."""
     out = [
         check_validity(run),
@@ -679,8 +630,8 @@ def evaluate_run(run: RunData, brute_bound: int = 10, sc_bound: int = 16) -> lis
             gate = _skip("consistency", f"run ended {run.status}, not quiescent")
             out.append(gate)
         elif run.config.workload.startswith("sc_"):
-            out.append(check_sequentially_consistent(h, sc_bound))
+            out.append(check_sequentially_consistent(h))
         else:
             out.append(check_linearizable_witness(h, timestamp_metadata(run)))
-            out.append(check_linearizable_bruteforce(h, brute_bound))
+            out.append(check_linearizable_bruteforce(h))
     return out

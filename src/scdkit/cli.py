@@ -5,7 +5,8 @@
     scdkit check  re-check stored trace files
     scdkit stats  execute and report message/step counts instead of verdicts
 
-Exit status: 0 all checks passed, 1 some check failed, 2 bad usage.
+Exit status: 0 all checks passed, 1 some check failed, 2 bad usage or a
+malformed trace.
 """
 from __future__ import annotations
 
@@ -14,10 +15,13 @@ import multiprocessing
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .core import UsageError
-from .check import count_messages, evaluate_run, load_run
-from .sim import RunResult, ScenarioConfig, Simulator, WORKLOADS, parse_trace
+from .check import (CONSISTENCY_PROPS, OBJECT_WORKLOADS, count_messages,
+                    evaluate_run, load_run)
+from .sim import (RunResult, ScenarioConfig, Simulator, TraceParseError, WORKLOADS,
+                  parse_trace)
 
 
 @dataclass
@@ -31,6 +35,15 @@ class RunReport:
     def ok(self) -> bool:
         return all(v.ok for v in self.verdicts)
 
+    @property
+    def unchecked(self) -> Optional[str]:
+        """For an object run none of whose consistency verdicts passed, the
+        first of them; None otherwise."""
+        if self.config.workload not in OBJECT_WORKLOADS:
+            return None
+        verdicts = [v for v in self.verdicts if v.prop in CONSISTENCY_PROPS]
+        return None if any(v.status == "pass" for v in verdicts) else verdicts[0].line()
+
     def lines(self):
         yield f"status|{self.status}|steps={self.steps}"
         for v in self.verdicts:
@@ -42,7 +55,8 @@ class RunReport:
 class FuzzSummary:
     total: int = 0
     statuses: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)  # (seed, verdict line)
+    failures: list = field(default_factory=list)   # (seed, verdict line)
+    unchecked: list = field(default_factory=list)  # (seed, verdict line)
 
     @property
     def ok(self) -> bool:
@@ -50,12 +64,17 @@ class FuzzSummary:
 
     def lines(self):
         counts = " ".join(f"{k}={v}" for k, v in sorted(self.statuses.items()))
-        yield f"fuzz|seeds={self.total}|{counts}"
-        for seed, line in self.failures[:20]:
-            yield f"fail|seed={seed}|{line}"
-        if len(self.failures) > 20:
-            yield f"fail|...and {len(self.failures) - 20} more"
+        yield f"fuzz|seeds={self.total}|{counts}|unchecked={len(self.unchecked)}"
+        yield from _capped("fail", self.failures)
+        yield from _capped("skip", self.unchecked)
         yield f"result|{'pass' if self.ok else 'fail'}"
+
+
+def _capped(tag: str, items: list, cap: int = 20):
+    for seed, line in items[:cap]:
+        yield f"{tag}|seed={seed}|{line}"
+    if len(items) > cap:
+        yield f"{tag}|...and {len(items) - cap} more"
 
 
 def evaluate(result: RunResult) -> RunReport:
@@ -160,7 +179,7 @@ def _fuzz_one(payload) -> tuple:
     config = ScenarioConfig.from_payload(payload)
     report = evaluate(Simulator(config).run())
     bad = [v.line() for v in report.verdicts if not v.ok]
-    return config.seed, report.status, bad
+    return config.seed, report.status, bad, report.unchecked
 
 
 def cmd_fuzz(args) -> int:
@@ -176,29 +195,36 @@ def cmd_fuzz(args) -> int:
             results = pool.map(_fuzz_one, payloads)
     else:
         results = map(_fuzz_one, payloads)
-    for seed, status, bad in results:
+    for seed, status, bad, unchecked in results:
         summary.total += 1
         summary.statuses[status] = summary.statuses.get(status, 0) + 1
         for line in bad:
             summary.failures.append((seed, line))
+        if unchecked is not None:
+            summary.unchecked.append((seed, unchecked))
     for line in summary.lines():
         print(line)
     return 0 if summary.ok else 1
 
 
 def cmd_check(args) -> int:
-    all_ok = True
+    code = 0
     for path in args.traces:
-        with open(path) as fh:
-            events = parse_trace(fh.read())
-        run = load_run(events)
-        verdicts = evaluate_run(run)
+        try:
+            with open(path) as fh:
+                verdicts = evaluate_run(load_run(parse_trace(fh.read())))
+        except (OSError, TraceParseError, KeyError, ValueError, UsageError) as exc:
+            # an unreadable, malformed or truncated trace: no verdict on a run
+            print(f"check|{path}|error|{type(exc).__name__}: {exc}")
+            code = 2
+            continue
         ok = all(v.ok for v in verdicts)
-        all_ok = all_ok and ok
+        if not ok:
+            code = max(code, 1)
         print(f"check|{path}|{'pass' if ok else 'fail'}")
         for v in verdicts:
             print(v.line())
-    return 0 if all_ok else 1
+    return code
 
 
 def cmd_stats(args) -> int:

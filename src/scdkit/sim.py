@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .core import AppMessage, MsgId, UsageError, format_id_set
@@ -56,6 +56,9 @@ WORKLOADS = MP_WORKLOADS + RW_WORKLOADS
 
 # ---------------------------------------------------------------------------
 # config
+
+# fields stored under a shorter key in config records
+_PAYLOAD_KEYS = {"op_count": "ops", "step_budget": "budget"}
 
 
 @dataclass
@@ -104,35 +107,16 @@ class ScenarioConfig:
         return self.workload in MP_WORKLOADS and 2 * self.crash_count() >= self.n
 
     def to_payload(self) -> dict:
-        return {
-            "n": str(self.n),
-            "t": str(self.t),
-            "workload": self.workload,
-            "ops": str(self.op_count),
-            "crash": self.crash,
-            "delay": self.delay,
-            "seed": str(self.seed),
-            "budget": str(self.step_budget),
-            "nregs": str(self.nregs),
-            "mem": self.mem,
-            "writer": str(self.writer),
-        }
+        return {_PAYLOAD_KEYS.get(f.name, f.name): str(getattr(self, f.name))
+                for f in fields(self)}
 
     @staticmethod
     def from_payload(p: dict) -> "ScenarioConfig":
-        return ScenarioConfig(
-            n=int(p["n"]),
-            t=int(p["t"]),
-            workload=p["workload"],
-            op_count=int(p["ops"]),
-            crash=p["crash"],
-            delay=p["delay"],
-            seed=int(p["seed"]),
-            step_budget=int(p["budget"]),
-            nregs=int(p["nregs"]),
-            mem=p["mem"],
-            writer=int(p["writer"]),
-        )
+        cast = {"int": int, "str": str}  # field annotations are strings here
+        return ScenarioConfig(**{
+            f.name: cast[f.type](p[_PAYLOAD_KEYS.get(f.name, f.name)])
+            for f in fields(ScenarioConfig)
+        })
 
 
 def parse_crash_schedule(text: str, n: int, t: int):
@@ -628,6 +612,17 @@ class RunResult:
         return render_trace(self.events)
 
 
+def _forward_fields(fmsg: ForwardMsg) -> dict:
+    """Trace fields of one FORWARD message, shared by send and recv records."""
+    return {
+        "m": str(fmsg.m.id),
+        "sd": str(fmsg.sd),
+        "sn": str(fmsg.sn_sd),
+        "f": str(fmsg.f),
+        "snf": str(fmsg.sn_f),
+    }
+
+
 class Simulator:
     def __init__(self, config: ScenarioConfig):
         config.validate()
@@ -671,22 +666,14 @@ class Simulator:
         self.events.append(TraceEvent(self.step, kind, proc, payload))
 
     def fifo_broadcast(self, src: int, fmsg: ForwardMsg) -> None:
+        forward = _forward_fields(fmsg)
         for dst in range(1, self.config.n + 1):
             if self._cut is not None and self._cut[0] == src:
                 if self._cut[1] <= 0:
                     raise _CrashCut()
                 self._cut = (src, self._cut[1] - 1)
             self._send_seq += 1
-            self.trace(
-                "send",
-                src,
-                to=str(dst),
-                m=str(fmsg.m.id),
-                sd=str(fmsg.sd),
-                sn=str(fmsg.sn_sd),
-                f=str(fmsg.f),
-                snf=str(fmsg.sn_f),
-            )
+            self.trace("send", src, to=str(dst), **forward)
             if self.alive[dst]:
                 self.channels[(src, dst)].append((self._send_seq, fmsg))
 
@@ -736,18 +723,7 @@ class Simulator:
         if ev[0] == "deliver":
             _, s, d = ev
             _, fmsg = self.channels[(s, d)].popleft()
-            self.trace(
-                "recv",
-                d,
-                **{
-                    "from": str(s),
-                    "m": str(fmsg.m.id),
-                    "sd": str(fmsg.sd),
-                    "sn": str(fmsg.sn_sd),
-                    "f": str(fmsg.f),
-                    "snf": str(fmsg.sn_f),
-                },
-            )
+            self.trace("recv", d, **{"from": str(s)}, **_forward_fields(fmsg))
             self.stacks[d].on_network(fmsg)
         elif ev[0] == "invoke":
             self.stacks[ev[1]].invoke()

@@ -8,6 +8,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from scdkit.core import MsgId
+from scdkit.shared_objects import INITIAL_VALUE
 from scdkit.check import (
     History,
     OpRecord,
@@ -296,6 +297,88 @@ def test_sc_rejects_two_readers_with_opposite_orders():
         faulty=set(),
     )
     assert check_sequentially_consistent(h).status == "fail"
+
+
+def real_time(a, b):
+    return a.return_idx is not None and a.return_idx < b.invoke_idx
+
+
+def program_order(a, b):
+    return a.proc == b.proc and a.seq < b.seq
+
+
+def replays(order, nregs):
+    """Reference sequential semantics of the register/snapshot object."""
+    regs = [INITIAL_VALUE] * nregs
+    for o in order:
+        if o.kind == "write":
+            regs[o.r - 1] = o.value
+        elif o.result_values != (tuple(regs) if o.kind == "snapshot" else (regs[0],)):
+            return False
+    return True
+
+
+def extends(order, before):
+    return not any(before(b, a) for x, a in enumerate(order) for b in order[x + 1:])
+
+
+def oracle_legal(h, before):
+    """Brute force: every complete op plus some subset of the pending writes,
+    in some permutation that extends `before` and replays legally."""
+    complete = [o for o in h.ops if o.return_idx is not None]
+    pending = [o for o in h.ops if o.return_idx is None and o.kind == "write"]
+    return any(
+        extends(perm, before) and replays(perm, h.nregs)
+        for k in range(len(pending) + 1)
+        for extra in itertools.combinations(pending, k)
+        for perm in itertools.permutations(complete + list(extra))
+    )
+
+
+@st.composite
+def small_histories(draw):
+    """Up to 7 ops over up to 3 processes, their invocations and returns
+    interleaved at random; a crashed process's last op never returns."""
+    nregs = draw(st.sampled_from([1, 2]))
+    counts = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)
+                  .filter(lambda c: 0 < sum(c) <= 7))
+    procs = [p for p in range(1, len(counts) + 1) if counts[p - 1]]
+    faulty = {p for p in procs if draw(st.booleans())}
+    moves = {p: 2 * counts[p - 1] - (p in faulty) for p in procs}
+    values = st.sampled_from([INITIAL_VALUE, b"a", b"b"])
+    ops, open_ops, clock = [], {}, 0
+    while any(moves.values()):
+        p = draw(st.sampled_from([q for q in procs if moves[q]]))
+        moves[p] -= 1
+        if p in open_ops:
+            open_ops.pop(p).return_idx = clock
+        else:
+            kind = draw(st.sampled_from(["write", "snapshot" if nregs > 1 else "read"]))
+            o = op(p, sum(x.proc == p for x in ops), kind, clock, None)
+            if kind == "write":
+                o.r, o.value = draw(st.integers(1, nregs)), draw(values)
+            else:
+                width = nregs if kind == "snapshot" else 1
+                o.result_values = tuple(draw(values) for _ in range(width))
+            open_ops[p] = o
+            ops.append(o)
+        clock += 1
+    return History(ops=ops, nregs=nregs, faulty=faulty)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_histories())
+def test_search_agrees_with_permutation_oracle(h):
+    for check, before in ((check_linearizable_bruteforce, real_time),
+                          (check_sequentially_consistent, program_order)):
+        v = check(h)
+        assert v.status == ("pass" if oracle_legal(h, before) else "fail"), v.line()
+        if v.status == "pass" and v.detail != "empty history":
+            # the reported order is itself a witness
+            by_label = {o.label: o for o in h.ops}
+            order = [by_label[x] for x in v.detail.removeprefix("order ").split("<")]
+            assert extends(order, before) and replays(order, h.nregs), v.line()
+            assert all(o in order for o in h.ops if o.return_idx is not None)
 
 
 # -- witness checker ---------------------------------------------------------

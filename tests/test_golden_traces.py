@@ -1,0 +1,52 @@
+"""Golden trace digests: the seed -> trace mapping, pinned byte for byte.
+
+Each config below covers one workload (rw_equivalence in both memory modes)
+under a mix of delay policies and crash schedules, including mid-broadcast
+cuts.  A refactor that keeps the determinism contract keeps every digest; a
+change that moves traces on purpose must say so and re-pin them.
+"""
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from scdkit.sim import ScenarioConfig, render_trace, run_scenario
+
+GOLDEN = [
+    (dict(n=5, t=2, workload="raw_broadcast", op_count=10, crash="random:2", seed=11),
+     "a27351864e638f2b53a64df5c2c026d63b01bc632b032c7502d10c5ceebf65c4"),
+    (dict(n=3, t=1, workload="snapshot_ops", op_count=8, nregs=2, delay="fifo",
+          crash="explicit:2@40:1", seed=3),
+     "9e8ea61a7dd4c5cca8c854076063349b6aa238b8c2234dd0b8a2fea7c5ad931a"),
+    (dict(n=5, t=2, workload="register_ops", op_count=8, delay="slow:1",
+          crash="random:1", seed=7),
+     "ed3076afbf07403d4a3327facf1ca24a81df78ea82ddd23507e242306476a055"),
+    (dict(n=3, t=1, workload="swmr_register_ops", op_count=8, writer=2,
+          crash="explicit:3@25:0", seed=5),
+     "96d920bcc1e09ec462becc4d5f5334eeee769886ca93b6d22635c62adbabe8d3"),
+    (dict(n=3, t=1, workload="sc_register_ops", op_count=10, delay="fifo",
+          crash="random:1", seed=6),
+     "2bf5814a7a7f152947c63c22da49f8270ecf1e6a99dcf2f2f542dc3375af5637"),
+    (dict(n=5, t=2, workload="sc_snapshot_ops", op_count=8, nregs=2, delay="slow:1",
+          crash="explicit:4@15:2", seed=13),
+     "5c421961d3ab4232fa5124b58c4e984e838180e0549fb5b668aad27e79def796"),
+    (dict(n=3, t=1, workload="rw_equivalence", op_count=6, mem="atomic",
+          crash="random:1", seed=17),
+     "fe5ca6180662aaddeaed5a2c277e9a7310a2278a2ba273e66e5090f55641a079"),
+    (dict(n=3, t=1, workload="rw_equivalence", op_count=6, mem="sc", delay="fifo",
+          crash="explicit:1@30", seed=19),
+     "a8535ebf91f4311953893d434d116dfd255af7a74a45a47a9d1a1ffe64203d2a"),
+]
+
+
+def _case_id(kw):
+    return f"{kw['workload']}-{kw.get('mem', kw.get('delay', 'uniform'))}"
+
+
+@pytest.mark.parametrize("kw,digest", GOLDEN, ids=[_case_id(kw) for kw, _ in GOLDEN])
+def test_trace_digest_is_pinned(kw, digest):
+    res = run_scenario(ScenarioConfig(**kw))
+    assert any(ev.kind == "crash" for ev in res.events), "config must exercise a crash"
+    text = render_trace(res.events)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
