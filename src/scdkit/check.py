@@ -28,9 +28,14 @@ History-level checks (operations of the object layers):
     writer's pending write counts exactly when some non-faulty process
     delivered its WRITE.
 
-Checkers return Verdicts (pass / fail / skip plus a short detail) and never
-raise on bad traces; skip marks a precondition gate such as a run that never
-reached quiescence.
+Checkers return Verdicts (pass / fail / skip plus a short detail); skip marks
+a precondition gate such as a run that never reached quiescence.  They judge
+well-formed traces and leave malformed input to be rejected by exception:
+sim.parse_trace raises TraceParseError on a garbled line or a trace cut
+mid-record, and a record that lacks a field, names an unknown process or has
+no matching op_invoke raises KeyError or ValueError from load_run,
+extract_history or the checker that reads it.  `scdkit check` reports each of
+these as an error line and exits 2.
 """
 from __future__ import annotations
 

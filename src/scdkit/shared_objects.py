@@ -9,12 +9,12 @@ back.  Delivery of a message set installs, per register, the greatest-tagged
 WRITE of the set if it beats the local tag; all WRITEs of a set are processed
 before the own-origin test that terminates a pending round.
 
-Variants:
-  * MwmrRegister: the snapshot object restricted to a single register.
-  * SwmrRegister: single writer, so version tags shrink to a bare date.
-  * synchronized=False on any of them drops the SYNC rounds, trading
-    linearizability for sequential consistency: reads return the local state
-    immediately and cost no messages, writes cost one broadcast instead of two.
+A register is the one-slot snapshot: begin_read runs the same SYNC round and
+returns the slot as a read.  SWMR only restricts the writer: SwmrRegister
+rejects writes by any process but the designated one.  synchronized=False
+drops the SYNC rounds, trading linearizability for sequential consistency:
+reads and snapshots return the local state immediately and cost no messages,
+writes cost one broadcast instead of two.
 
 Objects never talk to a network directly.  Operations and delivery handlers
 return an ObjStep holding at most one payload to scd-broadcast next and, when
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import INITIAL_TS, NONE_PROC, Timestamp, UsageError, ts_less
+from .core import INITIAL_TS, Timestamp, UsageError, ts_less
 
 
 @dataclass(frozen=True)
@@ -92,11 +92,13 @@ class SnapshotObject:
     # -- operations -------------------------------------------------------
 
     def begin_snapshot(self) -> ObjStep:
-        self._require_idle()
-        if not self.synchronized:
-            return ObjStep(result=self._snapshot_result())
-        self._pending = ("snapshot",)
-        return ObjStep(broadcast=encode_payload(SyncPayload(self.pid)))
+        return self._begin_scan("snapshot")
+
+    def begin_read(self) -> ObjStep:
+        """Read of a one-slot object: a snapshot returned as a read."""
+        if self.nregs != 1:
+            raise UsageError(f"read needs a one-slot object, not {self.nregs} slots")
+        return self._begin_scan("read")
 
     def begin_write(self, r: int, value: bytes) -> ObjStep:
         self._require_idle()
@@ -114,8 +116,8 @@ class SnapshotObject:
         if self._pending is None or not any(m.id.sender == self.pid for m in ms):
             return ObjStep()
         pending, self._pending = self._pending, None
-        if pending[0] == "snapshot":
-            return ObjStep(result=self._snapshot_result())
+        if pending[0] in ("snapshot", "read"):
+            return ObjStep(result=self._scan_result(pending[0]))
         if pending[0] == "write_sync":
             _, r, value = pending
             return self._cast_write(r, value)
@@ -142,107 +144,36 @@ class SnapshotObject:
         self._pending = ("write_cast", r, value, ts)
         return ObjStep(broadcast=encode_payload(WritePayload(r, value, ts)))
 
-    def _snapshot_result(self) -> OpResult:
-        return OpResult("snapshot", values=tuple(self.reg[1:]), tsa=tuple(self.tsa[1:]))
+    def _begin_scan(self, kind) -> ObjStep:
+        self._require_idle()
+        if not self.synchronized:
+            return ObjStep(result=self._scan_result(kind))
+        self._pending = (kind,)
+        return ObjStep(broadcast=encode_payload(SyncPayload(self.pid)))
+
+    def _scan_result(self, kind) -> OpResult:
+        tsa = tuple(self.tsa[1:])
+        ts = tsa[0] if kind == "read" else None
+        return OpResult(kind, values=tuple(self.reg[1:]), ts=ts, tsa=tsa)
 
     def _require_idle(self):
         if self._pending is not None:
             raise UsageError(f"p{self.pid}: operation already in progress")
 
 
-class MwmrRegister:
-    """Multi-writer register: the snapshot object with a single slot."""
-
-    def __init__(self, pid: int, synchronized: bool = True):
-        self._snap = SnapshotObject(pid, 1, synchronized)
-        self.pid = pid
-
-    def begin_read(self) -> ObjStep:
-        return _as_read(self._snap.begin_snapshot())
-
-    def begin_write(self, value: bytes) -> ObjStep:
-        return self._snap.begin_write(1, value)
-
-    def on_set_delivered(self, ms) -> ObjStep:
-        return _as_read(self._snap.on_set_delivered(ms))
-
-
-def _as_read(step: ObjStep) -> ObjStep:
-    if step.result is not None and step.result.kind == "snapshot":
-        res = step.result
-        step = ObjStep(
-            broadcast=step.broadcast,
-            result=OpResult("read", values=res.values, ts=res.tsa[0], tsa=res.tsa),
-        )
-    return step
-
-
-class SwmrRegister:
-    """Single-writer register: version tags are bare dates.
-
-    Only the designated writer may write; its delivered sets can contain at
-    most one WRITE at a time, so delivery keeps the greatest date of the set
-    with no further comparison against the local state.
-    """
+class SwmrRegister(SnapshotObject):
+    """Single-writer register: the one-slot snapshot object, written only by
+    `writer`."""
 
     def __init__(self, pid: int, writer: int, synchronized: bool = True):
-        self.pid = pid
+        super().__init__(pid, 1, synchronized)
         self.writer = writer
-        self.synchronized = synchronized
-        self.reg = INITIAL_VALUE
-        self.date = 0       # date of the value currently held
-        self.wdate = 0      # writer only: last date handed out
-        self._pending = None
 
-    def begin_read(self) -> ObjStep:
-        self._require_idle()
-        if not self.synchronized:
-            return ObjStep(result=self._read_result())
-        self._pending = ("read",)
-        return ObjStep(broadcast=encode_payload(SyncPayload(self.pid)))
-
-    def begin_write(self, value: bytes) -> ObjStep:
-        self._require_idle()
+    def begin_write(self, r: int, value: bytes) -> ObjStep:
         if self.pid != self.writer:
             raise UsageError(f"p{self.pid} is not the writer (p{self.writer})")
-        if not self.synchronized:
-            return self._cast_write(value)
-        self._pending = ("write_sync", value)
-        return ObjStep(broadcast=encode_payload(SyncPayload(self.pid)))
+        return super().begin_write(r, value)
 
-    def on_set_delivered(self, ms) -> ObjStep:
-        writes = [
-            p
-            for m in ms
-            if isinstance(p := decode_payload(m.payload), WritePayload)
-        ]
-        if writes:
-            best = max(writes, key=lambda w: w.ts.date)
-            # A set can only bring dates at or past the current one: the
-            # writer delivers its own writes in date order, and set order at
-            # any process never contradicts the writer's strict order.
-            assert best.ts.date >= self.date
-            self.reg = best.value
-            self.date = best.ts.date
-        if self._pending is None or not any(m.id.sender == self.pid for m in ms):
-            return ObjStep()
-        pending, self._pending = self._pending, None
-        if pending[0] == "read":
-            return ObjStep(result=self._read_result())
-        if pending[0] == "write_sync":
-            return self._cast_write(pending[1])
-        return ObjStep(result=OpResult("write", ts=Timestamp(pending[1], self.writer)))
-
-    def _cast_write(self, value) -> ObjStep:
-        self.wdate += 1
-        self._pending = ("write_cast", self.wdate)
-        payload = WritePayload(1, value, Timestamp(self.wdate, self.writer))
-        return ObjStep(broadcast=encode_payload(payload))
-
-    def _read_result(self) -> OpResult:
-        ts = Timestamp(self.date, self.writer if self.date else NONE_PROC)
-        return OpResult("read", values=(self.reg,), ts=ts, tsa=(ts,))
-
-    def _require_idle(self):
-        if self._pending is not None:
-            raise UsageError(f"p{self.pid}: operation already in progress")
+    # perfbench/tracing.py wraps these names in this class's own __dict__
+    begin_read = SnapshotObject.begin_read
+    on_set_delivered = SnapshotObject.on_set_delivered

@@ -40,7 +40,7 @@ from typing import Optional
 from .core import AppMessage, MsgId, UsageError, format_id_set
 from .scd_from_snapshot import RwProcess
 from .scd_mp import ForwardMsg, ScdProcess
-from .shared_objects import MwmrRegister, SnapshotObject, SwmrRegister
+from .shared_objects import SnapshotObject, SwmrRegister
 
 MP_WORKLOADS = (
     "raw_broadcast",
@@ -188,8 +188,12 @@ def render_trace(events) -> str:
 
 
 def parse_trace(text: str) -> list:
+    lines = text.splitlines()
+    if text and not text.endswith("\n"):
+        # render_trace ends every record with a newline
+        raise TraceParseError(f"line {len(lines)}: trace ends mid-record")
     events = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         parts = line.split("|", 3)
@@ -484,17 +488,12 @@ def plan_crashes(config: ScenarioConfig, rng: random.Random) -> list:
 
 def make_object(pid: int, config: ScenarioConfig):
     w = config.workload
-    if w == "snapshot_ops":
-        return SnapshotObject(pid, config.nregs, True)
-    if w == "sc_snapshot_ops":
-        return SnapshotObject(pid, config.nregs, False)
-    if w == "register_ops":
-        return MwmrRegister(pid, True)
-    if w == "sc_register_ops":
-        return MwmrRegister(pid, False)
+    if w == "raw_broadcast":
+        return None
     if w == "swmr_register_ops":
-        return SwmrRegister(pid, config.writer, True)
-    return None
+        return SwmrRegister(pid, config.writer)
+    nregs = config.nregs if "snapshot" in w else 1  # a register is the one-slot snapshot
+    return SnapshotObject(pid, nregs, synchronized=not w.startswith("sc_"))
 
 
 class _CrashCut(Exception):
@@ -538,10 +537,8 @@ class MpStack:
             step = self.obj.begin_snapshot()
         elif kind == "read":
             step = self.obj.begin_read()
-        elif self.obj.__class__ is SnapshotObject:
-            step = self.obj.begin_write(op[1], op[2])
         else:
-            step = self.obj.begin_write(op[2])
+            step = self.obj.begin_write(op[1], op[2])
         self._obj_step(step)
 
     def on_network(self, fmsg: ForwardMsg) -> None:
@@ -685,7 +682,7 @@ class Simulator:
 
     def enabled_events(self) -> list:
         if self.world is not None:
-            return [("rw", c) for c in self.world.choices()]
+            return self.world.choices()
         evs = []
         for (s, d), q in self.channels.items():
             if q and self.alive[d]:
@@ -699,36 +696,29 @@ class Simulator:
         if self.policy == "fifo":
             return min(events, key=self._fifo_key)
         if self.policy == "slow":
-            fast = [e for e in events if self._event_proc(e) not in self.slow_set]
+            # an event ends with the process that acts on it (a delivery's receiver)
+            fast = [e for e in events if e[-1] not in self.slow_set]
             if fast and self.sched_rng.random() < 0.9375:
                 return fast[self.sched_rng.randrange(len(fast))]
         return events[self.sched_rng.randrange(len(events))]
-
-    def _event_proc(self, ev) -> int:
-        if ev[0] == "deliver":
-            return ev[2]
-        if ev[0] == "rw":
-            return ev[1][1]
-        return ev[1]
 
     def _fifo_key(self, ev):
         if ev[0] == "deliver":
             return (0, self.channels[(ev[1], ev[2])][0][0], 0)
         # work starts (or continues) only when no delivery is ready
-        tag = ev[1][0] if ev[0] == "rw" else ev[0]
-        prio = {"mem": 0, "apply": 1, "invoke": 2, "tick": 3}[tag]
-        return (1, prio, self._event_proc(ev))
+        prio = {"mem": 0, "apply": 1, "invoke": 2, "tick": 3}[ev[0]]
+        return (1, prio, ev[-1])
 
     def execute(self, ev) -> None:
-        if ev[0] == "deliver":
+        if self.world is not None:
+            self.world.step(ev, trace=self.trace)
+        elif ev[0] == "deliver":
             _, s, d = ev
             _, fmsg = self.channels[(s, d)].popleft()
             self.trace("recv", d, **{"from": str(s)}, **_forward_fields(fmsg))
             self.stacks[d].on_network(fmsg)
         elif ev[0] == "invoke":
             self.stacks[ev[1]].invoke()
-        elif ev[0] == "rw":
-            self.world.step(ev[1], trace=self.trace)
         else:
             raise AssertionError(ev)
 

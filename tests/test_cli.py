@@ -117,7 +117,7 @@ def _garbage_line(text):
     (_drop_invokes, "KeyError"),
     (_unknown_proc, "KeyError: 9"),
     (_garbage_line, "TraceParseError: line 4"),
-    (lambda text: text[:300], "KeyError: 'to'"),
+    (lambda text: text[:300], "TraceParseError: line"),
 ], ids=["no-op-invoke", "unknown-proc", "garbage-line", "cut-at-300"])
 def test_malformed_trace_exits_2_with_error_line(tmp_path, capsys, mangle, reason):
     main(["run", "--n", "3", "--workload", "register_ops", "--ops", "4", "--seed", "1",

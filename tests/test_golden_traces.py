@@ -1,9 +1,10 @@
 """Golden trace digests: the seed -> trace mapping, pinned byte for byte.
 
-Each config below covers one workload (rw_equivalence in both memory modes)
-under a mix of delay policies and crash schedules, including mid-broadcast
-cuts.  A refactor that keeps the determinism contract keeps every digest; a
-change that moves traces on purpose must say so and re-pin them.
+The configs cover every workload (rw_equivalence in both memory modes) under
+a mix of delay policies and crash schedules, including mid-broadcast cuts,
+plus a single writer other than p1 and register workloads given nregs=2.  A
+refactor that keeps the determinism contract keeps every digest; a change
+that moves traces on purpose must say so and re-pin them.
 """
 from __future__ import annotations
 
@@ -37,14 +38,41 @@ GOLDEN = [
     (dict(n=3, t=1, workload="rw_equivalence", op_count=6, mem="sc", delay="fifo",
           crash="explicit:1@30", seed=19),
      "a8535ebf91f4311953893d434d116dfd255af7a74a45a47a9d1a1ffe64203d2a"),
+    # the last process as the single writer, under fifo and with the writer slow
+    (dict(n=5, t=2, workload="swmr_register_ops", op_count=20, writer=5, delay="fifo",
+          crash="explicit:1@50:2,3@120", seed=21),
+     "a5df2e53121210017a68cb2cc7e4e4e3cb0583122a2775129d89b48a81cb3f8b"),
+    (dict(n=5, t=2, workload="swmr_register_ops", op_count=20, writer=5, delay="slow:5",
+          crash="explicit:2@30:3", seed=23),
+     "bc31cd483d13df9cc01065618bf078df1ea1f6ef9d63bfd0ffb3b5c796a21253"),
+    (dict(n=7, t=3, workload="swmr_register_ops", op_count=21, writer=7, delay="fifo",
+          crash="explicit:3@60:4,6@90", seed=29),
+     "c13de26d866b55da85c7def07ca50b7d9e37defd5d3a732c58279763217f8084"),
+    (dict(n=7, t=3, workload="swmr_register_ops", op_count=21, writer=7, delay="slow:7",
+          crash="random:3", seed=31),
+     "00c3c2f588ad6a44ff678bfa303d5e17697edff86e672d00e5f2c26112be7880"),
+    # register workloads ignore nregs
+    (dict(n=3, t=1, workload="register_ops", op_count=8, nregs=2, delay="fifo",
+          crash="random:1", seed=37),
+     "f0830ba4cf535beadde48872c6c746002ce8fba2bb46039178fd649e6ff4f3f3"),
+    (dict(n=5, t=2, workload="sc_register_ops", op_count=10, nregs=2,
+          crash="explicit:1@20:2", seed=41),
+     "06b56052d2433b846fb77f23f9d6080983f13a623202b71114e629cfeee83368"),
+    (dict(n=3, t=1, workload="rw_equivalence", op_count=6, delay="slow:1",
+          crash="random:1", seed=43),
+     "7fd3184c6e71b3e08cd4f4ab7057b8a8f0a094dd938595aa14d53c8b52f6aefb"),
 ]
 
 
-def _case_id(kw):
-    return f"{kw['workload']}-{kw.get('mem', kw.get('delay', 'uniform'))}"
+def _case_ids(rows):
+    ids = []
+    for kw, _ in rows:
+        cid = f"{kw['workload']}-{kw.get('mem', kw.get('delay', 'uniform'))}"
+        ids.append(f"{cid}-n{kw['n']}" if cid in ids else cid)
+    return ids
 
 
-@pytest.mark.parametrize("kw,digest", GOLDEN, ids=[_case_id(kw) for kw, _ in GOLDEN])
+@pytest.mark.parametrize("kw,digest", GOLDEN, ids=_case_ids(GOLDEN))
 def test_trace_digest_is_pinned(kw, digest):
     res = run_scenario(ScenarioConfig(**kw))
     assert any(ev.kind == "crash" for ev in res.events), "config must exercise a crash"

@@ -6,7 +6,6 @@ import pytest
 from scdkit.core import AppMessage, INITIAL_TS, MsgId, Timestamp, UsageError
 from scdkit.shared_objects import (
     INITIAL_VALUE,
-    MwmrRegister,
     OpResult,
     SnapshotObject,
     SwmrRegister,
@@ -124,38 +123,51 @@ def test_unsynchronized_write_skips_sync_round():
 
 
 def test_mwmr_register_read_projects_single_slot():
-    reg = MwmrRegister(2)
+    # a register is the one-slot snapshot object; its read returns the slot
+    reg = SnapshotObject(2, 1)
     reg.on_set_delivered([wire(1, 0, WritePayload(1, b"val", Timestamp(3, 1)))])
     reg.begin_read()
     step = reg.on_set_delivered([wire(2, 0, SyncPayload(2))])
     assert step.result.kind == "read"
     assert step.result.values == (b"val",)
     assert step.result.ts == Timestamp(3, 1)
+    assert step.result.tsa == (Timestamp(3, 1),)
+
+
+def test_read_needs_one_slot_object():
+    with pytest.raises(UsageError):
+        SnapshotObject(1, 2).begin_read()
+    with pytest.raises(UsageError):
+        SnapshotObject(1, 2, synchronized=False).begin_read()
 
 
 class TestSwmrRegister:
     def test_only_writer_writes(self):
         reg = SwmrRegister(2, writer=1)
         with pytest.raises(UsageError):
-            reg.begin_write(b"x")
+            reg.begin_write(1, b"x")
+        step = SwmrRegister(1, writer=1).begin_write(1, b"x")
+        assert decode_payload(step.broadcast) == SyncPayload(1)
 
     def test_write_dates_count_up(self):
         reg = SwmrRegister(1, writer=1, synchronized=False)
         for expect in (1, 2):
-            step = reg.begin_write(f"v{expect}".encode())
+            step = reg.begin_write(1, f"v{expect}".encode())
             payload = decode_payload(step.broadcast)
             assert payload.ts == Timestamp(expect, 1)
             reg.on_set_delivered([wire(1, expect, payload)])
 
     def test_delivery_takes_greatest_date(self):
-        reg = SwmrRegister(3, writer=1)
+        reg = SwmrRegister(3, writer=1, synchronized=False)
         reg.on_set_delivered(
             [
                 wire(1, 0, WritePayload(1, b"a", Timestamp(1, 1))),
                 wire(1, 1, WritePayload(1, b"b", Timestamp(2, 1))),
             ]
         )
-        assert reg.reg == b"b" and reg.date == 2
+        step = reg.begin_read()
+        assert step.result.values == (b"b",)
+        assert step.result.ts == Timestamp(2, 1)
 
     def test_read_of_initial_value_has_anonymous_tag(self):
         reg = SwmrRegister(2, writer=1, synchronized=False)

@@ -9,6 +9,7 @@ from scdkit.check import count_messages, load_run
 from scdkit.sim import (
     ScenarioConfig,
     Simulator,
+    TraceParseError,
     parse_crash_schedule,
     parse_delay_policy,
     parse_trace,
@@ -40,6 +41,16 @@ def test_trace_roundtrips_through_parser():
     events = parse_trace(res.text)
     assert render_trace(events) == res.text
     assert events[0].kind == "config" and events[-1].kind == "end"
+
+
+def test_trace_cut_mid_record_fails_to_parse():
+    text = run_scenario(config(workload="register_ops", op_count=4, seed=1)).text
+    assert not text[:300].endswith("\n")
+    with pytest.raises(TraceParseError, match="ends mid-record"):
+        parse_trace(text[:300])
+    # a cut at a record boundary is a shorter, well-formed trace
+    head = text[: text.index("\n", 300) + 1]
+    assert render_trace(parse_trace(head)) == head
 
 
 def test_config_survives_trace_embedding():
