@@ -29,17 +29,12 @@ History-level checks (operations of the object layers):
     delivered its WRITE.
 
 Checkers return Verdicts (pass / fail / skip plus a short detail); skip marks
-a precondition gate such as a run that never reached quiescence.  They judge
-well-formed traces and leave malformed input to be rejected by exception:
-sim.parse_trace raises TraceParseError on a garbled line or a trace cut
-mid-record, and a record that lacks a field, names an unknown process or has
-no matching op_invoke raises KeyError or ValueError from load_run,
-extract_history or the checker that reads it.  `scdkit check` reports each of
-these as an error line and exits 2.
+a precondition gate such as a run that never reached quiescence.  load_run
+is the only reader of trace records and rejects malformed input by exception,
+so no checker raises on a RunData it returned.
 """
 from __future__ import annotations
 
-import functools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
@@ -54,7 +49,7 @@ from .core import (
     tsa_compare,
 )
 from .shared_objects import INITIAL_VALUE, WritePayload, decode_payload
-from .sim import ScenarioConfig, value_parse
+from .sim import ScenarioConfig, TraceEvent, value_parse
 
 
 @dataclass
@@ -87,6 +82,40 @@ def _skip(prop, detail):
 # trace ingestion
 
 
+OBJECT_WORKLOADS = (
+    "snapshot_ops",
+    "register_ops",
+    "swmr_register_ops",
+    "sc_register_ops",
+    "sc_snapshot_ops",
+)
+
+
+@dataclass
+class OpRecord:
+    proc: int
+    seq: int
+    kind: str                 # snapshot | read | write
+    r: Optional[int] = None
+    value: Optional[bytes] = None
+    result_values: Optional[tuple] = None
+    ts: Optional[Timestamp] = None
+    tsa: Optional[tuple] = None
+    invoke_idx: int = -1
+    return_idx: Optional[int] = None
+
+    @property
+    def label(self) -> str:
+        return f"p{self.proc}#{self.seq}:{self.kind}"
+
+
+@dataclass
+class History:
+    ops: list
+    nregs: int
+    faulty: set
+
+
 @dataclass
 class RunData:
     config: ScenarioConfig
@@ -96,31 +125,91 @@ class RunData:
     broadcasts: dict = field(default_factory=dict)   # MsgId -> (sender, payload)
     logs: dict = field(default_factory=dict)         # proc -> [frozenset[MsgId]]
     completed: dict = field(default_factory=dict)    # proc -> set[MsgId] (bcast done)
+    channels: dict = field(default_factory=dict)     # (src, dst) -> (sent, received)
+    sends: dict = field(default_factory=dict)        # MsgId -> FORWARD sends
+    late: Optional[TraceEvent] = None                # first record after its crash
+    writes: dict = field(default_factory=dict)       # MsgId -> WritePayload
+    ops: list = field(default_factory=list)          # OpRecords by invocation
 
 
 def load_run(events) -> RunData:
+    """Read every trace record once into RunData; the checkers judge only
+    the parsed fields.  A missing field or a record by an unknown process
+    raises KeyError, any other malformed value ValueError."""
     if not events or events[0].kind != "config":
         raise ValueError("trace must start with a config record")
     config = ScenarioConfig.from_payload(events[0].payload)
-    status = "unknown"
-    run = RunData(config, events, status)
+    run = RunData(config, events, "unknown")
     run.logs = {i: [] for i in range(1, config.n + 1)}
     run.completed = {i: set() for i in range(1, config.n + 1)}
-    for ev in events:
-        if ev.kind == "bcast":
-            run.broadcasts[MsgId.parse(ev.payload["id"])] = (
-                ev.proc,
-                value_parse(ev.payload["data"]),
-            )
-        elif ev.kind == "scd_deliver":
-            run.logs[ev.proc].append(parse_id_set(ev.payload["set"]))
-        elif ev.kind == "broadcast_complete":
-            run.completed[ev.proc].add(MsgId.parse(ev.payload["id"]))
-        elif ev.kind == "crash":
+    objects = config.workload in OBJECT_WORKLOADS
+    open_ops: dict = {}
+    for idx, ev in enumerate(events):
+        kind, p = ev.kind, ev.payload
+        if kind == "config":
+            continue
+        if kind == "end":
+            run.status = p["status"]
+            continue
+        if ev.proc not in run.logs:
+            raise KeyError(ev.proc)
+        if run.late is None and ev.proc in run.faulty:
+            run.late = ev
+        if kind == "send":
+            sent, _ = run.channels.setdefault((ev.proc, int(p["to"])), ([], []))
+            sent.append((p["sd"], p["sn"], p["f"]))
+            mid = MsgId.parse(p["m"])
+            run.sends[mid] = run.sends.get(mid, 0) + 1
+        elif kind == "recv":
+            _, received = run.channels.setdefault((int(p["from"]), ev.proc), ([], []))
+            received.append((p["sd"], p["sn"], p["f"]))
+        elif kind == "bcast":
+            mid, data = MsgId.parse(p["id"]), value_parse(p["data"])
+            run.broadcasts[mid] = (ev.proc, data)
+            w = decode_payload(data) if objects else None
+            if isinstance(w, WritePayload):
+                _check_slot(w.r, config)
+                run.writes[mid] = w
+                if ev.proc in open_ops:  # a crashed writer's pending write keeps it
+                    open_ops[ev.proc].ts = w.ts
+        elif kind == "scd_deliver":
+            run.logs[ev.proc].append(parse_id_set(p["set"]))
+        elif kind == "broadcast_complete":
+            run.completed[ev.proc].add(MsgId.parse(p["id"]))
+        elif kind == "crash":
             run.faulty.add(ev.proc)
-        elif ev.kind == "end":
-            run.status = ev.payload["status"]
+        elif kind == "op_invoke" and p["op"] != "bcast":
+            op = OpRecord(ev.proc, int(p["seq"]), p["op"], invoke_idx=idx)
+            if op.kind == "write":
+                op.r = _check_slot(int(p["r"]), config)
+                op.value = value_parse(p["v"])
+            open_ops[ev.proc] = op
+            run.ops.append(op)
+        elif kind == "op_return" and p["op"] != "bcast":
+            op = open_ops.pop(ev.proc)
+            if op.seq != int(p["seq"]):
+                raise ValueError(f"p{ev.proc} returns op {p['seq']} "
+                                 f"while op {op.seq} is open")
+            op.return_idx = idx
+            if "ts" in p or op.kind == "write":  # the witness orders writes by tag
+                op.ts = Timestamp.parse(p["ts"])
+            if "tsa" in p:
+                op.tsa = tuple(Timestamp.parse(t) for t in p["tsa"].split(","))
+            if "vals" in p:
+                op.result_values = tuple(value_parse(v) for v in p["vals"].split(","))
+            elif "v" in p:
+                op.result_values = (value_parse(p["v"]),)
     return run
+
+
+def _check_slot(r: int, config: ScenarioConfig) -> int:
+    if not 1 <= r <= config.slots:
+        raise ValueError(f"register {r} outside 1..{config.slots}")
+    return r
+
+
+def extract_history(run: RunData) -> History:
+    return History(run.ops, run.config.slots, set(run.faulty))
 
 
 # ---------------------------------------------------------------------------
@@ -226,126 +315,26 @@ def check_termination(run: RunData) -> Verdict:
 
 
 def check_fifo(run: RunData) -> Verdict:
-    sends: dict = {}
-    recvs: dict = {}
-    for ev in run.events:
-        if ev.kind == "send":
-            key = (ev.proc, int(ev.payload["to"]))
-            sends.setdefault(key, []).append(
-                (ev.payload["sd"], ev.payload["sn"], ev.payload["f"])
-            )
-        elif ev.kind == "recv":
-            key = (int(ev.payload["from"]), ev.proc)
-            recvs.setdefault(key, []).append(
-                (ev.payload["sd"], ev.payload["sn"], ev.payload["f"])
-            )
-    for key, rseq in sorted(recvs.items()):
-        sseq = sends.get(key, [])
-        if rseq != sseq[: len(rseq)]:
-            return _fail("fifo", f"channel {key[0]}->{key[1]} reorders or loses")
+    for (src, dst), (sent, received) in sorted(run.channels.items()):
+        if received != sent[: len(received)]:
+            return _fail("fifo", f"channel {src}->{dst} reorders or loses")
     return _pass("fifo")
 
 
 def check_crash_silence(run: RunData) -> Verdict:
-    dead = set()
-    for ev in run.events:
-        if ev.proc in dead:
-            return _fail("crash_silence", f"p{ev.proc} emits {ev.kind} after crashing")
-        if ev.kind == "crash":
-            dead.add(ev.proc)
+    if run.late is not None:
+        return _fail("crash_silence",
+                     f"p{run.late.proc} emits {run.late.kind} after crashing")
     return _pass("crash_silence")
-
-
-def count_messages(run: RunData) -> dict:
-    """Point-to-point FORWARD sends per application message."""
-    counts: dict = {}
-    for ev in run.events:
-        if ev.kind == "send":
-            mid = MsgId.parse(ev.payload["m"])
-            counts[mid] = counts.get(mid, 0) + 1
-    return counts
 
 
 def check_message_bound(run: RunData) -> Verdict:
     cap = run.config.n**2
-    counts = count_messages(run)
-    for mid, c in sorted(counts.items(), key=lambda kv: str(kv[0])):
+    for mid, c in sorted(run.sends.items(), key=lambda kv: str(kv[0])):
         if c > cap:
             return _fail("message_bound", f"{mid} used {c} sends, cap {cap}")
-    top = max(counts.values(), default=0)
+    top = max(run.sends.values(), default=0)
     return _pass("message_bound", f"max {top} of cap {cap}")
-
-
-# ---------------------------------------------------------------------------
-# history ingestion
-
-
-@dataclass
-class OpRecord:
-    proc: int
-    seq: int
-    kind: str                 # snapshot | read | write
-    r: Optional[int] = None
-    value: Optional[bytes] = None
-    result_values: Optional[tuple] = None
-    ts: Optional[Timestamp] = None
-    tsa: Optional[tuple] = None
-    invoke_idx: int = -1
-    return_idx: Optional[int] = None
-    write_msgid: Optional[MsgId] = None
-
-    @property
-    def label(self) -> str:
-        return f"p{self.proc}#{self.seq}:{self.kind}"
-
-
-@dataclass
-class History:
-    ops: list
-    nregs: int
-    faulty: set
-
-
-def extract_history(run: RunData) -> History:
-    nregs = run.config.nregs if "snapshot" in run.config.workload else 1
-    open_ops: dict = {}
-    ops: list[OpRecord] = []
-    for idx, ev in enumerate(run.events):
-        if ev.kind == "op_invoke" and ev.payload["op"] != "bcast":
-            op = OpRecord(
-                proc=ev.proc,
-                seq=int(ev.payload["seq"]),
-                kind=ev.payload["op"],
-                invoke_idx=idx,
-            )
-            if op.kind == "write":
-                op.r = int(ev.payload["r"])
-                op.value = value_parse(ev.payload["v"])
-            open_ops[ev.proc] = op
-            ops.append(op)
-        elif ev.kind == "bcast" and ev.proc in open_ops:
-            payload = decode_payload(value_parse(ev.payload["data"]))
-            if isinstance(payload, WritePayload):
-                op = open_ops[ev.proc]
-                op.write_msgid = MsgId.parse(ev.payload["id"])
-                op.ts = payload.ts
-        elif ev.kind == "op_return" and ev.payload["op"] != "bcast":
-            op = open_ops.pop(ev.proc)
-            if op.seq != int(ev.payload["seq"]):
-                raise ValueError(f"p{ev.proc} returns op {ev.payload['seq']} "
-                                 f"while op {op.seq} is open")
-            op.return_idx = idx
-            if "ts" in ev.payload:
-                op.ts = Timestamp.parse(ev.payload["ts"])
-            if "tsa" in ev.payload:
-                op.tsa = tuple(Timestamp.parse(t) for t in ev.payload["tsa"].split(","))
-            if "vals" in ev.payload:
-                op.result_values = tuple(
-                    value_parse(v) for v in ev.payload["vals"].split(",")
-                )
-            elif "v" in ev.payload:
-                op.result_values = (value_parse(ev.payload["v"]),)
-    return History(ops, nregs, set(run.faulty))
 
 
 # ---------------------------------------------------------------------------
@@ -417,42 +406,21 @@ class TsMeta:
 
 def timestamp_metadata(run: RunData) -> TsMeta:
     """Replay every process's delivery log through the install rule and
-    collect the timestamp-array trajectory; the arrays must form a chain."""
-    nregs = run.config.nregs if "snapshot" in run.config.workload else 1
+    collect the timestamp-array trajectory; the arrays must form a chain,
+    which holds exactly when, sorted lexicographically, each is pointwise
+    less than the next."""
     arrays = set()
-    for i, sets in sorted(run.logs.items()):
-        tsa = [INITIAL_TS] * nregs
+    for sets in run.logs.values():
+        tsa = [INITIAL_TS] * run.config.slots
         for s in sets:
-            per_reg: dict = {}
-            for mid in s:
-                if mid not in run.broadcasts:
-                    continue
-                payload = decode_payload(run.broadcasts[mid][1])
-                if isinstance(payload, WritePayload):
-                    best = per_reg.get(payload.r)
-                    if best is None or ts_less(best, payload.ts):
-                        per_reg[payload.r] = payload.ts
-            for r, ts in per_reg.items():
-                if ts_less(tsa[r - 1], ts):
-                    tsa[r - 1] = ts
+            for w in (run.writes[mid] for mid in s if mid in run.writes):
+                if ts_less(tsa[w.r - 1], w.ts):
+                    tsa[w.r - 1] = w.ts
             arrays.add(tuple(tsa))
-    bad = []
-
-    def cmp(a, b):
-        c = tsa_compare(a, b)
-        if c is Cmp.INCOMPARABLE:
-            bad.append((a, b))
-            return 0
-        return {Cmp.LESS: -1, Cmp.EQUAL: 0, Cmp.GREATER: 1}[c]
-
-    chain = sorted(arrays, key=functools.cmp_to_key(cmp))
-    if bad:
-        a, b = bad[0]
-        return TsMeta([], {}, f"incomparable arrays {_tsa_str(a)} vs {_tsa_str(b)}")
-    for k in range(1, len(chain)):
-        if tsa_compare(chain[k - 1], chain[k]) not in (Cmp.LESS, Cmp.EQUAL):
-            return TsMeta([], {}, "delivery arrays do not form a chain")
-    chain = [a for k, a in enumerate(chain) if k == 0 or a != chain[k - 1]]
+    chain = sorted(arrays, key=lambda a: [(t.date, t.proc) for t in a])
+    for a, b in zip(chain, chain[1:]):
+        if tsa_compare(a, b) is not Cmp.LESS:
+            return TsMeta([], {}, f"incomparable arrays {_tsa_str(a)} vs {_tsa_str(b)}")
     return TsMeta(chain, {a: k for k, a in enumerate(chain)})
 
 
@@ -599,13 +567,6 @@ def _order_writes(writes: list):
 # per-run verdict bundle
 
 
-OBJECT_WORKLOADS = (
-    "snapshot_ops",
-    "register_ops",
-    "swmr_register_ops",
-    "sc_register_ops",
-    "sc_snapshot_ops",
-)
 # verdicts that judge an object run's history; "consistency" is the gate
 # that replaces them on a run that never reached quiescence
 CONSISTENCY_PROPS = (

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import UsageError
-from .check import (CONSISTENCY_PROPS, OBJECT_WORKLOADS, count_messages,
-                    evaluate_run, load_run)
+from .check import CONSISTENCY_PROPS, OBJECT_WORKLOADS, evaluate_run, load_run
 from .sim import (RunResult, ScenarioConfig, Simulator, TraceParseError, WORKLOADS,
                   parse_trace)
 
@@ -231,13 +230,12 @@ def cmd_stats(args) -> int:
     config = scenario_from_args(args)
     result = Simulator(config).run()
     run = load_run(result.events)
-    counts = count_messages(run)
-    sends = sum(counts.values())
+    sends = sum(run.sends.values())
     sets_per = {i: len(run.logs[i]) for i in sorted(run.logs)}
     print(f"status|{result.status}|steps={result.steps}")
     print(f"broadcasts|{len(run.broadcasts)}")
     print(f"sends|total={sends}|cap_per_broadcast={config.n ** 2}"
-          f"|max_per_broadcast={max(counts.values(), default=0)}")
+          f"|max_per_broadcast={max(run.sends.values(), default=0)}")
     print("delivered_sets|" + " ".join(f"p{i}={c}" for i, c in sets_per.items()))
     print("faulty|" + (",".join(str(p) for p in sorted(run.faulty)) or "-"))
     return 0

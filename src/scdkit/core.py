@@ -105,9 +105,6 @@ class AppMessage:
     payload: bytes
 
 
-MessageSet = frozenset  # frozenset[AppMessage]
-
-
 def sort_ids(ids) -> list[MsgId]:
     return sorted(ids, key=lambda i: (i.sender, i.seq))
 

@@ -93,6 +93,11 @@ class ScenarioConfig:
         parse_crash_schedule(self.crash, self.n, self.t)
         parse_delay_policy(self.delay, self.n)
 
+    @property
+    def slots(self) -> int:
+        """Width of the shared object: a register is the one-slot snapshot."""
+        return self.nregs if "snapshot" in self.workload else 1
+
     def crash_count(self) -> int:
         plan = parse_crash_schedule(self.crash, self.n, self.t)
         if plan == []:
@@ -492,8 +497,7 @@ def make_object(pid: int, config: ScenarioConfig):
         return None
     if w == "swmr_register_ops":
         return SwmrRegister(pid, config.writer)
-    nregs = config.nregs if "snapshot" in w else 1  # a register is the one-slot snapshot
-    return SnapshotObject(pid, nregs, synchronized=not w.startswith("sc_"))
+    return SnapshotObject(pid, config.slots, synchronized=not w.startswith("sc_"))
 
 
 class _CrashCut(Exception):
@@ -675,10 +679,6 @@ class Simulator:
                 self.channels[(src, dst)].append((self._send_seq, fmsg))
 
     # -- event machinery --------------------------------------------------
-
-    def inject_crash(self, proc: int, step: int, keep: Optional[int] = None) -> None:
-        """Add a crash before the run starts (tests and targeted scenarios)."""
-        self.crash_plan = sorted(self.crash_plan + [(step, proc, keep)])
 
     def enabled_events(self) -> list:
         if self.world is not None:

@@ -19,7 +19,6 @@ from scdkit.check import (
     check_sequentially_consistent,
     check_termination,
     check_validity,
-    count_messages,
     evaluate_run,
     extract_history,
     load_run,
@@ -75,13 +74,13 @@ def test_criterion_2_message_complexity():
             clean = ScenarioConfig(n=n, t=t, workload="raw_broadcast",
                                    op_count=12, seed=seed)
             res, run = run_and_load(clean)
-            counts = count_messages(run)
+            counts = run.sends
             assert len(counts) == 12
             assert set(counts.values()) == {n * n}, (n, seed, counts)
             crashy = ScenarioConfig(n=n, t=t, workload="raw_broadcast", op_count=12,
                                     crash=f"random:{t}", seed=seed)
             res, run = run_and_load(crashy)
-            assert all(c <= n * n for c in count_messages(run).values()), (n, seed)
+            assert all(c <= n * n for c in run.sends.values()), (n, seed)
             checked += 2
     print(f"criterion 2: PASS - {checked} runs, cap n^2 exact on failure-free")
 

@@ -5,10 +5,11 @@ import copy
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from scdkit.core import MsgId
-from scdkit.shared_objects import INITIAL_VALUE
+from scdkit.core import INITIAL_TS, Cmp, MsgId, Timestamp, ts_less, tsa_compare
+from scdkit.shared_objects import INITIAL_VALUE, WritePayload
 from scdkit.check import (
     History,
     OpRecord,
@@ -198,6 +199,39 @@ def test_event_after_crash_fails_silence():
     crash_at = next(k for k, ev in enumerate(events) if ev.kind == "crash")
     moved = next(ev for ev in events[:crash_at] if ev.proc == 2)
     assert check_crash_silence(load_run(events + [moved])).status == "fail"
+
+
+def _drop_to(events):
+    next(ev for ev in events if ev.kind == "send").payload.pop("to")
+
+
+def _bcast_by_p9(events):
+    next(ev for ev in events if ev.kind == "bcast").proc = 9
+
+
+def _write_to_register_3(events):
+    next(ev for ev in events if ev.payload.get("op") == "write").payload["r"] = "3"
+
+
+def _untagged_write(events):
+    # no WRITE broadcast left to take the tag from, nor the return record
+    events[:] = [ev for ev in events if ev.kind != "bcast"]
+    next(ev for ev in events if ev.kind == "op_return" and "ts" in ev.payload).payload.pop("ts")
+
+
+@pytest.mark.parametrize("mangle,error,match", [
+    (_drop_to, KeyError, "to"),
+    (_bcast_by_p9, KeyError, "9"),
+    (_write_to_register_3, ValueError, "register 3 outside 1..2"),
+    (_untagged_write, KeyError, "ts"),
+])
+def test_load_run_rejects_malformed_record(mangle, error, match):
+    res = run_scenario(ScenarioConfig(n=3, t=1, workload="snapshot_ops", op_count=6,
+                                      nregs=2, seed=2))
+    events = copy.deepcopy(res.events)
+    mangle(events)
+    with pytest.raises(error, match=match):
+        load_run(events)
 
 
 # -- history checkers --------------------------------------------------------
@@ -439,6 +473,42 @@ def test_witness_agrees_with_bruteforce_on_small_histories(seed):
     if b.status != "skip":
         assert w.status == b.status, (w.line(), b.line())
     assert w.status == "pass"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_chain_check_matches_pairwise_comparison(data):
+    """timestamp_metadata against the per-set install rule and an all-pairs
+    comparability test, on fabricated logs whose arrays may not form a chain."""
+    draw = data.draw
+    cfg = ScenarioConfig(n=3, t=1, workload="snapshot_ops", op_count=0, nregs=2)
+    run = RunData(cfg, [], "quiescent")
+    ids = [MsgId(p, k) for p in (1, 2, 3) for k in range(3)]
+    run.writes = {m: WritePayload(draw(st.integers(1, 2)), b"",
+                                  Timestamp(draw(st.integers(1, 4)), m.sender))
+                  for m in ids}
+    subsets = st.frozensets(st.sampled_from(ids), max_size=3)
+    run.logs = {i: draw(st.lists(subsets, max_size=4)) for i in (1, 2, 3)}
+    arrays = set()
+    for sets in run.logs.values():
+        tsa = [INITIAL_TS, INITIAL_TS]
+        for s in sets:
+            for r in (1, 2):
+                tags = [run.writes[m].ts for m in s if run.writes[m].r == r]
+                best = max(tags, key=lambda t: (t.date, t.proc), default=None)
+                if best is not None and ts_less(tsa[r - 1], best):
+                    tsa[r - 1] = best
+            arrays.add(tuple(tsa))
+    chain_ok = all(tsa_compare(a, b) is not Cmp.INCOMPARABLE
+                   for a, b in itertools.combinations(arrays, 2))
+    meta = timestamp_metadata(run)
+    assert (meta.error == "") == chain_ok, meta.error
+    if chain_ok:
+        assert set(meta.chain) == arrays and len(meta.chain) == len(arrays)
+        assert all(tsa_compare(a, b) is Cmp.LESS for a, b in zip(meta.chain, meta.chain[1:]))
+        assert all(meta.rank[a] == k for k, a in enumerate(meta.chain))
+    else:
+        assert meta.error.startswith("incomparable arrays ")
 
 
 def test_evaluate_run_covers_workload_specific_checks():

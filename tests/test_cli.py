@@ -1,7 +1,12 @@
 """Command line interface: subcommands, exit codes, trace files."""
 from __future__ import annotations
 
+import contextlib
+import io
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scdkit.cli import main
 
@@ -100,11 +105,41 @@ def _drop_invokes(text):
     return "".join(l for l in text.splitlines(True) if "|op_invoke|" not in l)
 
 
-def _unknown_proc(text):
+def _first_by_p9(kind):
+    def mangle(text):
+        lines = text.splitlines(True)
+        k = next(k for k, l in enumerate(lines) if f"|{kind}|" in l)
+        step, _, _, body = lines[k].split("|", 3)
+        lines[k] = f"{step}|{kind}|9|{body}"
+        return "".join(lines)
+    return mangle
+
+
+def _write_data(line):
+    """Span of the hex payload of a bcast record carrying a WRITE, else None."""
+    m = re.search(r"\bdata=([0-9a-f]+)", line)
+    if "|bcast|" in line and m and bytes.fromhex(m[1]).startswith(b"W|"):
+        return m.span(1)
+    return None
+
+
+def _set_register(line, r):
+    a, b = _write_data(line)
+    raw = bytes.fromhex(line[a:b])
+    return line[:a] + (raw[:2] + str(r).encode() + raw[3:]).hex() + line[b:]
+
+
+def _write_to_register_9(text):
     lines = text.splitlines(True)
-    k = next(k for k, l in enumerate(lines) if "|scd_deliver|" in l)
-    step, kind, _, body = lines[k].split("|", 3)
-    lines[k] = f"{step}|{kind}|9|{body}"
+    k = next(k for k, l in enumerate(lines) if _write_data(l))
+    lines[k] = _set_register(lines[k], 9)
+    return "".join(lines)
+
+
+def _send_without_to(text):
+    lines = text.splitlines(True)
+    k = next(k for k, l in enumerate(lines) if "|send|" in l)
+    lines[k] = re.sub(r" to=\d+", "", lines[k])
     return "".join(lines)
 
 
@@ -115,10 +150,14 @@ def _garbage_line(text):
 
 @pytest.mark.parametrize("mangle,reason", [
     (_drop_invokes, "KeyError"),
-    (_unknown_proc, "KeyError: 9"),
+    (_first_by_p9("scd_deliver"), "KeyError: 9"),
     (_garbage_line, "TraceParseError: line 4"),
     (lambda text: text[:300], "TraceParseError: line"),
-], ids=["no-op-invoke", "unknown-proc", "garbage-line", "cut-at-300"])
+    (_write_to_register_9, "ValueError: register 9 outside 1..1"),
+    (_send_without_to, "KeyError: 'to'"),
+    (_first_by_p9("bcast"), "KeyError: 9"),
+], ids=["no-op-invoke", "unknown-proc", "garbage-line", "cut-at-300",
+        "write-register-9", "send-without-to", "bcast-by-p9"])
 def test_malformed_trace_exits_2_with_error_line(tmp_path, capsys, mangle, reason):
     main(["run", "--n", "3", "--workload", "register_ops", "--ops", "4", "--seed", "1",
           "--trace-dir", str(tmp_path)])
@@ -142,3 +181,74 @@ def test_check_goes_on_past_an_unreadable_trace(tmp_path, capsys):
     assert code == 2
     assert f"check|{missing}|error|FileNotFoundError" in out
     assert f"check|{good}|pass" in out
+
+
+# -- total ingestion: no single-line mutation of a stored trace escapes -------
+
+_BASE_TRACES = [
+    ["--n", "3", "--workload", "register_ops", "--ops", "6", "--seed", "2",
+     "--crash", "explicit:3@40:2"],
+    ["--n", "3", "--workload", "snapshot_ops", "--ops", "6", "--nregs", "2",
+     "--seed", "3", "--crash", "random:1"],
+]
+
+
+@pytest.fixture(scope="module")
+def base_traces(tmp_path_factory):
+    root = tmp_path_factory.mktemp("base")
+    texts = []
+    for args in _BASE_TRACES:
+        out = tmp_path_factory.mktemp("run")
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["run", *args, "--trace-dir", str(out)])
+        (path,) = out.iterdir()
+        texts.append(path.read_text())
+    return root, texts
+
+
+def _drop_field(line, draw):
+    head, body = line.rstrip("\n").rsplit("|", 1)
+    chunks = body.split(" ")
+    chunks.pop(draw(st.integers(0, len(chunks) - 1)))
+    return f"{head}|{' '.join(chunks)}\n"
+
+
+def _swap_proc(line, draw):
+    step, kind, _, body = line.split("|", 3)
+    return f"{step}|{kind}|{draw(st.integers(0, 5))}|{body}"
+
+
+def _change_number(line, draw):
+    spans = [m.span() for m in re.finditer(r"\d+", line)]
+    a, b = spans[draw(st.integers(0, len(spans) - 1))]
+    return f"{line[:a]}{draw(st.integers(0, 12))}{line[b:]}"
+
+
+def _rewrite_register(line, draw):
+    return _set_register(line, draw(st.integers(0, 4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_trace_gets_a_verdict_or_an_error_line(base_traces, data):
+    root, texts = base_traces
+    lines = texts[data.draw(st.sampled_from(range(len(texts))))].splitlines(True)
+    mutate, pick = data.draw(st.sampled_from([
+        (_drop_field, lambda l: l.rstrip("\n")[-1] != "|"),
+        (_swap_proc, lambda l: True),
+        (_change_number, lambda l: True),
+        (_rewrite_register, _write_data),
+    ]))
+    k = data.draw(st.sampled_from([k for k, l in enumerate(lines) if pick(l)]))
+    lines[k] = mutate(lines[k], data.draw)
+    path = root / "mutated.trace"
+    path.write_text("".join(lines))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["check", str(path)])
+    assert code in (0, 1, 2)
+    first = out.getvalue().splitlines()[0]
+    if code == 2:
+        assert first.startswith(f"check|{path}|error|"), first
+    else:
+        assert first == f"check|{path}|{'pass' if code == 0 else 'fail'}", first

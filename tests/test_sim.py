@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scdkit.core import UsageError
-from scdkit.check import count_messages, load_run
+from scdkit.check import load_run
 from scdkit.sim import (
     ScenarioConfig,
     Simulator,
@@ -65,7 +65,7 @@ def test_failure_free_run_uses_exactly_n_squared_sends_per_broadcast():
         cfg = config(n=n, t=(n - 1) // 2, op_count=2 * n, seed=5)
         res = run_scenario(cfg)
         assert res.status == "quiescent"
-        counts = count_messages(load_run(res.events))
+        counts = load_run(res.events).sends
         assert len(counts) == 2 * n
         assert set(counts.values()) == {n * n}
 
