@@ -9,6 +9,14 @@ dropping any candidate that is not known to precede some still-buffered
 message at a majority of forwarders.  Whatever survives is delivered as one
 message set.
 
+The buffer is indexed by (sender, sequence number), and each entry counts
+its known forwarders as its columns leave INFINITE, so a receipt costs no
+scan over the buffer and delivery is attempted only while some entry has a
+majority.  The purge checks every candidate once against the non-candidates,
+then re-checks the survivors only against the candidates just dropped, until
+none drops; a drop only grows the non-candidate side, so this reaches the
+same fixpoint as restarting the scan after every drop.
+
 The processes only emit FORWARD messages.  A fifo_broadcast here is a request
 to send the same FORWARD to every process (self included; the receipt guard
 absorbs the self copy), so one scd-broadcast costs at most n*n point-to-point
@@ -19,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import lt
 
 from .core import AppMessage, MsgId, UsageError
 
@@ -43,31 +52,33 @@ class BufferEntry:
     sd: int
     sn: int
     cl: list = field(default_factory=list)  # 1-based, entries int or INFINITE
-
-
-def seen_first_count(entry: BufferEntry, other: BufferEntry, n: int) -> int:
-    """How many processes forwarded `entry` before `other`."""
-    return sum(1 for f in range(1, n + 1) if entry.cl[f] < other.cl[f])
+    forwarders: int = 0                      # columns of cl that are not INFINITE
 
 
 def purge_blocked(candidates: list, buffer: list, n: int) -> list:
     """Shrink the candidate set to a fixpoint: drop any candidate that at most
     half the processes are known to have forwarded before some non-candidate.
 
-    The result does not depend on examination order; dropping a candidate only
-    grows the non-candidate side, which can only force further drops.
+    Candidates are checked once against the buffer outside the candidate set,
+    then only against the candidates dropped in the round before: a drop only
+    grows the non-candidate side, so earlier comparisons stay valid and the
+    fixpoint is the one of re-scanning everything after each drop.
     """
-    todeliver = list(candidates)
-    changed = True
-    while changed:
-        changed = False
-        outside = [e for e in buffer if all(e is not d for d in todeliver)]
-        for e in list(todeliver):
-            if any(2 * seen_first_count(e, other, n) <= n for other in outside):
-                todeliver = [d for d in todeliver if d is not e]
-                changed = True
-                break
-    return todeliver
+    half = n // 2
+    inside = {id(e) for e in candidates}
+    check = [e.cl for e in buffer if id(e) not in inside]
+    keep = candidates
+    while check and keep:
+        kept, dropped = [], []
+        for e in keep:
+            cl = e.cl
+            # column 0 is INFINITE everywhere and never counts
+            if any(sum(map(lt, cl, other)) <= half for other in check):
+                dropped.append(cl)
+            else:
+                kept.append(e)
+        keep, check = kept, dropped
+    return list(keep)
 
 
 class ScdProcess:
@@ -82,6 +93,10 @@ class ScdProcess:
         self.pid = pid
         self.n = n
         self.buffer: list[BufferEntry] = []
+        self._majority = n // 2 + 1
+        self._index: dict = {}   # (sd, sn) -> the buffered entry
+        self._candidates = 0     # buffered entries forwarded by a majority
+        self._own = 0            # buffered entries of this process's messages
         self.sn = 0
         # clock[j] = greatest sn of a j-initiated message delivered here;
         # -1 while nothing from j was delivered (first messages carry sn 0).
@@ -106,23 +121,24 @@ class ScdProcess:
     def forward(self, m, sd, sn_sd, f, sn_f, out) -> None:
         if sn_sd <= self.clock[sd]:
             return  # already delivered here; stale copy
-        entry = self._find(sd, sn_sd)
-        if entry is not None:
-            entry.cl[f] = sn_f
-        else:
-            cl = [INFINITE] * (self.n + 1)
-            cl[f] = sn_f
-            self.buffer.append(BufferEntry(m, sd, sn_sd, cl))
+        entry = self._index.get((sd, sn_sd))
+        if entry is None:
+            entry = BufferEntry(m, sd, sn_sd, [INFINITE] * (self.n + 1))
+            self.buffer.append(entry)
+            self._index[(sd, sn_sd)] = entry
+            self._own += sd == self.pid
             out.append(ForwardMsg(m, sd, sn_sd, self.pid, self.sn))
             self.sn += 1
+        if entry.cl[f] == INFINITE:
+            entry.forwarders += 1
+            self._candidates += entry.forwarders == self._majority
+        entry.cl[f] = sn_f
 
     def try_deliver(self):
         """Deliver one message set if possible, None otherwise."""
-        candidates = [
-            e
-            for e in self.buffer
-            if 2 * sum(1 for c in e.cl[1:] if c != INFINITE) > self.n
-        ]
+        if not self._candidates:
+            return None
+        candidates = [e for e in self.buffer if e.forwarders >= self._majority]
         todeliver = purge_blocked(candidates, self.buffer, self.n)
         if not todeliver:
             return None
@@ -131,21 +147,17 @@ class ScdProcess:
             # while sn > clock[sd], and no later entry of sd can overtake it.
             assert self.clock[e.sd] < e.sn
             self.clock[e.sd] = e.sn
-        self.buffer = [e for e in self.buffer if all(e is not d for d in todeliver)]
+            del self._index[(e.sd, e.sn)]
+            self._own -= e.sd == self.pid
+        self._candidates -= len(todeliver)
+        gone = {id(e) for e in todeliver}
+        self.buffer = [e for e in self.buffer if id(e) not in gone]
         return frozenset(e.m for e in todeliver)
 
     def broadcast_complete(self) -> MsgId | None:
         """Report (and clear) a completed pending scd-broadcast, if any."""
-        if self.pending_broadcast is None:
-            return None
-        if any(e.sd == self.pid for e in self.buffer):
+        if self.pending_broadcast is None or self._own:
             return None
         done = self.pending_broadcast
         self.pending_broadcast = None
         return done
-
-    def _find(self, sd: int, sn: int):
-        for e in self.buffer:
-            if e.sd == sd and e.sn == sn:
-                return e
-        return None

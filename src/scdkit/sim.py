@@ -9,7 +9,12 @@ purely by adversarial event choice; there are no clocks.
 Things the simulator injects or enforces:
 
   * FIFO reliable channels for the message-passing protocol; per-channel
-    delivery order always equals send order.
+    delivery order always equals send order.  The simulator keeps the sorted
+    indices of the non-empty channels (a crashed receiver's channels are
+    cleared and never refilled, so non-empty means deliverable), updated
+    only when a channel empties or fills, so choosing an event costs no
+    scan over the n*n channels.  The fifo policy keeps the channel heads in
+    a heap keyed by send sequence, dropping stale heads lazily.
   * Crashes at chosen steps.  A crash can also interrupt the victim's next
     handler and truncate the point-to-point sends of its fifo-broadcast to a
     prefix, which is strictly more adversarial than whole-handler crashes.
@@ -33,8 +38,10 @@ schedule by DFS and deduplicating identical global states.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, fields
+from heapq import heappop, heappush
 from typing import Optional
 
 from .core import AppMessage, MsgId, UsageError, format_id_set
@@ -624,6 +631,34 @@ def _forward_fields(fmsg: ForwardMsg) -> dict:
     }
 
 
+class _Enabled:
+    """The enabled events of a message-passing run, in the order the
+    scheduler picks from: deliveries by channel index (sender-major), then
+    invocations by process.  Delivery events are built only when picked."""
+
+    __slots__ = ("n", "ready", "invokes")
+
+    def __init__(self, n: int, ready: list, invokes: list):
+        self.n, self.ready, self.invokes = n, ready, invokes
+
+    def __len__(self) -> int:
+        return len(self.ready) + len(self.invokes)
+
+    def __getitem__(self, k: int):
+        if k < len(self.ready):
+            return _deliver_event(self.ready[k], self.n)
+        return self.invokes[k - len(self.ready)]
+
+
+def _deliver_event(idx: int, n: int):
+    s, d = divmod(idx, n)
+    return ("deliver", s + 1, d + 1)
+
+
+# fifo policy without deliveries: finish work before starting new work
+_WORK_ORDER = {"mem": 0, "apply": 1, "invoke": 2, "tick": 3}
+
+
 class Simulator:
     def __init__(self, config: ScenarioConfig):
         config.validate()
@@ -654,11 +689,11 @@ class Simulator:
                 i: MpStack(self, i, config, self.scripts[i])
                 for i in range(1, config.n + 1)
             }
-            self.channels = {
-                (i, j): deque()
-                for i in range(1, config.n + 1)
-                for j in range(1, config.n + 1)
-            }
+            # channel s -> d at index (s-1)*n + (d-1)
+            self.channels = [deque() for _ in range(config.n * config.n)]
+            self._ready = []       # sorted indices of the non-empty channels
+            self._fast_ready = []  # slow policy: those not into a slow process
+            self._heads = []       # fifo policy: heap of (send seq, index)
         self.trace("config", 0, **config.to_payload())
 
     # -- trace / transport hooks -----------------------------------------
@@ -668,7 +703,8 @@ class Simulator:
 
     def fifo_broadcast(self, src: int, fmsg: ForwardMsg) -> None:
         forward = _forward_fields(fmsg)
-        for dst in range(1, self.config.n + 1):
+        n = self.config.n
+        for dst in range(1, n + 1):
             if self._cut is not None and self._cut[0] == src:
                 if self._cut[1] <= 0:
                     raise _CrashCut()
@@ -676,45 +712,78 @@ class Simulator:
             self._send_seq += 1
             self.trace("send", src, to=str(dst), **forward)
             if self.alive[dst]:
-                self.channels[(src, dst)].append((self._send_seq, fmsg))
+                idx = (src - 1) * n + dst - 1
+                q = self.channels[idx]
+                q.append((self._send_seq, fmsg))
+                if len(q) == 1:
+                    self._filled(idx)
+
+    def _filled(self, idx: int) -> None:
+        """Channel idx went from empty to non-empty."""
+        insort(self._ready, idx)
+        if self.policy == "fifo":
+            heappush(self._heads, (self.channels[idx][0][0], idx))
+        elif self.policy == "slow" and idx % self.config.n + 1 not in self.slow_set:
+            insort(self._fast_ready, idx)
+
+    def _emptied(self, idx: int) -> None:
+        """Channel idx went from non-empty to empty."""
+        del self._ready[bisect_left(self._ready, idx)]
+        if self.policy == "slow" and idx % self.config.n + 1 not in self.slow_set:
+            del self._fast_ready[bisect_left(self._fast_ready, idx)]
 
     # -- event machinery --------------------------------------------------
 
-    def enabled_events(self) -> list:
+    def enabled_events(self):
         if self.world is not None:
             return self.world.choices()
-        evs = []
-        for (s, d), q in self.channels.items():
-            if q and self.alive[d]:
-                evs.append(("deliver", s, d))
-        for i in range(1, self.config.n + 1):
-            if self.alive[i] and self.stacks[i].can_invoke():
-                evs.append(("invoke", i))
-        return evs
+        invokes = [
+            ("invoke", i)
+            for i in range(1, self.config.n + 1)
+            if self.alive[i] and self.stacks[i].can_invoke()
+        ]
+        return _Enabled(self.config.n, self._ready, invokes)
 
-    def schedule_next(self, events: list):
+    def schedule_next(self, events):
         if self.policy == "fifo":
-            return min(events, key=self._fifo_key)
+            return self._fifo_next(events)
         if self.policy == "slow":
             # an event ends with the process that acts on it (a delivery's receiver)
-            fast = [e for e in events if e[-1] not in self.slow_set]
+            if self.world is not None:
+                fast = [e for e in events if e[-1] not in self.slow_set]
+            else:
+                fast = _Enabled(self.config.n, self._fast_ready,
+                                [e for e in events.invokes if e[1] not in self.slow_set])
             if fast and self.sched_rng.random() < 0.9375:
                 return fast[self.sched_rng.randrange(len(fast))]
         return events[self.sched_rng.randrange(len(events))]
 
-    def _fifo_key(self, ev):
-        if ev[0] == "deliver":
-            return (0, self.channels[(ev[1], ev[2])][0][0], 0)
-        # work starts (or continues) only when no delivery is ready
-        prio = {"mem": 0, "apply": 1, "invoke": 2, "tick": 3}[ev[0]]
-        return (1, prio, ev[-1])
+    def _fifo_next(self, events):
+        """The oldest message at the head of a channel; work starts (or
+        continues) only when no delivery is ready."""
+        if self.world is not None:
+            return min(events, key=lambda ev: (_WORK_ORDER[ev[0]], ev[-1]))
+        heads = self._heads
+        while heads:
+            seq, idx = heads[0]
+            q = self.channels[idx]
+            if q and q[0][0] == seq:
+                return _deliver_event(idx, self.config.n)
+            heappop(heads)  # already delivered, or its channel cleared by a crash
+        return events.invokes[0]
 
     def execute(self, ev) -> None:
         if self.world is not None:
             self.world.step(ev, trace=self.trace)
         elif ev[0] == "deliver":
             _, s, d = ev
-            _, fmsg = self.channels[(s, d)].popleft()
+            idx = (s - 1) * self.config.n + d - 1
+            q = self.channels[idx]
+            _, fmsg = q.popleft()
+            if not q:
+                self._emptied(idx)
+            elif self.policy == "fifo":
+                heappush(self._heads, (q[0][0], idx))
             self.trace("recv", d, **{"from": str(s)}, **_forward_fields(fmsg))
             self.stacks[d].on_network(fmsg)
         elif ev[0] == "invoke":
@@ -737,20 +806,21 @@ class Simulator:
                     self._cut = None
         self.alive[proc] = False
         if self.stacks is not None:
-            for s in range(1, self.config.n + 1):
-                self.channels[(s, proc)].clear()
+            n = self.config.n
+            for idx in range(proc - 1, n * n, n):
+                if self.channels[idx]:
+                    self.channels[idx].clear()
+                    self._emptied(idx)
         self.trace("crash", proc)
 
     def _victim_event(self, proc: int):
         """The event a mid-handler crash interrupts: the victim's oldest
         deliverable message, else its next invocation."""
-        best = None
-        for s in range(1, self.config.n + 1):
-            q = self.channels[(s, proc)]
-            if q and (best is None or q[0][0] < best[0]):
-                best = (q[0][0], ("deliver", s, proc))
-        if best is not None:
-            return best[1]
+        n = self.config.n
+        heads = [(q[0][0], idx) for idx in range(proc - 1, n * n, n)
+                 if (q := self.channels[idx])]
+        if heads:
+            return _deliver_event(min(heads)[1], n)
         if self.stacks[proc].can_invoke():
             return ("invoke", proc)
         return None

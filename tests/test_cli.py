@@ -21,6 +21,20 @@ def test_run_reports_verdicts_and_succeeds(capsys):
     assert out.strip().endswith("result|pass")
 
 
+def test_majority_crash_skips_termination(capsys):
+    # 3 of 5 crash; the run still goes quiescent, but a live process may miss
+    # what another delivered without breaking the protocol's guarantees
+    code = main(["run", "--n", "5", "--workload", "register_ops", "--ops", "3",
+                 "--crash", "explicit:2@63:1,1@66:3,5@2", "--delay", "slow:1",
+                 "--seed", "745449"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "status|quiescent" in out
+    assert ("verdict|termination|skip|3 of 5 processes crash; "
+            "liveness needs a correct majority") in out
+    assert out.strip().endswith("result|pass")
+
+
 def test_run_writes_and_check_rereads_trace(tmp_path, capsys):
     code = main(["run", "--n", "3", "--workload", "raw_broadcast", "--ops", "4",
                  "--trace-dir", str(tmp_path)])

@@ -2,9 +2,10 @@
 
 The configs cover every workload (rw_equivalence in both memory modes) under
 a mix of delay policies and crash schedules, including mid-broadcast cuts,
-plus a single writer other than p1 and register workloads given nregs=2.  A
-refactor that keeps the determinism contract keeps every digest; a change
-that moves traces on purpose must say so and re-pin them.  Beside each trace
+plus a single writer other than p1, register workloads given nregs=2, and
+broadcasts at n = 11 and 13 under each delay policy.  A refactor that keeps
+the determinism contract keeps every digest; a change that moves traces on
+purpose must say so and re-pin them.  Beside each trace
 digest sits the digest of its evaluate_run verdict lines, judged from the
 live events and from the rendered trace parsed back, which pins the verdicts
 the same way.
@@ -80,6 +81,19 @@ GOLDEN = [
           crash="random:1", seed=43),
      "7fd3184c6e71b3e08cd4f4ab7057b8a8f0a094dd938595aa14d53c8b52f6aefb",
      "da6c86b3432f781b8b7941cbdd422e86df0273e2028f4991e2c3887df11d4905"),
+    # broadcast at scale: most channels non-empty, large candidate sets
+    (dict(n=13, t=6, workload="raw_broadcast", op_count=26,
+          crash="explicit:2@300:5,5@900,7@1500:0,11@2000:9,13@2500:2", seed=47),
+     "13154ea664ec547861f6b442e52c6eb6392c63cf70d18e5094b6e78ad1a51b2d",
+     "bf9bfe1a85dd52c48f5be70d2d374b5b1e487293f4b5f7a2be399d2ce8a92700"),
+    (dict(n=11, t=5, workload="raw_broadcast", op_count=22, delay="fifo",
+          crash="explicit:4@700:3,9@1800", seed=53),
+     "377f510b7edcafaffd0558878bd92282b80929c268ffb045c3b193eb721783cf",
+     "3bdc86cd1c940c347f6d35218501d29a852ed32dc7e5a3343be9a78b12196285"),
+    (dict(n=11, t=5, workload="raw_broadcast", op_count=22, delay="slow:1,2",
+          crash="explicit:2@500:4,6@1200", seed=59),
+     "852209cbdf3937bd321e33ff4fbd6bb319ae126feca4bf8f90047b107754b4a9",
+     "3bdc86cd1c940c347f6d35218501d29a852ed32dc7e5a3343be9a78b12196285"),
 ]
 
 

@@ -14,12 +14,32 @@ from scdkit.scd_mp import (
     INFINITE,
     ScdProcess,
     purge_blocked,
-    seen_first_count,
 )
 
 
 def msg(sender, seq, payload=b"m"):
     return AppMessage(MsgId(sender, seq), payload)
+
+
+def seen_first_count(entry: BufferEntry, other: BufferEntry, n: int) -> int:
+    """How many processes forwarded `entry` before `other`."""
+    return sum(1 for f in range(1, n + 1) if entry.cl[f] < other.cl[f])
+
+
+def purge_blocked_oracle(candidates: list, buffer: list, n: int) -> list:
+    """The purge as first written: restart the scan after every drop.  The
+    differential test below holds purge_blocked to its result."""
+    todeliver = list(candidates)
+    changed = True
+    while changed:
+        changed = False
+        outside = [e for e in buffer if all(e is not d for d in todeliver)]
+        for e in list(todeliver):
+            if any(2 * seen_first_count(e, other, n) <= n for other in outside):
+                todeliver = [d for d in todeliver if d is not e]
+                changed = True
+                break
+    return todeliver
 
 
 def test_fresh_broadcast_creates_entry_and_forward():
@@ -151,6 +171,28 @@ def test_purge_result_ignores_candidate_order(seed):
         shuffled = cands[:]
         rng.shuffle(shuffled)
         assert set(map(id, purge_blocked(shuffled, entries, n))) == set(map(id, baseline))
+
+
+@st.composite
+def purge_inputs(draw):
+    """A buffer of up to 12 entries whose columns mix small sequence numbers
+    (ties included) with INFINITE, and its majority-forwarded candidates."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    column = st.one_of(st.just(INFINITE), st.integers(min_value=0, max_value=6))
+    entries = []
+    for k in range(draw(st.integers(min_value=0, max_value=12))):
+        cl = [INFINITE] + draw(st.lists(column, min_size=n, max_size=n))
+        entries.append(BufferEntry(msg(1 + k % n, k), 1 + k % n, k, cl))
+    cands = [e for e in entries if 2 * sum(1 for c in e.cl[1:] if c != INFINITE) > n]
+    return cands, entries, n
+
+
+@settings(max_examples=400, deadline=None)
+@given(purge_inputs())
+def test_purge_matches_rescanning_oracle(inputs):
+    cands, entries, n = inputs
+    got = purge_blocked(cands, entries, n)
+    assert [id(e) for e in got] == [id(e) for e in purge_blocked_oracle(cands, entries, n)]
 
 
 class LoopbackNet:

@@ -1,12 +1,15 @@
 """Deterministic simulator: scheduling, crashes, tracing."""
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from scdkit.core import UsageError
 from scdkit.check import load_run
 from scdkit.sim import (
+    MP_WORKLOADS,
     ScenarioConfig,
     Simulator,
     TraceParseError,
@@ -194,3 +197,70 @@ def test_simulator_rejects_invalid_config():
         Simulator(config(workload="nope"))
     with pytest.raises(UsageError):
         Simulator(config(mem="weird"))
+
+
+class RescanningSimulator(Simulator):
+    """The scheduler as first written: every step lists the deliverable
+    channels in sender-major order, then the invocations, and picks from that
+    list.  The differential test below holds Simulator to its traces."""
+
+    def enabled_events(self):
+        n = self.config.n
+        evs = []
+        for s in range(1, n + 1):
+            for d in range(1, n + 1):
+                if self.channels[(s - 1) * n + d - 1] and self.alive[d]:
+                    evs.append(("deliver", s, d))
+        for i in range(1, n + 1):
+            if self.alive[i] and self.stacks[i].can_invoke():
+                evs.append(("invoke", i))
+        return evs
+
+    def schedule_next(self, events):
+        if self.policy == "fifo":
+            return min(events, key=self._fifo_key)
+        if self.policy == "slow":
+            fast = [e for e in events if e[-1] not in self.slow_set]
+            if fast and self.sched_rng.random() < 0.9375:
+                return fast[self.sched_rng.randrange(len(fast))]
+        return events[self.sched_rng.randrange(len(events))]
+
+    def _fifo_key(self, ev):
+        if ev[0] == "deliver":
+            q = self.channels[(ev[1] - 1) * self.config.n + ev[2] - 1]
+            return (0, q[0][0], 0)
+        prio = {"mem": 0, "apply": 1, "invoke": 2, "tick": 3}[ev[0]]
+        return (1, prio, ev[-1])
+
+
+def mp_config(workload: str, rng: random.Random) -> ScenarioConfig:
+    """A config of one message-passing workload: n up to 9, random or explicit
+    crashes (explicit ones with keep cuts, up to n - 1 of them), and every
+    delay policy, the slow set naming a crashed process when there is one."""
+    n = rng.randint(2, 9)
+    crash, victims = "none", []
+    kind = rng.choice(["none", "random", "explicit"])
+    if kind == "random":
+        crash = f"random:{rng.randint(0, n - 1)}"
+    elif kind == "explicit":
+        victims = rng.sample(range(1, n + 1), rng.randint(1, n - 1))
+        crash = "explicit:" + ",".join(
+            f"{p}@{rng.randrange(4 * n * n)}" + rng.choice(["", f":{rng.randint(0, n)}"])
+            for p in victims)
+    delay = rng.choice(["uniform", "fifo", "slow"])
+    if delay == "slow":
+        slow = set(rng.sample(range(1, n + 1), rng.randint(1, n))) | set(victims[:1])
+        delay = "slow:" + ",".join(map(str, sorted(slow)))
+    return ScenarioConfig(
+        n=n, t=(n - 1) // 2, workload=workload, op_count=rng.randint(1, 2 * n),
+        crash=crash, delay=delay, seed=rng.randrange(2**31),
+        nregs=rng.randint(1, 3), writer=rng.randint(1, n))
+
+
+@pytest.mark.parametrize("workload", MP_WORKLOADS)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**30))
+def test_scheduler_matches_rescanning_scheduler(workload, seed):
+    cfg = mp_config(workload, random.Random(seed))
+    expected = render_trace(RescanningSimulator(cfg).run().events)
+    assert render_trace(Simulator(cfg).run().events) == expected
