@@ -96,7 +96,6 @@ class ScdProcess:
         self._majority = n // 2 + 1
         self._index: dict = {}   # (sd, sn) -> the buffered entry
         self._candidates = 0     # buffered entries forwarded by a majority
-        self._own = 0            # buffered entries of this process's messages
         self.sn = 0
         # clock[j] = greatest sn of a j-initiated message delivered here;
         # -1 while nothing from j was delivered (first messages carry sn 0).
@@ -126,7 +125,6 @@ class ScdProcess:
             entry = BufferEntry(m, sd, sn_sd, [INFINITE] * (self.n + 1))
             self.buffer.append(entry)
             self._index[(sd, sn_sd)] = entry
-            self._own += sd == self.pid
             out.append(ForwardMsg(m, sd, sn_sd, self.pid, self.sn))
             self.sn += 1
         if entry.cl[f] == INFINITE:
@@ -148,7 +146,6 @@ class ScdProcess:
             assert self.clock[e.sd] < e.sn
             self.clock[e.sd] = e.sn
             del self._index[(e.sd, e.sn)]
-            self._own -= e.sd == self.pid
         self._candidates -= len(todeliver)
         gone = {id(e) for e in todeliver}
         self.buffer = [e for e in self.buffer if id(e) not in gone]
@@ -156,7 +153,9 @@ class ScdProcess:
 
     def broadcast_complete(self) -> MsgId | None:
         """Report (and clear) a completed pending scd-broadcast, if any."""
-        if self.pending_broadcast is None or self._own:
+        if self.pending_broadcast is None:
+            return None
+        if any(e.sd == self.pid for e in self.buffer):
             return None
         done = self.pending_broadcast
         self.pending_broadcast = None

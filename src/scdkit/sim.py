@@ -13,8 +13,7 @@ Things the simulator injects or enforces:
     indices of the non-empty channels (a crashed receiver's channels are
     cleared and never refilled, so non-empty means deliverable), updated
     only when a channel empties or fills, so choosing an event costs no
-    scan over the n*n channels.  The fifo policy keeps the channel heads in
-    a heap keyed by send sequence, dropping stale heads lazily.
+    scan over the n*n channels.
   * Crashes at chosen steps.  A crash can also interrupt the victim's next
     handler and truncate the point-to-point sends of its fifo-broadcast to a
     prefix, which is strictly more adversarial than whole-handler crashes.
@@ -41,7 +40,6 @@ import random
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, fields
-from heapq import heappop, heappush
 from typing import Optional
 
 from .core import AppMessage, MsgId, UsageError, format_id_set
@@ -691,9 +689,7 @@ class Simulator:
             }
             # channel s -> d at index (s-1)*n + (d-1)
             self.channels = [deque() for _ in range(config.n * config.n)]
-            self._ready = []       # sorted indices of the non-empty channels
-            self._fast_ready = []  # slow policy: those not into a slow process
-            self._heads = []       # fifo policy: heap of (send seq, index)
+            self._ready = []  # sorted indices of the non-empty channels
         self.trace("config", 0, **config.to_payload())
 
     # -- trace / transport hooks -----------------------------------------
@@ -716,21 +712,7 @@ class Simulator:
                 q = self.channels[idx]
                 q.append((self._send_seq, fmsg))
                 if len(q) == 1:
-                    self._filled(idx)
-
-    def _filled(self, idx: int) -> None:
-        """Channel idx went from empty to non-empty."""
-        insort(self._ready, idx)
-        if self.policy == "fifo":
-            heappush(self._heads, (self.channels[idx][0][0], idx))
-        elif self.policy == "slow" and idx % self.config.n + 1 not in self.slow_set:
-            insort(self._fast_ready, idx)
-
-    def _emptied(self, idx: int) -> None:
-        """Channel idx went from non-empty to empty."""
-        del self._ready[bisect_left(self._ready, idx)]
-        if self.policy == "slow" and idx % self.config.n + 1 not in self.slow_set:
-            del self._fast_ready[bisect_left(self._fast_ready, idx)]
+                    insort(self._ready, idx)
 
     # -- event machinery --------------------------------------------------
 
@@ -746,31 +728,23 @@ class Simulator:
 
     def schedule_next(self, events):
         if self.policy == "fifo":
-            return self._fifo_next(events)
+            if self.world is None and self._ready:
+                # the oldest message at the head of a channel
+                idx = min(self._ready, key=lambda i: self.channels[i][0][0])
+                return _deliver_event(idx, self.config.n)
+            # work starts (or continues) only when no delivery is ready
+            return min(events, key=lambda ev: (_WORK_ORDER[ev[0]], ev[-1]))
         if self.policy == "slow":
             # an event ends with the process that acts on it (a delivery's receiver)
-            if self.world is not None:
-                fast = [e for e in events if e[-1] not in self.slow_set]
-            else:
-                fast = _Enabled(self.config.n, self._fast_ready,
+            if self.world is None:
+                n = self.config.n
+                fast = _Enabled(n, [i for i in self._ready if i % n + 1 not in self.slow_set],
                                 [e for e in events.invokes if e[1] not in self.slow_set])
+            else:
+                fast = [e for e in events if e[-1] not in self.slow_set]
             if fast and self.sched_rng.random() < 0.9375:
                 return fast[self.sched_rng.randrange(len(fast))]
         return events[self.sched_rng.randrange(len(events))]
-
-    def _fifo_next(self, events):
-        """The oldest message at the head of a channel; work starts (or
-        continues) only when no delivery is ready."""
-        if self.world is not None:
-            return min(events, key=lambda ev: (_WORK_ORDER[ev[0]], ev[-1]))
-        heads = self._heads
-        while heads:
-            seq, idx = heads[0]
-            q = self.channels[idx]
-            if q and q[0][0] == seq:
-                return _deliver_event(idx, self.config.n)
-            heappop(heads)  # already delivered, or its channel cleared by a crash
-        return events.invokes[0]
 
     def execute(self, ev) -> None:
         if self.world is not None:
@@ -781,9 +755,7 @@ class Simulator:
             q = self.channels[idx]
             _, fmsg = q.popleft()
             if not q:
-                self._emptied(idx)
-            elif self.policy == "fifo":
-                heappush(self._heads, (q[0][0], idx))
+                del self._ready[bisect_left(self._ready, idx)]
             self.trace("recv", d, **{"from": str(s)}, **_forward_fields(fmsg))
             self.stacks[d].on_network(fmsg)
         elif ev[0] == "invoke":
@@ -810,7 +782,7 @@ class Simulator:
             for idx in range(proc - 1, n * n, n):
                 if self.channels[idx]:
                     self.channels[idx].clear()
-                    self._emptied(idx)
+                    del self._ready[bisect_left(self._ready, idx)]
         self.trace("crash", proc)
 
     def _victim_event(self, proc: int):

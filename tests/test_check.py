@@ -154,6 +154,25 @@ def test_termination_ignores_crashed_processes():
     assert check_termination(run).status == "pass"
 
 
+def test_termination_skips_runs_where_a_majority_crashed():
+    run = make_run({1: [{1}], 2: [], 3: []})
+    run.faulty = {2, 3}
+    v = check_termination(run)
+    assert v.status == "skip" and v.detail.startswith("2 of 3 processes crashed")
+
+
+def test_termination_judges_majority_plans_whose_crashes_never_fire():
+    # three of five crashes are planned, but the run goes quiescent first
+    cfg = ScenarioConfig(n=5, t=2, workload="raw_broadcast", op_count=2,
+                         crash="explicit:1@10000,2@10000,3@10000", seed=3)
+    assert cfg.expected_nonterminating()
+    res = run_scenario(cfg)
+    assert res.status == "quiescent"
+    run = load_run(res.events)
+    assert not run.faulty
+    assert check_termination(run).status == "pass"
+
+
 # -- trace-structure checks on live runs ------------------------------------
 
 

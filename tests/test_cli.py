@@ -30,7 +30,7 @@ def test_majority_crash_skips_termination(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "status|quiescent" in out
-    assert ("verdict|termination|skip|3 of 5 processes crash; "
+    assert ("verdict|termination|skip|3 of 5 processes crashed; "
             "liveness needs a correct majority") in out
     assert out.strip().endswith("result|pass")
 
