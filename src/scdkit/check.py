@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from typing import Optional
 
 from .core import (
@@ -47,7 +48,6 @@ from .core import (
     MsgId,
     Timestamp,
     parse_id_set,
-    ts_less,
     tsa_compare,
 )
 from .shared_objects import INITIAL_VALUE, WritePayload, decode_payload
@@ -115,7 +115,6 @@ class OpRecord:
 class History:
     ops: list
     nregs: int
-    faulty: set
 
 
 @dataclass
@@ -136,11 +135,13 @@ class RunData:
 
 def load_run(events) -> RunData:
     """Read every trace record once into RunData; the checkers judge only
-    the parsed fields.  A missing field or a record by an unknown process
-    raises KeyError, any other malformed value ValueError."""
+    the parsed fields.  A config record that fails validation raises
+    UsageError, a missing field or a record by an unknown process KeyError,
+    any other malformed value ValueError."""
     if not events or events[0].kind != "config":
         raise ValueError("trace must start with a config record")
     config = ScenarioConfig.from_payload(events[0].payload)
+    config.validate()
     run = RunData(config, events, "unknown")
     run.logs = {i: [] for i in range(1, config.n + 1)}
     run.completed = {i: set() for i in range(1, config.n + 1)}
@@ -211,7 +212,7 @@ def _check_slot(r: int, config: ScenarioConfig) -> int:
 
 
 def extract_history(run: RunData) -> History:
-    return History(run.ops, run.config.slots, set(run.faulty))
+    return History(run.ops, run.config.slots)
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +420,10 @@ def timestamp_metadata(run: RunData) -> TsMeta:
         tsa = [INITIAL_TS] * run.config.slots
         for s in sets:
             for w in (run.writes[mid] for mid in s if mid in run.writes):
-                if ts_less(tsa[w.r - 1], w.ts):
+                if tsa[w.r - 1] < w.ts:
                     tsa[w.r - 1] = w.ts
             arrays.add(tuple(tsa))
-    chain = sorted(arrays, key=lambda a: [(t.date, t.proc) for t in a])
+    chain = sorted(arrays)
     for a, b in zip(chain, chain[1:]):
         if tsa_compare(a, b) is not Cmp.LESS:
             return TsMeta([], {}, f"incomparable arrays {_tsa_str(a)} vs {_tsa_str(b)}")
@@ -524,48 +525,31 @@ def check_linearizable_witness(h: History, meta: TsMeta) -> Verdict:
 
 def _write_rank(op: OpRecord, chain) -> Optional[int]:
     """Smallest trajectory array whose register entry reports op's tag."""
-    lo, hi = 0, len(chain)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        entry = chain[mid][op.r - 1]
-        if entry == op.ts or ts_less(op.ts, entry):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo if lo < len(chain) else None
+    k = bisect_left(chain, op.ts, key=lambda a: a[op.r - 1])
+    return k if k < len(chain) else None
 
 
 def _order_writes(writes: list):
-    n_w = len(writes)
-    edges = {k: set() for k in range(n_w)}
-    for a in range(n_w):
-        for b in range(n_w):
+    """An order of one tag group's writes that puts them by tag within a
+    register and by real time across registers; None if those conflict.
+    The replay reads only each register's highest-tagged write, so every
+    such order gives the same verdict."""
+    preds = {k: set() for k in range(len(writes))}
+    for a, wa in enumerate(writes):
+        for b, wb in enumerate(writes):
             if a == b:
                 continue
-            wa, wb = writes[a], writes[b]
             if wa.r == wb.r:
                 if wa.ts == wb.ts:
                     return None
-                if ts_less(wa.ts, wb.ts):
-                    edges[a].add(b)
+                if wa.ts < wb.ts:
+                    preds[b].add(a)
             elif wa.return_idx is not None and wa.return_idx < wb.invoke_idx:
-                edges[a].add(b)
-    indeg = {k: 0 for k in range(n_w)}
-    for a in edges:
-        for b in edges[a]:
-            indeg[b] += 1
-    ready = sorted((k for k in range(n_w) if indeg[k] == 0),
-                   key=lambda k: writes[k].invoke_idx)
-    out = []
-    while ready:
-        k = ready.pop(0)
-        out.append(writes[k])
-        for b in sorted(edges[k]):
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                ready.append(b)
-        ready.sort(key=lambda k2: writes[k2].invoke_idx)
-    return out if len(out) == n_w else None
+                preds[b].add(a)
+    try:
+        return [writes[k] for k in TopologicalSorter(preds).static_order()]
+    except CycleError:
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,15 @@
 orders built on them.
 
 Process ids are integers 1..n.  The writer slot of a timestamp may instead
-hold NONE_PROC, the distinguished identity of the initial register value,
-which sorts below every real process id.
+hold NONE_PROC = 0, the distinguished identity of the initial register value.
+Timestamps and message ids are tuples, so their orders are the tuple order:
+a timestamp compares by date, then writer id (NONE_PROC sorting lowest), and
+a message id by sender, then sequence number.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 NONE_PROC = 0
 
@@ -17,8 +19,7 @@ class UsageError(Exception):
     """A caller violated an operation precondition."""
 
 
-@dataclass(frozen=True)
-class Timestamp:
+class Timestamp(NamedTuple):
     """Version tag for a written value: a date paired with the writer id."""
 
     date: int
@@ -34,11 +35,6 @@ class Timestamp:
 
 
 INITIAL_TS = Timestamp(0, NONE_PROC)
-
-
-def ts_less(a: Timestamp, b: Timestamp) -> bool:
-    """Strict total order: dates first, writer ids break ties."""
-    return (a.date, a.proc) < (b.date, b.proc)
 
 
 class Cmp(enum.Enum):
@@ -63,7 +59,7 @@ def tsa_compare(a: TimestampArray, b: TimestampArray) -> Cmp:
     for x, y in zip(a, b):
         if x == y:
             continue
-        if ts_less(x, y):
+        if x < y:
             some_less = True
         else:
             some_greater = True
@@ -76,8 +72,7 @@ def tsa_compare(a: TimestampArray, b: TimestampArray) -> Cmp:
     return Cmp.EQUAL
 
 
-@dataclass(frozen=True)
-class MsgId:
+class MsgId(NamedTuple):
     """Toolkit-assigned message identity: sender id plus a per-sender counter
     starting at 0."""
 
@@ -93,8 +88,7 @@ class MsgId:
         return MsgId(int(sender), int(seq))
 
 
-@dataclass(frozen=True)
-class AppMessage:
+class AppMessage(NamedTuple):
     """An application message: identity plus an opaque payload.
 
     Payload equality is byte equality; the toolkit never interprets it except
@@ -105,12 +99,8 @@ class AppMessage:
     payload: bytes
 
 
-def sort_ids(ids) -> list[MsgId]:
-    return sorted(ids, key=lambda i: (i.sender, i.seq))
-
-
 def format_id_set(ids) -> str:
-    return ",".join(str(i) for i in sort_ids(ids))
+    return ",".join(str(i) for i in sorted(ids))
 
 
 def parse_id_set(text: str) -> frozenset:

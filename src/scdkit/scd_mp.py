@@ -28,14 +28,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import lt
+from typing import NamedTuple
 
 from .core import AppMessage, MsgId, UsageError
 
 INFINITE = math.inf
 
 
-@dataclass(frozen=True)
-class ForwardMsg:
+class ForwardMsg(NamedTuple):
     """FORWARD(m, sd, sn_sd, f, sn_f): message m, first broadcast by sd with
     sequence number sn_sd, forwarded by f whose counter read sn_f."""
 

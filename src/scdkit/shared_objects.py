@@ -23,20 +23,18 @@ a pending operation just completed, its result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .core import INITIAL_TS, Timestamp, UsageError, ts_less
+from .core import INITIAL_TS, Timestamp, UsageError
 
 
-@dataclass(frozen=True)
-class WritePayload:
+class WritePayload(NamedTuple):
     r: int
     value: bytes
     ts: Timestamp
 
 
-@dataclass(frozen=True)
-class SyncPayload:
+class SyncPayload(NamedTuple):
     origin: int
 
 
@@ -132,10 +130,10 @@ class SnapshotObject:
             p = decode_payload(m.payload)
             if isinstance(p, WritePayload):
                 best = per_reg.get(p.r)
-                if best is None or ts_less(best.ts, p.ts):
+                if best is None or best.ts < p.ts:
                     per_reg[p.r] = p
         for r, w in per_reg.items():
-            if ts_less(self.tsa[r], w.ts):
+            if self.tsa[r] < w.ts:
                 self.reg[r] = w.value
                 self.tsa[r] = w.ts
 

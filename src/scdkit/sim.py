@@ -136,7 +136,7 @@ def parse_crash_schedule(text: str, n: int, t: int):
     # deliberately crash a majority; only sparing at least one process is
     # required for a run to mean anything
     if text.startswith("random:"):
-        k = int(text.split(":", 1)[1])
+        k = _spec_int(text.split(":", 1)[1], text)
         if not 0 <= k <= n - 1:
             raise UsageError(f"random crash count {k} must leave a survivor")
         return ("random", k)
@@ -149,10 +149,11 @@ def parse_crash_schedule(text: str, n: int, t: int):
             proc, _, step = head.partition("@")
             if not step:
                 raise UsageError(f"bad crash item {item!r}, want p@step[:keep]")
-            proc_i = int(proc)
+            proc_i = _spec_int(proc, text)
             if not 1 <= proc_i <= n:
                 raise UsageError(f"crash process {proc_i} out of range")
-            out.append((int(step), proc_i, int(keep) if keep else None))
+            keep_i = _spec_int(keep, text) if keep else None
+            out.append((_spec_int(step, text), proc_i, keep_i))
         if len({p for _, p, _ in out}) != len(out):
             raise UsageError("duplicate crash process")
         if len(out) > n - 1:
@@ -161,11 +162,18 @@ def parse_crash_schedule(text: str, n: int, t: int):
     raise UsageError(f"unknown crash schedule {text!r}")
 
 
+def _spec_int(part: str, text: str) -> int:
+    try:
+        return int(part)
+    except ValueError:
+        raise UsageError(f"bad number {part!r} in {text!r}") from None
+
+
 def parse_delay_policy(text: str, n: int):
     if text in ("uniform", "fifo"):
         return (text, frozenset())
     if text.startswith("slow:"):
-        procs = frozenset(int(p) for p in text.split(":", 1)[1].split(",") if p)
+        procs = frozenset(_spec_int(p, text) for p in text.split(":", 1)[1].split(",") if p)
         if not procs or any(not 1 <= p <= n for p in procs):
             raise UsageError(f"bad slow process set in {text!r}")
         return ("slow", procs)

@@ -8,10 +8,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scdkit.core import INITIAL_TS, Cmp, MsgId, Timestamp, ts_less, tsa_compare
+from scdkit.core import INITIAL_TS, Cmp, MsgId, Timestamp, tsa_compare
 from scdkit.shared_objects import INITIAL_VALUE, WritePayload
 from scdkit.check import (
     History,
+    _order_writes,
+    _write_rank,
     OpRecord,
     RunData,
     check_containment,
@@ -271,7 +273,6 @@ def test_bruteforce_accepts_overlapping_writes_and_late_read():
             op(3, 0, "read", 5, 6, result=(b"a",)),
         ],
         nregs=1,
-        faulty=set(),
     )
     assert check_linearizable_bruteforce(h).status == "pass"
     h.ops[2].result_values = (b"b",)
@@ -285,7 +286,6 @@ def test_bruteforce_rejects_value_out_of_thin_air():
             op(2, 0, "read", 2, 3, result=(b"ghost",)),
         ],
         nregs=1,
-        faulty=set(),
     )
     assert check_linearizable_bruteforce(h).status == "fail"
 
@@ -297,7 +297,6 @@ def test_bruteforce_rejects_stale_read_after_completed_write():
             op(2, 0, "read", 2, 3, result=(b"",)),
         ],
         nregs=1,
-        faulty=set(),
     )
     assert check_linearizable_bruteforce(h).status == "fail"
     # sequential consistency only needs program order: this is allowed
@@ -308,11 +307,11 @@ def test_bruteforce_branches_on_pending_write_of_crashed_process():
     pending = op(1, 0, "write", 0, None, value=b"a")
     saw_it = History(
         ops=[pending, op(2, 0, "read", 2, 3, result=(b"a",))],
-        nregs=1, faulty={1},
+        nregs=1,
     )
     missed_it = History(
         ops=[copy.copy(pending), op(2, 0, "read", 2, 3, result=(b"",))],
-        nregs=1, faulty={1},
+        nregs=1,
     )
     assert check_linearizable_bruteforce(saw_it).status == "pass"
     assert check_linearizable_bruteforce(missed_it).status == "pass"
@@ -320,7 +319,7 @@ def test_bruteforce_branches_on_pending_write_of_crashed_process():
 
 def test_bruteforce_skips_oversized_history():
     ops = [op(1, k, "write", 2 * k, 2 * k + 1, value=b"x") for k in range(11)]
-    h = History(ops=ops, nregs=1, faulty=set())
+    h = History(ops=ops, nregs=1)
     assert check_linearizable_bruteforce(h, bound=10).status == "skip"
 
 
@@ -331,7 +330,6 @@ def test_sc_rejects_own_program_order_violation():
             op(1, 1, "read", 2, 3, result=(b"",)),
         ],
         nregs=1,
-        faulty=set(),
     )
     assert check_sequentially_consistent(h).status == "fail"
 
@@ -347,7 +345,6 @@ def test_sc_rejects_two_readers_with_opposite_orders():
             op(4, 1, "read", 6, 7, result=(b"a",)),
         ],
         nregs=1,
-        faulty=set(),
     )
     assert check_sequentially_consistent(h).status == "fail"
 
@@ -416,7 +413,7 @@ def small_histories(draw):
             open_ops[p] = o
             ops.append(o)
         clock += 1
-    return History(ops=ops, nregs=nregs, faulty=faulty)
+    return History(ops=ops, nregs=nregs)
 
 
 @settings(max_examples=300, deadline=None)
@@ -514,8 +511,8 @@ def test_chain_check_matches_pairwise_comparison(data):
         for s in sets:
             for r in (1, 2):
                 tags = [run.writes[m].ts for m in s if run.writes[m].r == r]
-                best = max(tags, key=lambda t: (t.date, t.proc), default=None)
-                if best is not None and ts_less(tsa[r - 1], best):
+                best = max(tags, default=None)
+                if best is not None and tsa[r - 1] < best:
                     tsa[r - 1] = best
             arrays.add(tuple(tsa))
     chain_ok = all(tsa_compare(a, b) is not Cmp.INCOMPARABLE
@@ -528,6 +525,115 @@ def test_chain_check_matches_pairwise_comparison(data):
         assert all(meta.rank[a] == k for k, a in enumerate(meta.chain))
     else:
         assert meta.error.startswith("incomparable arrays ")
+
+
+# -- write rank and write order against the loops they replaced ---------------
+
+
+def _tag(ts):
+    return (ts.date, ts.proc)
+
+
+def old_write_rank(op, chain):
+    """Reference: hand-written binary search for the first array whose entry
+    for op's register is at least op's tag."""
+    lo, hi = 0, len(chain)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        entry = chain[mid][op.r - 1]
+        if entry == op.ts or _tag(op.ts) < _tag(entry):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo if lo < len(chain) else None
+
+
+def old_order_writes(writes):
+    """Reference: Kahn's algorithm, ready writes taken by invocation."""
+    n_w = len(writes)
+    edges = {k: set() for k in range(n_w)}
+    for a in range(n_w):
+        for b in range(n_w):
+            if a == b:
+                continue
+            wa, wb = writes[a], writes[b]
+            if wa.r == wb.r:
+                if wa.ts == wb.ts:
+                    return None
+                if _tag(wa.ts) < _tag(wb.ts):
+                    edges[a].add(b)
+            elif wa.return_idx is not None and wa.return_idx < wb.invoke_idx:
+                edges[a].add(b)
+    indeg = {k: 0 for k in range(n_w)}
+    for a in edges:
+        for b in edges[a]:
+            indeg[b] += 1
+    ready = sorted((k for k in range(n_w) if indeg[k] == 0),
+                   key=lambda k: writes[k].invoke_idx)
+    out = []
+    while ready:
+        k = ready.pop(0)
+        out.append(writes[k])
+        for b in sorted(edges[k]):
+            indeg[b] -= 1
+            if indeg[b] == 0:
+                ready.append(b)
+        ready.sort(key=lambda k2: writes[k2].invoke_idx)
+    return out if len(out) == n_w else None
+
+
+small_tags = st.builds(Timestamp, st.integers(1, 3), st.integers(1, 3))
+
+
+@st.composite
+def tag_groups(draw):
+    """1-6 writes over 1-3 registers with colliding tags and short random
+    intervals, so tag and real-time edges may conflict or form cycles."""
+    writes = []
+    for k in range(draw(st.integers(1, 6))):
+        invoke = draw(st.integers(0, 12))
+        ret = draw(st.one_of(st.none(), st.integers(invoke + 1, invoke + 2)))
+        w = op(k + 1, 0, "write", invoke, ret, r=draw(st.integers(1, 3)))
+        w.ts = draw(small_tags)
+        writes.append(w)
+    return writes
+
+
+@settings(max_examples=500, deadline=None)
+@given(tag_groups())
+def test_order_writes_matches_kahn_reference(writes):
+    new, old = _order_writes(writes), old_order_writes(writes)
+    assert (new is None) == (old is None)
+    if new is None:
+        return
+    assert sorted(map(id, new)) == sorted(map(id, writes))
+    at = {id(w): x for x, w in enumerate(new)}
+    for wa in writes:
+        for wb in writes:
+            if wa.r == wb.r:
+                must = _tag(wa.ts) < _tag(wb.ts)
+            else:
+                must = wa.return_idx is not None and wa.return_idx < wb.invoke_idx
+            assert not must or at[id(wa)] < at[id(wb)]
+
+
+@st.composite
+def ascending_chains(draw):
+    """A chain of timestamp arrays, each pointwise above the one before."""
+    chain = [(INITIAL_TS,) * draw(st.integers(1, 3))]
+    for _ in range(draw(st.integers(0, 8))):
+        arr = tuple(max(t, draw(small_tags)) for t in chain[-1])
+        if arr != chain[-1]:
+            chain.append(arr)
+    return chain
+
+
+@settings(max_examples=500, deadline=None)
+@given(ascending_chains(), st.data())
+def test_write_rank_matches_binary_search_reference(chain, data):
+    w = op(1, 0, "write", 0, 1, r=data.draw(st.integers(1, len(chain[0]))))
+    w.ts = data.draw(st.sampled_from([a[w.r - 1] for a in chain]) | small_tags)
+    assert _write_rank(w, chain) == old_write_rank(w, chain)
 
 
 def test_evaluate_run_covers_workload_specific_checks():

@@ -91,6 +91,20 @@ def test_bad_crash_schedule_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "fuzz", "stats"])
+@pytest.mark.parametrize("spec", [
+    ["--crash", "random:x"],
+    ["--crash", "explicit:1@x"],
+    ["--crash", "explicit:1@3:y"],
+    ["--crash", "explicit:x@3"],
+    ["--delay", "slow:a"],
+])
+def test_non_numeric_spec_field_exits_2(capsys, command, spec):
+    code = main([command, "--n", "3", "--workload", "raw_broadcast", *spec])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: bad number")
+
+
 def test_missing_trace_file_exits_2(capsys):
     code = main(["check", "/nonexistent/trace.log"])
     assert code == 2
@@ -157,6 +171,14 @@ def _send_without_to(text):
     return "".join(lines)
 
 
+def _config(old, new):
+    def mangle(text):
+        head, rest = text.split("\n", 1)
+        assert f" {old} " in head
+        return head.replace(f" {old} ", f" {new} ") + "\n" + rest
+    return mangle
+
+
 def _garbage_line(text):
     lines = text.splitlines(True)
     return "".join(lines[:3] + ["garbage line\n"] + lines[3:])
@@ -170,8 +192,11 @@ def _garbage_line(text):
     (_write_to_register_9, "ValueError: register 9 outside 1..1"),
     (_send_without_to, "KeyError: 'to'"),
     (_first_by_p9("bcast"), "KeyError: 9"),
+    (_config("crash=none", "crash=random:x"), "UsageError: bad number 'x'"),
+    (_config("n=3", "n=0"), "UsageError: n must be >= 1"),
 ], ids=["no-op-invoke", "unknown-proc", "garbage-line", "cut-at-300",
-        "write-register-9", "send-without-to", "bcast-by-p9"])
+        "write-register-9", "send-without-to", "bcast-by-p9", "config-crash-random-x",
+        "config-n-0"])
 def test_malformed_trace_exits_2_with_error_line(tmp_path, capsys, mangle, reason):
     main(["run", "--n", "3", "--workload", "register_ops", "--ops", "4", "--seed", "1",
           "--trace-dir", str(tmp_path)])

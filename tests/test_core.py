@@ -14,22 +14,21 @@ from scdkit.core import (
     UsageError,
     format_id_set,
     parse_id_set,
-    ts_less,
     tsa_compare,
 )
 
 
 def test_initial_timestamp_is_minimal():
     assert INITIAL_TS == Timestamp(0, NONE_PROC)
-    assert ts_less(INITIAL_TS, Timestamp(1, 1))
-    assert not ts_less(Timestamp(1, 1), INITIAL_TS)
+    assert INITIAL_TS < Timestamp(1, 1)
+    assert not Timestamp(1, 1) < INITIAL_TS
 
 
 def test_timestamp_order_is_date_then_proc():
     # dates dominate; the writing process breaks ties
-    assert ts_less(Timestamp(1, 9), Timestamp(2, 1))
-    assert ts_less(Timestamp(3, 1), Timestamp(3, 2))
-    assert not ts_less(Timestamp(3, 2), Timestamp(3, 2))
+    assert Timestamp(1, 9) < Timestamp(2, 1)
+    assert Timestamp(3, 1) < Timestamp(3, 2)
+    assert not Timestamp(3, 2) < Timestamp(3, 2)
 
 
 def test_timestamp_render_parse():
@@ -49,7 +48,7 @@ ts_strategy = st.builds(
 @given(ts_strategy, ts_strategy)
 def test_timestamp_order_total(a, b):
     """Exactly one of <, ==, > holds for any two timestamps."""
-    assert (ts_less(a, b) + ts_less(b, a) + (a == b)) == 1
+    assert ((a < b) + (b < a) + (a == b)) == 1
 
 
 @given(st.lists(ts_strategy, min_size=2, max_size=6), st.lists(ts_strategy, min_size=2, max_size=6))
