@@ -182,6 +182,10 @@ def _fuzz_one(payload) -> tuple:
 
 
 def cmd_fuzz(args) -> int:
+    if args.seeds < 1:
+        raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     base = scenario_from_args(args)
     payloads = []
     for k in range(args.seeds):

@@ -32,7 +32,9 @@ step budget.  Trace records are line-oriented: step|kind|proc|key=value...
 
 The exhaustive interleaving explorer for the shared-memory construction
 (explore_rw) drives the same world object as the simulator, enumerating every
-schedule by DFS and deduplicating identical global states.
+schedule by DFS and deduplicating identical global states.  A successor copies
+only the process that steps, and a state is keyed by interned per-component
+ids, so a transition pays only for what it changes.
 """
 from __future__ import annotations
 
@@ -304,9 +306,11 @@ class SharedSnapshotMemory:
         return c
 
     def state_key(self):
+        # store and queues keep their insertion order (SENT 1..n, then
+        # SETSEQ 1..n; queues 1..n) through writes and clones
         return (
-            tuple(self.store[k] for k in sorted(self.store)),
-            tuple(tuple(self.queues[i]) for i in range(1, self.n + 1)),
+            tuple(self.store.values()),
+            tuple(map(tuple, self.queues.values())),
         )
 
 
@@ -316,7 +320,13 @@ class SharedSnapshotMemory:
 
 class RwWorld:
     """Processes of the shared-memory construction plus their memory and the
-    per-process scripts of messages still to broadcast."""
+    per-process scripts of messages still to broadcast.
+
+    For the explorer, a world keys its state by interned ids: `interned` maps
+    each component's nested state (a process's or the memory's) to a small
+    int and is shared by every world cloned from one root; `key_ids[0]` caches
+    the memory's id and `key_ids[i]` process i's, None once stale.
+    """
 
     def __init__(self, n: int, scripts: dict, mem_mode: str = "atomic"):
         self.n = n
@@ -326,6 +336,8 @@ class RwWorld:
         self.next_op = {i: 0 for i in range(1, n + 1)}
         self.alive = {i: True for i in range(1, n + 1)}
         self.inflight = {i: None for i in range(1, n + 1)}
+        self.interned = {}
+        self.key_ids = [None] * (n + 1)
 
     def choices(self) -> list:
         out = []
@@ -348,6 +360,9 @@ class RwWorld:
     def step(self, choice, trace=None) -> None:
         tag, i = choice
         p = self.procs[i]
+        self.key_ids[i] = None
+        if tag == "mem" or tag == "apply":
+            self.key_ids[0] = None
         if tag == "invoke":
             k = self.next_op[i]
             self.next_op[i] = k + 1
@@ -386,25 +401,38 @@ class RwWorld:
     def crash(self, i: int) -> None:
         self.alive[i] = False
         self.memory.drop_pending(i)
+        self.key_ids[0] = None
 
-    def clone(self) -> "RwWorld":
+    def clone(self, i: int) -> "RwWorld":
+        """A copy to run one step of process i on.  Only process i, the memory
+        and the per-process dicts are copied: a step of i mutates no other
+        process, so the copy shares them, and the intern table, with self."""
         c = RwWorld.__new__(RwWorld)
         c.n = self.n
-        c.procs = {i: p.clone() for i, p in self.procs.items()}
+        c.procs = dict(self.procs)
+        c.procs[i] = self.procs[i].clone()
         c.memory = self.memory.clone()
         c.scripts = self.scripts  # scripts are never mutated
         c.next_op = dict(self.next_op)
         c.alive = dict(self.alive)
         c.inflight = dict(self.inflight)
+        c.interned = self.interned
+        c.key_ids = list(self.key_ids)
         return c
 
-    def state_key(self):
-        return (
-            tuple(self.procs[i].state_key() for i in range(1, self.n + 1)),
-            self.memory.state_key(),
-            tuple(self.next_op[i] for i in range(1, self.n + 1)),
-            tuple(self.alive[i] for i in range(1, self.n + 1)),
-        )
+    def state_key(self) -> tuple:
+        """The global state as a flat tuple of small ints: the interned ids of
+        the memory and of processes 1..n, then next_op and alive.  Two worlds
+        of one exploration get equal keys exactly when their memories,
+        processes, next_op and alive are equal.  Only stale ids are
+        recomputed, which after a step is the memory's and the stepped
+        process's."""
+        ids, interned = self.key_ids, self.interned
+        for j, k in enumerate(ids):
+            if k is None:
+                part = self.memory if j == 0 else self.procs[j]
+                ids[j] = interned.setdefault(part.state_key(), len(interned))
+        return (*ids, *self.next_op.values(), *self.alive.values())
 
 
 def explore_rw(n: int, scripts: dict, mem_mode: str = "atomic", state_limit: int = 2_000_000):
@@ -414,8 +442,12 @@ def explore_rw(n: int, scripts: dict, mem_mode: str = "atomic", state_limit: int
     Every run of the world is a path through a finite acyclic state graph
     (each step strictly consumes script items, queue entries, frame progress
     or undelivered messages), so the distinct terminal states cover every
-    interleaving's observable outcome.  Returns (terminal worlds, states
-    visited).
+    interleaving's observable outcome.  Each successor is a copy-on-write
+    clone that copies only the stepped process (RwWorld.clone), and two
+    states are the same when their interned keys are (RwWorld.state_key),
+    that is when every process, the memory, next_op and alive are equal.
+    Returns (terminal worlds in discovery order, states visited); raises
+    UsageError once more than state_limit states are seen.
     """
     root = RwWorld(n, scripts, mem_mode)
     seen = {root.state_key()}
@@ -428,7 +460,7 @@ def explore_rw(n: int, scripts: dict, mem_mode: str = "atomic", state_limit: int
             terminals.setdefault(w.state_key(), w)
             continue
         for c in choices:
-            w2 = w.clone()
+            w2 = w.clone(c[1])
             w2.step(c)
             k = w2.state_key()
             if k not in seen:

@@ -184,6 +184,7 @@ def test_criterion_5_shared_memory_equivalence():
                 for world in terminals:
                     _terminal_suite(world, scripts)
                 terminals_checked += len(terminals)
+    assert terminals_checked == 562
 
     randomized = 0
     for seed in range(RW_SEEDS):

@@ -76,6 +76,17 @@ def test_fuzz_sweeps_seeds(capsys):
     assert out.strip().endswith("result|pass")
 
 
+@pytest.mark.parametrize("flag,value", [("--seeds", "0"), ("--seeds", "-5"),
+                                        ("--jobs", "0"), ("--jobs", "-2")])
+def test_fuzz_rejects_empty_sweep_and_no_workers(capsys, flag, value):
+    # a sweep over no seeds would print result|pass having checked nothing
+    code = main(["fuzz", "--n", "3", "--workload", "raw_broadcast", flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {flag} must be >= 1")
+    assert "result|" not in captured.out
+
+
 def test_stats_reports_counters(capsys):
     code = main(["stats", "--n", "5", "--workload", "raw_broadcast", "--ops", "4"])
     out = capsys.readouterr().out

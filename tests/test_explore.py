@@ -1,0 +1,161 @@
+"""The exhaustive explorer of the shared-memory construction (explore_rw).
+
+The explorer copies only the stepped process into each successor and keys
+states by interned ids.  These tests pin its counts, compare it with the
+explorer it replaced (every process copied, nested keys; kept here as an
+oracle) and check that a copy-on-write step leaves its parent untouched.
+"""
+from __future__ import annotations
+
+import copy
+
+import pytest
+
+from scdkit.core import AppMessage, MsgId, UsageError
+from scdkit.sim import RwWorld, explore_rw
+
+MODES = ("atomic", "sc")
+
+
+def scripts_for(*counts):
+    """Scripts for processes 1..len(counts), counts[i-1] messages each."""
+    return {
+        i: [AppMessage(MsgId(i, k), f"{i}.{k}".encode()) for k in range(c)]
+        for i, c in enumerate(counts, start=1)
+    }
+
+
+# ---------------------------------------------------------------------------
+# the explorer before copy-on-write and interning, as an oracle
+
+
+def full_copy(w: RwWorld) -> RwWorld:
+    """A successor that copies every process, as the explorer once made."""
+    c = copy.copy(w)
+    c.procs = {i: p.clone() for i, p in w.procs.items()}
+    c.memory = w.memory.clone()
+    c.next_op, c.alive, c.inflight = dict(w.next_op), dict(w.alive), dict(w.inflight)
+    c.key_ids = list(w.key_ids)
+    return c
+
+
+def nested_key(w: RwWorld) -> tuple:
+    """The whole world's state as nested tuples, sorting the memory's slots."""
+    m = w.memory
+    return (
+        tuple(w.procs[i].state_key() for i in range(1, w.n + 1)),
+        (tuple(m.store[k] for k in sorted(m.store)),
+         tuple(tuple(m.queues[i]) for i in range(1, m.n + 1))),
+        tuple(w.next_op[i] for i in range(1, w.n + 1)),
+        tuple(w.alive[i] for i in range(1, w.n + 1)),
+    )
+
+
+def oracle_explore(n: int, scripts: dict, mem_mode: str):
+    root = RwWorld(n, scripts, mem_mode)
+    seen = {nested_key(root)}
+    terminals = {}
+    stack = [root]
+    while stack:
+        w = stack.pop()
+        choices = w.choices()
+        if not choices:
+            terminals.setdefault(nested_key(w), w)
+            continue
+        for c in choices:
+            w2 = full_copy(w)
+            w2.step(c)
+            k = nested_key(w2)
+            if k not in seen:
+                seen.add(k)
+                stack.append(w2)
+    return list(terminals.values()), len(seen)
+
+
+def full_state(w: RwWorld) -> tuple:
+    """Every component of a world, including what state keys leave out."""
+    return (
+        nested_key(w),
+        tuple(w.inflight.items()),
+        tuple(frozenset(p.delivered) for p in w.procs.values()),
+    )
+
+
+def logs(terminals) -> list:
+    return [[tuple(p.log) for p in w.procs.values()] for w in terminals]
+
+
+# ---------------------------------------------------------------------------
+
+
+# (messages of p1, messages of p2) -> (terminals, states atomic, states sc)
+PINNED = {
+    (0, 1): (3, 28, 41),
+    (0, 2): (7, 135, 231),
+    (0, 3): (17, 433, 820),
+    (1, 1): (25, 404, 698),
+    (1, 2): (101, 2148, 3998),
+    (2, 2): (567, 13577, 25967),
+}
+
+
+@pytest.mark.parametrize("mem", MODES)
+@pytest.mark.parametrize("split", sorted(PINNED) + sorted(s[::-1] for s in PINNED if s[0] != s[1]),
+                         ids=lambda s: f"{s[0]}+{s[1]}")
+def test_pinned_counts(split, mem):
+    want = PINNED[tuple(sorted(split))]
+    terminals, states = explore_rw(2, scripts_for(*split), mem)
+    assert (len(terminals), states) == (want[0], want[1 + MODES.index(mem)])
+
+
+DIFF_CASES = [((c1, c2), mem) for c1 in range(4) for c2 in range(4)
+              if 1 <= c1 + c2 <= 3 for mem in MODES]
+DIFF_CASES += [((2, 2), mem) for mem in MODES] + [((1, 1, 0), mem) for mem in MODES]
+# states of the n = 3 case with one message each at p1 and p2
+THREE_PROCESS_STATES = {"atomic": 19828, "sc": 39877}
+
+
+@pytest.mark.parametrize("counts,mem", DIFF_CASES,
+                         ids=[f"{'+'.join(map(str, c))}-{m}" for c, m in DIFF_CASES])
+def test_explorer_matches_full_copy_oracle(counts, mem):
+    scripts = scripts_for(*counts)
+    got, got_states = explore_rw(len(counts), scripts, mem)
+    want, want_states = oracle_explore(len(counts), scripts, mem)
+    assert got_states == want_states
+    if len(counts) == 3:
+        assert got_states == THREE_PROCESS_STATES[mem]
+    assert logs(got) == logs(want)
+    assert [nested_key(w) for w in got] == [nested_key(w) for w in want]
+
+
+@pytest.mark.parametrize("mem", MODES)
+def test_copy_on_write_step_leaves_parent_unchanged(mem):
+    """At every state of the 1+2 exploration, stepping a clone for each
+    choice leaves the parent's full state and key as they were, and the
+    clone's cached key equals one computed from scratch."""
+    root = RwWorld(2, scripts_for(1, 2), mem)
+    seen = {root.state_key()}
+    stack = [root]
+    transitions = 0
+    while stack:
+        w = stack.pop()
+        before, key = full_state(w), w.state_key()
+        for c in w.choices():
+            w2 = w.clone(c[1])
+            w2.step(c)
+            assert full_state(w) == before, c
+            assert w.state_key() == key, c
+            k = w2.state_key()
+            w2.key_ids = [None] * len(w2.key_ids)
+            assert w2.state_key() == k, c
+            transitions += 1
+            if k not in seen:
+                seen.add(k)
+                stack.append(w2)
+    assert len(seen) == PINNED[(1, 2)][1 + MODES.index(mem)]
+    assert transitions > len(seen)
+
+
+def test_state_limit_raises():
+    with pytest.raises(UsageError, match="state limit 100"):
+        explore_rw(2, scripts_for(2, 2), "atomic", state_limit=100)
