@@ -7,7 +7,11 @@ Trace-level checks (delivery logs of message sets):
   * ms_ordering: no two processes deliver two messages in opposite strict
     set order (delivering them in one set never conflicts)
   * containment: all prefix unions of delivered sets, across all processes,
-    form a single chain under inclusion
+    form a single chain under inclusion.  With level(m) the size of the
+    smallest prefix union holding m, that holds iff every prefix union A
+    has exactly |A| messages of level at most |A|: A holds only such
+    messages, and on a chain the union fixing level(m) <= |A| lies inside A
+    (conversely, each A is then the level set at |A|, and those are nested)
   * termination: on quiescent runs, every broadcast by a non-faulty process
     completed and was delivered by all non-faulty processes, and everything
     delivered by one non-faulty process was delivered by all; skipped on
@@ -37,7 +41,8 @@ so no checker raises on a RunData it returned.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 from typing import Optional
@@ -147,6 +152,7 @@ def load_run(events) -> RunData:
     run.completed = {i: set() for i in range(1, config.n + 1)}
     objects = config.workload in OBJECT_WORKLOADS
     open_ops: dict = {}
+    channels = defaultdict(lambda: ([], []))  # the pair is built once per channel
     for idx, ev in enumerate(events):
         kind, p = ev.kind, ev.payload
         if kind == "config":
@@ -159,13 +165,11 @@ def load_run(events) -> RunData:
         if run.late is None and ev.proc in run.faulty:
             run.late = ev
         if kind == "send":
-            sent, _ = run.channels.setdefault((ev.proc, int(p["to"])), ([], []))
-            sent.append((p["sd"], p["sn"], p["f"]))
+            channels[ev.proc, int(p["to"])][0].append((p["sd"], p["sn"], p["f"]))
             mid = MsgId.parse(p["m"])
             run.sends[mid] = run.sends.get(mid, 0) + 1
         elif kind == "recv":
-            _, received = run.channels.setdefault((int(p["from"]), ev.proc), ([], []))
-            received.append((p["sd"], p["sn"], p["f"]))
+            channels[int(p["from"]), ev.proc][1].append((p["sd"], p["sn"], p["f"]))
         elif kind == "bcast":
             mid, data = MsgId.parse(p["id"]), value_parse(p["data"])
             run.broadcasts[mid] = (ev.proc, data)
@@ -202,6 +206,7 @@ def load_run(events) -> RunData:
                 op.result_values = tuple(value_parse(v) for v in p["vals"].split(","))
             elif "v" in p:
                 op.result_values = (value_parse(p["v"]),)
+    run.channels = dict(channels)
     return run
 
 
@@ -276,22 +281,53 @@ def check_ms_ordering(run: RunData) -> Verdict:
 
 
 def check_containment(run: RunData) -> Verdict:
-    reps = {}
-    for i, sets in sorted(run.logs.items()):
+    """Every prefix union A is a subset of {m : level(m) <= |A|}, where
+    level(m) is the size of the smallest prefix union holding m, so the
+    unions form a chain exactly when each A has as many members as that set:
+      * on a chain, the union that fixes level(m) <= |A| is no larger than A,
+        so it lies inside A, and m is in A;
+      * if each A is {m : level(m) <= |A|}, the unions are nested, since
+        these sets grow with |A|.
+    One pass per log finds the levels and the union sizes; each size is then
+    checked against the sorted levels.  A failure names A next to the union
+    that fixed the level of a message missing from A: the two are
+    incomparable."""
+    level = {}    # m -> size of the smallest prefix union holding m
+    sizes = set()  # sizes of the prefix unions
+    for sets in run.logs.values():
         acc = set()
-        for x, s in enumerate(sets):
+        for s in sets:
             acc |= s
-            reps.setdefault(frozenset(acc), (i, x + 1))
-    chain = sorted(reps, key=len)
-    for k in range(1, len(chain)):
-        if not chain[k - 1] <= chain[k]:
-            pi, px = reps[chain[k - 1]]
-            qi, qx = reps[chain[k]]
-            return _fail(
-                "containment",
-                f"p{pi} first {px} sets vs p{qi} first {qx} sets are incomparable",
-            )
+            a = len(acc)
+            sizes.add(a)
+            for m in s:  # a repeated m keeps its smaller level from this log
+                if level.get(m, a) >= a:
+                    level[m] = a
+    levels = sorted(level.values())
+    for a in sizes:
+        if bisect_right(levels, a) != a:
+            return _fail("containment", _incomparable(run.logs, level, levels))
     return _pass("containment")
+
+
+def _prefix_unions(logs):
+    """(proc, prefix length, union) per prefix; the union is updated in place."""
+    for i, sets in sorted(logs.items()):
+        acc = set()
+        for x, s in enumerate(sets, 1):
+            acc |= s
+            yield i, x, acc
+
+
+def _incomparable(logs, level: dict, levels: list) -> str:
+    """Name the first prefix union A that fails the level count next to the
+    first union that fixed the level of a message missing from A."""
+    i, x, union = next(u for u in _prefix_unions(logs)
+                       if bisect_right(levels, len(u[2])) != len(u[2]))
+    a = len(union)
+    lv, m = min((lv, m) for m, lv in level.items() if lv <= a and m not in union)
+    j, y, _ = next(u for u in _prefix_unions(logs) if len(u[2]) == lv and m in u[2])
+    return f"p{j} first {y} sets vs p{i} first {x} sets are incomparable"
 
 
 def check_termination(run: RunData) -> Verdict:
@@ -302,7 +338,7 @@ def check_termination(run: RunData) -> Verdict:
                                     "crashed; liveness needs a correct majority")
     live = [i for i in run.logs if i not in run.faulty]
     delivered = {i: set().union(*run.logs[i]) if run.logs[i] else set() for i in run.logs}
-    for mid, (sender, _) in sorted(run.broadcasts.items(), key=lambda kv: str(kv[0])):
+    for mid, (sender, _) in sorted(run.broadcasts.items()):
         if sender in run.faulty:
             continue
         if mid not in run.completed[sender]:
@@ -336,7 +372,7 @@ def check_crash_silence(run: RunData) -> Verdict:
 
 def check_message_bound(run: RunData) -> Verdict:
     cap = run.config.n**2
-    for mid, c in sorted(run.sends.items(), key=lambda kv: str(kv[0])):
+    for mid, c in sorted(run.sends.items()):
         if c > cap:
             return _fail("message_bound", f"{mid} used {c} sends, cap {cap}")
     top = max(run.sends.values(), default=0)

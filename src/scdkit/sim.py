@@ -42,7 +42,7 @@ import random
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import AppMessage, MsgId, UsageError, format_id_set
 from .scd_from_snapshot import RwProcess
@@ -186,8 +186,7 @@ def parse_delay_policy(text: str, n: int):
 # trace records
 
 
-@dataclass
-class TraceEvent:
+class TraceEvent(NamedTuple):
     step: int
     kind: str
     proc: int

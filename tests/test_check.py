@@ -4,6 +4,7 @@ from __future__ import annotations
 import copy
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,6 +85,61 @@ def test_disjoint_prefixes_fail_containment():
     assert check_containment(run).status == "fail"
     # still fine for ms-ordering: no common messages at all
     assert check_ms_ordering(run).status == "pass"
+
+
+def prefix_union_containment(logs):
+    """Reference: a frozenset per distinct prefix union, sorted by size, with
+    each adjacent pair compared."""
+    reps = {}
+    for i, sets in sorted(logs.items()):
+        acc = set()
+        for x, s in enumerate(sets):
+            acc |= s
+            reps.setdefault(frozenset(acc), (i, x + 1))
+    chain = sorted(reps, key=len)
+    return all(chain[k - 1] <= chain[k] for k in range(1, len(chain)))
+
+
+@st.composite
+def delivery_logs(draw):
+    """Logs of 1-9 processes over up to 8 messages: prefixes of a few shared
+    orders or of a private one, cut into sets that may be empty or repeat
+    earlier deliveries; a process may deliver nothing."""
+    ids = [MsgId(1 + k % 3, k) for k in range(draw(st.integers(0, 8)))]
+    orders = [draw(st.permutations(ids)) for _ in range(draw(st.integers(1, 3)))]
+    logs = {}
+    for i in range(1, draw(st.integers(1, 9)) + 1):
+        order = draw(st.sampled_from(orders) | st.permutations(ids))
+        order = order[: draw(st.integers(0, len(order)))]
+        sets, k = [], 0
+        while k < len(order):
+            width = draw(st.integers(0, 3))
+            s = set(order[k : k + width])
+            k += width
+            if ids and draw(st.integers(0, 4)) == 0:
+                s.add(draw(st.sampled_from(ids)))
+            sets.append(frozenset(s))
+        logs[i] = sets
+    return logs
+
+
+@settings(max_examples=500, deadline=None)
+@given(delivery_logs())
+def test_containment_matches_prefix_union_oracle(logs):
+    """The level count against the sorted frozenset per prefix it replaced;
+    a failure must name two incomparable prefix unions."""
+    cfg = ScenarioConfig(n=9, t=4, workload="raw_broadcast", op_count=0)
+    run = RunData(cfg, [], "quiescent")
+    run.logs = logs
+    v = check_containment(run)
+    assert (v.status == "pass") == prefix_union_containment(logs), v.detail
+    if v.status == "fail":
+        pi, px, qi, qx = map(int, re.fullmatch(
+            r"p(\d+) first (\d+) sets vs p(\d+) first (\d+) sets are incomparable",
+            v.detail).groups())
+        a = set().union(*logs[pi][:px])
+        b = set().union(*logs[qi][:qx])
+        assert not a <= b and not b <= a, v.detail
 
 
 def test_duplicate_delivery_fails_integrity():
@@ -178,6 +234,15 @@ def test_termination_judges_majority_plans_whose_crashes_never_fire():
 # -- trace-structure checks on live runs ------------------------------------
 
 
+def test_first_failure_names_the_lowest_id():
+    # as strings, "1.10" sorts before "1.2"
+    run = make_run({})
+    run.broadcasts = {MsgId(1, 10): (1, b"x"), MsgId(1, 2): (1, b"x")}
+    run.sends = {MsgId(1, 10): 10, MsgId(1, 2): 10}
+    assert check_termination(run).detail == "broadcast 1.2 never completed at p1"
+    assert check_message_bound(run).detail == "1.2 used 10 sends, cap 9"
+
+
 def test_live_run_passes_fifo_and_silence_and_bound():
     res = run_scenario(
         ScenarioConfig(n=5, t=2, workload="register_ops", op_count=10,
@@ -227,7 +292,8 @@ def _drop_to(events):
 
 
 def _bcast_by_p9(events):
-    next(ev for ev in events if ev.kind == "bcast").proc = 9
+    k = next(k for k, ev in enumerate(events) if ev.kind == "bcast")
+    events[k] = events[k]._replace(proc=9)
 
 
 def _write_to_register_3(events):
