@@ -140,9 +140,12 @@ class RunData:
 
 def load_run(events) -> RunData:
     """Read every trace record once into RunData; the checkers judge only
-    the parsed fields.  A config record that fails validation raises
-    UsageError, a missing field or a record by an unknown process KeyError,
-    any other malformed value ValueError."""
+    the parsed fields.  Message ids are parsed once per message: sends are
+    counted by their `m` text, and each distinct text is parsed at the end
+    (so a bad `m` is reported after any later malformed record).  A config
+    record that fails validation raises UsageError, a missing field or a
+    record by an unknown process KeyError, any other malformed value
+    ValueError."""
     if not events or events[0].kind != "config":
         raise ValueError("trace must start with a config record")
     config = ScenarioConfig.from_payload(events[0].payload)
@@ -153,6 +156,7 @@ def load_run(events) -> RunData:
     objects = config.workload in OBJECT_WORKLOADS
     open_ops: dict = {}
     channels = defaultdict(lambda: ([], []))  # the pair is built once per channel
+    sends: dict = {}  # m text -> send count
     for idx, ev in enumerate(events):
         kind, p = ev.kind, ev.payload
         if kind == "config":
@@ -166,8 +170,8 @@ def load_run(events) -> RunData:
             run.late = ev
         if kind == "send":
             channels[ev.proc, int(p["to"])][0].append((p["sd"], p["sn"], p["f"]))
-            mid = MsgId.parse(p["m"])
-            run.sends[mid] = run.sends.get(mid, 0) + 1
+            m = p["m"]
+            sends[m] = sends.get(m, 0) + 1
         elif kind == "recv":
             channels[int(p["from"]), ev.proc][1].append((p["sd"], p["sn"], p["f"]))
         elif kind == "bcast":
@@ -207,6 +211,9 @@ def load_run(events) -> RunData:
             elif "v" in p:
                 op.result_values = (value_parse(p["v"]),)
     run.channels = dict(channels)
+    for m, count in sends.items():  # two texts may spell one id ("1.1", "1.01")
+        mid = MsgId.parse(m)
+        run.sends[mid] = run.sends.get(mid, 0) + count
     return run
 
 

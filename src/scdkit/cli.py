@@ -20,7 +20,7 @@ from typing import Optional
 from .core import UsageError
 from .check import CONSISTENCY_PROPS, OBJECT_WORKLOADS, evaluate_run, load_run
 from .sim import (RunResult, ScenarioConfig, Simulator, TraceParseError, WORKLOADS,
-                  parse_trace)
+                  parse_trace, render_trace)
 
 
 @dataclass
@@ -158,15 +158,17 @@ def scenario_from_args(args) -> ScenarioConfig:
 def cmd_run(args) -> int:
     config = scenario_from_args(args)
     result = Simulator(config).run()
+    store = args.trace_dir and not args.no_trace
+    text = render_trace(result.events) if args.print_trace or store else None
     if args.print_trace:
-        print(result.text, end="")
-    if args.trace_dir and not args.no_trace:
+        print(text, end="")
+    if store:
         os.makedirs(args.trace_dir, exist_ok=True)
         path = os.path.join(
             args.trace_dir, f"{config.workload}_n{config.n}_s{config.seed}.trace"
         )
         with open(path, "w") as fh:
-            fh.write(result.text)
+            fh.write(text)
         print(f"trace|{path}")
     report = evaluate(result)
     for line in report.lines():

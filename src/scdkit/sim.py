@@ -29,6 +29,10 @@ Things the simulator injects or enforces:
 Runs end quiescent (nothing enabled, no operation pending), stalled (nothing
 enabled but operations pending, the signature of a lost majority), or out of
 step budget.  Trace records are line-oriented: step|kind|proc|key=value...
+A FORWARD's trace fields are formatted once, when it is fifo-broadcast, and
+shared by its n send records and its recv records (each record still owns its
+dict).  The processes that may start an operation are kept in a sorted list,
+updated on invoke, op return and crash, so choosing an event asks no process.
 
 The exhaustive interleaving explorer for the shared-memory construction
 (explore_rw) drives the same world object as the simulator, enumerating every
@@ -91,6 +95,8 @@ class ScenarioConfig:
             raise UsageError(f"unknown workload {self.workload!r}")
         if self.op_count < 0:
             raise UsageError("op count must be >= 0")
+        if self.step_budget < 1:
+            raise UsageError("step budget must be >= 1")
         if self.nregs < 1:
             raise UsageError("nregs must be >= 1")
         if self.mem not in ("atomic", "sc"):
@@ -566,6 +572,7 @@ class MpStack:
         return self.cur is None and self.next_op < len(self.script)
 
     def invoke(self) -> None:
+        self.sim.invokes.remove(("invoke", self.pid))
         op = self.script[self.next_op]
         seq = self.next_op
         self.next_op += 1
@@ -601,7 +608,7 @@ class MpStack:
             self.sim.trace("broadcast_complete", self.pid, id=str(done))
             if self.cur is not None and self.cur[2] == done:
                 kind, seq, _ = self.cur
-                self.cur = None
+                self._op_returned()
                 self.sim.trace("op_return", self.pid, op=kind, seq=str(seq), ok="1")
         if self.obj is not None:
             for ms in sets:
@@ -618,7 +625,7 @@ class MpStack:
         if step.result is not None:
             res = step.result
             kind, seq, _ = self.cur
-            self.cur = None
+            self._op_returned()
             out = {"op": kind, "seq": str(seq)}
             if res.kind == "write":
                 out["ts"] = str(res.ts)
@@ -630,6 +637,11 @@ class MpStack:
                 out["vals"] = ",".join(value_str(v) for v in res.values)
                 out["tsa"] = ",".join(str(t) for t in res.tsa)
             self.sim.trace("op_return", self.pid, **out)
+
+    def _op_returned(self) -> None:
+        self.cur = None
+        if self.next_op < len(self.script):
+            insort(self.sim.invokes, ("invoke", self.pid))
 
     def _new_msg(self, payload: bytes) -> AppMessage:
         m = AppMessage(MsgId(self.pid, self.msg_seq), payload)
@@ -729,6 +741,9 @@ class Simulator:
             # channel s -> d at index (s-1)*n + (d-1)
             self.channels = [deque() for _ in range(config.n * config.n)]
             self._ready = []  # sorted indices of the non-empty channels
+            # sorted invoke events of the live processes that can_invoke()
+            self.invokes = [("invoke", i) for i in self.stacks if self.scripts[i]]
+            self._pid_text = [str(i) for i in range(config.n + 1)]
         self.trace("config", 0, **config.to_payload())
 
     # -- trace / transport hooks -----------------------------------------
@@ -737,19 +752,23 @@ class Simulator:
         self.events.append(TraceEvent(self.step, kind, proc, payload))
 
     def fifo_broadcast(self, src: int, fmsg: ForwardMsg) -> None:
+        """Send fmsg to every process, src included.  Its trace fields are
+        formatted once here; each send record copies them, and each channel
+        entry carries them for the recv record."""
         forward = _forward_fields(fmsg)
         n = self.config.n
+        events, to_text = self.events, self._pid_text
         for dst in range(1, n + 1):
             if self._cut is not None and self._cut[0] == src:
                 if self._cut[1] <= 0:
                     raise _CrashCut()
                 self._cut = (src, self._cut[1] - 1)
             self._send_seq += 1
-            self.trace("send", src, to=str(dst), **forward)
+            events.append(TraceEvent(self.step, "send", src, {"to": to_text[dst], **forward}))
             if self.alive[dst]:
                 idx = (src - 1) * n + dst - 1
                 q = self.channels[idx]
-                q.append((self._send_seq, fmsg))
+                q.append((self._send_seq, fmsg, forward))
                 if len(q) == 1:
                     insort(self._ready, idx)
 
@@ -758,12 +777,7 @@ class Simulator:
     def enabled_events(self):
         if self.world is not None:
             return self.world.choices()
-        invokes = [
-            ("invoke", i)
-            for i in range(1, self.config.n + 1)
-            if self.alive[i] and self.stacks[i].can_invoke()
-        ]
-        return _Enabled(self.config.n, self._ready, invokes)
+        return _Enabled(self.config.n, self._ready, self.invokes)
 
     def schedule_next(self, events):
         if self.policy == "fifo":
@@ -792,10 +806,11 @@ class Simulator:
             _, s, d = ev
             idx = (s - 1) * self.config.n + d - 1
             q = self.channels[idx]
-            _, fmsg = q.popleft()
+            _, fmsg, forward = q.popleft()
             if not q:
                 del self._ready[bisect_left(self._ready, idx)]
-            self.trace("recv", d, **{"from": str(s)}, **_forward_fields(fmsg))
+            self.events.append(TraceEvent(
+                self.step, "recv", d, {"from": self._pid_text[s], **forward}))
             self.stacks[d].on_network(fmsg)
         elif ev[0] == "invoke":
             self.stacks[ev[1]].invoke()
@@ -817,6 +832,8 @@ class Simulator:
                     self._cut = None
         self.alive[proc] = False
         if self.stacks is not None:
+            if ("invoke", proc) in self.invokes:
+                self.invokes.remove(("invoke", proc))
             n = self.config.n
             for idx in range(proc - 1, n * n, n):
                 if self.channels[idx]:

@@ -276,6 +276,14 @@ def test_tampered_send_count_fails_bound():
     assert check_message_bound(load_run(res.events + dup)).status == "fail"
 
 
+def test_sends_sum_texts_that_spell_one_id():
+    res = run_scenario(ScenarioConfig(n=3, t=1, workload="raw_broadcast", op_count=2))
+    events = copy.deepcopy(res.events)
+    send = next(ev for ev in events if ev.kind == "send")
+    send.payload["m"] = send.payload["m"].replace(".", ".0")  # "1.0" -> "1.00"
+    assert load_run(events).sends == load_run(res.events).sends
+
+
 def test_event_after_crash_fails_silence():
     res = run_scenario(
         ScenarioConfig(n=3, t=1, workload="raw_broadcast", op_count=4,
@@ -289,6 +297,10 @@ def test_event_after_crash_fails_silence():
 
 def _drop_to(events):
     next(ev for ev in events if ev.kind == "send").payload.pop("to")
+
+
+def _bad_m(events):
+    next(ev for ev in events if ev.kind == "send").payload["m"] = "1.x"
 
 
 def _bcast_by_p9(events):
@@ -308,6 +320,7 @@ def _untagged_write(events):
 
 @pytest.mark.parametrize("mangle,error,match", [
     (_drop_to, KeyError, "to"),
+    (_bad_m, ValueError, "invalid literal"),
     (_bcast_by_p9, KeyError, "9"),
     (_write_to_register_3, ValueError, "register 3 outside 1..2"),
     (_untagged_write, KeyError, "ts"),

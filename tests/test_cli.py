@@ -8,6 +8,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scdkit import cli, sim
 from scdkit.cli import main
 
 
@@ -67,6 +68,22 @@ def test_print_trace_emits_records(capsys):
     assert "|end|0|" in out
 
 
+def test_run_renders_the_trace_once(tmp_path, capsys, monkeypatch):
+    calls, render = [], sim.render_trace
+
+    def counting_render(events):
+        calls.append(len(events))
+        return render(events)
+
+    monkeypatch.setattr(cli, "render_trace", counting_render)
+    monkeypatch.setattr(sim, "render_trace", counting_render)  # RunResult.text
+    main(["run", "--n", "3", "--workload", "raw_broadcast", "--ops", "2",
+          "--print-trace", "--trace-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert len(calls) == 1
+    assert (tmp_path / "raw_broadcast_n3_s0.trace").read_text() in out
+
+
 def test_fuzz_sweeps_seeds(capsys):
     code = main(["fuzz", "--n", "3", "--workload", "snapshot_ops", "--ops", "6",
                  "--nregs", "2", "--crash", "random:1", "--seeds", "12"])
@@ -93,6 +110,19 @@ def test_stats_reports_counters(capsys):
     assert code == 0
     assert "sends|total=100|cap_per_broadcast=25|max_per_broadcast=25" in out
     assert "faulty|-" in out
+
+
+@pytest.mark.parametrize("command", ["run", "fuzz", "stats"])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_below_one_exits_2(capsys, command, budget):
+    # a run of no steps would print result|pass having checked nothing
+    extra = ["--no-trace"] if command == "run" else []
+    code = main([command, "--n", "3", "--workload", "register_ops", "--budget", budget,
+                 *extra])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: step budget must be >= 1")
+    assert "result|" not in captured.out
 
 
 def test_bad_crash_schedule_exits_2(capsys):
@@ -205,9 +235,13 @@ def _garbage_line(text):
     (_first_by_p9("bcast"), "KeyError: 9"),
     (_config("crash=none", "crash=random:x"), "UsageError: bad number 'x'"),
     (_config("n=3", "n=0"), "UsageError: n must be >= 1"),
+    (lambda text: text.replace("|budget=1000000 ", "|budget=0 ", 1),
+     "UsageError: step budget must be >= 1"),
+    (lambda text: text.replace("|budget=1000000 ", "|budget=-5 ", 1),
+     "UsageError: step budget must be >= 1"),
 ], ids=["no-op-invoke", "unknown-proc", "garbage-line", "cut-at-300",
         "write-register-9", "send-without-to", "bcast-by-p9", "config-crash-random-x",
-        "config-n-0"])
+        "config-n-0", "config-budget-0", "config-budget-minus-5"])
 def test_malformed_trace_exits_2_with_error_line(tmp_path, capsys, mangle, reason):
     main(["run", "--n", "3", "--workload", "register_ops", "--ops", "4", "--seed", "1",
           "--trace-dir", str(tmp_path)])

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +11,13 @@ from scdkit.core import UsageError
 from scdkit.check import load_run
 from scdkit.sim import (
     MP_WORKLOADS,
+    WORKLOADS,
     ScenarioConfig,
     Simulator,
+    TraceEvent,
     TraceParseError,
+    _CrashCut,
+    _forward_fields,
     parse_crash_schedule,
     parse_delay_policy,
     parse_trace,
@@ -264,3 +269,91 @@ def test_scheduler_matches_rescanning_scheduler(workload, seed):
     cfg = mp_config(workload, random.Random(seed))
     expected = render_trace(RescanningSimulator(cfg).run().events)
     assert render_trace(Simulator(cfg).run().events) == expected
+
+
+class PerCopyRecordSimulator(Simulator):
+    """Trace records as first written: every send and recv record formats
+    the FORWARD's fields itself through trace().  The differential test below
+    holds Simulator, which formats them once per FORWARD, to its events."""
+
+    def fifo_broadcast(self, src, fmsg):
+        n = self.config.n
+        for dst in range(1, n + 1):
+            if self._cut is not None and self._cut[0] == src:
+                if self._cut[1] <= 0:
+                    raise _CrashCut()
+                self._cut = (src, self._cut[1] - 1)
+            self._send_seq += 1
+            self.trace("send", src, to=str(dst), **_forward_fields(fmsg))
+            if self.alive[dst]:
+                idx = (src - 1) * n + dst - 1
+                q = self.channels[idx]
+                q.append((self._send_seq, fmsg, None))
+                if len(q) == 1:
+                    insort(self._ready, idx)
+
+    def execute(self, ev):
+        if ev[0] != "deliver":
+            return super().execute(ev)
+        _, s, d = ev
+        idx = (s - 1) * self.config.n + d - 1
+        q = self.channels[idx]
+        _, fmsg, _ = q.popleft()
+        if not q:
+            del self._ready[bisect_left(self._ready, idx)]
+        self.trace("recv", d, **{"from": str(s)}, **_forward_fields(fmsg))
+        self.stacks[d].on_network(fmsg)
+
+
+# (n, crash): crash-free, random:K, and explicit crashes whose keep cuts
+# interrupt the victim's fifo-broadcast
+_RECORD_CRASHES = [(3, "none"), (5, "random:2"), (5, "explicit:2@9:1,4@40:3"),
+                   (4, "explicit:1@0:2")]
+
+
+@pytest.mark.parametrize("workload", MP_WORKLOADS)
+def test_records_match_per_copy_records(workload):
+    cut = False
+    for delay in ("uniform", "fifo", "slow:1"):
+        for n, crash in _RECORD_CRASHES:
+            for seed in range(3):
+                cfg = config(n=n, t=(n - 1) // 2, workload=workload, op_count=2 * n,
+                             crash=crash, delay=delay, seed=seed, nregs=2, writer=2)
+                events = Simulator(cfg).run().events
+                assert events == PerCopyRecordSimulator(cfg).run().events, cfg
+                if crash.startswith("explicit"):
+                    cut |= any(c % n for c in load_run(events).sends.values())
+    assert cut  # some keep cut truncated a fifo-broadcast
+
+
+def _workload_config(workload):
+    return config(n=4, workload=workload, op_count=8, crash="random:1", nregs=2,
+                  writer=2, seed=11)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_rendered_trace_parses_back_to_the_events(workload):
+    events = run_scenario(_workload_config(workload)).events
+    assert parse_trace(render_trace(events)) == events
+
+
+_RUN_FIELDS = ("sends", "channels", "logs", "completed", "broadcasts", "writes",
+               "ops", "faulty", "late")
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_live_and_parsed_events_load_alike(workload):
+    events = run_scenario(_workload_config(workload)).events
+    live, parsed = load_run(events), load_run(parse_trace(render_trace(events)))
+    for name in _RUN_FIELDS:
+        assert getattr(live, name) == getattr(parsed, name), name
+
+
+@pytest.mark.parametrize("kind,key", [("send", "to"), ("recv", "from")])
+def test_records_own_their_payloads(kind, key):
+    events = run_scenario(config(n=3, op_count=3, seed=7)).events
+    before = [TraceEvent(*ev[:3], dict(ev.payload)) for ev in events]
+    k = next(k for k, ev in enumerate(events) if ev.kind == kind)
+    del events[k].payload[key]
+    del before[k].payload[key]
+    assert events == before  # no other send or recv record lost the field
