@@ -10,12 +10,18 @@ message at a majority of forwarders.  Whatever survives is delivered as one
 message set.
 
 The buffer is indexed by (sender, sequence number), and each entry counts
-its known forwarders as its columns leave INFINITE, so a receipt costs no
-scan over the buffer and delivery is attempted only while some entry has a
-majority.  The purge checks every candidate once against the non-candidates,
-then re-checks the survivors only against the candidates just dropped, until
-none drops; a drop only grows the non-candidate side, so this reaches the
-same fixpoint as restarting the scan after every drop.
+its known forwarders as its columns leave INFINITE, so absorbing a receipt
+costs no scan over the buffer.  Delivery is attempted only while some entry
+has a majority, and the purge runs only when an entry changed since the last
+attempt is a candidate that beats every non-candidate at a majority.  This
+gate rests on an invariant: after each attempt, every candidate left reaches
+a non-candidate through a chain of "forwarded first by at most half the
+processes" edges, and a receipt can free no set that lacks the entry it
+changed (ScdProcess.try_deliver has the proof).  The purge checks every
+candidate once against the non-candidates, then re-checks the survivors only
+against the candidates just dropped, until none drops; a drop only grows the
+non-candidate side, so this reaches the same fixpoint as restarting the scan
+after every drop.
 
 The processes only emit FORWARD messages.  A fifo_broadcast here is a request
 to send the same FORWARD to every process (self included; the receipt guard
@@ -96,6 +102,9 @@ class ScdProcess:
         self._majority = n // 2 + 1
         self._index: dict = {}   # (sd, sn) -> the buffered entry
         self._candidates = 0     # buffered entries forwarded by a majority
+        # entries given a forwarder since the last try_deliver; None once a
+        # finite column was rewritten, which voids try_deliver's gate
+        self._touched: list[BufferEntry] | None = []
         self.sn = 0
         # clock[j] = greatest sn of a j-initiated message delivered here;
         # -1 while nothing from j was delivered (first messages carry sn 0).
@@ -127,14 +136,51 @@ class ScdProcess:
             self._index[(sd, sn_sd)] = entry
             out.append(ForwardMsg(m, sd, sn_sd, self.pid, self.sn))
             self.sn += 1
-        if entry.cl[f] == INFINITE:
+        old = entry.cl[f]
+        if old == INFINITE:
             entry.forwarders += 1
             self._candidates += entry.forwarders == self._majority
+            if self._touched is not None:
+                self._touched.append(entry)
+        elif old != sn_f:
+            self._touched = None
         entry.cl[f] = sn_f
 
     def try_deliver(self):
-        """Deliver one message set if possible, None otherwise."""
+        """Deliver one message set if possible, None otherwise.
+
+        Say o blocks e when at most half the processes forwarded e before o,
+        and call a set of candidates deliverable when none of its members is
+        blocked by an entry outside it; the purge returns the largest
+        deliverable set.  It runs only if an entry touched since the last
+        call is a candidate that no non-candidate blocks (`_unblocked`),
+        because otherwise no set is deliverable:
+
+        - After every call, each candidate left in the buffer reaches a
+          non-candidate through a chain of blocks, so no set is deliverable.
+          The purge drops exactly such candidates, and removing the set it
+          delivers cuts none of their chains.
+        - A receipt of FORWARD(x, f) changes only column f of entry x, from
+          INFINITE to a number, or adds x with that one column.  So for any
+          other entry e the count of processes that forwarded e before x
+          cannot rise, and no block between two other entries changes: only
+          entries that block x can stop blocking it, and only x can become
+          a candidate.
+        - Hence a set without x was deliverable before the receipt, which
+          the first point rules out.  A deliverable set holds x, so x is a
+          candidate that no non-candidate blocks.
+
+        The same holds for all the entries touched between two calls.
+        `scbroadcast` touches its own entry, which matters at n = 1: there
+        that entry is a candidate at once, and its self copy changes
+        nothing.  A finite column rewritten with another sequence number
+        breaks the second point; the protocol never does that, but if it
+        happens the full purge runs.
+        """
+        touched, self._touched = self._touched, []
         if not self._candidates:
+            return None
+        if touched is not None and not any(map(self._unblocked, touched)):
             return None
         candidates = [e for e in self.buffer if e.forwarders >= self._majority]
         todeliver = purge_blocked(candidates, self.buffer, self.n)
@@ -150,6 +196,16 @@ class ScdProcess:
         gone = {id(e) for e in todeliver}
         self.buffer = [e for e in self.buffer if id(e) not in gone]
         return frozenset(e.m for e in todeliver)
+
+    def _unblocked(self, e: BufferEntry) -> bool:
+        """Whether e is a candidate that beats every non-candidate at a
+        majority."""
+        majority = self._majority
+        if e.forwarders < majority:
+            return False
+        cl, half = e.cl, self.n // 2
+        return all(sum(map(lt, cl, o.cl)) > half
+                   for o in self.buffer if o.forwarders < majority)
 
     def broadcast_complete(self) -> MsgId | None:
         """Report (and clear) a completed pending scd-broadcast, if any."""

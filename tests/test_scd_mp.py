@@ -7,6 +7,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scdkit import scd_mp
 from scdkit.core import AppMessage, MsgId, UsageError
 from scdkit.scd_mp import (
     BufferEntry,
@@ -40,6 +41,28 @@ def purge_blocked_oracle(candidates: list, buffer: list, n: int) -> list:
                 changed = True
                 break
     return todeliver
+
+
+class AlwaysPurgeProcess(ScdProcess):
+    """try_deliver as first written: the full purge whenever some entry has
+    a majority.  The differential tests here and in test_sim hold the gated
+    try_deliver to its results."""
+
+    def try_deliver(self):
+        if not self._candidates:
+            return None
+        candidates = [e for e in self.buffer if e.forwarders >= self._majority]
+        todeliver = purge_blocked(candidates, self.buffer, self.n)
+        if not todeliver:
+            return None
+        for e in todeliver:
+            assert self.clock[e.sd] < e.sn
+            self.clock[e.sd] = e.sn
+            del self._index[(e.sd, e.sn)]
+        self._candidates -= len(todeliver)
+        gone = {id(e) for e in todeliver}
+        self.buffer = [e for e in self.buffer if id(e) not in gone]
+        return frozenset(e.m for e in todeliver)
 
 
 def test_fresh_broadcast_creates_entry_and_forward():
@@ -141,14 +164,15 @@ def test_purge_keeps_candidate_ahead_at_majority():
 
 
 def test_purge_cascade():
-    # dropping b strands a: a precedes only b, b precedes nothing vs c
+    # b precedes the outside entry c at p1 only, so b is dropped; a must then
+    # also beat b, the candidate just dropped: it does, at p1 and p2
     a = BufferEntry(msg(1, 0), 1, 0, [INFINITE, 0, 0, INFINITE])
     b = BufferEntry(msg(2, 0), 2, 0, [INFINITE, 1, INFINITE, 3])
     c = BufferEntry(msg(3, 0), 3, 0, [INFINITE, INFINITE, 1, 0])
     kept = purge_blocked([a, b], [a, b, c], 3)
     assert b not in kept
-    # a vs c: a.cl < c.cl at p2 only (0 < inf at p1? p1: 0 < inf yes, p2: 0 < inf yes)
-    # a stays iff it beats c at a majority; columns p1 and p2 say yes
+    # a vs c: a precedes c at p1 (0 < inf) and p2 (0 < 1), not at p3 (inf),
+    # so at 2 of 3 processes, a majority: a stays
     assert kept == [a]
 
 
@@ -193,6 +217,52 @@ def test_purge_matches_rescanning_oracle(inputs):
     cands, entries, n = inputs
     got = purge_blocked(cands, entries, n)
     assert [id(e) for e in got] == [id(e) for e in purge_blocked_oracle(cands, entries, n)]
+
+
+@st.composite
+def forward_streams(draw):
+    """A receiving process and an arbitrary stream of FORWARDs to it, not
+    FIFO, with scbroadcast calls mixed in.  In a rewriting stream a column
+    may come back with another sequence number; otherwise every (message,
+    forwarder) pair keeps its first number, as in the protocol."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    pid = draw(st.integers(min_value=1, max_value=n))
+    proc = st.integers(min_value=1, max_value=n)
+    # sender 0 stands for an scbroadcast, made if none is pending
+    item = st.tuples(st.integers(0, n), st.integers(0, 3), proc, st.integers(0, 6))
+    stream = draw(st.lists(item, min_size=10, max_size=80))
+    if not draw(st.booleans()):
+        first = {}
+        stream = [(*it[:3], first.setdefault(it[:3], it[3])) for it in stream]
+    return n, pid, stream
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except AssertionError:
+        return AssertionError
+
+
+@settings(max_examples=500, deadline=None)
+@given(forward_streams())
+def test_gated_delivery_matches_always_purge(inputs):
+    n, pid, stream = inputs
+    gated, oracle = ScdProcess(pid, n), AlwaysPurgeProcess(pid, n)
+    for k, (sd, sn, f, snf) in enumerate(stream):
+        if not sd:
+            if gated.pending_broadcast is None:
+                m = msg(pid, 100 + k)
+                assert gated.scbroadcast(m) == oracle.scbroadcast(m)
+        else:
+            fm = ForwardMsg(msg(sd, sn), sd, sn, f, snf)
+            got = _outcome(gated.on_forward, fm)
+            assert got == _outcome(oracle.on_forward, fm)
+            if got is AssertionError:
+                return
+        assert gated.broadcast_complete() == oracle.broadcast_complete()
+    assert [(e.sd, e.sn, e.cl) for e in gated.buffer] == \
+        [(e.sd, e.sn, e.cl) for e in oracle.buffer]
 
 
 class LoopbackNet:
@@ -254,3 +324,42 @@ def test_delivery_respects_first_seen_majority_order():
             pos1 = next(k for k, s in enumerate(flat) if m1 in s)
             pos2 = next(k for k, s in enumerate(flat) if m2 in s)
             assert pos1 < pos2
+
+
+def test_receipts_that_cannot_deliver_skip_the_purge(monkeypatch):
+    """A receipt that leaves its entry short of a majority, or a stale copy
+    of a delivered message, calls no purge_blocked.  The counts are taken
+    only while some other entry has a majority: the ungated try_deliver
+    purged on each of those receipts."""
+    calls = []
+    real = scd_mp.purge_blocked
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(scd_mp, "purge_blocked", counting)
+    rng = random.Random(5)
+    net = LoopbackNet(5)
+    sent = dict.fromkeys(net.procs, 1)  # each process broadcasts 4 messages
+    for i, p in net.procs.items():
+        net.send_all(i, p.scbroadcast(msg(i, 0)))
+    skipped = {"short": 0, "stale": 0}
+    while any(net.queues.values()):
+        src, dst = rng.choice([key for key, q in net.queues.items() if q])
+        fm = net.queues[(src, dst)].popleft()
+        p = net.procs[dst]
+        stale = fm.sn_sd <= p.clock[fm.sd]
+        majority_elsewhere = any(2 * e.forwarders > p.n for e in p.buffer)
+        before = len(calls)
+        out, _ = p.on_forward(fm)
+        net.send_all(dst, out)
+        entry = p._index.get((fm.sd, fm.sn_sd))
+        if stale or (entry is not None and 2 * entry.forwarders <= p.n):
+            assert len(calls) == before, fm
+            skipped["stale" if stale else "short"] += majority_elsewhere
+        if p.broadcast_complete() is not None and sent[dst] < 4:
+            net.send_all(dst, p.scbroadcast(msg(dst, sent[dst])))
+            sent[dst] += 1
+    assert skipped["short"] and skipped["stale"], skipped
+    assert calls  # the receipts that can deliver still purge

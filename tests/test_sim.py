@@ -6,6 +6,7 @@ from bisect import bisect_left, insort
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_scd_mp import AlwaysPurgeProcess
 
 from scdkit.core import UsageError
 from scdkit.check import load_run
@@ -269,6 +270,30 @@ def test_scheduler_matches_rescanning_scheduler(workload, seed):
     cfg = mp_config(workload, random.Random(seed))
     expected = render_trace(RescanningSimulator(cfg).run().events)
     assert render_trace(Simulator(cfg).run().events) == expected
+
+
+class AlwaysPurgeSimulator(Simulator):
+    """Every process runs the ungated try_deliver (AlwaysPurgeProcess).  The
+    differential test below holds Simulator, whose processes purge only when
+    a receipt can deliver, to its traces."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        for stack in self.stacks.values():
+            stack.scd = AlwaysPurgeProcess(stack.pid, config.n)
+
+
+@pytest.mark.parametrize("workload", MP_WORKLOADS)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**30))
+def test_gated_delivery_matches_always_purge(workload, seed):
+    rng = random.Random(seed)
+    # at n = 1 a broadcast's own entry is its majority
+    alone = config(n=1, t=0, workload=workload, op_count=rng.randint(1, 6),
+                   delay=rng.choice(["uniform", "fifo", "slow:1"]), seed=seed)
+    for cfg in (mp_config(workload, rng), alone):
+        expected = render_trace(AlwaysPurgeSimulator(cfg).run().events)
+        assert render_trace(Simulator(cfg).run().events) == expected
 
 
 class PerCopyRecordSimulator(Simulator):
