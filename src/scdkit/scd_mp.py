@@ -27,7 +27,9 @@ The processes only emit FORWARD messages.  A fifo_broadcast here is a request
 to send the same FORWARD to every process (self included; the receipt guard
 absorbs the self copy), so one scd-broadcast costs at most n*n point-to-point
 sends overall.  Completion of an scd-broadcast is a predicate, re-checked
-after every event: no buffer entry of the caller's own message remains.
+after every event: no buffer entry of the caller's own message remains.  The
+buffer's own entries are counted as they are added and delivered, so the
+check reads one number.
 """
 from __future__ import annotations
 
@@ -102,6 +104,7 @@ class ScdProcess:
         self._majority = n // 2 + 1
         self._index: dict = {}   # (sd, sn) -> the buffered entry
         self._candidates = 0     # buffered entries forwarded by a majority
+        self._own = 0            # buffered entries of this process's messages
         # entries given a forwarder since the last try_deliver; None once a
         # finite column was rewritten, which voids try_deliver's gate
         self._touched: list[BufferEntry] | None = []
@@ -134,6 +137,7 @@ class ScdProcess:
             entry = BufferEntry(m, sd, sn_sd, [INFINITE] * (self.n + 1))
             self.buffer.append(entry)
             self._index[(sd, sn_sd)] = entry
+            self._own += sd == self.pid
             out.append(ForwardMsg(m, sd, sn_sd, self.pid, self.sn))
             self.sn += 1
         old = entry.cl[f]
@@ -186,12 +190,18 @@ class ScdProcess:
         todeliver = purge_blocked(candidates, self.buffer, self.n)
         if not todeliver:
             return None
+        return self._deliver(todeliver)
+
+    def _deliver(self, todeliver: list) -> frozenset:
+        """Take the entries of a deliverable set out of the buffer and
+        return their messages."""
         for e in todeliver:
             # Delivered entries always outrun the clock: an entry exists only
             # while sn > clock[sd], and no later entry of sd can overtake it.
             assert self.clock[e.sd] < e.sn
             self.clock[e.sd] = e.sn
             del self._index[(e.sd, e.sn)]
+            self._own -= e.sd == self.pid
         self._candidates -= len(todeliver)
         gone = {id(e) for e in todeliver}
         self.buffer = [e for e in self.buffer if id(e) not in gone]
@@ -211,7 +221,7 @@ class ScdProcess:
         """Report (and clear) a completed pending scd-broadcast, if any."""
         if self.pending_broadcast is None:
             return None
-        if any(e.sd == self.pid for e in self.buffer):
+        if self._own:
             return None
         done = self.pending_broadcast
         self.pending_broadcast = None

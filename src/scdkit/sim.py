@@ -31,8 +31,12 @@ enabled but operations pending, the signature of a lost majority), or out of
 step budget.  Trace records are line-oriented: step|kind|proc|key=value...
 A FORWARD's trace fields are formatted once, when it is fifo-broadcast, and
 shared by its n send records and its recv records (each record still owns its
-dict).  The processes that may start an operation are kept in a sorted list,
-updated on invoke, op return and crash, so choosing an event asks no process.
+dict).  The trace codec keeps that sharing: render_trace sorts each distinct
+key list once per call, and parse_trace splits each distinct field text, and
+each distinct payload text before its last field, once per call, so the
+parsed records share equal field strings too.  The processes that may start
+an operation are kept in a sorted list, updated on invoke, op return and
+crash, so choosing an event asks no process.
 
 The exhaustive interleaving explorer for the shared-memory construction
 (explore_rw) drives the same world object as the simulator, enumerating every
@@ -203,37 +207,87 @@ class TraceParseError(Exception):
     pass
 
 
-def render_event(ev: TraceEvent) -> str:
-    body = " ".join(f"{k}={v}" for k, v in sorted(ev.payload.items()))
-    return f"{ev.step}|{ev.kind}|{ev.proc}|{body}"
-
-
 def render_trace(events) -> str:
-    return "".join(render_event(ev) + "\n" for ev in events)
+    """One line per record: step|kind|proc|key=value..., keys sorted.
+
+    Records whose payloads list the same keys in the same order share one
+    format string, built (and its keys sorted) once per call."""
+    formats = {}
+    lines = []
+    for ev in events:
+        payload = ev.payload
+        keys = tuple(payload)
+        fmt = formats.get(keys)
+        if fmt is None:
+            fmt = formats[keys] = _line_format(keys)
+        lines.append(fmt(*ev[:3], *payload.values()))
+    return "".join(lines)
+
+
+def _line_format(keys: tuple):
+    """str.format of a record line, taking step, kind, proc and then the
+    payload values in the order of keys, and writing the fields by sorted key."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    fields = " ".join(
+        f"{keys[i]}".replace("{", "{{").replace("}", "}}") + f"={{{i + 3}}}" for i in order)
+    return ("{0}|{1}|{2}|" + fields + "\n").format
+
+
+class _Memo(dict):
+    """A table that computes each missing entry once, with make(key)."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 def parse_trace(text: str) -> list:
+    """The records of a rendered trace, equal to the ones rendered.
+
+    Each distinct field text is split once per call, and each distinct
+    payload text before the last field is turned into a dict once: later
+    records with that head copy the dict and add their last field (a
+    FORWARD's send records differ only in their last field, its recv records
+    not at all).  So equal field texts, and equal kinds, are one string
+    object, as they are in the simulator's records, and each record still
+    owns its dict."""
     lines = text.splitlines()
     if text and not text.endswith("\n"):
         # render_trace ends every record with a newline
         raise TraceParseError(f"line {len(lines)}: trace ends mid-record")
     events = []
+    append, new = events.append, tuple.__new__
+    fields = _Memo(lambda chunk: chunk.partition("=")[::2])
+    heads = _Memo(lambda head: dict(map(fields.__getitem__, head.split(" "))))
+    kinds = {}
+    step_text = step = None
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
         parts = line.split("|", 3)
         if len(parts) != 4:
+            if not line.strip():
+                continue  # a blank line holds no "|"
             raise TraceParseError(f"line {lineno}: want step|kind|proc|payload")
+        s, kind, p, body = parts
         try:
-            step, kind, proc = int(parts[0]), parts[1], int(parts[2])
-            payload = {}
-            if parts[3]:
-                for chunk in parts[3].split(" "):
-                    k, _, v = chunk.partition("=")
-                    payload[k] = v
+            if s != step_text:  # the records of one step are adjacent
+                step, step_text = int(s), s
+            proc = int(p)
         except ValueError as e:
             raise TraceParseError(f"line {lineno}: {e}") from None
-        events.append(TraceEvent(step, kind, proc, payload))
+        kind = kinds.setdefault(kind, kind)
+        payload = {}
+        if body:
+            head, sep, last = body.rpartition(" ")
+            if sep:  # the head may be empty: " x=1" has the field "" too
+                payload = heads[head].copy()
+            k, v = fields[last]
+            payload[k] = v
+        append(new(TraceEvent, (step, kind, proc, payload)))
     return events
 
 

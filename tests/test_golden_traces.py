@@ -13,6 +13,11 @@ the same way.
 from __future__ import annotations
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -119,3 +124,31 @@ def test_verdict_digest_is_pinned(kw, _, digest):
     for evs in (events, parse_trace(render_trace(events))):
         text = "".join(v.line() + "\n" for v in evaluate_run(load_run(evs)))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+_HASH_SEED_ROWS = [GOLDEN[k] for k in (0, 1, 4, 7)]
+_DIGESTS = """
+import hashlib, json, sys
+from scdkit.check import evaluate_run, load_run
+from scdkit.sim import ScenarioConfig, parse_trace, render_trace, run_scenario
+sha = lambda s: hashlib.sha256(s.encode()).hexdigest()
+for kw in json.loads(sys.argv[1]):
+    text = render_trace(run_scenario(ScenarioConfig(**kw)).events)
+    events = parse_trace(text)
+    verdicts = "".join(v.line() + "\\n" for v in evaluate_run(load_run(events)))
+    print(sha(text), sha(render_trace(events)), sha(verdicts))
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "12345"])
+def test_digests_do_not_depend_on_the_hash_seed(hash_seed):
+    """Every digest above is computed in one interpreter; string hashing,
+    and so set and dict order over strings, changes with PYTHONHASHSEED."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", _DIGESTS, json.dumps([kw for kw, *_ in _HASH_SEED_ROWS])],
+        env=env, capture_output=True, text=True, check=True).stdout
+    want = [f"{trace} {trace} {verdicts}" for _, trace, verdicts in _HASH_SEED_ROWS]
+    assert out.splitlines() == want

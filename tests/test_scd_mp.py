@@ -55,14 +55,7 @@ class AlwaysPurgeProcess(ScdProcess):
         todeliver = purge_blocked(candidates, self.buffer, self.n)
         if not todeliver:
             return None
-        for e in todeliver:
-            assert self.clock[e.sd] < e.sn
-            self.clock[e.sd] = e.sn
-            del self._index[(e.sd, e.sn)]
-        self._candidates -= len(todeliver)
-        gone = {id(e) for e in todeliver}
-        self.buffer = [e for e in self.buffer if id(e) not in gone]
-        return frozenset(e.m for e in todeliver)
+        return self._deliver(todeliver)
 
 
 def test_fresh_broadcast_creates_entry_and_forward():
@@ -260,6 +253,9 @@ def test_gated_delivery_matches_always_purge(inputs):
             assert got == _outcome(oracle.on_forward, fm)
             if got is AssertionError:
                 return
+        # the own-entry count against the buffer scan it replaced
+        for p in (gated, oracle):
+            assert p._own == sum(e.sd == pid for e in p.buffer)
         assert gated.broadcast_complete() == oracle.broadcast_complete()
     assert [(e.sd, e.sn, e.cl) for e in gated.buffer] == \
         [(e.sd, e.sn, e.cl) for e in oracle.buffer]
