@@ -11,17 +11,13 @@ message set.
 
 The buffer is indexed by (sender, sequence number), and each entry counts
 its known forwarders as its columns leave INFINITE, so absorbing a receipt
-costs no scan over the buffer.  Delivery is attempted only while some entry
-has a majority, and the purge runs only when an entry changed since the last
-attempt is a candidate that beats every non-candidate at a majority.  This
-gate rests on an invariant: after each attempt, every candidate left reaches
-a non-candidate through a chain of "forwarded first by at most half the
-processes" edges, and a receipt can free no set that lacks the entry it
-changed (ScdProcess.try_deliver has the proof).  The purge checks every
-candidate once against the non-candidates, then re-checks the survivors only
-against the candidates just dropped, until none drops; a drop only grows the
-non-candidate side, so this reaches the same fixpoint as restarting the scan
-after every drop.
+costs no scan over the buffer.  The blocking relation, "o blocks e when at
+most half the processes forwarded e before o", is written once, in
+`_unblocked`, with the fixpoint that follows its drops.  The purge runs it
+over every candidate against the non-candidates.  The delivery gate runs it
+over the candidates touched since the last attempt, and the purge runs only
+if one survives; ScdProcess.try_deliver proves that this skips no delivery,
+whatever the count threshold.
 
 The processes only emit FORWARD messages.  A fifo_broadcast here is a request
 to send the same FORWARD to every process (self included; the receipt guard
@@ -63,19 +59,14 @@ class BufferEntry:
     forwarders: int = 0                      # columns of cl that are not INFINITE
 
 
-def purge_blocked(candidates: list, buffer: list, n: int) -> list:
-    """Shrink the candidate set to a fixpoint: drop any candidate that at most
-    half the processes are known to have forwarded before some non-candidate.
-
-    Candidates are checked once against the buffer outside the candidate set,
-    then only against the candidates dropped in the round before: a drop only
-    grows the non-candidate side, so earlier comparisons stay valid and the
-    fixpoint is the one of re-scanning everything after each drop.
+def _unblocked(keep: list, check: list, half: int) -> list:
+    """The entries of `keep` that no column list in `check` blocks, directly
+    or through entries of `keep` it drops; o blocks e when at most `half`
+    processes forwarded e before o.  Each entry is checked once against
+    `check`, then only against the entries dropped in the round before: a
+    drop only grows the blocking side, so this is the fixpoint of re-scanning
+    everything after each drop.
     """
-    half = n // 2
-    inside = {id(e) for e in candidates}
-    check = [e.cl for e in buffer if id(e) not in inside]
-    keep = candidates
     while check and keep:
         kept, dropped = [], []
         for e in keep:
@@ -86,7 +77,15 @@ def purge_blocked(candidates: list, buffer: list, n: int) -> list:
             else:
                 kept.append(e)
         keep, check = kept, dropped
-    return list(keep)
+    return keep
+
+
+def purge_blocked(candidates: list, buffer: list, n: int) -> list:
+    """Shrink the candidate set to a fixpoint: drop any candidate that at most
+    half the processes are known to have forwarded before some non-candidate
+    (`_unblocked` against the columns outside the candidate set)."""
+    inside = {id(e) for e in candidates}
+    return list(_unblocked(candidates, [e.cl for e in buffer if id(e) not in inside], n // 2))
 
 
 class ScdProcess:
@@ -153,12 +152,11 @@ class ScdProcess:
     def try_deliver(self):
         """Deliver one message set if possible, None otherwise.
 
-        Say o blocks e when at most half the processes forwarded e before o,
-        and call a set of candidates deliverable when none of its members is
-        blocked by an entry outside it; the purge returns the largest
-        deliverable set.  It runs only if an entry touched since the last
-        call is a candidate that no non-candidate blocks (`_unblocked`),
-        because otherwise no set is deliverable:
+        Call a set of candidates deliverable when no entry outside it blocks
+        a member (`_unblocked`); the purge returns the largest deliverable
+        set.  The gate runs the same fixpoint over the candidates touched
+        since the last call against the non-candidates, and the purge runs
+        only if one survives, because otherwise no set is deliverable:
 
         - After every call, each candidate left in the buffer reaches a
           non-candidate through a chain of blocks, so no set is deliverable.
@@ -171,22 +169,28 @@ class ScdProcess:
           entries that block x can stop blocking it, and only x can become
           a candidate.
         - Hence a set without x was deliverable before the receipt, which
-          the first point rules out.  A deliverable set holds x, so x is a
-          candidate that no non-candidate blocks.
+          the first point rules out.  A deliverable set D holds x, and the
+          gate keeps its touched members: none is blocked by a
+          non-candidate or by a touched candidate outside D.
 
-        The same holds for all the entries touched between two calls.
-        `scbroadcast` touches its own entry, which matters at n = 1: there
-        that entry is a candidate at once, and its self copy changes
-        nothing.  A finite column rewritten with another sequence number
-        breaks the second point; the protocol never does that, but if it
-        happens the full purge runs.
+        The same holds for all the entries touched between two calls, and,
+        since only the direction in which counts move matters, for any count
+        threshold in place of half.  `scbroadcast` touches its own entry,
+        which matters at n = 1: there that entry is a candidate at once, and
+        its self copy changes nothing.  A finite column rewritten with
+        another sequence number breaks the second point; the protocol never
+        does that, but if it happens the full purge runs.
         """
         touched, self._touched = self._touched, []
         if not self._candidates:
             return None
-        if touched is not None and not any(map(self._unblocked, touched)):
-            return None
-        candidates = [e for e in self.buffer if e.forwarders >= self._majority]
+        majority = self._majority
+        if touched is not None:
+            touched = [e for e in touched if e.forwarders >= majority]
+            outside = touched and [e.cl for e in self.buffer if e.forwarders < majority]
+            if not _unblocked(touched, outside, self.n // 2):
+                return None
+        candidates = [e for e in self.buffer if e.forwarders >= majority]
         todeliver = purge_blocked(candidates, self.buffer, self.n)
         if not todeliver:
             return None
@@ -206,16 +210,6 @@ class ScdProcess:
         gone = {id(e) for e in todeliver}
         self.buffer = [e for e in self.buffer if id(e) not in gone]
         return frozenset(e.m for e in todeliver)
-
-    def _unblocked(self, e: BufferEntry) -> bool:
-        """Whether e is a candidate that beats every non-candidate at a
-        majority."""
-        majority = self._majority
-        if e.forwarders < majority:
-            return False
-        cl, half = e.cl, self.n // 2
-        return all(sum(map(lt, cl, o.cl)) > half
-                   for o in self.buffer if o.forwarders < majority)
 
     def broadcast_complete(self) -> MsgId | None:
         """Report (and clear) a completed pending scd-broadcast, if any."""

@@ -164,8 +164,10 @@ def parse_crash_schedule(text: str, n: int, t: int):
             proc_i = _spec_int(proc, text)
             if not 1 <= proc_i <= n:
                 raise UsageError(f"crash process {proc_i} out of range")
-            keep_i = _spec_int(keep, text) if keep else None
-            out.append((_spec_int(step, text), proc_i, keep_i))
+            step_i, keep_i = _spec_int(step, text), _spec_int(keep, text) if keep else None
+            if min(step_i, keep_i or 0) < 0:
+                raise UsageError(f"negative step or keep in crash item {item!r}")
+            out.append((step_i, proc_i, keep_i))
         if len({p for _, p, _ in out}) != len(out):
             raise UsageError("duplicate crash process")
         if len(out) > n - 1:

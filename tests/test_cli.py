@@ -146,6 +146,14 @@ def test_non_numeric_spec_field_exits_2(capsys, command, spec):
     assert capsys.readouterr().err.startswith("error: bad number")
 
 
+@pytest.mark.parametrize("command", ["run", "fuzz", "stats"])
+@pytest.mark.parametrize("spec", ["explicit:1@-3", "explicit:1@3:-1"])
+def test_negative_crash_step_or_keep_exits_2(capsys, command, spec):
+    code = main([command, "--n", "3", "--workload", "raw_broadcast", "--crash", spec])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: negative step or keep")
+
+
 def test_missing_trace_file_exits_2(capsys):
     code = main(["check", "/nonexistent/trace.log"])
     assert code == 2

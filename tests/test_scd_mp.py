@@ -14,6 +14,7 @@ from scdkit.scd_mp import (
     ForwardMsg,
     INFINITE,
     ScdProcess,
+    _unblocked,
     purge_blocked,
 )
 
@@ -56,6 +57,15 @@ class AlwaysPurgeProcess(ScdProcess):
         if not todeliver:
             return None
         return self._deliver(todeliver)
+
+
+RELATIONS = {
+    "real": _unblocked,
+    # protocol mutants of the one blocking relation, patched as
+    # scd_mp._unblocked so that the gate and the purge both read them
+    "never-blocks": lambda keep, check, half: keep,
+    "threshold-half-1": lambda keep, check, half: _unblocked(keep, check, half - 1),
+}
 
 
 def test_fresh_broadcast_creates_entry_and_forward():
@@ -237,10 +247,18 @@ def _outcome(call, *args):
         return AssertionError
 
 
+@pytest.mark.parametrize("relation", RELATIONS)
 @settings(max_examples=500, deadline=None)
-@given(forward_streams())
-def test_gated_delivery_matches_always_purge(inputs):
-    n, pid, stream = inputs
+@given(inputs=forward_streams())
+def test_gated_delivery_matches_always_purge(relation, inputs):
+    """The gate never skips a purge that would deliver, whatever the
+    blocking relation's threshold: its proof uses only how counts move."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scd_mp, "_unblocked", RELATIONS[relation])
+        _gated_matches_always_purge(*inputs)
+
+
+def _gated_matches_always_purge(n, pid, stream):
     gated, oracle = ScdProcess(pid, n), AlwaysPurgeProcess(pid, n)
     for k, (sd, sn, f, snf) in enumerate(stream):
         if not sd:

@@ -117,6 +117,8 @@ def test_crash_schedule_parsing():
         parse_crash_schedule("random:3", 3, 1)
     with pytest.raises(UsageError):
         parse_crash_schedule("sometimes", 3, 1)
+    with pytest.raises(UsageError, match="negative"):
+        parse_crash_schedule("explicit:1@5:-2,2@-3", 3, 1)
 
 
 def test_delay_policy_parsing():
