@@ -56,7 +56,7 @@ from .core import (
     tsa_compare,
 )
 from .shared_objects import INITIAL_VALUE, WritePayload, decode_payload
-from .sim import MP_WORKLOADS, ScenarioConfig, TraceEvent, value_parse
+from .sim import END_STATUSES, MP_WORKLOADS, ScenarioConfig, TraceEvent, value_parse
 
 
 @dataclass
@@ -126,7 +126,7 @@ class History:
 class RunData:
     config: ScenarioConfig
     events: list
-    status: str
+    status: Optional[str]  # an END_STATUSES entry; None until the end record
     faulty: set = field(default_factory=set)
     broadcasts: dict = field(default_factory=dict)   # MsgId -> (sender, payload)
     logs: dict = field(default_factory=dict)         # proc -> [frozenset[MsgId]]
@@ -145,12 +145,13 @@ def load_run(events) -> RunData:
     (so a bad `m` is reported after any later malformed record).  A config
     record that fails validation raises UsageError, a missing field or a
     record by an unknown process KeyError, any other malformed value
-    ValueError."""
+    ValueError.  So does a trace cut before its end record, or an end record
+    whose status is not one a run ends with; records after it are read."""
     if not events or events[0].kind != "config":
         raise ValueError("trace must start with a config record")
     config = ScenarioConfig.from_payload(events[0].payload)
     config.validate()
-    run = RunData(config, events, "unknown")
+    run = RunData(config, events, None)
     run.logs = {i: [] for i in range(1, config.n + 1)}
     run.completed = {i: set() for i in range(1, config.n + 1)}
     objects = config.workload in OBJECT_WORKLOADS
@@ -162,6 +163,8 @@ def load_run(events) -> RunData:
         if kind == "config":
             continue
         if kind == "end":
+            if p["status"] not in END_STATUSES:
+                raise ValueError(f"run ended with unknown status {p['status']!r}")
             run.status = p["status"]
             continue
         if ev.proc not in run.logs:
@@ -210,6 +213,8 @@ def load_run(events) -> RunData:
                 op.result_values = tuple(value_parse(v) for v in p["vals"].split(","))
             elif "v" in p:
                 op.result_values = (value_parse(p["v"]),)
+    if run.status is None:
+        raise ValueError("trace has no end record")
     run.channels = dict(channels)
     for m, count in sends.items():  # two texts may spell one id ("1.1", "1.01")
         mid = MsgId.parse(m)

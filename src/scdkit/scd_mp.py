@@ -10,9 +10,21 @@ message at a majority of forwarders.  Whatever survives is delivered as one
 message set.
 
 The buffer is indexed by (sender, sequence number), and each entry counts
-its known forwarders as its columns leave INFINITE, so absorbing a receipt
-costs no scan over the buffer.  The blocking relation, "o blocks e when at
-most half the processes forwarded e before o", is written once, in
+its known forwarders as its columns leave INFINITE.  Each entry also stores,
+for every other buffered entry o, the pair count `ahead[o]`: how many
+processes forwarded it before o.  How counts move: a receipt of
+FORWARD(x, f) takes column f of x off INFINITE, so only x.ahead[o] (which
+can only rise) and o.ahead[x] (which can only fall) change, each by at most
+one, and `forward` updates them in one pass over the buffer.  A new entry
+starts with every column INFINITE, so x.ahead[o] = 0 and o.ahead[x] =
+o.forwarders.  A finite column rewritten with another number, which the
+protocol never does, has its entry's counts recomputed from the columns.
+Delivered entries leave the survivors' maps.  Entries are hashed by
+identity (`eq=False`), so they key each other's maps without building a
+(sd, sn) tuple per lookup.
+
+The blocking relation, "o blocks e when at most half the processes
+forwarded e before o" (`e.ahead[o] <= half`), is written once, in
 `_unblocked`, with the fixpoint that follows its drops.  The purge runs it
 over every candidate against the non-candidates.  The delivery gate runs it
 over the candidates touched since the last attempt, and the purge runs only
@@ -50,30 +62,31 @@ class ForwardMsg(NamedTuple):
     sn_f: int
 
 
-@dataclass
+@dataclass(eq=False)  # hashed by identity: entries key each other's `ahead`
 class BufferEntry:
     m: AppMessage
     sd: int
     sn: int
     cl: list = field(default_factory=list)  # 1-based, entries int or INFINITE
     forwarders: int = 0                      # columns of cl that are not INFINITE
+    # ahead[o]: processes that forwarded this entry before o, for every other
+    # buffered entry o (column f counts when cl[f] < o.cl[f])
+    ahead: dict = field(default_factory=dict, repr=False)
 
 
 def _unblocked(keep: list, check: list, half: int) -> list:
-    """The entries of `keep` that no column list in `check` blocks, directly
-    or through entries of `keep` it drops; o blocks e when at most `half`
-    processes forwarded e before o.  Each entry is checked once against
-    `check`, then only against the entries dropped in the round before: a
-    drop only grows the blocking side, so this is the fixpoint of re-scanning
-    everything after each drop.
+    """The entries of `keep` that no entry in `check` blocks, directly or
+    through entries of `keep` it drops; o blocks e when at most `half`
+    processes forwarded e before o (`e.ahead[o] <= half`).  Each entry is
+    checked once against `check`, then only against the entries dropped in
+    the round before: a drop only grows the blocking side, so this is the
+    fixpoint of re-scanning everything after each drop.
     """
     while check and keep:
         kept, dropped = [], []
         for e in keep:
-            cl = e.cl
-            # column 0 is INFINITE everywhere and never counts
-            if any(sum(map(lt, cl, other)) <= half for other in check):
-                dropped.append(cl)
+            if min(map(e.ahead.__getitem__, check)) <= half:
+                dropped.append(e)
             else:
                 kept.append(e)
         keep, check = kept, dropped
@@ -83,9 +96,9 @@ def _unblocked(keep: list, check: list, half: int) -> list:
 def purge_blocked(candidates: list, buffer: list, n: int) -> list:
     """Shrink the candidate set to a fixpoint: drop any candidate that at most
     half the processes are known to have forwarded before some non-candidate
-    (`_unblocked` against the columns outside the candidate set)."""
-    inside = {id(e) for e in candidates}
-    return list(_unblocked(candidates, [e.cl for e in buffer if id(e) not in inside], n // 2))
+    (`_unblocked` against the entries outside the candidate set)."""
+    inside = set(candidates)
+    return list(_unblocked(candidates, [e for e in buffer if e not in inside], n // 2))
 
 
 class ScdProcess:
@@ -133,21 +146,39 @@ class ScdProcess:
             return  # already delivered here; stale copy
         entry = self._index.get((sd, sn_sd))
         if entry is None:
-            entry = BufferEntry(m, sd, sn_sd, [INFINITE] * (self.n + 1))
+            # all columns INFINITE: forwarded before nothing, and every other
+            # entry is ahead of it at each of that entry's forwarders
+            entry = BufferEntry(m, sd, sn_sd, [INFINITE] * (self.n + 1), 0,
+                                dict.fromkeys(self.buffer, 0))
+            for o in self.buffer:
+                o.ahead[entry] = o.forwarders
             self.buffer.append(entry)
             self._index[(sd, sn_sd)] = entry
             self._own += sd == self.pid
             out.append(ForwardMsg(m, sd, sn_sd, self.pid, self.sn))
             self.sn += 1
-        old = entry.cl[f]
+        cl = entry.cl
+        old, cl[f] = cl[f], sn_f
+        ahead = entry.ahead
         if old == INFINITE:
             entry.forwarders += 1
             self._candidates += entry.forwarders == self._majority
             if self._touched is not None:
                 self._touched.append(entry)
+            # only the pairs (entry, o) and (o, entry) change, by at most one
+            for o in ahead:
+                c = o.cl[f]
+                if sn_f < c:
+                    ahead[o] += 1
+                    if c != INFINITE:
+                        o.ahead[entry] -= 1
+                elif c == sn_f:
+                    o.ahead[entry] -= 1
         elif old != sn_f:
             self._touched = None
-        entry.cl[f] = sn_f
+            for o in ahead:
+                ahead[o] = sum(map(lt, cl, o.cl))
+                o.ahead[entry] = sum(map(lt, o.cl, cl))
 
     def try_deliver(self):
         """Deliver one message set if possible, None otherwise.
@@ -163,9 +194,9 @@ class ScdProcess:
           The purge drops exactly such candidates, and removing the set it
           delivers cuts none of their chains.
         - A receipt of FORWARD(x, f) changes only column f of entry x, from
-          INFINITE to a number, or adds x with that one column.  So for any
-          other entry e the count of processes that forwarded e before x
-          cannot rise, and no block between two other entries changes: only
+          INFINITE to a number, or adds x with that one column.  So of the
+          stored counts only x.ahead[o] can rise and only o.ahead[x] can
+          fall, and no block between two other entries changes: only
           entries that block x can stop blocking it, and only x can become
           a candidate.
         - Hence a set without x was deliverable before the receipt, which
@@ -178,8 +209,9 @@ class ScdProcess:
         threshold in place of half.  `scbroadcast` touches its own entry,
         which matters at n = 1: there that entry is a candidate at once, and
         its self copy changes nothing.  A finite column rewritten with
-        another sequence number breaks the second point; the protocol never
-        does that, but if it happens the full purge runs.
+        another sequence number breaks the second point, since its counts
+        may move either way; the protocol never does that, but if it happens
+        `forward` recomputes that entry's counts and the full purge runs.
         """
         touched, self._touched = self._touched, []
         if not self._candidates:
@@ -187,7 +219,7 @@ class ScdProcess:
         majority = self._majority
         if touched is not None:
             touched = [e for e in touched if e.forwarders >= majority]
-            outside = touched and [e.cl for e in self.buffer if e.forwarders < majority]
+            outside = touched and [e for e in self.buffer if e.forwarders < majority]
             if not _unblocked(touched, outside, self.n // 2):
                 return None
         candidates = [e for e in self.buffer if e.forwarders >= majority]
@@ -207,8 +239,12 @@ class ScdProcess:
             del self._index[(e.sd, e.sn)]
             self._own -= e.sd == self.pid
         self._candidates -= len(todeliver)
-        gone = {id(e) for e in todeliver}
-        self.buffer = [e for e in self.buffer if id(e) not in gone]
+        gone = set(todeliver)
+        self.buffer = [e for e in self.buffer if e not in gone]
+        for e in self.buffer:
+            ahead = e.ahead
+            for d in todeliver:
+                del ahead[d]
         return frozenset(e.m for e in todeliver)
 
     def broadcast_complete(self) -> MsgId | None:

@@ -36,7 +36,10 @@ key list once per call, and parse_trace splits each distinct field text, and
 each distinct payload text before its last field, once per call, so the
 parsed records share equal field strings too.  The processes that may start
 an operation are kept in a sorted list, updated on invoke, op return and
-crash, so choosing an event asks no process.
+crash, so choosing an event asks no process.  That list and the list of
+non-empty channels change only in place, so the enabled events are one view
+over the two, built once per run.  The simulator builds its trace records
+with tuple.__new__, as parse_trace does, skipping TraceEvent's constructor.
 
 The exhaustive interleaving explorer for the shared-memory construction
 (explore_rw) drives the same world object as the simulator, enumerating every
@@ -66,6 +69,7 @@ MP_WORKLOADS = (
     "sc_snapshot_ops",
 )
 RW_WORKLOADS = ("rw_equivalence",)
+END_STATUSES = ("quiescent", "stalled", "budget")  # how Simulator.run ends
 WORKLOADS = MP_WORKLOADS + RW_WORKLOADS
 
 
@@ -739,7 +743,8 @@ def _forward_fields(fmsg: ForwardMsg) -> dict:
 class _Enabled:
     """The enabled events of a message-passing run, in the order the
     scheduler picks from: deliveries by channel index (sender-major), then
-    invocations by process.  Delivery events are built only when picked."""
+    invocations by process.  Delivery events are built only when picked.
+    The view reads the lists it is given as they change."""
 
     __slots__ = ("n", "ready", "invokes")
 
@@ -800,12 +805,14 @@ class Simulator:
             # sorted invoke events of the live processes that can_invoke()
             self.invokes = [("invoke", i) for i in self.stacks if self.scripts[i]]
             self._pid_text = [str(i) for i in range(config.n + 1)]
+            # both lists change only in place, so one view serves every step
+            self._enabled = _Enabled(config.n, self._ready, self.invokes)
         self.trace("config", 0, **config.to_payload())
 
     # -- trace / transport hooks -----------------------------------------
 
     def trace(self, kind: str, proc: int, **payload) -> None:
-        self.events.append(TraceEvent(self.step, kind, proc, payload))
+        self.events.append(tuple.__new__(TraceEvent, (self.step, kind, proc, payload)))
 
     def fifo_broadcast(self, src: int, fmsg: ForwardMsg) -> None:
         """Send fmsg to every process, src included.  Its trace fields are
@@ -813,14 +820,15 @@ class Simulator:
         entry carries them for the recv record."""
         forward = _forward_fields(fmsg)
         n = self.config.n
-        events, to_text = self.events, self._pid_text
+        events, to_text, new = self.events, self._pid_text, tuple.__new__
         for dst in range(1, n + 1):
             if self._cut is not None and self._cut[0] == src:
                 if self._cut[1] <= 0:
                     raise _CrashCut()
                 self._cut = (src, self._cut[1] - 1)
             self._send_seq += 1
-            events.append(TraceEvent(self.step, "send", src, {"to": to_text[dst], **forward}))
+            payload = {"to": to_text[dst], **forward}
+            events.append(new(TraceEvent, (self.step, "send", src, payload)))
             if self.alive[dst]:
                 idx = (src - 1) * n + dst - 1
                 q = self.channels[idx]
@@ -833,7 +841,7 @@ class Simulator:
     def enabled_events(self):
         if self.world is not None:
             return self.world.choices()
-        return _Enabled(self.config.n, self._ready, self.invokes)
+        return self._enabled
 
     def schedule_next(self, events):
         if self.policy == "fifo":
@@ -865,8 +873,8 @@ class Simulator:
             _, fmsg, forward = q.popleft()
             if not q:
                 del self._ready[bisect_left(self._ready, idx)]
-            self.events.append(TraceEvent(
-                self.step, "recv", d, {"from": self._pid_text[s], **forward}))
+            self.events.append(tuple.__new__(TraceEvent, (
+                self.step, "recv", d, {"from": self._pid_text[s], **forward})))
             self.stacks[d].on_network(fmsg)
         elif ev[0] == "invoke":
             self.stacks[ev[1]].invoke()

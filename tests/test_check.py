@@ -334,6 +334,20 @@ def test_load_run_rejects_malformed_record(mangle, error, match):
         load_run(events)
 
 
+@pytest.mark.parametrize("cut,match", [
+    (lambda events: events[:-1], "no end record"),
+    (lambda events: events[:-1] + [events[-1]._replace(payload={**events[-1].payload,
+                                                                  "status": "unknown"})],
+     "unknown status 'unknown'"),
+], ids=["no-end", "status-unknown"])
+def test_load_run_rejects_a_trace_without_a_run_end(cut, match):
+    events = run_scenario(ScenarioConfig(n=3, t=1, workload="snapshot_ops", op_count=6,
+                                         seed=2)).events
+    assert load_run(events).status == "quiescent"
+    with pytest.raises(ValueError, match=match):
+        load_run(cut(events))
+
+
 # -- history checkers --------------------------------------------------------
 
 

@@ -262,6 +262,33 @@ def test_malformed_trace_exits_2_with_error_line(tmp_path, capsys, mangle, reaso
     assert out.startswith(f"check|{bad}|error|{reason}")
 
 
+def _drop_end(text):
+    lines = text.splitlines(True)
+    assert "|end|" in lines[-1]
+    return "".join(lines[:-1])
+
+
+@pytest.mark.parametrize("mangle,reason", [
+    (_drop_end, "ValueError: trace has no end record"),
+    (lambda text: re.sub(r"\|end\|0\|(.*)status=\w+", r"|end|0|\1status=weird", text),
+     "ValueError: run ended with unknown status 'weird'"),
+], ids=["no-end-record", "status-weird"])
+def test_trace_cut_at_a_line_boundary_exits_2(tmp_path, capsys, mangle, reason):
+    """Without its end record, or with a status no run ends with, a trace
+    would leave termination and consistency unjudged: it is not a pass."""
+    main(["run", "--n", "3", "--workload", "snapshot_ops", "--ops", "6", "--seed", "4",
+          "--trace-dir", str(tmp_path)])
+    capsys.readouterr()
+    text = (tmp_path / "snapshot_ops_n3_s4.trace").read_text()
+    bad = tmp_path / "bad.trace"
+    bad.write_text(mangle(text))
+    assert bad.read_text() != text
+    code = main(["check", str(bad)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.startswith(f"check|{bad}|error|{reason}")
+
+
 def test_check_goes_on_past_an_unreadable_trace(tmp_path, capsys):
     main(["run", "--n", "3", "--workload", "raw_broadcast", "--ops", "2",
           "--trace-dir", str(tmp_path)])

@@ -28,6 +28,22 @@ def seen_first_count(entry: BufferEntry, other: BufferEntry, n: int) -> int:
     return sum(1 for f in range(1, n + 1) if entry.cl[f] < other.cl[f])
 
 
+def with_counts(entries: list, n: int) -> list:
+    """Fill the pair counts of hand-built entries from their columns, as
+    ScdProcess keeps them for its buffer."""
+    for e in entries:
+        e.ahead = {o: seen_first_count(e, o, n) for o in entries if o is not e}
+    return entries
+
+
+def assert_counts_match_columns(p: ScdProcess) -> None:
+    """Every buffered pair's count equals the column oracle."""
+    for e in p.buffer:
+        assert list(e.ahead) == [o for o in p.buffer if o is not e]
+        for o, count in e.ahead.items():
+            assert count == seen_first_count(e, o, p.n), (e, o)
+
+
 def purge_blocked_oracle(candidates: list, buffer: list, n: int) -> list:
     """The purge as first written: restart the scan after every drop.  The
     differential test below holds purge_blocked to its result."""
@@ -157,13 +173,13 @@ def test_purge_drops_candidate_behind_outside_entry():
     # processes, so a cannot be delivered yet
     a = BufferEntry(msg(1, 0), 1, 0, [INFINITE, 0, 1, INFINITE])
     b = BufferEntry(msg(2, 0), 2, 0, [INFINITE, 2, 0, INFINITE])
-    assert purge_blocked([a], [a, b], 3) == []
+    assert purge_blocked([a], with_counts([a, b], 3), 3) == []
 
 
 def test_purge_keeps_candidate_ahead_at_majority():
     a = BufferEntry(msg(1, 0), 1, 0, [INFINITE, 0, 0, INFINITE])
     b = BufferEntry(msg(2, 0), 2, 0, [INFINITE, 2, 7, INFINITE])
-    assert purge_blocked([a], [a, b], 3) == [a]
+    assert purge_blocked([a], with_counts([a, b], 3), 3) == [a]
 
 
 def test_purge_cascade():
@@ -172,7 +188,7 @@ def test_purge_cascade():
     a = BufferEntry(msg(1, 0), 1, 0, [INFINITE, 0, 0, INFINITE])
     b = BufferEntry(msg(2, 0), 2, 0, [INFINITE, 1, INFINITE, 3])
     c = BufferEntry(msg(3, 0), 3, 0, [INFINITE, INFINITE, 1, 0])
-    kept = purge_blocked([a, b], [a, b, c], 3)
+    kept = purge_blocked([a, b], with_counts([a, b, c], 3), 3)
     assert b not in kept
     # a vs c: a precedes c at p1 (0 < inf) and p2 (0 < 1), not at p3 (inf),
     # so at 2 of 3 processes, a majority: a stays
@@ -192,6 +208,7 @@ def test_purge_result_ignores_candidate_order(seed):
             if rng.random() < 0.7:
                 cl[f] = rng.randint(0, 4)
         entries.append(BufferEntry(msg(1 + k % n, k), 1 + k % n, k, cl))
+    with_counts(entries, n)
     cands = [e for e in entries if 2 * sum(1 for c in e.cl[1:] if c != INFINITE) > n]
     baseline = purge_blocked(cands, entries, n)
     for _ in range(4):
@@ -211,7 +228,7 @@ def purge_inputs(draw):
         cl = [INFINITE] + draw(st.lists(column, min_size=n, max_size=n))
         entries.append(BufferEntry(msg(1 + k % n, k), 1 + k % n, k, cl))
     cands = [e for e in entries if 2 * sum(1 for c in e.cl[1:] if c != INFINITE) > n]
-    return cands, entries, n
+    return cands, with_counts(entries, n), n
 
 
 @settings(max_examples=400, deadline=None)
@@ -252,7 +269,8 @@ def _outcome(call, *args):
 @given(inputs=forward_streams())
 def test_gated_delivery_matches_always_purge(relation, inputs):
     """The gate never skips a purge that would deliver, whatever the
-    blocking relation's threshold: its proof uses only how counts move."""
+    blocking relation's threshold: its proof uses only how counts move.
+    After every event, the stored pair counts equal the column oracle."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scd_mp, "_unblocked", RELATIONS[relation])
         _gated_matches_always_purge(*inputs)
@@ -271,9 +289,11 @@ def _gated_matches_always_purge(n, pid, stream):
             assert got == _outcome(oracle.on_forward, fm)
             if got is AssertionError:
                 return
-        # the own-entry count against the buffer scan it replaced
+        # the own-entry count and the pair counts against the buffer scans
+        # they replaced
         for p in (gated, oracle):
             assert p._own == sum(e.sd == pid for e in p.buffer)
+            assert_counts_match_columns(p)
         assert gated.broadcast_complete() == oracle.broadcast_complete()
     assert [(e.sd, e.sn, e.cl) for e in gated.buffer] == \
         [(e.sd, e.sn, e.cl) for e in oracle.buffer]
