@@ -45,18 +45,12 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
+from operator import le
 from typing import Optional
 
-from .core import (
-    Cmp,
-    INITIAL_TS,
-    MsgId,
-    Timestamp,
-    parse_id_set,
-    tsa_compare,
-)
+from .core import INITIAL_TS, MsgId, Timestamp, parse_id_set
 from .shared_objects import INITIAL_VALUE, WritePayload, decode_payload
-from .sim import END_STATUSES, MP_WORKLOADS, ScenarioConfig, TraceEvent, value_parse
+from .sim import END_STATUSES, MP_WORKLOADS, RECORD_KINDS, ScenarioConfig, TraceEvent, value_parse
 
 
 @dataclass
@@ -145,8 +139,9 @@ def load_run(events) -> RunData:
     (so a bad `m` is reported after any later malformed record).  A config
     record that fails validation raises UsageError, a missing field or a
     record by an unknown process KeyError, any other malformed value
-    ValueError.  So does a trace cut before its end record, or an end record
-    whose status is not one a run ends with; records after it are read."""
+    ValueError.  So does a record of a kind no run writes, a trace cut
+    before its end record, or an end record whose status is not one a run
+    ends with; records after it are read."""
     if not events or events[0].kind != "config":
         raise ValueError("trace must start with a config record")
     config = ScenarioConfig.from_payload(events[0].payload)
@@ -213,6 +208,8 @@ def load_run(events) -> RunData:
                 op.result_values = tuple(value_parse(v) for v in p["vals"].split(","))
             elif "v" in p:
                 op.result_values = (value_parse(p["v"]),)
+        elif kind not in RECORD_KINDS:
+            raise ValueError(f"unknown record kind {kind!r}")
     if run.status is None:
         raise ValueError("trace has no end record")
     run.channels = dict(channels)
@@ -473,7 +470,7 @@ def timestamp_metadata(run: RunData) -> TsMeta:
             arrays.add(tuple(tsa))
     chain = sorted(arrays)
     for a, b in zip(chain, chain[1:]):
-        if tsa_compare(a, b) is not Cmp.LESS:
+        if not all(map(le, a, b)):
             return TsMeta([], {}, f"incomparable arrays {_tsa_str(a)} vs {_tsa_str(b)}")
     return TsMeta(chain, {a: k for k, a in enumerate(chain)})
 

@@ -9,7 +9,6 @@ a message id by sender, then sequence number.
 """
 from __future__ import annotations
 
-import enum
 from typing import NamedTuple
 
 NONE_PROC = 0
@@ -35,41 +34,6 @@ class Timestamp(NamedTuple):
 
 
 INITIAL_TS = Timestamp(0, NONE_PROC)
-
-
-class Cmp(enum.Enum):
-    LESS = "less"
-    EQUAL = "equal"
-    GREATER = "greater"
-    INCOMPARABLE = "incomparable"
-
-
-TimestampArray = tuple[Timestamp, ...]
-
-
-def tsa_compare(a: TimestampArray, b: TimestampArray) -> Cmp:
-    """Pointwise comparison of two equal-length timestamp arrays.
-
-    less/greater require every entry to be <= (resp >=) with the arrays not
-    identical; mixed strict entries in both directions are incomparable.
-    """
-    if len(a) != len(b):
-        raise UsageError(f"array length mismatch: {len(a)} vs {len(b)}")
-    some_less = some_greater = False
-    for x, y in zip(a, b):
-        if x == y:
-            continue
-        if x < y:
-            some_less = True
-        else:
-            some_greater = True
-    if some_less and some_greater:
-        return Cmp.INCOMPARABLE
-    if some_less:
-        return Cmp.LESS
-    if some_greater:
-        return Cmp.GREATER
-    return Cmp.EQUAL
 
 
 class MsgId(NamedTuple):

@@ -49,8 +49,13 @@ class RwProcess:
         self.sent = [frozenset() for _ in range(n + 1)]   # local copy, 1-based
         self.setseq = [[] for _ in range(n + 1)]          # local copy of SETSEQ
         self.delivered: set = set()                       # members(setseq[pid]), memoized
-        self.log: list[frozenset] = []                    # sets delivered here, in order
         self.frame: Optional[Frame] = None
+
+    @property
+    def log(self) -> list:
+        """The sets delivered here, in order: this process's own sequence,
+        which a SETSEQ snapshot hands back unchanged (see catch_snap)."""
+        return self.setseq[self.pid]
 
     # -- starting work ----------------------------------------------------
 
@@ -142,7 +147,6 @@ class RwProcess:
     def _commit_delivery(self, todeliver: frozenset) -> frozenset:
         self.setseq[self.pid].append(todeliver)
         self.delivered |= todeliver
-        self.log.append(todeliver)
         return todeliver
 
     def _finish(self, f: Frame) -> None:
@@ -158,7 +162,6 @@ class RwProcess:
         c.sent = list(self.sent)
         c.setseq = [list(s) for s in self.setseq]
         c.delivered = set(self.delivered)
-        c.log = list(self.log)
         f = self.frame
         c.frame = Frame(f.kind, f.msg, f.stage, f.todeliver) if f else None
         return c
@@ -168,6 +171,5 @@ class RwProcess:
         return (
             tuple(self.sent),
             tuple(tuple(s) for s in self.setseq),
-            tuple(self.log),
             (f.kind, f.msg, f.stage, f.todeliver) if f else None,
         )

@@ -17,11 +17,12 @@ FORWARD(x, f) takes column f of x off INFINITE, so only x.ahead[o] (which
 can only rise) and o.ahead[x] (which can only fall) change, each by at most
 one, and `forward` updates them in one pass over the buffer.  A new entry
 starts with every column INFINITE, so x.ahead[o] = 0 and o.ahead[x] =
-o.forwarders.  A finite column rewritten with another number, which the
-protocol never does, has its entry's counts recomputed from the columns.
-Delivered entries leave the survivors' maps.  Entries are hashed by
-identity (`eq=False`), so they key each other's maps without building a
-(sd, sn) tuple per lookup.
+o.forwarders.  A process forwards a message only on first receipt, so a
+column is written once: only the self copy of the process's own
+scbroadcast finds its column set, with the same number, and any other
+rewrite fails an assertion.  Delivered entries leave the survivors' maps.
+Entries are hashed by identity (`eq=False`), so they key each other's maps
+without building a (sd, sn) tuple per lookup.
 
 The blocking relation, "o blocks e when at most half the processes
 forwarded e before o" (`e.ahead[o] <= half`), is written once, in
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import lt
 from typing import NamedTuple
 
 from .core import AppMessage, MsgId, UsageError
@@ -115,11 +115,8 @@ class ScdProcess:
         self.buffer: list[BufferEntry] = []
         self._majority = n // 2 + 1
         self._index: dict = {}   # (sd, sn) -> the buffered entry
-        self._candidates = 0     # buffered entries forwarded by a majority
         self._own = 0            # buffered entries of this process's messages
-        # entries given a forwarder since the last try_deliver; None once a
-        # finite column was rewritten, which voids try_deliver's gate
-        self._touched: list[BufferEntry] | None = []
+        self._touched: list[BufferEntry] = []  # given a forwarder since the last try_deliver
         self.sn = 0
         # clock[j] = greatest sn of a j-initiated message delivered here;
         # -1 while nothing from j was delivered (first messages carry sn 0).
@@ -158,27 +155,22 @@ class ScdProcess:
             out.append(ForwardMsg(m, sd, sn_sd, self.pid, self.sn))
             self.sn += 1
         cl = entry.cl
-        old, cl[f] = cl[f], sn_f
+        if cl[f] != INFINITE:
+            assert cl[f] == sn_f  # the self copy of this process's scbroadcast
+            return
+        cl[f] = sn_f
+        entry.forwarders += 1
+        self._touched.append(entry)
         ahead = entry.ahead
-        if old == INFINITE:
-            entry.forwarders += 1
-            self._candidates += entry.forwarders == self._majority
-            if self._touched is not None:
-                self._touched.append(entry)
-            # only the pairs (entry, o) and (o, entry) change, by at most one
-            for o in ahead:
-                c = o.cl[f]
-                if sn_f < c:
-                    ahead[o] += 1
-                    if c != INFINITE:
-                        o.ahead[entry] -= 1
-                elif c == sn_f:
+        # only the pairs (entry, o) and (o, entry) change, by at most one
+        for o in ahead:
+            c = o.cl[f]
+            if sn_f < c:
+                ahead[o] += 1
+                if c != INFINITE:
                     o.ahead[entry] -= 1
-        elif old != sn_f:
-            self._touched = None
-            for o in ahead:
-                ahead[o] = sum(map(lt, cl, o.cl))
-                o.ahead[entry] = sum(map(lt, o.cl, cl))
+            elif c == sn_f:
+                o.ahead[entry] -= 1
 
     def try_deliver(self):
         """Deliver one message set if possible, None otherwise.
@@ -208,20 +200,15 @@ class ScdProcess:
         since only the direction in which counts move matters, for any count
         threshold in place of half.  `scbroadcast` touches its own entry,
         which matters at n = 1: there that entry is a candidate at once, and
-        its self copy changes nothing.  A finite column rewritten with
-        another sequence number breaks the second point, since its counts
-        may move either way; the protocol never does that, but if it happens
-        `forward` recomputes that entry's counts and the full purge runs.
+        its self copy changes nothing.  `forward` rejects a receipt that
+        would rewrite a finite column, which would break the second point.
         """
-        touched, self._touched = self._touched, []
-        if not self._candidates:
-            return None
         majority = self._majority
-        if touched is not None:
-            touched = [e for e in touched if e.forwarders >= majority]
-            outside = touched and [e for e in self.buffer if e.forwarders < majority]
-            if not _unblocked(touched, outside, self.n // 2):
-                return None
+        touched = [e for e in self._touched if e.forwarders >= majority]
+        self._touched = []
+        outside = touched and [e for e in self.buffer if e.forwarders < majority]
+        if not _unblocked(touched, outside, self.n // 2):
+            return None
         candidates = [e for e in self.buffer if e.forwarders >= majority]
         todeliver = purge_blocked(candidates, self.buffer, self.n)
         if not todeliver:
@@ -238,7 +225,6 @@ class ScdProcess:
             self.clock[e.sd] = e.sn
             del self._index[(e.sd, e.sn)]
             self._own -= e.sd == self.pid
-        self._candidates -= len(todeliver)
         gone = set(todeliver)
         self.buffer = [e for e in self.buffer if e not in gone]
         for e in self.buffer:

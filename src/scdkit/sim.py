@@ -28,7 +28,8 @@ Things the simulator injects or enforces:
 
 Runs end quiescent (nothing enabled, no operation pending), stalled (nothing
 enabled but operations pending, the signature of a lost majority), or out of
-step budget.  Trace records are line-oriented: step|kind|proc|key=value...
+step budget.  Trace records are line-oriented: step|kind|proc|key=value...,
+and their kinds are those of RECORD_KINDS; check.load_run rejects any other.
 A FORWARD's trace fields are formatted once, when it is fifo-broadcast, and
 shared by its n send records and its recv records (each record still owns its
 dict).  The trace codec keeps that sharing: render_trace sorts each distinct
@@ -70,6 +71,11 @@ MP_WORKLOADS = (
 )
 RW_WORKLOADS = ("rw_equivalence",)
 END_STATUSES = ("quiescent", "stalled", "budget")  # how Simulator.run ends
+RECORD_KINDS = frozenset((  # every kind of trace record a run writes
+    "config", "send", "recv", "bcast", "scd_deliver", "broadcast_complete",
+    "crash", "op_invoke", "op_return", "mem_write", "mem_snapshot", "mem_apply",
+    "end",
+))
 WORKLOADS = MP_WORKLOADS + RW_WORKLOADS
 
 
@@ -400,7 +406,6 @@ class RwWorld:
         self.scripts = {i: list(scripts.get(i, ())) for i in range(1, n + 1)}
         self.next_op = {i: 0 for i in range(1, n + 1)}
         self.alive = {i: True for i in range(1, n + 1)}
-        self.inflight = {i: None for i in range(1, n + 1)}
         self.interned = {}
         self.key_ids = [None] * (n + 1)
 
@@ -436,10 +441,10 @@ class RwWorld:
                 trace("op_invoke", i, op="bcast", seq=str(k))
                 trace("bcast", i, id=str(m.id), data=value_str(m.payload))
             p.start_broadcast(m)
-            self.inflight[i] = (m.id, k)
         elif tag == "tick":
             p.start_tick()
         elif tag == "mem":
+            frame = p.frame
             op = p.pending_memop()
             if trace:
                 if op[0] == "write":
@@ -450,12 +455,10 @@ class RwWorld:
             delivered = p.complete_memop(result)
             if delivered is not None and trace:
                 trace("scd_deliver", i, set=format_id_set(m.id for m in delivered))
-            if p.frame is None and self.inflight[i] is not None:
-                mid, k = self.inflight[i]
-                self.inflight[i] = None
-                if trace:
-                    trace("broadcast_complete", i, id=str(mid))
-                    trace("op_return", i, op="bcast", seq=str(k), ok="1")
+            # a round runs alone, so a finished broadcast round is op next_op - 1
+            if p.frame is None and frame.kind == "broadcast" and trace:
+                trace("broadcast_complete", i, id=str(frame.msg.id))
+                trace("op_return", i, op="bcast", seq=str(self.next_op[i] - 1), ok="1")
         elif tag == "apply":
             obj, idx = self.memory.apply_one(i)
             if trace:
@@ -480,7 +483,6 @@ class RwWorld:
         c.scripts = self.scripts  # scripts are never mutated
         c.next_op = dict(self.next_op)
         c.alive = dict(self.alive)
-        c.inflight = dict(self.inflight)
         c.interned = self.interned
         c.key_ids = list(self.key_ids)
         return c
@@ -625,7 +627,7 @@ class MpStack:
         self.obj = make_object(pid, config)
         self.script = script
         self.next_op = 0
-        self.cur = None  # (kind, seq, raw msgid or None)
+        self.cur = None  # (kind, seq) of the open operation
         self.msg_seq = 0
 
     def can_invoke(self) -> bool:
@@ -643,11 +645,11 @@ class MpStack:
         self.sim.trace("op_invoke", self.pid, **inv)
         if kind == "bcast":
             m = self._new_msg(op[1])
-            self.cur = (kind, seq, m.id)
+            self.cur = (kind, seq)
             self.sim.trace("bcast", self.pid, id=str(m.id), data=value_str(m.payload))
             self._emit(self.scd.scbroadcast(m))
             return
-        self.cur = (kind, seq, None)
+        self.cur = (kind, seq)
         if kind == "snapshot":
             step = self.obj.begin_snapshot()
         elif kind == "read":
@@ -666,8 +668,9 @@ class MpStack:
         done = self.scd.broadcast_complete()
         if done is not None:
             self.sim.trace("broadcast_complete", self.pid, id=str(done))
-            if self.cur is not None and self.cur[2] == done:
-                kind, seq, _ = self.cur
+            # a raw broadcast op's message is the only one it broadcasts
+            if self.cur is not None and self.cur[0] == "bcast":
+                kind, seq = self.cur
                 self._op_returned()
                 self.sim.trace("op_return", self.pid, op=kind, seq=str(seq), ok="1")
         if self.obj is not None:
@@ -684,7 +687,7 @@ class MpStack:
             self._emit(self.scd.scbroadcast(m))
         if step.result is not None:
             res = step.result
-            kind, seq, _ = self.cur
+            kind, seq = self.cur
             self._op_returned()
             out = {"op": kind, "seq": str(seq)}
             if res.kind == "write":

@@ -5,11 +5,12 @@ import copy
 import itertools
 import random
 import re
+from operator import le
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scdkit.core import INITIAL_TS, Cmp, MsgId, Timestamp, tsa_compare
+from scdkit.core import INITIAL_TS, MsgId, Timestamp
 from scdkit.shared_objects import INITIAL_VALUE, WritePayload
 from scdkit.check import (
     History,
@@ -312,6 +313,10 @@ def _write_to_register_3(events):
     next(ev for ev in events if ev.payload.get("op") == "write").payload["r"] = "3"
 
 
+def _recv_renamed(events):
+    events[:] = [ev._replace(kind="recx") if ev.kind == "recv" else ev for ev in events]
+
+
 def _untagged_write(events):
     # no WRITE broadcast left to take the tag from, nor the return record
     events[:] = [ev for ev in events if ev.kind != "bcast"]
@@ -324,6 +329,7 @@ def _untagged_write(events):
     (_bcast_by_p9, KeyError, "9"),
     (_write_to_register_3, ValueError, "register 3 outside 1..2"),
     (_untagged_write, KeyError, "ts"),
+    (_recv_renamed, ValueError, "unknown record kind 'recx'"),
 ])
 def test_load_run_rejects_malformed_record(mangle, error, match):
     res = run_scenario(ScenarioConfig(n=3, t=1, workload="snapshot_ops", op_count=6,
@@ -608,13 +614,13 @@ def test_chain_check_matches_pairwise_comparison(data):
                 if best is not None and tsa[r - 1] < best:
                     tsa[r - 1] = best
             arrays.add(tuple(tsa))
-    chain_ok = all(tsa_compare(a, b) is not Cmp.INCOMPARABLE
+    chain_ok = all(all(map(le, a, b)) or all(map(le, b, a))
                    for a, b in itertools.combinations(arrays, 2))
     meta = timestamp_metadata(run)
     assert (meta.error == "") == chain_ok, meta.error
     if chain_ok:
         assert set(meta.chain) == arrays and len(meta.chain) == len(arrays)
-        assert all(tsa_compare(a, b) is Cmp.LESS for a, b in zip(meta.chain, meta.chain[1:]))
+        assert all(a != b and all(map(le, a, b)) for a, b in zip(meta.chain, meta.chain[1:]))
         assert all(meta.rank[a] == k for k, a in enumerate(meta.chain))
     else:
         assert meta.error.startswith("incomparable arrays ")

@@ -247,9 +247,10 @@ def _garbage_line(text):
      "UsageError: step budget must be >= 1"),
     (lambda text: text.replace("|budget=1000000 ", "|budget=-5 ", 1),
      "UsageError: step budget must be >= 1"),
+    (lambda text: text.replace("|recv|", "|recx|"), "ValueError: unknown record kind 'recx'"),
 ], ids=["no-op-invoke", "unknown-proc", "garbage-line", "cut-at-300",
         "write-register-9", "send-without-to", "bcast-by-p9", "config-crash-random-x",
-        "config-n-0", "config-budget-0", "config-budget-minus-5"])
+        "config-n-0", "config-budget-0", "config-budget-minus-5", "recv-renamed"])
 def test_malformed_trace_exits_2_with_error_line(tmp_path, capsys, mangle, reason):
     main(["run", "--n", "3", "--workload", "register_ops", "--ops", "4", "--seed", "1",
           "--trace-dir", str(tmp_path)])

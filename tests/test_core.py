@@ -1,20 +1,16 @@
-"""Timestamps, timestamp arrays and message identities."""
+"""Timestamps and message identities."""
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, strategies as st
 
 from scdkit.core import (
     AppMessage,
-    Cmp,
     INITIAL_TS,
     MsgId,
     NONE_PROC,
     Timestamp,
-    UsageError,
     format_id_set,
     parse_id_set,
-    tsa_compare,
 )
 
 
@@ -49,37 +45,6 @@ ts_strategy = st.builds(
 def test_timestamp_order_total(a, b):
     """Exactly one of <, ==, > holds for any two timestamps."""
     assert ((a < b) + (b < a) + (a == b)) == 1
-
-
-@given(st.lists(ts_strategy, min_size=2, max_size=6), st.lists(ts_strategy, min_size=2, max_size=6))
-def test_tsa_compare_duality(xs, ys):
-    n = min(len(xs), len(ys))
-    a, b = tuple(xs[:n]), tuple(ys[:n])
-    fwd, rev = tsa_compare(a, b), tsa_compare(b, a)
-    dual = {
-        Cmp.LESS: Cmp.GREATER,
-        Cmp.GREATER: Cmp.LESS,
-        Cmp.EQUAL: Cmp.EQUAL,
-        Cmp.INCOMPARABLE: Cmp.INCOMPARABLE,
-    }
-    assert rev == dual[fwd]
-    if a == b:
-        assert fwd is Cmp.EQUAL
-
-
-def test_tsa_compare_pointwise():
-    lo = (Timestamp(1, 1), Timestamp(2, 2))
-    hi = (Timestamp(1, 1), Timestamp(3, 1))
-    assert tsa_compare(lo, hi) is Cmp.LESS
-    assert tsa_compare(hi, lo) is Cmp.GREATER
-    assert tsa_compare(lo, lo) is Cmp.EQUAL
-    crossed = (Timestamp(9, 1), Timestamp(1, 1))
-    assert tsa_compare(lo, crossed) is Cmp.INCOMPARABLE
-
-
-def test_tsa_compare_length_mismatch():
-    with pytest.raises(UsageError):
-        tsa_compare((INITIAL_TS,), (INITIAL_TS, INITIAL_TS))
 
 
 def test_msgid_render_parse():

@@ -34,7 +34,7 @@ def full_copy(w: RwWorld) -> RwWorld:
     c = copy.copy(w)
     c.procs = {i: p.clone() for i, p in w.procs.items()}
     c.memory = w.memory.clone()
-    c.next_op, c.alive, c.inflight = dict(w.next_op), dict(w.alive), dict(w.inflight)
+    c.next_op, c.alive = dict(w.next_op), dict(w.alive)
     c.key_ids = list(w.key_ids)
     return c
 
@@ -76,7 +76,6 @@ def full_state(w: RwWorld) -> tuple:
     """Every component of a world, including what state keys leave out."""
     return (
         nested_key(w),
-        tuple(w.inflight.items()),
         tuple(frozenset(p.delivered) for p in w.procs.values()),
     )
 

@@ -66,8 +66,6 @@ class AlwaysPurgeProcess(ScdProcess):
     try_deliver to its results."""
 
     def try_deliver(self):
-        if not self._candidates:
-            return None
         candidates = [e for e in self.buffer if e.forwarders >= self._majority]
         todeliver = purge_blocked(candidates, self.buffer, self.n)
         if not todeliver:
@@ -243,18 +241,21 @@ def test_purge_matches_rescanning_oracle(inputs):
 def forward_streams(draw):
     """A receiving process and an arbitrary stream of FORWARDs to it, not
     FIFO, with scbroadcast calls mixed in.  In a rewriting stream a column
-    may come back with another sequence number; otherwise every (message,
-    forwarder) pair keeps its first number, as in the protocol."""
+    may come back with another sequence number, which the receiver rejects.
+    Otherwise every (message, forwarder) pair keeps one number, as in the
+    protocol, and `numbers` maps each pair to it; an scbroadcast is then
+    made only if the stream gives its own column the number it assigns."""
     n = draw(st.integers(min_value=1, max_value=5))
     pid = draw(st.integers(min_value=1, max_value=n))
     proc = st.integers(min_value=1, max_value=n)
     # sender 0 stands for an scbroadcast, made if none is pending
     item = st.tuples(st.integers(0, n), st.integers(0, 3), proc, st.integers(0, 6))
     stream = draw(st.lists(item, min_size=10, max_size=80))
+    numbers = None
     if not draw(st.booleans()):
-        first = {}
-        stream = [(*it[:3], first.setdefault(it[:3], it[3])) for it in stream]
-    return n, pid, stream
+        numbers = {}
+        stream = [(*it[:3], numbers.setdefault(it[:3], it[3])) for it in stream]
+    return n, pid, stream, numbers
 
 
 def _outcome(call, *args):
@@ -276,13 +277,18 @@ def test_gated_delivery_matches_always_purge(relation, inputs):
         _gated_matches_always_purge(*inputs)
 
 
-def _gated_matches_always_purge(n, pid, stream):
+def _gated_matches_always_purge(n, pid, stream, numbers):
     gated, oracle = ScdProcess(pid, n), AlwaysPurgeProcess(pid, n)
     for k, (sd, sn, f, snf) in enumerate(stream):
         if not sd:
-            if gated.pending_broadcast is None:
+            own = (pid, gated.sn, pid)
+            if gated.pending_broadcast is None and (
+                    numbers is None or numbers.get(own, gated.sn) == gated.sn):
                 m = msg(pid, 100 + k)
-                assert gated.scbroadcast(m) == oracle.scbroadcast(m)
+                got = _outcome(gated.scbroadcast, m)
+                assert got == _outcome(oracle.scbroadcast, m)
+                if got is AssertionError:
+                    return
         else:
             fm = ForwardMsg(msg(sd, sn), sd, sn, f, snf)
             got = _outcome(gated.on_forward, fm)
@@ -297,6 +303,16 @@ def _gated_matches_always_purge(n, pid, stream):
         assert gated.broadcast_complete() == oracle.broadcast_complete()
     assert [(e.sd, e.sn, e.cl) for e in gated.buffer] == \
         [(e.sd, e.sn, e.cl) for e in oracle.buffer]
+
+
+def test_rewritten_column_is_rejected():
+    """A process forwards a message only on first receipt, so a second
+    number for one (message, forwarder) pair is not a protocol state."""
+    p = ScdProcess(1, 3)
+    m = msg(3, 0)
+    p.on_forward(ForwardMsg(m, 3, 0, 2, 0))
+    with pytest.raises(AssertionError):
+        p.on_forward(ForwardMsg(m, 3, 0, 2, 1))
 
 
 class LoopbackNet:
