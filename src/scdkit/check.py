@@ -50,7 +50,8 @@ from typing import Optional
 
 from .core import INITIAL_TS, MsgId, Timestamp, parse_id_set
 from .shared_objects import INITIAL_VALUE, WritePayload, decode_payload
-from .sim import END_STATUSES, MP_WORKLOADS, RECORD_KINDS, ScenarioConfig, TraceEvent, value_parse
+from .sim import (END_STATUSES, MP_WORKLOADS, RECORD_KINDS, RW_WORKLOADS, ScenarioConfig,
+                  TraceEvent, value_parse)
 
 
 @dataclass
@@ -621,7 +622,7 @@ def evaluate_run(run: RunData) -> list:
         check_termination(run),
         check_crash_silence(run),
     ]
-    if run.config.workload not in ("rw_equivalence",):
+    if run.config.workload not in RW_WORKLOADS:
         out.append(check_fifo(run))
         out.append(check_message_bound(run))
     if run.config.workload in OBJECT_WORKLOADS:

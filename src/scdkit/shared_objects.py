@@ -11,10 +11,11 @@ before the own-origin test that terminates a pending round.
 
 A register is the one-slot snapshot: begin_read runs the same SYNC round and
 returns the slot as a read.  SWMR only restricts the writer: SwmrRegister
-rejects writes by any process but the designated one.  synchronized=False
-drops the SYNC rounds, trading linearizability for sequential consistency:
-reads and snapshots return the local state immediately and cost no messages,
-writes cost one broadcast instead of two.
+rejects writes by any process but the designated one.  A SnapshotObject made
+with synchronized=False (the sc_ workloads) drops the SYNC rounds, trading
+linearizability for sequential consistency: reads and snapshots return the
+local state immediately and cost no messages, writes cost one broadcast
+instead of two.
 
 Objects never talk to a network directly.  Operations and delivery handlers
 return an ObjStep holding at most one payload to scd-broadcast next and, when
@@ -163,8 +164,8 @@ class SwmrRegister(SnapshotObject):
     """Single-writer register: the one-slot snapshot object, written only by
     `writer`."""
 
-    def __init__(self, pid: int, writer: int, synchronized: bool = True):
-        super().__init__(pid, 1, synchronized)
+    def __init__(self, pid: int, writer: int):
+        super().__init__(pid, 1)
         self.writer = writer
 
     def begin_write(self, r: int, value: bytes) -> ObjStep:

@@ -9,11 +9,8 @@ purely by adversarial event choice; there are no clocks.
 Things the simulator injects or enforces:
 
   * FIFO reliable channels for the message-passing protocol; per-channel
-    delivery order always equals send order.  The simulator keeps the sorted
-    indices of the non-empty channels (a crashed receiver's channels are
-    cleared and never refilled, so non-empty means deliverable), updated
-    only when a channel empties or fills, so choosing an event costs no
-    scan over the n*n channels.
+    delivery order always equals send order.  A crashed receiver's channels
+    are cleared and never refilled, so a non-empty channel is deliverable.
   * Crashes at chosen steps.  A crash can also interrupt the victim's next
     handler and truncate the point-to-point sends of its fifo-broadcast to a
     prefix, which is strictly more adversarial than whole-handler crashes.
@@ -35,12 +32,17 @@ shared by its n send records and its recv records (each record still owns its
 dict).  The trace codec keeps that sharing: render_trace sorts each distinct
 key list once per call, and parse_trace splits each distinct field text, and
 each distinct payload text before its last field, once per call, so the
-parsed records share equal field strings too.  The processes that may start
-an operation are kept in a sorted list, updated on invoke, op return and
-crash, so choosing an event asks no process.  That list and the list of
-non-empty channels change only in place, so the enabled events are one view
-over the two, built once per run.  The simulator builds its trace records
-with tuple.__new__, as parse_trace does, skipping TraceEvent's constructor.
+parsed records share equal field strings too.  The simulator builds its trace
+records with tuple.__new__, as parse_trace does, skipping TraceEvent's
+constructor.
+
+A message-passing run keeps its enabled events in one sorted list of event
+tuples, Simulator.enabled: ("deliver", sender, receiver) for each non-empty
+channel, then ("invoke", p) for each live process that may start an operation
+(plain tuple order, as "deliver" < "invoke").  The list changes in place only
+when a channel fills or empties, an operation starts or returns, or a process
+crashes, so choosing an event scans no channel and asks no process.  In both
+worlds an event's last item is the process that acts on it.
 
 The exhaustive interleaving explorer for the shared-memory construction
 (explore_rw) drives the same world object as the simulator, enumerating every
@@ -117,7 +119,7 @@ class ScenarioConfig:
             raise UsageError(f"unknown memory mode {self.mem!r}")
         if not 1 <= self.writer <= self.n:
             raise UsageError("writer must be a process id")
-        parse_crash_schedule(self.crash, self.n, self.t)
+        parse_crash_schedule(self.crash, self.n)
         parse_delay_policy(self.delay, self.n)
 
     @property
@@ -126,7 +128,7 @@ class ScenarioConfig:
         return self.nregs if "snapshot" in self.workload else 1
 
     def crash_count(self) -> int:
-        plan = parse_crash_schedule(self.crash, self.n, self.t)
+        plan = parse_crash_schedule(self.crash, self.n)
         if plan == []:
             return 0
         if isinstance(plan, tuple):
@@ -151,10 +153,10 @@ class ScenarioConfig:
         })
 
 
-def parse_crash_schedule(text: str, n: int, t: int):
+def parse_crash_schedule(text: str, n: int):
     if text == "none":
         return []
-    # t is the resilience assumption, not a hard cap: boundary experiments
+    # the config's t is the resilience assumption, not a cap: boundary experiments
     # deliberately crash a majority; only sparing at least one process is
     # required for a run to mean anything
     if text.startswith("random:"):
@@ -584,7 +586,7 @@ def _estimated_steps(config: ScenarioConfig) -> int:
 
 
 def plan_crashes(config: ScenarioConfig, rng: random.Random) -> list:
-    sched = parse_crash_schedule(config.crash, config.n, config.t)
+    sched = parse_crash_schedule(config.crash, config.n)
     if isinstance(sched, list):
         return sched
     kind, k = sched
@@ -634,7 +636,7 @@ class MpStack:
         return self.cur is None and self.next_op < len(self.script)
 
     def invoke(self) -> None:
-        self.sim.invokes.remove(("invoke", self.pid))
+        del self.sim.enabled[bisect_left(self.sim.enabled, ("invoke", self.pid))]
         op = self.script[self.next_op]
         seq = self.next_op
         self.next_op += 1
@@ -704,7 +706,7 @@ class MpStack:
     def _op_returned(self) -> None:
         self.cur = None
         if self.next_op < len(self.script):
-            insort(self.sim.invokes, ("invoke", self.pid))
+            insort(self.sim.enabled, ("invoke", self.pid))
 
     def _new_msg(self, payload: bytes) -> AppMessage:
         m = AppMessage(MsgId(self.pid, self.msg_seq), payload)
@@ -743,31 +745,6 @@ def _forward_fields(fmsg: ForwardMsg) -> dict:
     }
 
 
-class _Enabled:
-    """The enabled events of a message-passing run, in the order the
-    scheduler picks from: deliveries by channel index (sender-major), then
-    invocations by process.  Delivery events are built only when picked.
-    The view reads the lists it is given as they change."""
-
-    __slots__ = ("n", "ready", "invokes")
-
-    def __init__(self, n: int, ready: list, invokes: list):
-        self.n, self.ready, self.invokes = n, ready, invokes
-
-    def __len__(self) -> int:
-        return len(self.ready) + len(self.invokes)
-
-    def __getitem__(self, k: int):
-        if k < len(self.ready):
-            return _deliver_event(self.ready[k], self.n)
-        return self.invokes[k - len(self.ready)]
-
-
-def _deliver_event(idx: int, n: int):
-    s, d = divmod(idx, n)
-    return ("deliver", s + 1, d + 1)
-
-
 # fifo policy without deliveries: finish work before starting new work
 _WORK_ORDER = {"mem": 0, "apply": 1, "invoke": 2, "tick": 3}
 
@@ -802,14 +779,12 @@ class Simulator:
                 i: MpStack(self, i, config, self.scripts[i])
                 for i in range(1, config.n + 1)
             }
-            # channel s -> d at index (s-1)*n + (d-1)
+            # channel s -> d, and its delivery event, at index (s-1)*n + (d-1)
             self.channels = [deque() for _ in range(config.n * config.n)]
-            self._ready = []  # sorted indices of the non-empty channels
-            # sorted invoke events of the live processes that can_invoke()
-            self.invokes = [("invoke", i) for i in self.stacks if self.scripts[i]]
+            self._deliveries = [("deliver", s, d) for s in self.stacks for d in self.stacks]
+            # the sorted enabled events (see the module docstring)
+            self.enabled = [("invoke", i) for i in self.stacks if self.scripts[i]]
             self._pid_text = [str(i) for i in range(config.n + 1)]
-            # both lists change only in place, so one view serves every step
-            self._enabled = _Enabled(config.n, self._ready, self.invokes)
         self.trace("config", 0, **config.to_payload())
 
     # -- trace / transport hooks -----------------------------------------
@@ -837,31 +812,28 @@ class Simulator:
                 q = self.channels[idx]
                 q.append((self._send_seq, fmsg, forward))
                 if len(q) == 1:
-                    insort(self._ready, idx)
+                    insort(self.enabled, self._deliveries[idx])
 
     # -- event machinery --------------------------------------------------
 
     def enabled_events(self):
         if self.world is not None:
             return self.world.choices()
-        return self._enabled
+        return self.enabled
 
     def schedule_next(self, events):
         if self.policy == "fifo":
-            if self.world is None and self._ready:
-                # the oldest message at the head of a channel
-                idx = min(self._ready, key=lambda i: self.channels[i][0][0])
-                return _deliver_event(idx, self.config.n)
+            if events[0][0] == "deliver":
+                # the oldest message at the head of a channel; deliveries
+                # lead the sorted list of a message-passing run
+                ch, n = self.channels, self.config.n
+                return min(events[:bisect_left(events, ("invoke",))],
+                           key=lambda ev: ch[(ev[1] - 1) * n + ev[2] - 1][0][0])
             # work starts (or continues) only when no delivery is ready
             return min(events, key=lambda ev: (_WORK_ORDER[ev[0]], ev[-1]))
         if self.policy == "slow":
             # an event ends with the process that acts on it (a delivery's receiver)
-            if self.world is None:
-                n = self.config.n
-                fast = _Enabled(n, [i for i in self._ready if i % n + 1 not in self.slow_set],
-                                [e for e in events.invokes if e[1] not in self.slow_set])
-            else:
-                fast = [e for e in events if e[-1] not in self.slow_set]
+            fast = [e for e in events if e[-1] not in self.slow_set]
             if fast and self.sched_rng.random() < 0.9375:
                 return fast[self.sched_rng.randrange(len(fast))]
         return events[self.sched_rng.randrange(len(events))]
@@ -875,7 +847,7 @@ class Simulator:
             q = self.channels[idx]
             _, fmsg, forward = q.popleft()
             if not q:
-                del self._ready[bisect_left(self._ready, idx)]
+                del self.enabled[bisect_left(self.enabled, ev)]
             self.events.append(tuple.__new__(TraceEvent, (
                 self.step, "recv", d, {"from": self._pid_text[s], **forward})))
             self.stacks[d].on_network(fmsg)
@@ -899,13 +871,13 @@ class Simulator:
                     self._cut = None
         self.alive[proc] = False
         if self.stacks is not None:
-            if ("invoke", proc) in self.invokes:
-                self.invokes.remove(("invoke", proc))
+            if self.stacks[proc].can_invoke():
+                del self.enabled[bisect_left(self.enabled, ("invoke", proc))]
             n = self.config.n
             for idx in range(proc - 1, n * n, n):
                 if self.channels[idx]:
                     self.channels[idx].clear()
-                    del self._ready[bisect_left(self._ready, idx)]
+                    del self.enabled[bisect_left(self.enabled, self._deliveries[idx])]
         self.trace("crash", proc)
 
     def _victim_event(self, proc: int):
@@ -915,7 +887,7 @@ class Simulator:
         heads = [(q[0][0], idx) for idx in range(proc - 1, n * n, n)
                  if (q := self.channels[idx])]
         if heads:
-            return _deliver_event(min(heads)[1], n)
+            return self._deliveries[min(heads)[1]]
         if self.stacks[proc].can_invoke():
             return ("invoke", proc)
         return None

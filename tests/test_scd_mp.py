@@ -239,23 +239,30 @@ def test_purge_matches_rescanning_oracle(inputs):
 
 @st.composite
 def forward_streams(draw):
-    """A receiving process and an arbitrary stream of FORWARDs to it, not
-    FIFO, with scbroadcast calls mixed in.  In a rewriting stream a column
-    may come back with another sequence number, which the receiver rejects.
-    Otherwise every (message, forwarder) pair keeps one number, as in the
-    protocol, and `numbers` maps each pair to it; an scbroadcast is then
-    made only if the stream gives its own column the number it assigns."""
+    """A receiving process and a stream of FORWARDs to it, with scbroadcast
+    calls (sender 0) mixed in, and whether the stream is legal.
+
+    An arbitrary stream is not FIFO, and a column may come back with another
+    number, which the receiver rejects.  A legal stream is what FIFO channels
+    deliver.  Each forwarder f other than the receiver names the messages of
+    each sender in order (sequence numbers 0, 1, ...; the receiver's own
+    messages are its broadcasts, picked when it runs) with increasing numbers
+    of its own, and an item whose forwarder is the receiver takes the
+    receiver's next self copy."""
     n = draw(st.integers(min_value=1, max_value=5))
     pid = draw(st.integers(min_value=1, max_value=n))
     proc = st.integers(min_value=1, max_value=n)
-    # sender 0 stands for an scbroadcast, made if none is pending
     item = st.tuples(st.integers(0, n), st.integers(0, 3), proc, st.integers(0, 6))
     stream = draw(st.lists(item, min_size=10, max_size=80))
-    numbers = None
-    if not draw(st.booleans()):
-        numbers = {}
-        stream = [(*it[:3], numbers.setdefault(it[:3], it[3])) for it in stream]
-    return n, pid, stream, numbers
+    legal = draw(st.booleans())
+    if legal:
+        named, last = {}, {}  # (f, sd) -> messages named; f -> last number
+        for k, (sd, _, f, gap) in enumerate(stream):
+            if sd and f != pid:
+                sn = named[f, sd] = named.get((f, sd), -1) + 1
+                last[f] = last.get(f, -1) + 1 + gap
+                stream[k] = (sd, sn, f, last[f])
+    return n, pid, stream, legal
 
 
 def _outcome(call, *args):
@@ -271,30 +278,44 @@ def _outcome(call, *args):
 def test_gated_delivery_matches_always_purge(relation, inputs):
     """The gate never skips a purge that would deliver, whatever the
     blocking relation's threshold: its proof uses only how counts move.
-    After every event, the stored pair counts equal the column oracle."""
+    After every event, the stored pair counts equal the column oracle, and
+    a legal stream never fails an assertion."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scd_mp, "_unblocked", RELATIONS[relation])
         _gated_matches_always_purge(*inputs)
 
 
-def _gated_matches_always_purge(n, pid, stream, numbers):
+def _gated_matches_always_purge(n, pid, stream, legal):
     gated, oracle = ScdProcess(pid, n), AlwaysPurgeProcess(pid, n)
+    # of a legal stream: the receiver's self copies in flight, the self
+    # copies of its broadcasts, and how many of them each forwarder named
+    selfq, own, named = deque(), [], [0] * (n + 1)
     for k, (sd, sn, f, snf) in enumerate(stream):
         if not sd:
-            own = (pid, gated.sn, pid)
-            if gated.pending_broadcast is None and (
-                    numbers is None or numbers.get(own, gated.sn) == gated.sn):
-                m = msg(pid, 100 + k)
-                got = _outcome(gated.scbroadcast, m)
-                assert got == _outcome(oracle.scbroadcast, m)
-                if got is AssertionError:
-                    return
+            if gated.pending_broadcast is not None:
+                continue
+            call, arg = "scbroadcast", msg(pid, 100 + k)
+        elif legal and f == pid:
+            if not selfq:
+                continue
+            call, arg = "on_forward", selfq.popleft()
+        elif legal and sd == pid:
+            if named[f] == len(own):
+                continue
+            call, arg = "on_forward", own[named[f]]._replace(f=f, sn_f=snf)
+            named[f] += 1
         else:
-            fm = ForwardMsg(msg(sd, sn), sd, sn, f, snf)
-            got = _outcome(gated.on_forward, fm)
-            assert got == _outcome(oracle.on_forward, fm)
-            if got is AssertionError:
-                return
+            call, arg = "on_forward", ForwardMsg(msg(sd, sn), sd, sn, f, snf)
+        got = _outcome(getattr(gated, call), arg)
+        assert got == _outcome(getattr(oracle, call), arg)
+        if got is AssertionError:
+            assert not legal, (call, arg)
+            return
+        if legal:
+            out = got if call == "scbroadcast" else got[0]
+            selfq.extend(out)
+            if call == "scbroadcast":
+                own.append(out[0])
         # the own-entry count and the pair counts against the buffer scans
         # they replaced
         for p in (gated, oracle):

@@ -141,6 +141,12 @@ def test_read_needs_one_slot_object():
         SnapshotObject(1, 2, synchronized=False).begin_read()
 
 
+def synced_read(reg):
+    """The result of a read of reg whose SYNC round is delivered alone."""
+    sync = decode_payload(reg.begin_read().broadcast)
+    return reg.on_set_delivered([wire(reg.pid, 0, sync)]).result
+
+
 class TestSwmrRegister:
     def test_only_writer_writes(self):
         reg = SwmrRegister(2, writer=1)
@@ -150,30 +156,31 @@ class TestSwmrRegister:
         assert decode_payload(step.broadcast) == SyncPayload(1)
 
     def test_write_dates_count_up(self):
-        reg = SwmrRegister(1, writer=1, synchronized=False)
+        reg = SwmrRegister(1, writer=1)
         for expect in (1, 2):
-            step = reg.begin_write(1, f"v{expect}".encode())
-            payload = decode_payload(step.broadcast)
+            sync = decode_payload(reg.begin_write(1, f"v{expect}".encode()).broadcast)
+            # the SYNC round completes, then the WRITE goes out
+            payload = decode_payload(reg.on_set_delivered([wire(1, 2 * expect, sync)]).broadcast)
             assert payload.ts == Timestamp(expect, 1)
-            reg.on_set_delivered([wire(1, expect, payload)])
+            done = reg.on_set_delivered([wire(1, 2 * expect + 1, payload)])
+            assert done.result == OpResult("write", ts=Timestamp(expect, 1))
 
     def test_delivery_takes_greatest_date(self):
-        reg = SwmrRegister(3, writer=1, synchronized=False)
+        reg = SwmrRegister(3, writer=1)
         reg.on_set_delivered(
             [
                 wire(1, 0, WritePayload(1, b"a", Timestamp(1, 1))),
                 wire(1, 1, WritePayload(1, b"b", Timestamp(2, 1))),
             ]
         )
-        step = reg.begin_read()
-        assert step.result.values == (b"b",)
-        assert step.result.ts == Timestamp(2, 1)
+        result = synced_read(reg)
+        assert result.values == (b"b",)
+        assert result.ts == Timestamp(2, 1)
 
     def test_read_of_initial_value_has_anonymous_tag(self):
-        reg = SwmrRegister(2, writer=1, synchronized=False)
-        step = reg.begin_read()
-        assert step.result.values == (INITIAL_VALUE,)
-        assert step.result.ts == INITIAL_TS
+        result = synced_read(SwmrRegister(2, writer=1))
+        assert result.values == (INITIAL_VALUE,)
+        assert result.ts == INITIAL_TS
 
     def test_synchronized_read_waits_for_own_sync(self):
         reg = SwmrRegister(2, writer=1)

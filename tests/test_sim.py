@@ -103,22 +103,22 @@ def test_interrupting_crash_truncates_sends():
 
 
 def test_crash_schedule_parsing():
-    assert parse_crash_schedule("none", 3, 1) == []
-    assert parse_crash_schedule("random:1", 3, 1) == ("random", 1)
-    assert parse_crash_schedule("explicit:2@7,1@3:4", 3, 1) == [
+    assert parse_crash_schedule("none", 3) == []
+    assert parse_crash_schedule("random:1", 3) == ("random", 1)
+    assert parse_crash_schedule("explicit:2@7,1@3:4", 3) == [
         (3, 1, 4),
         (7, 2, None),
     ]
     with pytest.raises(UsageError):
-        parse_crash_schedule("explicit:1@1,1@2", 3, 1)  # duplicate victim
+        parse_crash_schedule("explicit:1@1,1@2", 3)  # duplicate victim
     with pytest.raises(UsageError):
-        parse_crash_schedule("explicit:1@1,2@2,3@3", 3, 1)  # nobody left
+        parse_crash_schedule("explicit:1@1,2@2,3@3", 3)  # nobody left
     with pytest.raises(UsageError):
-        parse_crash_schedule("random:3", 3, 1)
+        parse_crash_schedule("random:3", 3)
     with pytest.raises(UsageError):
-        parse_crash_schedule("sometimes", 3, 1)
+        parse_crash_schedule("sometimes", 3)
     with pytest.raises(UsageError, match="negative"):
-        parse_crash_schedule("explicit:1@5:-2,2@-3", 3, 1)
+        parse_crash_schedule("explicit:1@5:-2,2@-3", 3)
 
 
 def test_delay_policy_parsing():
@@ -274,6 +274,40 @@ def test_scheduler_matches_rescanning_scheduler(workload, seed):
     assert render_trace(Simulator(cfg).run().events) == expected
 
 
+class RescanCheckedSimulator(Simulator):
+    """Holds Simulator.enabled, kept sorted in place, to RescanningSimulator's
+    rescan of the same state after every step, crash steps included."""
+
+    rescan = RescanningSimulator.enabled_events
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.checked = 0
+        self._check()
+
+    def _check(self):
+        assert self.enabled == self.rescan(), self.step
+        self.checked += 1
+
+    def execute(self, ev):
+        super().execute(ev)  # an interrupting crash's cut leaves by _CrashCut
+        self._check()
+
+    def execute_crash(self, proc, keep):
+        super().execute_crash(proc, keep)
+        self._check()
+
+
+@pytest.mark.parametrize("workload", MP_WORKLOADS)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**30))
+def test_enabled_list_matches_rescan_at_every_step(workload, seed):
+    sim = RescanCheckedSimulator(mp_config(workload, random.Random(seed)))
+    res = sim.run()
+    # one check per step and at the start, plus one per uncut victim event
+    assert sim.checked >= res.steps + 1
+
+
 class AlwaysPurgeSimulator(Simulator):
     """Every process runs the ungated try_deliver (AlwaysPurgeProcess).  The
     differential test below holds Simulator, whose processes purge only when
@@ -317,7 +351,7 @@ class PerCopyRecordSimulator(Simulator):
                 q = self.channels[idx]
                 q.append((self._send_seq, fmsg, None))
                 if len(q) == 1:
-                    insort(self._ready, idx)
+                    insort(self.enabled, self._deliveries[idx])
 
     def execute(self, ev):
         if ev[0] != "deliver":
@@ -327,7 +361,7 @@ class PerCopyRecordSimulator(Simulator):
         q = self.channels[idx]
         _, fmsg, _ = q.popleft()
         if not q:
-            del self._ready[bisect_left(self._ready, idx)]
+            del self.enabled[bisect_left(self.enabled, ev)]
         self.trace("recv", d, **{"from": str(s)}, **_forward_fields(fmsg))
         self.stacks[d].on_network(fmsg)
 
