@@ -28,11 +28,14 @@ History-level checks (operations of the object layers):
     a crashed process is "possibly effective": the search may place it or
     leave it out.
   * linearizable_witness: reconstructs every process's timestamp-array
-    trajectory from its delivery log, orders operations by the tag data the
-    protocol itself produces, and validates the resulting single order; this
-    scales to histories the exhaustive search cannot touch.  A crashed
-    writer's pending write counts exactly when some non-faulty process
-    delivered its WRITE.
+    trajectory from its delivery log and builds one order of the operations
+    from the tags the protocol itself produces.  One validator, _misorder,
+    decides the verdict: the order must replay legally and extend real
+    time.  The tags only propose the order, so a protocol that breaks them
+    can make the witness fail a linearizable history but never pass a
+    non-linearizable one.  This scales to histories the exhaustive search
+    cannot touch.  A crashed writer's pending write counts exactly when some
+    non-faulty process delivered its WRITE.
 
 Checkers return Verdicts (pass / fail / skip plus a short detail); skip marks
 a precondition gate such as a run that never reached quiescence.  load_run
@@ -44,7 +47,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from graphlib import CycleError, TopologicalSorter
 from operator import le
 from typing import Optional
 
@@ -484,88 +486,30 @@ def check_linearizable_witness(h: History, meta: TsMeta) -> Verdict:
     prop = "linearizable_witness"
     if meta.error:
         return _fail(prop, meta.error)
-    rank = meta.rank
     chain = meta.chain
-
-    # operations to order: complete ones, plus crashed writers' pending
-    # writes whose WRITE reached a non-faulty process (their rank lookup
-    # succeeds exactly then, checked below via the delivery replay arrays)
-    ops = [op for op in h.ops if op.return_idx is not None]
-    pend: list[OpRecord] = []
+    # the order: tag groups by rank; in a group, writes by tag, then reads
+    # and snapshots by invocation.  The grouping costs only completeness,
+    # since _misorder alone decides whether the order is a linearization
+    keyed = []
     for op in h.ops:
-        if op.return_idx is None and op.kind == "write" and op.ts is not None:
-            pend.append(op)
-
-    op_rank: dict = {}
-    for op in ops:
+        done = op.return_idx is not None
         if op.kind == "write":
-            r = _write_rank(op, chain)
-            if r is None:
+            # a crashed writer's pending write is placed when its WRITE
+            # reached a non-faulty process, exactly when it has a rank
+            r = None if op.ts is None else _write_rank(op, chain)
+            if r is not None:
+                keyed.append(((r, 0, op.ts), op))
+            elif done:
                 return _fail(prop, f"{op.label}: tag {op.ts} dominates no array")
-        else:
-            if op.tsa not in rank:
+        elif done:
+            if op.tsa not in meta.rank:
                 return _fail(prop, f"{op.label}: returned array not in trajectory")
-            r = rank[op.tsa]
-        op_rank[id(op)] = r
-    for op in pend:
-        r = _write_rank(op, chain)
-        if r is not None:  # delivered somewhere that survived; op took effect
-            op_rank[id(op)] = r
-            ops.append(op)
-
-    # real time must never contradict the tag order across groups
-    done = sorted((op for op in ops if op.return_idx is not None),
-                  key=lambda o: o.return_idx)
-    rets = [op.return_idx for op in done]
-    best_at = []
-    best = None
-    for op in done:
-        if best is None or op_rank[id(op)] > op_rank[id(best)]:
-            best = op
-        best_at.append(best)
-    for op in ops:
-        k = bisect_left(rets, op.invoke_idx)
-        if k:
-            prev = best_at[k - 1]
-            if op_rank[id(prev)] > op_rank[id(op)]:
-                return _fail(
-                    prop,
-                    f"{prev.label} finished before {op.label} began "
-                    f"but carries a later tag",
-                )
-
-    # order within a tag group: writes first (topologically, by tag within a
-    # register and by real time across registers), then reads/snapshots by
-    # invocation
-    groups: dict = {}
-    for op in ops:
-        groups.setdefault(op_rank[id(op)], []).append(op)
-    order: list[OpRecord] = []
-    for g in sorted(groups):
-        writes = [op for op in groups[g] if op.kind == "write"]
-        snaps = [op for op in groups[g] if op.kind != "write"]
-        for s in snaps:
-            for w in writes:
-                if s.return_idx is not None and s.return_idx < w.invoke_idx:
-                    return _fail(
-                        prop,
-                        f"{s.label} finished before equal-tagged write {w.label}",
-                    )
-        seq = _order_writes(writes)
-        if seq is None:
-            return _fail(prop, f"conflicting write order in tag group {g}")
-        order.extend(seq)
-        order.extend(sorted(snaps, key=lambda o: o.invoke_idx))
-
-    regs = [INITIAL_VALUE] * h.nregs
-    for op in order:
-        if op.kind == "write":
-            regs[op.r - 1] = op.value
-        elif op.kind == "snapshot":
-            if op.result_values != tuple(regs):
-                return _fail(prop, f"{op.label} saw a state never current")
-        elif op.result_values != (regs[0],):
-            return _fail(prop, f"{op.label} read a value never current")
+            keyed.append(((meta.rank[op.tsa], 1, op.invoke_idx), op))
+    keyed.sort(key=lambda pair: pair[0])
+    order = [op for _, op in keyed]
+    why = _misorder(order, h.nregs)
+    if why:
+        return _fail(prop, why)
     return _pass(prop, f"{len(order)} ops over {len(chain)} arrays")
 
 
@@ -575,27 +519,25 @@ def _write_rank(op: OpRecord, chain) -> Optional[int]:
     return k if k < len(chain) else None
 
 
-def _order_writes(writes: list):
-    """An order of one tag group's writes that puts them by tag within a
-    register and by real time across registers; None if those conflict.
-    The replay reads only each register's highest-tagged write, so every
-    such order gives the same verdict."""
-    preds = {k: set() for k in range(len(writes))}
-    for a, wa in enumerate(writes):
-        for b, wb in enumerate(writes):
-            if a == b:
-                continue
-            if wa.r == wb.r:
-                if wa.ts == wb.ts:
-                    return None
-                if wa.ts < wb.ts:
-                    preds[b].add(a)
-            elif wa.return_idx is not None and wa.return_idx < wb.invoke_idx:
-                preds[b].add(a)
-    try:
-        return [writes[k] for k in TopologicalSorter(preds).static_order()]
-    except CycleError:
-        return None
+def _misorder(order: list, nregs: int) -> str:
+    """Why `order` is not a linearization, or "" when it is one: replayed
+    through _apply, every read and snapshot returns the state it reaches,
+    and no op finishes before an op placed ahead of it began.  A backward
+    pass keeping the earliest return among the later ops checks that last
+    part in O(k)."""
+    regs = (INITIAL_VALUE,) * nregs
+    for op in order:
+        regs = _apply(regs, op)
+        if regs is None:
+            what = "saw a state" if op.kind == "snapshot" else "read a value"
+            return f"{op.label} {what} never current"
+    first = None  # the op placed after the current one that returns first
+    for op in reversed(order):
+        if first is not None and first.return_idx < op.invoke_idx:
+            return f"{first.label} finished before {op.label} began but is placed after it"
+        if op.return_idx is not None and (first is None or op.return_idx < first.return_idx):
+            first = op
+    return ""
 
 
 # ---------------------------------------------------------------------------

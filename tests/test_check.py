@@ -9,12 +9,13 @@ from operator import le
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_mutants import write_without_sync
 
 from scdkit.core import INITIAL_TS, MsgId, Timestamp
-from scdkit.shared_objects import INITIAL_VALUE, WritePayload
+from scdkit.shared_objects import INITIAL_VALUE, SnapshotObject, WritePayload
 from scdkit.check import (
     History,
-    _order_writes,
+    _misorder,
     _write_rank,
     OpRecord,
     RunData,
@@ -530,6 +531,18 @@ def test_search_agrees_with_permutation_oracle(h):
             assert all(o in order for o in h.ops if o.return_idx is not None)
 
 
+@settings(max_examples=300, deadline=None)
+@given(small_histories(), st.data())
+def test_misorder_accepts_exactly_the_linearizations(h, data):
+    """The witness's validator against the reference oracles, on a drawn
+    order of the complete ops and some of the pending writes."""
+    ops = [o for o in h.ops
+           if o.return_idx is not None or (o.kind == "write" and data.draw(st.booleans()))]
+    order = data.draw(st.permutations(ops))
+    why = _misorder(order, h.nregs)
+    assert (why == "") == (extends(order, real_time) and replays(order, h.nregs)), why
+
+
 # -- witness checker ---------------------------------------------------------
 
 
@@ -567,6 +580,18 @@ def test_witness_flags_unknown_tag_array():
     if victim.tsa is None:  # degenerate draw; corrupt a value instead
         victim.result_values = (b"zz",) * len(victim.result_values)
     assert check_linearizable_witness(bad, meta).status == "fail"
+
+
+def test_witness_fails_a_write_without_sync_round(monkeypatch):
+    """With the SYNC round skipped, p1#2 takes tag 4:1 after p3#2 returned
+    with 4:3, and p1#3 then reads p3#2's value: no linearization exists, but
+    sorting the tag group by tag alone puts p1#2 first and replays legally."""
+    monkeypatch.setattr(SnapshotObject, "begin_write", write_without_sync)
+    run = object_run(12, ops=10)
+    h = extract_history(run)
+    assert check_linearizable_bruteforce(h).status == "fail"
+    w = check_linearizable_witness(h, timestamp_metadata(run))
+    assert w.status == "fail", w.line()
 
 
 @settings(max_examples=30, deadline=None)
@@ -626,7 +651,7 @@ def test_chain_check_matches_pairwise_comparison(data):
         assert meta.error.startswith("incomparable arrays ")
 
 
-# -- write rank and write order against the loops they replaced ---------------
+# -- write rank against the loop it replaced ----------------------------------
 
 
 def _tag(ts):
@@ -647,73 +672,7 @@ def old_write_rank(op, chain):
     return lo if lo < len(chain) else None
 
 
-def old_order_writes(writes):
-    """Reference: Kahn's algorithm, ready writes taken by invocation."""
-    n_w = len(writes)
-    edges = {k: set() for k in range(n_w)}
-    for a in range(n_w):
-        for b in range(n_w):
-            if a == b:
-                continue
-            wa, wb = writes[a], writes[b]
-            if wa.r == wb.r:
-                if wa.ts == wb.ts:
-                    return None
-                if _tag(wa.ts) < _tag(wb.ts):
-                    edges[a].add(b)
-            elif wa.return_idx is not None and wa.return_idx < wb.invoke_idx:
-                edges[a].add(b)
-    indeg = {k: 0 for k in range(n_w)}
-    for a in edges:
-        for b in edges[a]:
-            indeg[b] += 1
-    ready = sorted((k for k in range(n_w) if indeg[k] == 0),
-                   key=lambda k: writes[k].invoke_idx)
-    out = []
-    while ready:
-        k = ready.pop(0)
-        out.append(writes[k])
-        for b in sorted(edges[k]):
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                ready.append(b)
-        ready.sort(key=lambda k2: writes[k2].invoke_idx)
-    return out if len(out) == n_w else None
-
-
 small_tags = st.builds(Timestamp, st.integers(1, 3), st.integers(1, 3))
-
-
-@st.composite
-def tag_groups(draw):
-    """1-6 writes over 1-3 registers with colliding tags and short random
-    intervals, so tag and real-time edges may conflict or form cycles."""
-    writes = []
-    for k in range(draw(st.integers(1, 6))):
-        invoke = draw(st.integers(0, 12))
-        ret = draw(st.one_of(st.none(), st.integers(invoke + 1, invoke + 2)))
-        w = op(k + 1, 0, "write", invoke, ret, r=draw(st.integers(1, 3)))
-        w.ts = draw(small_tags)
-        writes.append(w)
-    return writes
-
-
-@settings(max_examples=500, deadline=None)
-@given(tag_groups())
-def test_order_writes_matches_kahn_reference(writes):
-    new, old = _order_writes(writes), old_order_writes(writes)
-    assert (new is None) == (old is None)
-    if new is None:
-        return
-    assert sorted(map(id, new)) == sorted(map(id, writes))
-    at = {id(w): x for x, w in enumerate(new)}
-    for wa in writes:
-        for wb in writes:
-            if wa.r == wb.r:
-                must = _tag(wa.ts) < _tag(wb.ts)
-            else:
-                must = wa.return_idx is not None and wa.return_idx < wb.invoke_idx
-            assert not must or at[id(wa)] < at[id(wb)]
 
 
 @st.composite
