@@ -37,23 +37,26 @@ History-level checks (operations of the object layers):
     cannot touch.  A crashed writer's pending write counts exactly when some
     non-faulty process delivered its WRITE.
 
-Checkers return Verdicts (pass / fail / skip plus a short detail); skip marks
-a precondition gate such as a run that never reached quiescence.  load_run
-is the only reader of trace records and rejects malformed input by exception,
+Checkers judge a RunData (defined in sim, re-exported here) and return
+Verdicts (pass / fail / skip plus a short detail); skip marks a precondition
+gate such as a run that never reached quiescence.  A simulated run is judged
+from the RunData the simulator filled as it ran (RunResult.run).  load_run
+builds the same RunData from the records of a stored or parsed trace: it is
+the only reader of trace records, and rejects malformed input by exception,
 so no checker raises on a RunData it returned.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import le
 from typing import Optional
 
 from .core import INITIAL_TS, MsgId, Timestamp, parse_id_set
 from .shared_objects import INITIAL_VALUE, WritePayload, decode_payload
-from .sim import (END_STATUSES, MP_WORKLOADS, RECORD_KINDS, RW_WORKLOADS, ScenarioConfig,
-                  TraceEvent, value_parse)
+from .sim import (END_STATUSES, MP_WORKLOADS, RECORD_KINDS, RW_WORKLOADS, OpRecord,
+                  RunData, ScenarioConfig, value_parse)
 
 
 @dataclass
@@ -96,43 +99,9 @@ OBJECT_WORKLOADS = (
 
 
 @dataclass
-class OpRecord:
-    proc: int
-    seq: int
-    kind: str                 # snapshot | read | write
-    r: Optional[int] = None
-    value: Optional[bytes] = None
-    result_values: Optional[tuple] = None
-    ts: Optional[Timestamp] = None
-    tsa: Optional[tuple] = None
-    invoke_idx: int = -1
-    return_idx: Optional[int] = None
-
-    @property
-    def label(self) -> str:
-        return f"p{self.proc}#{self.seq}:{self.kind}"
-
-
-@dataclass
 class History:
     ops: list
     nregs: int
-
-
-@dataclass
-class RunData:
-    config: ScenarioConfig
-    events: list
-    status: Optional[str]  # an END_STATUSES entry; None until the end record
-    faulty: set = field(default_factory=set)
-    broadcasts: dict = field(default_factory=dict)   # MsgId -> (sender, payload)
-    logs: dict = field(default_factory=dict)         # proc -> [frozenset[MsgId]]
-    completed: dict = field(default_factory=dict)    # proc -> set[MsgId] (bcast done)
-    channels: dict = field(default_factory=dict)     # (src, dst) -> (sent, received)
-    sends: dict = field(default_factory=dict)        # MsgId -> FORWARD sends
-    late: Optional[TraceEvent] = None                # first record after its crash
-    writes: dict = field(default_factory=dict)       # MsgId -> WritePayload
-    ops: list = field(default_factory=list)          # OpRecords by invocation
 
 
 def load_run(events) -> RunData:
@@ -149,9 +118,7 @@ def load_run(events) -> RunData:
         raise ValueError("trace must start with a config record")
     config = ScenarioConfig.from_payload(events[0].payload)
     config.validate()
-    run = RunData(config, events, None)
-    run.logs = {i: [] for i in range(1, config.n + 1)}
-    run.completed = {i: set() for i in range(1, config.n + 1)}
+    run = RunData.start(config, events)
     objects = config.workload in OBJECT_WORKLOADS
     open_ops: dict = {}
     channels = defaultdict(lambda: ([], []))  # the pair is built once per channel
@@ -432,6 +399,7 @@ def _search(h: History, prop: str, bound: int, before) -> Verdict:
         return None
 
     order = dfs(0, (INITIAL_VALUE,) * h.nregs)
+    del dfs  # its cell refers to it: emptying the cell frees the search now
     if order is None:
         return _fail(prop, f"no legal order over {complete.bit_count()} complete ops")
     return _pass(prop, f"order {'<'.join(order)}" if order else "empty history")

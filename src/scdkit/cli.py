@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import multiprocessing
 import os
+import shlex
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -54,7 +55,7 @@ class RunReport:
 class FuzzSummary:
     total: int = 0
     statuses: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)   # (seed, verdict line)
+    failures: list = field(default_factory=list)   # (seed, verdict line|repro=command)
     unchecked: list = field(default_factory=list)  # (seed, verdict line)
 
     @property
@@ -77,8 +78,8 @@ def _capped(tag: str, items: list, cap: int = 20):
 
 
 def evaluate(result: RunResult) -> RunReport:
-    run = load_run(result.events)
-    return RunReport(result.config, result.status, result.steps, evaluate_run(run))
+    """Judge a simulated run from the RunData it filled as it ran."""
+    return RunReport(result.config, result.status, result.steps, evaluate_run(result.run))
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +177,12 @@ def cmd_run(args) -> int:
     return 0 if report.ok else 1
 
 
+def repro_command(payload: dict) -> str:
+    """The `scdkit run` command that re-runs the config of a config-record
+    payload, whose keys are the scenario flags."""
+    return "scdkit run " + " ".join(f"--{k} {shlex.quote(v)}" for k, v in payload.items())
+
+
 def _fuzz_one(payload) -> tuple:
     config = ScenarioConfig.from_payload(payload)
     report = evaluate(Simulator(config).run())
@@ -200,11 +207,11 @@ def cmd_fuzz(args) -> int:
             results = pool.map(_fuzz_one, payloads)
     else:
         results = map(_fuzz_one, payloads)
-    for seed, status, bad, unchecked in results:
+    for payload, (seed, status, bad, unchecked) in zip(payloads, results):
         summary.total += 1
         summary.statuses[status] = summary.statuses.get(status, 0) + 1
         for line in bad:
-            summary.failures.append((seed, line))
+            summary.failures.append((seed, f"{line}|repro={repro_command(payload)}"))
         if unchecked is not None:
             summary.unchecked.append((seed, unchecked))
     for line in summary.lines():
@@ -235,7 +242,7 @@ def cmd_check(args) -> int:
 def cmd_stats(args) -> int:
     config = scenario_from_args(args)
     result = Simulator(config).run()
-    run = load_run(result.events)
+    run = result.run
     sends = sum(run.sends.values())
     sets_per = {i: len(run.logs[i]) for i in sorted(run.logs)}
     print(f"status|{result.status}|steps={result.steps}")

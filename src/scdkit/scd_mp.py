@@ -225,6 +225,7 @@ class ScdProcess:
             self.clock[e.sd] = e.sn
             del self._index[(e.sd, e.sn)]
             self._own -= e.sd == self.pid
+            e.ahead = None  # it keys the entries delivered with it: free it now
         gone = set(todeliver)
         self.buffer = [e for e in self.buffer if e not in gone]
         for e in self.buffer:

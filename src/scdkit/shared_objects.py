@@ -18,8 +18,9 @@ local state immediately and cost no messages, writes cost one broadcast
 instead of two.
 
 Objects never talk to a network directly.  Operations and delivery handlers
-return an ObjStep holding at most one payload to scd-broadcast next and, when
-a pending operation just completed, its result.
+return an ObjStep holding at most one payload to scd-broadcast next (and, for
+a WRITE, the WritePayload it encodes) and, when a pending operation just
+completed, its result.
 """
 from __future__ import annotations
 
@@ -70,6 +71,7 @@ class OpResult:
 class ObjStep:
     broadcast: Optional[bytes] = None
     result: Optional[OpResult] = None
+    write: Optional[WritePayload] = None  # the WRITE that broadcast encodes, if it is one
 
 
 INITIAL_VALUE = b""
@@ -139,9 +141,9 @@ class SnapshotObject:
                 self.tsa[r] = w.ts
 
     def _cast_write(self, r, value) -> ObjStep:
-        ts = Timestamp(self.tsa[r].date + 1, self.pid)
-        self._pending = ("write_cast", r, value, ts)
-        return ObjStep(broadcast=encode_payload(WritePayload(r, value, ts)))
+        w = WritePayload(r, value, Timestamp(self.tsa[r].date + 1, self.pid))
+        self._pending = ("write_cast", *w)
+        return ObjStep(broadcast=encode_payload(w), write=w)
 
     def _begin_scan(self, kind) -> ObjStep:
         self._require_idle()

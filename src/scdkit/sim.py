@@ -36,6 +36,14 @@ parsed records share equal field strings too.  The simulator builds its trace
 records with tuple.__new__, as parse_trace does, skipping TraceEvent's
 constructor.
 
+As it runs, the simulator also fills the RunData that the checkers judge,
+from the objects at hand where each record is written: the MsgId, the
+delivered set and the OpResult, never the record text.  Each FORWARD's
+channel key (sd, sn, f) is built once and appended to a channel's sent list
+per send made, and to its received list from the channel entry a delivery
+pops.  RunResult.run holds it; check.load_run reads the same facts back from
+the records of a stored trace.
+
 A message-passing run keeps its enabled events in one sorted list of event
 tuples, Simulator.enabled: ("deliver", sender, receiver) for each non-empty
 channel, then ("invoke", p) for each live process that may start an operation
@@ -55,10 +63,11 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from itertools import islice
 from typing import NamedTuple, Optional
 
-from .core import AppMessage, MsgId, UsageError, format_id_set
+from .core import AppMessage, MsgId, Timestamp, UsageError, format_id_set
 from .scd_from_snapshot import RwProcess
 from .scd_mp import ForwardMsg, ScdProcess
 from .shared_objects import SnapshotObject, SwmrRegister
@@ -429,7 +438,9 @@ class RwWorld:
                 out.append(("apply", i))
         return out
 
-    def step(self, choice, trace=None) -> None:
+    def step(self, choice, trace=None, run=None) -> None:
+        """Run one choice.  The simulator passes its trace hook and the
+        RunData it fills; the explorer passes neither."""
         tag, i = choice
         p = self.procs[i]
         self.key_ids[i] = None
@@ -442,6 +453,7 @@ class RwWorld:
             if trace:
                 trace("op_invoke", i, op="bcast", seq=str(k))
                 trace("bcast", i, id=str(m.id), data=value_str(m.payload))
+                run.broadcasts[m.id] = (i, m.payload)
             p.start_broadcast(m)
         elif tag == "tick":
             p.start_tick()
@@ -456,10 +468,13 @@ class RwWorld:
             result = self.memory.execute(i, op)
             delivered = p.complete_memop(result)
             if delivered is not None and trace:
-                trace("scd_deliver", i, set=format_id_set(m.id for m in delivered))
+                ids = frozenset(m.id for m in delivered)
+                trace("scd_deliver", i, set=format_id_set(ids))
+                run.logs[i].append(ids)
             # a round runs alone, so a finished broadcast round is op next_op - 1
             if p.frame is None and frame.kind == "broadcast" and trace:
                 trace("broadcast_complete", i, id=str(frame.msg.id))
+                run.completed[i].add(frame.msg.id)
                 trace("op_return", i, op="bcast", seq=str(self.next_op[i] - 1), ok="1")
         elif tag == "apply":
             obj, idx = self.memory.apply_one(i)
@@ -620,78 +635,80 @@ class _CrashCut(Exception):
 
 class MpStack:
     """One process of a message-passing workload: the broadcast layer, an
-    optional object layer, and the script of operations to perform."""
+    optional object layer, and the script of operations to perform.  Its
+    handlers take the Simulator that drives them as an argument; a stack
+    holds no reference back to it, so a finished run frees by reference
+    counting."""
 
-    def __init__(self, sim, pid: int, config: ScenarioConfig, script: list):
-        self.sim = sim
+    def __init__(self, pid: int, config: ScenarioConfig, script: list):
         self.pid = pid
         self.scd = ScdProcess(pid, config.n)
         self.obj = make_object(pid, config)
         self.script = script
         self.next_op = 0
-        self.cur = None  # (kind, seq) of the open operation
+        self.cur: Optional[OpRecord] = None  # the open operation
         self.msg_seq = 0
 
     def can_invoke(self) -> bool:
         return self.cur is None and self.next_op < len(self.script)
 
-    def invoke(self) -> None:
-        del self.sim.enabled[bisect_left(self.sim.enabled, ("invoke", self.pid))]
+    def invoke(self, sim) -> None:
+        del sim.enabled[bisect_left(sim.enabled, ("invoke", self.pid))]
         op = self.script[self.next_op]
         seq = self.next_op
         self.next_op += 1
         kind = op[0]
         inv = {"op": kind, "seq": str(seq)}
+        cur = self.cur = OpRecord(self.pid, seq, kind, invoke_idx=len(sim.events))
         if kind == "write":
             inv["r"], inv["v"] = str(op[1]), value_str(op[2])
-        self.sim.trace("op_invoke", self.pid, **inv)
+            cur.r, cur.value = op[1], op[2]
+        sim.trace("op_invoke", self.pid, **inv)
         if kind == "bcast":
-            m = self._new_msg(op[1])
-            self.cur = (kind, seq)
-            self.sim.trace("bcast", self.pid, id=str(m.id), data=value_str(m.payload))
-            self._emit(self.scd.scbroadcast(m))
+            self._broadcast(sim, op[1])
             return
-        self.cur = (kind, seq)
+        sim.data.ops.append(cur)
         if kind == "snapshot":
             step = self.obj.begin_snapshot()
         elif kind == "read":
             step = self.obj.begin_read()
         else:
             step = self.obj.begin_write(op[1], op[2])
-        self._obj_step(step)
+        self._obj_step(sim, step)
 
-    def on_network(self, fmsg: ForwardMsg) -> None:
+    def on_network(self, sim, fmsg: ForwardMsg) -> None:
         outs, sets = self.scd.on_forward(fmsg)
-        self._emit(outs)
+        for f in outs:
+            sim.fifo_broadcast(self.pid, f)
         for ms in sets:
-            self.sim.trace(
-                "scd_deliver", self.pid, set=format_id_set(m.id for m in ms)
-            )
+            ids = frozenset(m.id for m in ms)
+            sim.trace("scd_deliver", self.pid, set=format_id_set(ids))
+            sim.data.logs[self.pid].append(ids)
         done = self.scd.broadcast_complete()
         if done is not None:
-            self.sim.trace("broadcast_complete", self.pid, id=str(done))
+            sim.trace("broadcast_complete", self.pid, id=str(done))
+            sim.data.completed[self.pid].add(done)
             # a raw broadcast op's message is the only one it broadcasts
-            if self.cur is not None and self.cur[0] == "bcast":
-                kind, seq = self.cur
-                self._op_returned()
-                self.sim.trace("op_return", self.pid, op=kind, seq=str(seq), ok="1")
+            cur = self.cur
+            if cur is not None and cur.kind == "bcast":
+                self._op_returned(sim)
+                sim.trace("op_return", self.pid, op="bcast", seq=str(cur.seq), ok="1")
         if self.obj is not None:
             for ms in sets:
-                self._obj_step(self.obj.on_set_delivered(ms))
+                self._obj_step(sim, self.obj.on_set_delivered(ms))
 
     def pending_work(self) -> bool:
         return self.cur is not None or self.scd.pending_broadcast is not None
 
-    def _obj_step(self, step) -> None:
+    def _obj_step(self, sim, step) -> None:
         if step.broadcast is not None:
-            m = self._new_msg(step.broadcast)
-            self.sim.trace("bcast", self.pid, id=str(m.id), data=value_str(m.payload))
-            self._emit(self.scd.scbroadcast(m))
+            self._broadcast(sim, step.broadcast, step.write)
         if step.result is not None:
-            res = step.result
-            kind, seq = self.cur
-            self._op_returned()
-            out = {"op": kind, "seq": str(seq)}
+            res, cur = step.result, self.cur
+            self._op_returned(sim)
+            cur.return_idx = len(sim.events)
+            cur.result_values, cur.ts, cur.tsa = res.values, res.ts, res.tsa
+            out = {"op": cur.kind, "seq": str(cur.seq)}
             if res.kind == "write":
                 out["ts"] = str(res.ts)
             elif res.kind == "read":
@@ -701,25 +718,76 @@ class MpStack:
             else:
                 out["vals"] = ",".join(value_str(v) for v in res.values)
                 out["tsa"] = ",".join(str(t) for t in res.tsa)
-            self.sim.trace("op_return", self.pid, **out)
+            sim.trace("op_return", self.pid, **out)
 
-    def _op_returned(self) -> None:
+    def _op_returned(self, sim) -> None:
         self.cur = None
         if self.next_op < len(self.script):
-            insort(self.sim.enabled, ("invoke", self.pid))
+            insort(sim.enabled, ("invoke", self.pid))
 
-    def _new_msg(self, payload: bytes) -> AppMessage:
-        m = AppMessage(MsgId(self.pid, self.msg_seq), payload)
+    def _broadcast(self, sim, payload: bytes, write=None) -> None:
+        """scd-broadcast a new message; `write` is the WritePayload that
+        payload encodes, if it is one."""
+        mid = MsgId(self.pid, self.msg_seq)
         self.msg_seq += 1
-        return m
-
-    def _emit(self, fmsgs) -> None:
-        for f in fmsgs:
-            self.sim.fifo_broadcast(self.pid, f)
+        sim.trace("bcast", self.pid, id=str(mid), data=value_str(payload))
+        sim.data.broadcasts[mid] = (self.pid, payload)
+        if write is not None:
+            sim.data.writes[mid] = write
+            self.cur.ts = write.ts  # a crashed writer's pending write keeps it
+        for f in self.scd.scbroadcast(AppMessage(mid, payload)):
+            sim.fifo_broadcast(self.pid, f)
 
 
 # ---------------------------------------------------------------------------
-# the simulator
+# the facts of a run, and the simulator
+
+
+@dataclass
+class OpRecord:
+    proc: int
+    seq: int
+    kind: str                 # snapshot | read | write; "bcast" only as MpStack.cur
+    r: Optional[int] = None
+    value: Optional[bytes] = None
+    result_values: Optional[tuple] = None
+    ts: Optional[Timestamp] = None
+    tsa: Optional[tuple] = None
+    invoke_idx: int = -1
+    return_idx: Optional[int] = None
+
+    @property
+    def label(self) -> str:
+        return f"p{self.proc}#{self.seq}:{self.kind}"
+
+
+@dataclass
+class RunData:
+    """What the checkers judge of one run.  Simulator fills it from the
+    objects at each record's site as the run goes; check.load_run reads it
+    back from the records of a stored or parsed trace.  Both give equal
+    fields for one run."""
+
+    config: ScenarioConfig
+    events: list
+    status: Optional[str]  # an END_STATUSES entry; None until the end record
+    faulty: set = field(default_factory=set)
+    broadcasts: dict = field(default_factory=dict)   # MsgId -> (sender, payload)
+    logs: dict = field(default_factory=dict)         # proc -> [frozenset[MsgId]]
+    completed: dict = field(default_factory=dict)    # proc -> set[MsgId] (bcast done)
+    channels: dict = field(default_factory=dict)     # (src, dst) -> (sent, received)
+    sends: dict = field(default_factory=dict)        # MsgId -> FORWARD sends
+    late: Optional[TraceEvent] = None                # first record after its crash
+    writes: dict = field(default_factory=dict)       # MsgId -> WritePayload
+    ops: list = field(default_factory=list)          # OpRecords by invocation
+
+    @staticmethod
+    def start(config: ScenarioConfig, events: list) -> "RunData":
+        """The facts before the first record: an empty log and an empty
+        completed set per process."""
+        procs = range(1, config.n + 1)
+        return RunData(config, events, None, logs={i: [] for i in procs},
+                       completed={i: set() for i in procs})
 
 
 @dataclass
@@ -728,10 +796,23 @@ class RunResult:
     events: list
     status: str      # quiescent | stalled | budget
     steps: int
+    run: RunData     # filled as the run went, equal to load_run(events)
 
     @property
     def text(self) -> str:
         return render_trace(self.events)
+
+
+def _first_late(events: list, start: int) -> Optional[TraceEvent]:
+    """load_run's crash-silence rule from records[start:], which hold every
+    crash record: the first record by a process after its crash record."""
+    faulty = set()
+    for ev in islice(events, start, None):
+        if ev.proc in faulty:
+            return ev
+        if ev.kind == "crash":
+            faulty.add(ev.proc)
+    return None
 
 
 def _forward_fields(fmsg: ForwardMsg) -> dict:
@@ -763,6 +844,8 @@ class Simulator:
         self.policy, self.slow_set = parse_delay_policy(config.delay, config.n)
         self._cut = None  # (proc, sends remaining) during an interrupted handler
         self._send_seq = 0
+        self.data = RunData.start(config, self.events)  # filled as the run goes
+        self._first_crash = 0  # index of the first crash record, once there is one
         if config.workload in RW_WORKLOADS:
             msgs = {
                 i: [
@@ -776,11 +859,14 @@ class Simulator:
         else:
             self.world = None
             self.stacks = {
-                i: MpStack(self, i, config, self.scripts[i])
+                i: MpStack(i, config, self.scripts[i])
                 for i in range(1, config.n + 1)
             }
-            # channel s -> d, and its delivery event, at index (s-1)*n + (d-1)
+            # channel s -> d, its delivery event, and the keys of the FORWARDs
+            # sent and received on it, at index (s-1)*n + (d-1)
             self.channels = [deque() for _ in range(config.n * config.n)]
+            self._sent = [[] for _ in self.channels]
+            self._received = [[] for _ in self.channels]
             self._deliveries = [("deliver", s, d) for s in self.stacks for d in self.stacks]
             # the sorted enabled events (see the module docstring)
             self.enabled = [("invoke", i) for i in self.stacks if self.scripts[i]]
@@ -793,26 +879,34 @@ class Simulator:
         self.events.append(tuple.__new__(TraceEvent, (self.step, kind, proc, payload)))
 
     def fifo_broadcast(self, src: int, fmsg: ForwardMsg) -> None:
-        """Send fmsg to every process, src included.  Its trace fields are
-        formatted once here; each send record copies them, and each channel
-        entry carries them for the recv record."""
+        """Send fmsg to every process, src included, in process order; a
+        crash that cuts src's handler lets only its remaining sends out, then
+        raises _CrashCut.  The trace fields and the channel key (sd, sn, f)
+        are built once here: each send record copies the fields, and each
+        channel entry carries both for the recv record."""
         forward = _forward_fields(fmsg)
-        n = self.config.n
-        events, to_text, new = self.events, self._pid_text, tuple.__new__
-        for dst in range(1, n + 1):
-            if self._cut is not None and self._cut[0] == src:
-                if self._cut[1] <= 0:
-                    raise _CrashCut()
-                self._cut = (src, self._cut[1] - 1)
+        key = (forward["sd"], forward["sn"], forward["f"])
+        n = reach = self.config.n
+        if self._cut is not None and self._cut[0] == src:
+            reach = min(n, self._cut[1])
+            self._cut = (src, self._cut[1] - reach)
+        events, to_text, new, sent = self.events, self._pid_text, tuple.__new__, self._sent
+        for dst in range(1, reach + 1):
             self._send_seq += 1
             payload = {"to": to_text[dst], **forward}
             events.append(new(TraceEvent, (self.step, "send", src, payload)))
+            idx = (src - 1) * n + dst - 1
+            sent[idx].append(key)
             if self.alive[dst]:
-                idx = (src - 1) * n + dst - 1
                 q = self.channels[idx]
-                q.append((self._send_seq, fmsg, forward))
+                q.append((self._send_seq, fmsg, forward, key))
                 if len(q) == 1:
                     insort(self.enabled, self._deliveries[idx])
+        if reach:
+            sends, mid = self.data.sends, fmsg.m.id
+            sends[mid] = sends.get(mid, 0) + reach
+        if reach < n:
+            raise _CrashCut()
 
     # -- event machinery --------------------------------------------------
 
@@ -840,19 +934,20 @@ class Simulator:
 
     def execute(self, ev) -> None:
         if self.world is not None:
-            self.world.step(ev, trace=self.trace)
+            self.world.step(ev, self.trace, self.data)
         elif ev[0] == "deliver":
             _, s, d = ev
             idx = (s - 1) * self.config.n + d - 1
             q = self.channels[idx]
-            _, fmsg, forward = q.popleft()
+            _, fmsg, forward, key = q.popleft()
             if not q:
                 del self.enabled[bisect_left(self.enabled, ev)]
             self.events.append(tuple.__new__(TraceEvent, (
                 self.step, "recv", d, {"from": self._pid_text[s], **forward})))
-            self.stacks[d].on_network(fmsg)
+            self._received[idx].append(key)
+            self.stacks[d].on_network(self, fmsg)
         elif ev[0] == "invoke":
-            self.stacks[ev[1]].invoke()
+            self.stacks[ev[1]].invoke(self)
         else:
             raise AssertionError(ev)
 
@@ -878,6 +973,9 @@ class Simulator:
                 if self.channels[idx]:
                     self.channels[idx].clear()
                     del self.enabled[bisect_left(self.enabled, self._deliveries[idx])]
+        if not self.data.faulty:
+            self._first_crash = len(self.events)
+        self.data.faulty.add(proc)
         self.trace("crash", proc)
 
     def _victim_event(self, proc: int):
@@ -927,7 +1025,15 @@ class Simulator:
             steps=str(self.step),
             expected="1" if self.config.expected_nonterminating() else "0",
         )
-        return RunResult(self.config, self.events, status, self.step)
+        run = self.data
+        run.status = status
+        if self.stacks is not None:
+            n = self.config.n
+            run.channels = {(idx // n + 1, idx % n + 1): (sent, self._received[idx])
+                            for idx, sent in enumerate(self._sent) if sent}
+        if run.faulty:
+            run.late = _first_late(self.events, self._first_crash)
+        return RunResult(self.config, self.events, status, self.step, run)
 
 
 def run_scenario(config: ScenarioConfig) -> RunResult:

@@ -24,7 +24,8 @@ from scdkit.check import (
     load_run,
     timestamp_metadata,
 )
-from scdkit.sim import ScenarioConfig, Simulator, explore_rw, parse_trace, run_scenario
+from scdkit.sim import (WORKLOADS, ScenarioConfig, Simulator, explore_rw, parse_trace,
+                        run_scenario)
 
 # pinned scale and tolerances
 SEEDS_PER_N = 334          # 3 values of n -> 1002 seeds total, >= 1000
@@ -36,8 +37,9 @@ CORE_PROPS = ("validity", "integrity", "ms_ordering", "containment", "terminatio
 
 
 def run_and_load(cfg):
+    """A run and the RunData it filled as it went, as `scdkit run` judges it."""
     res = run_scenario(cfg)
-    return res, load_run(res.events)
+    return res, res.run
 
 
 def test_criterion_1_broadcast_property_suite():
@@ -314,7 +316,8 @@ def test_criterion_7_checker_mutation_fixtures():
 
 
 def test_criterion_8_determinism_and_replay(tmp_path):
-    """Identical bytes on re-run; verdicts from a stored trace match live."""
+    """Identical bytes on re-run; verdicts from a stored trace match the
+    verdicts on the RunData the run filled, for every workload."""
     configs = [
         ScenarioConfig(n=3, t=1, workload="raw_broadcast", op_count=8, seed=3),
         ScenarioConfig(n=5, t=2, workload="snapshot_ops", op_count=10, nregs=2,
@@ -324,12 +327,17 @@ def test_criterion_8_determinism_and_replay(tmp_path):
         ScenarioConfig(n=3, t=1, workload="rw_equivalence", op_count=5, mem="sc",
                        crash="random:1", seed=5),
         ScenarioConfig(n=3, t=1, workload="sc_register_ops", op_count=8, seed=9),
+        ScenarioConfig(n=4, t=1, workload="swmr_register_ops", op_count=9, writer=3,
+                       crash="explicit:1@20:2", seed=13),
+        ScenarioConfig(n=5, t=2, workload="sc_snapshot_ops", op_count=10, nregs=3,
+                       crash="random:2", delay="fifo", seed=15),
     ]
+    assert {cfg.workload for cfg in configs} == set(WORKLOADS)
     for k, cfg in enumerate(configs):
         first = Simulator(cfg).run()
         second = Simulator(cfg).run()
-        assert first.text == second.text, cfg
-        live = [v.line() for v in evaluate_run(load_run(first.events))]
+        assert first.text.splitlines(True) == second.text.splitlines(True), cfg
+        live = [v.line() for v in evaluate_run(first.run)]
         path = tmp_path / f"replay{k}.trace"
         path.write_text(first.text)
         stored = [v.line() for v in evaluate_run(load_run(parse_trace(path.read_text())))]

@@ -4,11 +4,14 @@ from __future__ import annotations
 import contextlib
 import io
 import re
+import shlex
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scdkit import cli, sim
+from test_scd_mp import RELATIONS
+
+from scdkit import cli, scd_mp, sim
 from scdkit.cli import main
 
 
@@ -91,6 +94,40 @@ def test_fuzz_sweeps_seeds(capsys):
     assert code == 0
     assert "fuzz|seeds=12|quiescent=12" in out
     assert out.strip().endswith("result|pass")
+
+
+@pytest.mark.parametrize("workload,extra", [
+    ("snapshot_ops", ["--nregs", "2", "--crash", "random:1", "--delay", "slow:1"]),
+    ("sc_register_ops", ["--ops", "24"]),  # every seed prints a skip line
+])
+def test_fuzz_worker_pool_prints_the_lines_of_one_process(capsys, workload, extra):
+    """Each worker judges its runs from the RunData they filled; the summary
+    must not depend on where a run was judged."""
+    out = {}
+    for jobs in ("1", "2"):
+        code = main(["fuzz", "--n", "3", "--workload", workload, "--seeds", "6",
+                     "--seed-base", "40", "--jobs", jobs, *extra])
+        out[jobs] = (code, capsys.readouterr().out.splitlines())
+    assert out["1"] == out["2"]
+    assert out["1"][1][0].startswith("fuzz|seeds=6|")
+
+
+def test_fuzz_failure_line_ends_with_a_repro_that_fails_alike(capsys, monkeypatch):
+    monkeypatch.setattr(scd_mp, "_unblocked", RELATIONS["never-blocks"])
+    code = main(["fuzz", "--n", "5", "--workload", "raw_broadcast", "--ops", "20",
+                 "--crash", "random:2", "--delay", "slow:1", "--seeds", "4"])
+    fails = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("fail|seed=")]
+    assert code == 1 and fails
+    monkeypatch.delenv("SCDKIT_TRACE_DIR", raising=False)
+    for line in fails[:3]:
+        head, _, repro = line.partition("|repro=")
+        _, seed, verdict = head.split("|", 2)
+        argv = shlex.split(repro)
+        assert argv[:2] == ["scdkit", "run"]
+        assert f"seed={argv[argv.index('--seed') + 1]}" == seed
+        assert main(argv[1:]) == 1
+        assert verdict in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("flag,value", [("--seeds", "0"), ("--seeds", "-5"),

@@ -7,8 +7,8 @@ broadcasts at n = 11 and 13 under each delay policy.  A refactor that keeps
 the determinism contract keeps every digest; a change that moves traces on
 purpose must say so and re-pin them.  Beside each trace
 digest sits the digest of its evaluate_run verdict lines, judged from the
-live events and from the rendered trace parsed back, which pins the verdicts
-the same way.
+RunData the run filled, from its events and from the rendered trace parsed
+back, which pins the verdicts the same way.
 """
 from __future__ import annotations
 
@@ -120,9 +120,9 @@ def test_trace_digest_is_pinned(kw, digest, _):
 
 @pytest.mark.parametrize("kw,_,digest", GOLDEN, ids=_case_ids(GOLDEN))
 def test_verdict_digest_is_pinned(kw, _, digest):
-    events = run_scenario(ScenarioConfig(**kw)).events
-    for evs in (events, parse_trace(render_trace(events))):
-        text = "".join(v.line() + "\n" for v in evaluate_run(load_run(evs)))
+    res = run_scenario(ScenarioConfig(**kw))
+    for run in (res.run, load_run(res.events), load_run(parse_trace(res.text))):
+        text = "".join(v.line() + "\n" for v in evaluate_run(run))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

@@ -1,15 +1,18 @@
 """Deterministic simulator: scheduling, crashes, tracing."""
 from __future__ import annotations
 
+import gc
 import random
 from bisect import bisect_left, insort
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_scd_mp import AlwaysPurgeProcess
 
 from scdkit.core import UsageError
-from scdkit.check import load_run
+from scdkit.check import RunData, evaluate_run, load_run
+from scdkit.cli import evaluate
 from scdkit.sim import (
     MP_WORKLOADS,
     WORKLOADS,
@@ -34,10 +37,17 @@ def config(**kw):
     return ScenarioConfig(**base)
 
 
+def lines(text: str) -> list:
+    """A trace's lines, ends kept: equal lists mean equal texts, and pytest
+    explains a mismatch by its first differing line, where its diff of two
+    long texts can take minutes."""
+    return text.splitlines(keepends=True)
+
+
 def test_same_config_gives_byte_identical_trace():
     a = run_scenario(config(seed=42))
     b = run_scenario(config(seed=42))
-    assert a.text == b.text
+    assert lines(a.text) == lines(b.text)
 
 
 def test_different_seeds_give_different_schedules():
@@ -49,7 +59,7 @@ def test_different_seeds_give_different_schedules():
 def test_trace_roundtrips_through_parser():
     res = run_scenario(config(workload="register_ops", op_count=6, crash="random:1"))
     events = parse_trace(res.text)
-    assert render_trace(events) == res.text
+    assert lines(render_trace(events)) == lines(res.text)
     assert events[0].kind == "config" and events[-1].kind == "end"
 
 
@@ -372,7 +382,7 @@ class PerCopyRecordSimulator(Simulator):
         if not q:
             del self.enabled[bisect_left(self.enabled, ev)]
         self.trace("recv", d, **{"from": str(s)}, **_forward_fields(fmsg))
-        self.stacks[d].on_network(fmsg)
+        self.stacks[d].on_network(self, fmsg)
 
 
 # (n, crash): crash-free, random:K, and explicit crashes whose keep cuts
@@ -407,16 +417,56 @@ def test_rendered_trace_parses_back_to_the_events(workload):
     assert parse_trace(render_trace(events)) == events
 
 
-_RUN_FIELDS = ("sends", "channels", "logs", "completed", "broadcasts", "writes",
-               "ops", "faulty", "late")
+def _rundata_configs(workload):
+    """30 configs of one workload: n 2-6, no, random or explicit crashes
+    (explicit ones cut the victim's handler half the time), the uniform, fifo
+    and slow:1 policies, and both memory modes."""
+    rng = random.Random(f"rundata:{workload}")
+    for k in range(30):
+        n = rng.randint(2, 6)
+        crash = "none"
+        if k % 3 == 1:
+            crash = f"random:{rng.randint(1, n - 1)}"
+        elif k % 3 == 2:
+            victims = rng.sample(range(1, n + 1), rng.randint(1, n - 1))
+            crash = "explicit:" + ",".join(
+                f"{p}@{rng.randrange(4 * n * n)}" + rng.choice(["", f":{rng.randint(0, n)}"])
+                for p in victims)
+        yield config(n=n, t=(n - 1) // 2, workload=workload, op_count=rng.randint(1, 2 * n),
+                     crash=crash, delay=("uniform", "fifo", "slow:1")[k // 3 % 3],
+                     mem=("atomic", "sc")[k % 2], nregs=rng.randint(1, 3),
+                     writer=rng.randint(1, n), seed=rng.randrange(2**31))
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_live_and_parsed_events_load_alike(workload):
-    events = run_scenario(_workload_config(workload)).events
-    live, parsed = load_run(events), load_run(parse_trace(render_trace(events)))
-    for name in _RUN_FIELDS:
-        assert getattr(live, name) == getattr(parsed, name), name
+    """The RunData a run fills as it goes equals what load_run reads back
+    from its records, in memory and after a render/parse round trip."""
+    for cfg in _rundata_configs(workload):
+        res = run_scenario(cfg)
+        from_events, from_text = load_run(res.events), load_run(parse_trace(res.text))
+        for f in fields(RunData):
+            live = getattr(res.run, f.name)
+            assert live == getattr(from_events, f.name), (cfg, f.name)
+            assert live == getattr(from_text, f.name), (cfg, f.name)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_a_judged_run_frees_by_reference_counting(workload):
+    """No reference cycle outlives a crash-free run judged live and from its
+    parsed records, so a finished run never waits for the cyclic collector."""
+    cfg = config(n=5, t=2, workload=workload, op_count=10, nregs=2, writer=2, seed=3)
+    gc.disable()
+    try:
+        gc.collect()
+        res = run_scenario(cfg)
+        assert res.status == "quiescent"
+        evaluate(res)
+        evaluate_run(load_run(parse_trace(res.text)))
+        del res
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("kind,key", [("send", "to"), ("recv", "from")])
