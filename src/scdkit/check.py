@@ -40,7 +40,7 @@ History-level checks (operations of the object layers):
 Checkers judge a RunData (defined in sim, re-exported here) and return
 Verdicts (pass / fail / skip plus a short detail); skip marks a precondition
 gate such as a run that never reached quiescence.  A simulated run is judged
-from the RunData the simulator filled as it ran (RunResult.run).  load_run
+from the RunData that Simulator.run filled as it ran and returned.  load_run
 builds the same RunData from the records of a stored or parsed trace: it is
 the only reader of trace records, and rejects malformed input by exception,
 so no checker raises on a RunData it returned.
@@ -111,15 +111,17 @@ def load_run(events) -> RunData:
     (so a bad `m` is reported after any later malformed record).  A config
     record that fails validation raises UsageError, a missing field or a
     record by an unknown process KeyError, any other malformed value
-    ValueError.  So does a record of a kind no run writes, a trace cut
-    before its end record, or an end record whose status is not one a run
-    ends with; records after it are read."""
+    ValueError.  So does a record of a kind no run writes, an operation of
+    a kind its workload never issues, a trace cut before its end record, or
+    an end record whose status is not one a run ends with; records after it
+    are read."""
     if not events or events[0].kind != "config":
         raise ValueError("trace must start with a config record")
     config = ScenarioConfig.from_payload(events[0].payload)
     config.validate()
     run = RunData.start(config, events)
     objects = config.workload in OBJECT_WORKLOADS
+    op_kinds = ("snapshot", "read", "write") if objects else ("bcast",)
     open_ops: dict = {}
     channels = defaultdict(lambda: ([], []))  # the pair is built once per channel
     sends: dict = {}  # m text -> send count
@@ -130,7 +132,7 @@ def load_run(events) -> RunData:
         if kind == "end":
             if p["status"] not in END_STATUSES:
                 raise ValueError(f"run ended with unknown status {p['status']!r}")
-            run.status = p["status"]
+            run.status, run.steps = p["status"], int(p["steps"])
             continue
         if ev.proc not in run.logs:
             raise KeyError(ev.proc)
@@ -157,14 +159,16 @@ def load_run(events) -> RunData:
             run.completed[ev.proc].add(MsgId.parse(p["id"]))
         elif kind == "crash":
             run.faulty.add(ev.proc)
-        elif kind == "op_invoke" and p["op"] != "bcast":
+        elif (kind == "op_invoke" or kind == "op_return") and p["op"] not in op_kinds:
+            raise ValueError(f"{config.workload} run has a {p['op']!r} op")
+        elif kind == "op_invoke" and objects:
             op = OpRecord(ev.proc, int(p["seq"]), p["op"], invoke_idx=idx)
             if op.kind == "write":
                 op.r = _check_slot(int(p["r"]), config)
                 op.value = value_parse(p["v"])
             open_ops[ev.proc] = op
             run.ops.append(op)
-        elif kind == "op_return" and p["op"] != "bcast":
+        elif kind == "op_return" and objects:
             op = open_ops.pop(ev.proc)
             if op.seq != int(p["seq"]):
                 raise ValueError(f"p{ev.proc} returns op {p['seq']} "

@@ -20,15 +20,13 @@ from typing import Optional
 
 from .core import UsageError
 from .check import CONSISTENCY_PROPS, OBJECT_WORKLOADS, evaluate_run, load_run
-from .sim import (RunResult, ScenarioConfig, Simulator, TraceParseError, WORKLOADS,
+from .sim import (RunData, ScenarioConfig, Simulator, TraceParseError, WORKLOADS,
                   parse_trace, render_trace)
 
 
 @dataclass
 class RunReport:
-    config: ScenarioConfig
-    status: str
-    steps: int
+    run: RunData
     verdicts: list
 
     @property
@@ -39,13 +37,13 @@ class RunReport:
     def unchecked(self) -> Optional[str]:
         """For an object run none of whose consistency verdicts passed, the
         first of them; None otherwise."""
-        if self.config.workload not in OBJECT_WORKLOADS:
+        if self.run.config.workload not in OBJECT_WORKLOADS:
             return None
         verdicts = [v for v in self.verdicts if v.prop in CONSISTENCY_PROPS]
         return None if any(v.status == "pass" for v in verdicts) else verdicts[0].line()
 
     def lines(self):
-        yield f"status|{self.status}|steps={self.steps}"
+        yield f"status|{self.run.status}|steps={self.run.steps}"
         for v in self.verdicts:
             yield v.line()
         yield f"result|{'pass' if self.ok else 'fail'}"
@@ -77,9 +75,9 @@ def _capped(tag: str, items: list, cap: int = 20):
         yield f"{tag}|...and {len(items) - cap} more"
 
 
-def evaluate(result: RunResult) -> RunReport:
-    """Judge a simulated run from the RunData it filled as it ran."""
-    return RunReport(result.config, result.status, result.steps, evaluate_run(result.run))
+def evaluate(run: RunData) -> RunReport:
+    """Judge a simulated run from the RunData Simulator.run returned."""
+    return RunReport(run, evaluate_run(run))
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +156,9 @@ def scenario_from_args(args) -> ScenarioConfig:
 
 def cmd_run(args) -> int:
     config = scenario_from_args(args)
-    result = Simulator(config).run()
+    run = Simulator(config).run()
     store = args.trace_dir and not args.no_trace
-    text = render_trace(result.events) if args.print_trace or store else None
+    text = render_trace(run.events) if args.print_trace or store else None
     if args.print_trace:
         print(text, end="")
     if store:
@@ -171,7 +169,7 @@ def cmd_run(args) -> int:
         with open(path, "w") as fh:
             fh.write(text)
         print(f"trace|{path}")
-    report = evaluate(result)
+    report = evaluate(run)
     for line in report.lines():
         print(line)
     return 0 if report.ok else 1
@@ -187,7 +185,7 @@ def _fuzz_one(payload) -> tuple:
     config = ScenarioConfig.from_payload(payload)
     report = evaluate(Simulator(config).run())
     bad = [v.line() for v in report.verdicts if not v.ok]
-    return config.seed, report.status, bad, report.unchecked
+    return config.seed, report.run.status, bad, report.unchecked
 
 
 def cmd_fuzz(args) -> int:
@@ -241,11 +239,10 @@ def cmd_check(args) -> int:
 
 def cmd_stats(args) -> int:
     config = scenario_from_args(args)
-    result = Simulator(config).run()
-    run = result.run
+    run = Simulator(config).run()
     sends = sum(run.sends.values())
     sets_per = {i: len(run.logs[i]) for i in sorted(run.logs)}
-    print(f"status|{result.status}|steps={result.steps}")
+    print(f"status|{run.status}|steps={run.steps}")
     print(f"broadcasts|{len(run.broadcasts)}")
     print(f"sends|total={sends}|cap_per_broadcast={config.n ** 2}"
           f"|max_per_broadcast={max(run.sends.values(), default=0)}")

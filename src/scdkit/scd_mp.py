@@ -234,6 +234,13 @@ class ScdProcess:
                 del ahead[d]
         return frozenset(e.m for e in todeliver)
 
+    def release(self) -> None:
+        """Drop the pair counts of the entries still buffered, once this
+        process takes no more steps: they key each other, so a crashed or
+        stalled process then frees by reference counting too."""
+        for e in self.buffer:
+            e.ahead = None
+
     def broadcast_complete(self) -> MsgId | None:
         """Report (and clear) a completed pending scd-broadcast, if any."""
         if self.pending_broadcast is None:

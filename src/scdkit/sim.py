@@ -41,8 +41,8 @@ from the objects at hand where each record is written: the MsgId, the
 delivered set and the OpResult, never the record text.  Each FORWARD's
 channel key (sd, sn, f) is built once and appended to a channel's sent list
 per send made, and to its received list from the channel entry a delivery
-pops.  RunResult.run holds it; check.load_run reads the same facts back from
-the records of a stored trace.
+pops.  Simulator.run returns it, and a simulated run is judged from it;
+check.load_run reads the same facts back from the records of a stored trace.
 
 A message-passing run keeps its enabled events in one sorted list of event
 tuples, Simulator.enabled: ("deliver", sender, receiver) for each non-empty
@@ -633,112 +633,6 @@ class _CrashCut(Exception):
     """Internal: aborts the handler a mid-handler crash interrupts."""
 
 
-class MpStack:
-    """One process of a message-passing workload: the broadcast layer, an
-    optional object layer, and the script of operations to perform.  Its
-    handlers take the Simulator that drives them as an argument; a stack
-    holds no reference back to it, so a finished run frees by reference
-    counting."""
-
-    def __init__(self, pid: int, config: ScenarioConfig, script: list):
-        self.pid = pid
-        self.scd = ScdProcess(pid, config.n)
-        self.obj = make_object(pid, config)
-        self.script = script
-        self.next_op = 0
-        self.cur: Optional[OpRecord] = None  # the open operation
-        self.msg_seq = 0
-
-    def can_invoke(self) -> bool:
-        return self.cur is None and self.next_op < len(self.script)
-
-    def invoke(self, sim) -> None:
-        del sim.enabled[bisect_left(sim.enabled, ("invoke", self.pid))]
-        op = self.script[self.next_op]
-        seq = self.next_op
-        self.next_op += 1
-        kind = op[0]
-        inv = {"op": kind, "seq": str(seq)}
-        cur = self.cur = OpRecord(self.pid, seq, kind, invoke_idx=len(sim.events))
-        if kind == "write":
-            inv["r"], inv["v"] = str(op[1]), value_str(op[2])
-            cur.r, cur.value = op[1], op[2]
-        sim.trace("op_invoke", self.pid, **inv)
-        if kind == "bcast":
-            self._broadcast(sim, op[1])
-            return
-        sim.data.ops.append(cur)
-        if kind == "snapshot":
-            step = self.obj.begin_snapshot()
-        elif kind == "read":
-            step = self.obj.begin_read()
-        else:
-            step = self.obj.begin_write(op[1], op[2])
-        self._obj_step(sim, step)
-
-    def on_network(self, sim, fmsg: ForwardMsg) -> None:
-        outs, sets = self.scd.on_forward(fmsg)
-        for f in outs:
-            sim.fifo_broadcast(self.pid, f)
-        for ms in sets:
-            ids = frozenset(m.id for m in ms)
-            sim.trace("scd_deliver", self.pid, set=format_id_set(ids))
-            sim.data.logs[self.pid].append(ids)
-        done = self.scd.broadcast_complete()
-        if done is not None:
-            sim.trace("broadcast_complete", self.pid, id=str(done))
-            sim.data.completed[self.pid].add(done)
-            # a raw broadcast op's message is the only one it broadcasts
-            cur = self.cur
-            if cur is not None and cur.kind == "bcast":
-                self._op_returned(sim)
-                sim.trace("op_return", self.pid, op="bcast", seq=str(cur.seq), ok="1")
-        if self.obj is not None:
-            for ms in sets:
-                self._obj_step(sim, self.obj.on_set_delivered(ms))
-
-    def pending_work(self) -> bool:
-        return self.cur is not None or self.scd.pending_broadcast is not None
-
-    def _obj_step(self, sim, step) -> None:
-        if step.broadcast is not None:
-            self._broadcast(sim, step.broadcast, step.write)
-        if step.result is not None:
-            res, cur = step.result, self.cur
-            self._op_returned(sim)
-            cur.return_idx = len(sim.events)
-            cur.result_values, cur.ts, cur.tsa = res.values, res.ts, res.tsa
-            out = {"op": cur.kind, "seq": str(cur.seq)}
-            if res.kind == "write":
-                out["ts"] = str(res.ts)
-            elif res.kind == "read":
-                out["v"] = value_str(res.values[0])
-                out["ts"] = str(res.ts)
-                out["tsa"] = ",".join(str(t) for t in res.tsa)
-            else:
-                out["vals"] = ",".join(value_str(v) for v in res.values)
-                out["tsa"] = ",".join(str(t) for t in res.tsa)
-            sim.trace("op_return", self.pid, **out)
-
-    def _op_returned(self, sim) -> None:
-        self.cur = None
-        if self.next_op < len(self.script):
-            insort(sim.enabled, ("invoke", self.pid))
-
-    def _broadcast(self, sim, payload: bytes, write=None) -> None:
-        """scd-broadcast a new message; `write` is the WritePayload that
-        payload encodes, if it is one."""
-        mid = MsgId(self.pid, self.msg_seq)
-        self.msg_seq += 1
-        sim.trace("bcast", self.pid, id=str(mid), data=value_str(payload))
-        sim.data.broadcasts[mid] = (self.pid, payload)
-        if write is not None:
-            sim.data.writes[mid] = write
-            self.cur.ts = write.ts  # a crashed writer's pending write keeps it
-        for f in self.scd.scbroadcast(AppMessage(mid, payload)):
-            sim.fifo_broadcast(self.pid, f)
-
-
 # ---------------------------------------------------------------------------
 # the facts of a run, and the simulator
 
@@ -747,7 +641,7 @@ class MpStack:
 class OpRecord:
     proc: int
     seq: int
-    kind: str                 # snapshot | read | write; "bcast" only as MpStack.cur
+    kind: str                 # snapshot | read | write; "bcast" only in Simulator.cur
     r: Optional[int] = None
     value: Optional[bytes] = None
     result_values: Optional[tuple] = None
@@ -763,14 +657,15 @@ class OpRecord:
 
 @dataclass
 class RunData:
-    """What the checkers judge of one run.  Simulator fills it from the
-    objects at each record's site as the run goes; check.load_run reads it
-    back from the records of a stored or parsed trace.  Both give equal
-    fields for one run."""
+    """What the checkers judge of one run.  Simulator.run fills it from the
+    objects at each record's site as the run goes and returns it;
+    check.load_run reads it back from the records of a stored or parsed
+    trace.  Both give equal fields for one run."""
 
     config: ScenarioConfig
     events: list
     status: Optional[str]  # an END_STATUSES entry; None until the end record
+    steps: int = 0                                   # as the end record says
     faulty: set = field(default_factory=set)
     broadcasts: dict = field(default_factory=dict)   # MsgId -> (sender, payload)
     logs: dict = field(default_factory=dict)         # proc -> [frozenset[MsgId]]
@@ -788,15 +683,6 @@ class RunData:
         procs = range(1, config.n + 1)
         return RunData(config, events, None, logs={i: [] for i in procs},
                        completed={i: set() for i in procs})
-
-
-@dataclass
-class RunResult:
-    config: ScenarioConfig
-    events: list
-    status: str      # quiescent | stalled | budget
-    steps: int
-    run: RunData     # filled as the run went, equal to load_run(events)
 
     @property
     def text(self) -> str:
@@ -831,6 +717,15 @@ _WORK_ORDER = {"mem": 0, "apply": 1, "invoke": 2, "tick": 3}
 
 
 class Simulator:
+    """The only owner of a run's state.  A message-passing run keeps each
+    process in per-pid lists (index 0 unused): its broadcast layer `scd`, its
+    object layer `obj` (None for raw_broadcast), the index of its next
+    scripted operation `next_op`, its open operation `cur` and the sequence
+    number of its next message `msg_seq`.  The handlers below act for one
+    process, one method per event kind.  A shared-memory run drives an
+    RwWorld instead.  run() returns the RunData it filled, whose `faulty` is
+    the only record of who crashed."""
+
     def __init__(self, config: ScenarioConfig):
         config.validate()
         self.config = config
@@ -840,7 +735,6 @@ class Simulator:
         self.sched_rng = random.Random(f"{config.seed}:sched")
         self.scripts = plan_ops(config, plan_rng)
         self.crash_plan = plan_crashes(config, random.Random(f"{config.seed}:crash"))
-        self.alive = {i: True for i in range(1, config.n + 1)}
         self.policy, self.slow_set = parse_delay_policy(config.delay, config.n)
         self._cut = None  # (proc, sends remaining) during an interrupted handler
         self._send_seq = 0
@@ -855,21 +749,22 @@ class Simulator:
                 for i in self.scripts
             }
             self.world = RwWorld(config.n, msgs, config.mem)
-            self.stacks = None
         else:
             self.world = None
-            self.stacks = {
-                i: MpStack(i, config, self.scripts[i])
-                for i in range(1, config.n + 1)
-            }
+            procs = range(1, config.n + 1)
+            self.scd = [None, *(ScdProcess(i, config.n) for i in procs)]
+            self.obj = [None, *(make_object(i, config) for i in procs)]
+            self.next_op = [0] * (config.n + 1)
+            self.cur: list[Optional[OpRecord]] = [None] * (config.n + 1)
+            self.msg_seq = [0] * (config.n + 1)
             # channel s -> d, its delivery event, and the keys of the FORWARDs
             # sent and received on it, at index (s-1)*n + (d-1)
             self.channels = [deque() for _ in range(config.n * config.n)]
             self._sent = [[] for _ in self.channels]
             self._received = [[] for _ in self.channels]
-            self._deliveries = [("deliver", s, d) for s in self.stacks for d in self.stacks]
+            self._deliveries = [("deliver", s, d) for s in procs for d in procs]
             # the sorted enabled events (see the module docstring)
-            self.enabled = [("invoke", i) for i in self.stacks if self.scripts[i]]
+            self.enabled = [("invoke", i) for i in procs if self.scripts[i]]
             self._pid_text = [str(i) for i in range(config.n + 1)]
         self.trace("config", 0, **config.to_payload())
 
@@ -891,13 +786,14 @@ class Simulator:
             reach = min(n, self._cut[1])
             self._cut = (src, self._cut[1] - reach)
         events, to_text, new, sent = self.events, self._pid_text, tuple.__new__, self._sent
+        faulty = self.data.faulty
         for dst in range(1, reach + 1):
             self._send_seq += 1
             payload = {"to": to_text[dst], **forward}
             events.append(new(TraceEvent, (self.step, "send", src, payload)))
             idx = (src - 1) * n + dst - 1
             sent[idx].append(key)
-            if self.alive[dst]:
+            if dst not in faulty:
                 q = self.channels[idx]
                 q.append((self._send_seq, fmsg, forward, key))
                 if len(q) == 1:
@@ -907,6 +803,98 @@ class Simulator:
             sends[mid] = sends.get(mid, 0) + reach
         if reach < n:
             raise _CrashCut()
+
+    # -- one process's handlers --------------------------------------------
+
+    def can_invoke(self, i: int) -> bool:
+        return self.cur[i] is None and self.next_op[i] < len(self.scripts[i])
+
+    def invoke(self, i: int) -> None:
+        del self.enabled[bisect_left(self.enabled, ("invoke", i))]
+        seq = self.next_op[i]
+        self.next_op[i] = seq + 1
+        op = self.scripts[i][seq]
+        kind = op[0]
+        inv = {"op": kind, "seq": str(seq)}
+        cur = self.cur[i] = OpRecord(i, seq, kind, invoke_idx=len(self.events))
+        if kind == "write":
+            inv["r"], inv["v"] = str(op[1]), value_str(op[2])
+            cur.r, cur.value = op[1], op[2]
+        self.trace("op_invoke", i, **inv)
+        if kind == "bcast":
+            self._broadcast(i, op[1])
+            return
+        self.data.ops.append(cur)
+        obj = self.obj[i]
+        if kind == "snapshot":
+            step = obj.begin_snapshot()
+        elif kind == "read":
+            step = obj.begin_read()
+        else:
+            step = obj.begin_write(op[1], op[2])
+        self._obj_step(i, step)
+
+    def receive(self, d: int, fmsg: ForwardMsg) -> None:
+        """Process d's receipt of a FORWARD, after its recv record."""
+        scd, data = self.scd[d], self.data
+        outs, sets = scd.on_forward(fmsg)
+        for f in outs:
+            self.fifo_broadcast(d, f)
+        for ms in sets:
+            ids = frozenset(m.id for m in ms)
+            self.trace("scd_deliver", d, set=format_id_set(ids))
+            data.logs[d].append(ids)
+        done = scd.broadcast_complete()
+        if done is not None:
+            self.trace("broadcast_complete", d, id=str(done))
+            data.completed[d].add(done)
+            # a raw broadcast op's message is the only one it broadcasts
+            cur = self.cur[d]
+            if cur is not None and cur.kind == "bcast":
+                self._op_returned(d)
+                self.trace("op_return", d, op="bcast", seq=str(cur.seq), ok="1")
+        obj = self.obj[d]
+        if obj is not None:
+            for ms in sets:
+                self._obj_step(d, obj.on_set_delivered(ms))
+
+    def _obj_step(self, i: int, step) -> None:
+        if step.broadcast is not None:
+            self._broadcast(i, step.broadcast, step.write)
+        if step.result is not None:
+            res, cur = step.result, self.cur[i]
+            self._op_returned(i)
+            cur.return_idx = len(self.events)
+            cur.result_values, cur.ts, cur.tsa = res.values, res.ts, res.tsa
+            out = {"op": cur.kind, "seq": str(cur.seq)}
+            if res.kind == "write":
+                out["ts"] = str(res.ts)
+            elif res.kind == "read":
+                out["v"] = value_str(res.values[0])
+                out["ts"] = str(res.ts)
+                out["tsa"] = ",".join(str(t) for t in res.tsa)
+            else:
+                out["vals"] = ",".join(value_str(v) for v in res.values)
+                out["tsa"] = ",".join(str(t) for t in res.tsa)
+            self.trace("op_return", i, **out)
+
+    def _op_returned(self, i: int) -> None:
+        self.cur[i] = None
+        if self.next_op[i] < len(self.scripts[i]):
+            insort(self.enabled, ("invoke", i))
+
+    def _broadcast(self, i: int, payload: bytes, write=None) -> None:
+        """scd-broadcast a new message of process i; `write` is the
+        WritePayload that payload encodes, if it is one."""
+        mid = MsgId(i, self.msg_seq[i])
+        self.msg_seq[i] += 1
+        self.trace("bcast", i, id=str(mid), data=value_str(payload))
+        self.data.broadcasts[mid] = (i, payload)
+        if write is not None:
+            self.data.writes[mid] = write
+            self.cur[i].ts = write.ts  # a crashed writer's pending write keeps it
+        for f in self.scd[i].scbroadcast(AppMessage(mid, payload)):
+            self.fifo_broadcast(i, f)
 
     # -- event machinery --------------------------------------------------
 
@@ -945,9 +933,9 @@ class Simulator:
             self.events.append(tuple.__new__(TraceEvent, (
                 self.step, "recv", d, {"from": self._pid_text[s], **forward})))
             self._received[idx].append(key)
-            self.stacks[d].on_network(self, fmsg)
+            self.receive(d, fmsg)
         elif ev[0] == "invoke":
-            self.stacks[ev[1]].invoke(self)
+            self.invoke(ev[1])
         else:
             raise AssertionError(ev)
 
@@ -964,9 +952,8 @@ class Simulator:
                     pass
                 finally:
                     self._cut = None
-        self.alive[proc] = False
-        if self.stacks is not None:
-            if self.stacks[proc].can_invoke():
+        if self.world is None:
+            if self.can_invoke(proc):
                 del self.enabled[bisect_left(self.enabled, ("invoke", proc))]
             n = self.config.n
             for idx in range(proc - 1, n * n, n):
@@ -986,7 +973,7 @@ class Simulator:
                  if (q := self.channels[idx])]
         if heads:
             return self._deliveries[min(heads)[1]]
-        if self.stacks[proc].can_invoke():
+        if self.can_invoke(proc):
             return ("invoke", proc)
         return None
 
@@ -994,13 +981,14 @@ class Simulator:
         if self.world is not None:
             return False  # an empty choice set means every round finished
         return any(
-            self.alive[i] and self.stacks[i].pending_work()
+            i not in self.data.faulty
+            and (self.cur[i] is not None or self.scd[i].pending_broadcast is not None)
             for i in range(1, self.config.n + 1)
         )
 
     # -- the run loop ------------------------------------------------------
 
-    def run(self) -> RunResult:
+    def run(self) -> RunData:
         while True:
             if self.step >= self.config.step_budget:
                 status = "budget"
@@ -1008,7 +996,7 @@ class Simulator:
             if self.crash_plan and self.crash_plan[0][0] <= self.step:
                 _, proc, keep = self.crash_plan.pop(0)
                 self.step += 1
-                if self.alive[proc]:
+                if proc not in self.data.faulty:
                     self.execute_crash(proc, keep)
                 continue
             events = self.enabled_events()
@@ -1026,15 +1014,17 @@ class Simulator:
             expected="1" if self.config.expected_nonterminating() else "0",
         )
         run = self.data
-        run.status = status
-        if self.stacks is not None:
+        run.status, run.steps = status, self.step
+        if self.world is None:
             n = self.config.n
             run.channels = {(idx // n + 1, idx % n + 1): (sent, self._received[idx])
                             for idx, sent in enumerate(self._sent) if sent}
+            for scd in self.scd[1:]:
+                scd.release()  # no process steps again
         if run.faulty:
             run.late = _first_late(self.events, self._first_crash)
-        return RunResult(self.config, self.events, status, self.step, run)
+        return run
 
 
-def run_scenario(config: ScenarioConfig) -> RunResult:
+def run_scenario(config: ScenarioConfig) -> RunData:
     return Simulator(config).run()

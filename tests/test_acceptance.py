@@ -36,12 +36,6 @@ STALL_BUDGET = 10**6       # steps a blocked run may burn before we call it
 CORE_PROPS = ("validity", "integrity", "ms_ordering", "containment", "termination")
 
 
-def run_and_load(cfg):
-    """A run and the RunData it filled as it went, as `scdkit run` judges it."""
-    res = run_scenario(cfg)
-    return res, res.run
-
-
 def test_criterion_1_broadcast_property_suite():
     """n in {3,5,7} with random minority crash schedules: every quiescent
     run satisfies all five delivery properties."""
@@ -56,8 +50,8 @@ def test_criterion_1_broadcast_property_suite():
                 crash=f"random:{t}" if seed % 2 else "none",
                 seed=seed,
             )
-            res, run = run_and_load(cfg)
-            assert res.status == "quiescent", (n, seed, res.status)
+            run = run_scenario(cfg)
+            assert run.status == "quiescent", (n, seed, run.status)
             by_prop = {v.prop: v for v in evaluate_run(run)}
             for prop in CORE_PROPS:
                 assert by_prop[prop].status == "pass", (n, seed, by_prop[prop].line())
@@ -75,13 +69,13 @@ def test_criterion_2_message_complexity():
         for seed in range(20):
             clean = ScenarioConfig(n=n, t=t, workload="raw_broadcast",
                                    op_count=12, seed=seed)
-            res, run = run_and_load(clean)
+            run = run_scenario(clean)
             counts = run.sends
             assert len(counts) == 12
             assert set(counts.values()) == {n * n}, (n, seed, counts)
             crashy = ScenarioConfig(n=n, t=t, workload="raw_broadcast", op_count=12,
                                     crash=f"random:{t}", seed=seed)
-            res, run = run_and_load(crashy)
+            run = run_scenario(crashy)
             assert all(c <= n * n for c in run.sends.values()), (n, seed)
             checked += 2
     print(f"criterion 2: PASS - {checked} runs, cap n^2 exact on failure-free")
@@ -102,8 +96,8 @@ def test_criterion_3_linearizability_brute_and_witness():
             crash=rng.choice(["none", "random:1"]),
             seed=seed,
         )
-        res, run = run_and_load(cfg)
-        assert res.status == "quiescent"
+        run = run_scenario(cfg)
+        assert run.status == "quiescent"
         h = extract_history(run)
         w = check_linearizable_witness(h, timestamp_metadata(run))
         b = check_linearizable_bruteforce(h, bound=BRUTE_BOUND)
@@ -113,8 +107,8 @@ def test_criterion_3_linearizability_brute_and_witness():
     big_cfg = ScenarioConfig(n=5, t=2, workload="snapshot_ops",
                              op_count=WITNESS_OPS, nregs=3, seed=1,
                              step_budget=10**7)
-    res, run = run_and_load(big_cfg)
-    assert res.status == "quiescent"
+    run = run_scenario(big_cfg)
+    assert run.status == "quiescent"
     h = extract_history(run)
     assert len(h.ops) == WITNESS_OPS
     v = check_linearizable_witness(h, timestamp_metadata(run))
@@ -134,9 +128,9 @@ def test_criterion_4_resiliency_boundary():
             cfg = ScenarioConfig(n=n, t=minority, workload="raw_broadcast",
                                  op_count=2 * n, crash=crash, seed=seed,
                                  step_budget=STALL_BUDGET)
-            res, run = run_and_load(cfg)
-            assert res.status != "quiescent", (n, seed, res.status)
-            assert res.steps <= STALL_BUDGET
+            run = run_scenario(cfg)
+            assert run.status != "quiescent", (n, seed, run.status)
+            assert run.steps <= STALL_BUDGET
             for i in range(1, n + 1):
                 if i not in run.faulty:
                     assert run.completed[i] == set(), (n, seed, i)
@@ -145,9 +139,9 @@ def test_criterion_4_resiliency_boundary():
             cfg = ScenarioConfig(n=n, t=minority, workload="raw_broadcast",
                                  op_count=2 * n, crash=crash if minority else "none",
                                  seed=seed, step_budget=STALL_BUDGET)
-            res, run = run_and_load(cfg)
-            assert res.status == "quiescent", (n, seed, res.status)
-            for ev in res.events:
+            run = run_scenario(cfg)
+            assert run.status == "quiescent", (n, seed, run.status)
+            for ev in run.events:
                 if ev.kind == "bcast" and ev.proc not in run.faulty:
                     assert MsgId.parse(ev.payload["id"]) in run.completed[ev.proc]
     print("criterion 4: PASS - majority crash stalls, minority crash completes, "
@@ -197,8 +191,8 @@ def test_criterion_5_shared_memory_equivalence():
                              op_count=rng.randint(3, 10),
                              mem=rng.choice(["atomic", "sc"]),
                              crash=f"random:{k}" if k else "none", seed=seed)
-        res, run = run_and_load(cfg)
-        assert res.status == "quiescent", (seed, res.status)
+        run = run_scenario(cfg)
+        assert run.status == "quiescent", (seed, run.status)
         for c in (check_validity, check_integrity, check_ms_ordering, check_containment):
             assert c(run).status == "pass", (seed, c(run).line())
         unions = {i: frozenset().union(*s) if s else frozenset()
@@ -235,8 +229,8 @@ def test_criterion_6_register_variants():
             cfg = ScenarioConfig(n=3, t=1, workload=wl, op_count=rng.randint(2, 8),
                                  writer=rng.randint(1, 3),
                                  crash=rng.choice(["none", "random:1"]), seed=seed)
-            res, run = run_and_load(cfg)
-            assert res.status == "quiescent"
+            run = run_scenario(cfg)
+            assert run.status == "quiescent"
             h = extract_history(run)
             w = check_linearizable_witness(h, timestamp_metadata(run))
             b = check_linearizable_bruteforce(h, bound=BRUTE_BOUND)
@@ -244,8 +238,8 @@ def test_criterion_6_register_variants():
         for wl in ("sc_register_ops", "sc_snapshot_ops"):
             cfg = ScenarioConfig(n=3, t=1, workload=wl, op_count=rng.randint(4, 12),
                                  nregs=rng.choice([1, 2]), seed=seed)
-            res, run = run_and_load(cfg)
-            assert res.status == "quiescent"
+            run = run_scenario(cfg)
+            assert run.status == "quiescent"
             v = check_sequentially_consistent(extract_history(run))
             assert v.status == "pass", (wl, seed, v.line())
 
@@ -296,7 +290,7 @@ def test_criterion_7_checker_mutation_fixtures():
         missing.completed[sender].add(mid)
     fails["termination"] = check_termination(missing)
 
-    res, run = run_and_load(
+    run = run_scenario(
         ScenarioConfig(n=3, t=1, workload="register_ops", op_count=6, seed=4)
     )
     h = extract_history(run)
@@ -337,7 +331,7 @@ def test_criterion_8_determinism_and_replay(tmp_path):
         first = Simulator(cfg).run()
         second = Simulator(cfg).run()
         assert first.text.splitlines(True) == second.text.splitlines(True), cfg
-        live = [v.line() for v in evaluate_run(first.run)]
+        live = [v.line() for v in evaluate_run(first)]
         path = tmp_path / f"replay{k}.trace"
         path.write_text(first.text)
         stored = [v.line() for v in evaluate_run(load_run(parse_trace(path.read_text())))]

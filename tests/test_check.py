@@ -318,6 +318,14 @@ def _recv_renamed(events):
     events[:] = [ev._replace(kind="recx") if ev.kind == "recv" else ev for ev in events]
 
 
+def _renamed_op(new):
+    def mangle(events):
+        for ev in events:
+            if ev.payload.get("op") == "snapshot":
+                ev.payload["op"] = new
+    return mangle
+
+
 def _untagged_write(events):
     # no WRITE broadcast left to take the tag from, nor the return record
     events[:] = [ev for ev in events if ev.kind != "bcast"]
@@ -331,6 +339,10 @@ def _untagged_write(events):
     (_write_to_register_3, ValueError, "register 3 outside 1..2"),
     (_untagged_write, KeyError, "ts"),
     (_recv_renamed, ValueError, "unknown record kind 'recx'"),
+    # an unknown op kind would be replayed as a read; a bcast op would
+    # leave the history
+    (_renamed_op("frob"), ValueError, "snapshot_ops run has a 'frob' op"),
+    (_renamed_op("bcast"), ValueError, "snapshot_ops run has a 'bcast' op"),
 ])
 def test_load_run_rejects_malformed_record(mangle, error, match):
     res = run_scenario(ScenarioConfig(n=3, t=1, workload="snapshot_ops", op_count=6,

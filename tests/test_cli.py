@@ -79,7 +79,7 @@ def test_run_renders_the_trace_once(tmp_path, capsys, monkeypatch):
         return render(events)
 
     monkeypatch.setattr(cli, "render_trace", counting_render)
-    monkeypatch.setattr(sim, "render_trace", counting_render)  # RunResult.text
+    monkeypatch.setattr(sim, "render_trace", counting_render)  # RunData.text
     main(["run", "--n", "3", "--workload", "raw_broadcast", "--ops", "2",
           "--print-trace", "--trace-dir", str(tmp_path)])
     out = capsys.readouterr().out
@@ -285,9 +285,14 @@ def _garbage_line(text):
     (lambda text: text.replace("|budget=1000000 ", "|budget=-5 ", 1),
      "UsageError: step budget must be >= 1"),
     (lambda text: text.replace("|recv|", "|recx|"), "ValueError: unknown record kind 'recx'"),
+    (lambda text: text.replace("|op=read ", "|op=frob "),
+     "ValueError: register_ops run has a 'frob' op"),
+    (lambda text: text.replace("|op=read ", "|op=bcast "),
+     "ValueError: register_ops run has a 'bcast' op"),
 ], ids=["no-op-invoke", "unknown-proc", "garbage-line", "cut-at-300",
         "write-register-9", "send-without-to", "bcast-by-p9", "config-crash-random-x",
-        "config-n-0", "config-budget-0", "config-budget-minus-5", "recv-renamed"])
+        "config-n-0", "config-budget-0", "config-budget-minus-5", "recv-renamed",
+        "read-renamed-frob", "read-renamed-bcast"])
 def test_malformed_trace_exits_2_with_error_line(tmp_path, capsys, mangle, reason):
     main(["run", "--n", "3", "--workload", "register_ops", "--ops", "4", "--seed", "1",
           "--trace-dir", str(tmp_path)])
@@ -310,7 +315,9 @@ def _drop_end(text):
     (_drop_end, "ValueError: trace has no end record"),
     (lambda text: re.sub(r"\|end\|0\|(.*)status=\w+", r"|end|0|\1status=weird", text),
      "ValueError: run ended with unknown status 'weird'"),
-], ids=["no-end-record", "status-weird"])
+    (lambda text: re.sub(r"steps=\d+", "steps=many", text),
+     "ValueError: invalid literal for int() with base 10: 'many'"),
+], ids=["no-end-record", "status-weird", "steps-not-integer"])
 def test_trace_cut_at_a_line_boundary_exits_2(tmp_path, capsys, mangle, reason):
     """Without its end record, or with a status no run ends with, a trace
     would leave termination and consistency unjudged: it is not a pass."""

@@ -121,7 +121,7 @@ def test_trace_digest_is_pinned(kw, digest, _):
 @pytest.mark.parametrize("kw,_,digest", GOLDEN, ids=_case_ids(GOLDEN))
 def test_verdict_digest_is_pinned(kw, _, digest):
     res = run_scenario(ScenarioConfig(**kw))
-    for run in (res.run, load_run(res.events), load_run(parse_trace(res.text))):
+    for run in (res, load_run(res.events), load_run(parse_trace(res.text))):
         text = "".join(v.line() + "\n" for v in evaluate_run(run))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
