@@ -21,7 +21,7 @@ from typing import Optional
 from .core import UsageError
 from .check import CONSISTENCY_PROPS, OBJECT_WORKLOADS, evaluate_run, load_run
 from .sim import (RunData, ScenarioConfig, Simulator, TraceParseError, WORKLOADS,
-                  parse_trace, render_trace)
+                  parse_trace)
 
 
 @dataclass
@@ -158,7 +158,7 @@ def cmd_run(args) -> int:
     config = scenario_from_args(args)
     run = Simulator(config).run()
     store = args.trace_dir and not args.no_trace
-    text = render_trace(run.events) if args.print_trace or store else None
+    text = run.text if args.print_trace or store else None
     if args.print_trace:
         print(text, end="")
     if store:

@@ -28,12 +28,18 @@ enabled but operations pending, the signature of a lost majority), or out of
 step budget.  Trace records are line-oriented: step|kind|proc|key=value...,
 and their kinds are those of RECORD_KINDS; check.load_run rejects any other.
 A FORWARD's trace fields are formatted once, when it is fifo-broadcast, and
-shared by its n send records and its recv records (each record still owns its
-dict).  The trace codec keeps that sharing: render_trace sorts each distinct
-key list once per call, and parse_trace splits each distinct field text, and
-each distinct payload text before its last field, once per call, so the
-parsed records share equal field strings too.  The simulator builds its trace
-records with tuple.__new__, as parse_trace does, skipping TraceEvent's
+shared by its send and recv records.  The simulator writes its records to one
+ordered TraceLog: a TraceEvent per record, except that a fifo-broadcast is
+one entry standing for all its send records, and a delivery one entry for its
+recv record.  Those two kinds are nearly all of a run's records, and no
+judged path reads records, so they are built only when something iterates,
+indexes or compares the log (each then owns its dict), and render_trace
+writes their lines straight from the entries, joining each FORWARD's field
+text once per call.  The trace codec keeps the sharing for stored traces:
+render_trace sorts each distinct key list once per call, and parse_trace
+splits each distinct field text, and each distinct payload text before its
+last field, once per call, so the parsed records share equal field strings
+too.  Records are built with tuple.__new__, skipping TraceEvent's
 constructor.
 
 As it runs, the simulator also fills the RunData that the checkers judge,
@@ -230,21 +236,120 @@ class TraceParseError(Exception):
     pass
 
 
+class TraceLog:
+    """A simulated run's records, in order, as one log of entries.
+
+    Every record is a TraceEvent entry, but for the two kinds a FORWARD
+    writes.  One fifo-broadcast is one entry (step, "send", src, fields,
+    reach), standing for its send records to processes 1..reach, and one
+    delivery is one entry (step, "recv", dst, fields, src text); `fields` is
+    the FORWARD's shared tuple of field texts (_forward_fields).  So every
+    entry holds the step, kind and proc of its records at indices 0-2.
+
+    len() is the record count.  The records are built from the entries when
+    the log is first iterated, indexed or compared, and kept: each built
+    send or recv record owns a fresh payload dict.  A change to a record, or
+    remove(), persists in the log's records, but render_trace(log) writes
+    the run's send and recv lines from the entries and does not see it."""
+
+    __slots__ = ("entries", "extra", "_records", "_built")
+
+    def __init__(self):
+        self.entries = []
+        self.extra = 0      # records minus entries: reach - 1 per send entry
+        self._records = []  # the records of entries[:_built]
+        self._built = 0
+
+    def __len__(self) -> int:
+        return len(self.entries) + self.extra
+
+    def remove(self, record) -> None:
+        """Remove the first record equal to record, as list.remove does."""
+        self.records().remove(record)
+        self.extra -= 1
+
+    def records(self) -> list:
+        """The TraceEvent records, built once (and extended if the log grew)."""
+        entries, records = self.entries, self._records
+        if self._built < len(entries):
+            append, extend = records.append, records.extend
+            for e in islice(entries, self._built, None):
+                if type(e) is tuple:
+                    extend(_records_of(e))
+                else:
+                    append(e)
+            self._built = len(entries)
+        return records
+
+    def __iter__(self):
+        return iter(self.records())
+
+    def __getitem__(self, k):
+        return self.records()[k]
+
+    def __eq__(self, other):
+        if isinstance(other, TraceLog):
+            other = other.records()
+        return self.records() == other
+
+
+_FORWARD_KEYS = ("m", "sd", "sn", "f", "snf")  # a FORWARD's trace fields
+
+
+def _records_of(entry: tuple) -> list:
+    """The send or recv records of one compact TraceLog entry."""
+    step, kind, proc, values, last = entry
+    fields = dict(zip(_FORWARD_KEYS, values))
+    new = tuple.__new__
+    if kind == "send":
+        return [new(TraceEvent, (step, kind, proc, {"to": str(dst), **fields}))
+                for dst in range(1, last + 1)]
+    return [new(TraceEvent, (step, kind, proc, {"from": last, **fields}))]
+
+
 def render_trace(events) -> str:
     """One line per record: step|kind|proc|key=value..., keys sorted.
 
     Records whose payloads list the same keys in the same order share one
-    format string, built (and its keys sorted) once per call."""
+    format string, built (and its keys sorted) once per call.  A TraceLog's
+    send and recv lines are written from its entries, its records unbuilt:
+    the field text of each FORWARD is joined once per call for its send
+    records and once for its recv records."""
     formats = {}
+    recv_text = {}  # id of a FORWARD's field texts -> its recv line around "from"
     lines = []
-    for ev in events:
+    append = lines.append
+    for ev in events.entries if isinstance(events, TraceLog) else events:
+        if type(ev) is tuple:  # a TraceLog's send or recv entry
+            step, kind, proc, fwd, last = ev
+            if kind == "send":
+                before, after = _text_around(fwd, "to")
+                head = f"{step}|send|{proc}|{before}"
+                lines += [f"{head}{dst}{after}" for dst in range(1, last + 1)]
+            else:
+                around = recv_text.get(id(fwd))
+                if around is None:
+                    around = recv_text[id(fwd)] = _text_around(fwd, "from")
+                append(f"{step}|recv|{proc}|{around[0]}{last}{around[1]}")
+            continue
         payload = ev.payload
         keys = tuple(payload)
         fmt = formats.get(keys)
         if fmt is None:
             fmt = formats[keys] = _line_format(keys)
-        lines.append(fmt(*ev[:3], *payload.values()))
+        append(fmt(*ev[:3], *payload.values()))
     return "".join(lines)
+
+
+def _text_around(values: tuple, key: str) -> tuple:
+    """The payload text of a FORWARD's fields plus key, keys sorted, split
+    where key's value goes: (text up to "key=", text after the value,
+    newline included)."""
+    items = sorted(zip(_FORWARD_KEYS, values))
+    k = bisect_left(items, (key,))
+    before = "".join(f"{name}={value} " for name, value in items[:k])
+    after = "".join(f" {name}={value}" for name, value in items[k:])
+    return f"{before}{key}=", f"{after}\n"
 
 
 def _line_format(keys: tuple):
@@ -663,7 +768,7 @@ class RunData:
     trace.  Both give equal fields for one run."""
 
     config: ScenarioConfig
-    events: list
+    events: TraceLog | list  # a simulated run's log, or the records load_run read
     status: Optional[str]  # an END_STATUSES entry; None until the end record
     steps: int = 0                                   # as the end record says
     faulty: set = field(default_factory=set)
@@ -677,7 +782,7 @@ class RunData:
     ops: list = field(default_factory=list)          # OpRecords by invocation
 
     @staticmethod
-    def start(config: ScenarioConfig, events: list) -> "RunData":
+    def start(config: ScenarioConfig, events: TraceLog | list) -> "RunData":
         """The facts before the first record: an empty log and an empty
         completed set per process."""
         procs = range(1, config.n + 1)
@@ -689,27 +794,26 @@ class RunData:
         return render_trace(self.events)
 
 
-def _first_late(events: list, start: int) -> Optional[TraceEvent]:
-    """load_run's crash-silence rule from records[start:], which hold every
-    crash record: the first record by a process after its crash record."""
+def _first_late(entries: list, start: int) -> Optional[TraceEvent]:
+    """load_run's crash-silence rule from the TraceLog entries[start:],
+    which hold every crash record: the first record by a process after its
+    crash record.  Only that record is built."""
     faulty = set()
-    for ev in islice(events, start, None):
-        if ev.proc in faulty:
-            return ev
-        if ev.kind == "crash":
-            faulty.add(ev.proc)
+    for e in islice(entries, start, None):
+        if e[2] in faulty:
+            if type(e) is not tuple:
+                return e
+            return _records_of(e if e[1] == "recv" else (*e[:4], 1))[0]
+        if e[1] == "crash":
+            faulty.add(e[2])
     return None
 
 
-def _forward_fields(fmsg: ForwardMsg) -> dict:
-    """Trace fields of one FORWARD message, shared by send and recv records."""
-    return {
-        "m": str(fmsg.m.id),
-        "sd": str(fmsg.sd),
-        "sn": str(fmsg.sn_sd),
-        "f": str(fmsg.f),
-        "snf": str(fmsg.sn_f),
-    }
+def _forward_fields(fmsg: ForwardMsg) -> tuple:
+    """The trace field texts of one FORWARD message, in _FORWARD_KEYS order,
+    shared by its send and recv entries.  A tuple of strings, unlike a dict,
+    leaves the entries that hold it untracked by the cyclic collector."""
+    return (str(fmsg.m.id), str(fmsg.sd), str(fmsg.sn_sd), str(fmsg.f), str(fmsg.sn_f))
 
 
 # fifo policy without deliveries: finish work before starting new work
@@ -729,7 +833,8 @@ class Simulator:
     def __init__(self, config: ScenarioConfig):
         config.validate()
         self.config = config
-        self.events: list[TraceEvent] = []
+        self.log = TraceLog()
+        self._log_append = self.log.entries.append
         self.step = 0
         plan_rng = random.Random(f"{config.seed}:plan")
         self.sched_rng = random.Random(f"{config.seed}:sched")
@@ -738,8 +843,8 @@ class Simulator:
         self.policy, self.slow_set = parse_delay_policy(config.delay, config.n)
         self._cut = None  # (proc, sends remaining) during an interrupted handler
         self._send_seq = 0
-        self.data = RunData.start(config, self.events)  # filled as the run goes
-        self._first_crash = 0  # index of the first crash record, once there is one
+        self.data = RunData.start(config, self.log)  # filled as the run goes
+        self._first_crash = 0  # entry index of the first crash record, once there is one
         if config.workload in RW_WORKLOADS:
             msgs = {
                 i: [
@@ -771,34 +876,35 @@ class Simulator:
     # -- trace / transport hooks -----------------------------------------
 
     def trace(self, kind: str, proc: int, **payload) -> None:
-        self.events.append(tuple.__new__(TraceEvent, (self.step, kind, proc, payload)))
+        self._log_append(tuple.__new__(TraceEvent, (self.step, kind, proc, payload)))
 
     def fifo_broadcast(self, src: int, fmsg: ForwardMsg) -> None:
         """Send fmsg to every process, src included, in process order; a
         crash that cuts src's handler lets only its remaining sends out, then
         raises _CrashCut.  The trace fields and the channel key (sd, sn, f)
-        are built once here: each send record copies the fields, and each
-        channel entry carries both for the recv record."""
+        are built once here: the sends made are one TraceLog entry, and each
+        channel entry carries both for the recv entry."""
         forward = _forward_fields(fmsg)
-        key = (forward["sd"], forward["sn"], forward["f"])
+        key = forward[1:4]  # (sd, sn, f)
         n = reach = self.config.n
         if self._cut is not None and self._cut[0] == src:
             reach = min(n, self._cut[1])
             self._cut = (src, self._cut[1] - reach)
-        events, to_text, new, sent = self.events, self._pid_text, tuple.__new__, self._sent
-        faulty = self.data.faulty
+        sent, channels, faulty = self._sent, self.channels, self.data.faulty
+        seq = self._send_seq
         for dst in range(1, reach + 1):
-            self._send_seq += 1
-            payload = {"to": to_text[dst], **forward}
-            events.append(new(TraceEvent, (self.step, "send", src, payload)))
+            seq += 1
             idx = (src - 1) * n + dst - 1
             sent[idx].append(key)
             if dst not in faulty:
-                q = self.channels[idx]
-                q.append((self._send_seq, fmsg, forward, key))
+                q = channels[idx]
+                q.append((seq, fmsg, forward, key))
                 if len(q) == 1:
                     insort(self.enabled, self._deliveries[idx])
+        self._send_seq = seq
         if reach:
+            self._log_append((self.step, "send", src, forward, reach))
+            self.log.extra += reach - 1
             sends, mid = self.data.sends, fmsg.m.id
             sends[mid] = sends.get(mid, 0) + reach
         if reach < n:
@@ -816,7 +922,7 @@ class Simulator:
         op = self.scripts[i][seq]
         kind = op[0]
         inv = {"op": kind, "seq": str(seq)}
-        cur = self.cur[i] = OpRecord(i, seq, kind, invoke_idx=len(self.events))
+        cur = self.cur[i] = OpRecord(i, seq, kind, invoke_idx=len(self.log))
         if kind == "write":
             inv["r"], inv["v"] = str(op[1]), value_str(op[2])
             cur.r, cur.value = op[1], op[2]
@@ -864,7 +970,7 @@ class Simulator:
         if step.result is not None:
             res, cur = step.result, self.cur[i]
             self._op_returned(i)
-            cur.return_idx = len(self.events)
+            cur.return_idx = len(self.log)
             cur.result_values, cur.ts, cur.tsa = res.values, res.ts, res.tsa
             out = {"op": cur.kind, "seq": str(cur.seq)}
             if res.kind == "write":
@@ -930,8 +1036,7 @@ class Simulator:
             _, fmsg, forward, key = q.popleft()
             if not q:
                 del self.enabled[bisect_left(self.enabled, ev)]
-            self.events.append(tuple.__new__(TraceEvent, (
-                self.step, "recv", d, {"from": self._pid_text[s], **forward})))
+            self._log_append((self.step, "recv", d, forward, self._pid_text[s]))
             self._received[idx].append(key)
             self.receive(d, fmsg)
         elif ev[0] == "invoke":
@@ -961,7 +1066,7 @@ class Simulator:
                     self.channels[idx].clear()
                     del self.enabled[bisect_left(self.enabled, self._deliveries[idx])]
         if not self.data.faulty:
-            self._first_crash = len(self.events)
+            self._first_crash = len(self.log.entries)
         self.data.faulty.add(proc)
         self.trace("crash", proc)
 
@@ -1022,7 +1127,7 @@ class Simulator:
             for scd in self.scd[1:]:
                 scd.release()  # no process steps again
         if run.faulty:
-            run.late = _first_late(self.events, self._first_crash)
+            run.late = _first_late(self.log.entries, self._first_crash)
         return run
 
 

@@ -275,7 +275,7 @@ def test_reordered_channel_fails_fifo():
 def test_tampered_send_count_fails_bound():
     res = run_scenario(ScenarioConfig(n=3, t=1, workload="raw_broadcast", op_count=2))
     dup = [ev for ev in res.events if ev.kind == "send"]
-    assert check_message_bound(load_run(res.events + dup)).status == "fail"
+    assert check_message_bound(load_run(list(res.events) + dup)).status == "fail"
 
 
 def test_sends_sum_texts_that_spell_one_id():
@@ -347,7 +347,7 @@ def _untagged_write(events):
 def test_load_run_rejects_malformed_record(mangle, error, match):
     res = run_scenario(ScenarioConfig(n=3, t=1, workload="snapshot_ops", op_count=6,
                                       nregs=2, seed=2))
-    events = copy.deepcopy(res.events)
+    events = copy.deepcopy(list(res.events))
     mangle(events)
     with pytest.raises(error, match=match):
         load_run(events)

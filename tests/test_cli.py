@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from test_scd_mp import RELATIONS
 
-from scdkit import cli, scd_mp, sim
+from scdkit import scd_mp, sim
 from scdkit.cli import main
 
 
@@ -78,8 +78,7 @@ def test_run_renders_the_trace_once(tmp_path, capsys, monkeypatch):
         calls.append(len(events))
         return render(events)
 
-    monkeypatch.setattr(cli, "render_trace", counting_render)
-    monkeypatch.setattr(sim, "render_trace", counting_render)  # RunData.text
+    monkeypatch.setattr(sim, "render_trace", counting_render)  # RunData.text, cmd_run's only render
     main(["run", "--n", "3", "--workload", "raw_broadcast", "--ops", "2",
           "--print-trace", "--trace-dir", str(tmp_path)])
     out = capsys.readouterr().out

@@ -10,19 +10,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_scd_mp import AlwaysPurgeProcess
 
+from scdkit import sim
 from scdkit.core import UsageError
-from scdkit.check import RunData, evaluate_run, load_run
-from scdkit.cli import evaluate
+from scdkit.check import OBJECT_WORKLOADS, RunData, evaluate_run, load_run
+from scdkit.cli import evaluate, main
 from scdkit.sim import (
     MP_WORKLOADS,
+    RW_WORKLOADS,
     WORKLOADS,
     ScenarioConfig,
     Simulator,
     TraceEvent,
+    TraceLog,
     TraceParseError,
     _CrashCut,
     _estimated_steps,
-    _forward_fields,
     parse_crash_schedule,
     parse_delay_policy,
     parse_trace,
@@ -350,10 +352,16 @@ def test_gated_delivery_matches_always_purge(workload, seed):
         assert render_trace(Simulator(cfg).run().events).splitlines() == expected
 
 
+def _fields(fmsg):
+    return {"m": str(fmsg.m.id), "sd": str(fmsg.sd), "sn": str(fmsg.sn_sd),
+            "f": str(fmsg.f), "snf": str(fmsg.sn_f)}
+
+
 class PerCopyRecordSimulator(Simulator):
     """Trace records as first written: every send and recv record formats
     the FORWARD's fields itself through trace().  The differential test below
-    holds Simulator, which formats them once per FORWARD, to its events."""
+    holds Simulator, which formats them once per FORWARD and writes one log
+    entry per fan-out and per delivery, to its records and their lines."""
 
     def fifo_broadcast(self, src, fmsg):
         n = self.config.n
@@ -363,7 +371,7 @@ class PerCopyRecordSimulator(Simulator):
                     raise _CrashCut()
                 self._cut = (src, self._cut[1] - 1)
             self._send_seq += 1
-            self.trace("send", src, to=str(dst), **_forward_fields(fmsg))
+            self.trace("send", src, to=str(dst), **_fields(fmsg))
             if dst not in self.data.faulty:
                 idx = (src - 1) * n + dst - 1
                 q = self.channels[idx]
@@ -380,29 +388,59 @@ class PerCopyRecordSimulator(Simulator):
         _, fmsg, _ = q.popleft()
         if not q:
             del self.enabled[bisect_left(self.enabled, ev)]
-        self.trace("recv", d, **{"from": str(s)}, **_forward_fields(fmsg))
+        self.trace("recv", d, **{"from": str(s)}, **_fields(fmsg))
         self.receive(d, fmsg)
 
 
-# (n, crash): crash-free, random:K, and explicit crashes whose keep cuts
-# interrupt the victim's fifo-broadcast
-_RECORD_CRASHES = [(3, "none"), (5, "random:2"), (5, "explicit:2@9:1,4@40:3"),
+# (n, crash): crash-free (at n = 1 too), random:K, and explicit crashes whose
+# keep cuts interrupt the victim's fifo-broadcast
+_RECORD_CRASHES = [(1, "none"), (3, "none"), (5, "random:2"), (5, "explicit:2@9:1,4@40:3"),
                    (4, "explicit:1@0:2")]
 
 
 @pytest.mark.parametrize("workload", MP_WORKLOADS)
 def test_records_match_per_copy_records(workload):
+    """The records built from Simulator's log equal the per-copy records,
+    and render_trace writes the same lines from the log's entries as from
+    those records."""
     cut = False
     for delay in ("uniform", "fifo", "slow:1"):
         for n, crash in _RECORD_CRASHES:
             for seed in range(3):
                 cfg = config(n=n, t=(n - 1) // 2, workload=workload, op_count=2 * n,
-                             crash=crash, delay=delay, seed=seed, nregs=2, writer=2)
-                events = Simulator(cfg).run().events
-                assert events == PerCopyRecordSimulator(cfg).run().events, cfg
-                if crash.startswith("explicit"):
-                    cut |= any(c % n for c in load_run(events).sends.values())
+                             crash=crash, delay=delay, seed=seed, nregs=2, writer=min(n, 2))
+                log = Simulator(cfg).run().events
+                per_copy = PerCopyRecordSimulator(cfg).run().events
+                assert log == per_copy, cfg
+                assert len(log) == len(per_copy), cfg
+                assert lines(render_trace(log)) == lines(render_trace(list(log))), cfg
+                # a send entry stands for its records to p1..p{reach}
+                cut |= any(type(e) is tuple and e[1] == "send" and e[4] < n
+                           for e in log.entries)
     assert cut  # some keep cut truncated a fifo-broadcast
+
+
+def _raise(*args):
+    raise AssertionError("a judged path built the trace records")
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_judged_commands_build_no_records(workload, monkeypatch, capsys):
+    """scdkit fuzz and stats judge the RunData: they never build the
+    records of the simulator's log, whose send and recv entries are the
+    bulk of a run."""
+    n = "3" if workload in RW_WORKLOADS else "5"
+    commands = [["fuzz", "--n", n, "--workload", workload, "--ops", "6", "--nregs", "2",
+                 "--crash", "random:1", "--seeds", "8", "--delay", "slow:1"],
+                ["stats", "--n", n, "--workload", workload, "--ops", "6",
+                 "--crash", "explicit:1@7:2", "--seed", "3"]]
+    expected = []
+    for argv in commands:
+        expected.append((main(argv), capsys.readouterr().out))
+    monkeypatch.setattr(TraceLog, "records", _raise)
+    monkeypatch.setattr(sim, "_records_of", _raise)
+    for argv, want in zip(commands, expected):
+        assert (main(argv), capsys.readouterr().out) == want, argv
 
 
 def _workload_config(workload):
@@ -450,6 +488,25 @@ def test_live_and_parsed_events_load_alike(workload):
             assert live == getattr(from_text, f.name), (cfg, f.name)
 
 
+@pytest.mark.parametrize("workload", OBJECT_WORKLOADS)
+def test_op_indices_name_their_records(workload):
+    """An op's invoke_idx and return_idx, counted as the run goes, index its
+    own op_invoke and op_return records, crashed runs included."""
+    left_open = 0
+    for cfg in _rundata_configs(workload):
+        res = run_scenario(cfg)
+        for op in res.ops:
+            ev = res.events[op.invoke_idx]
+            assert (ev.kind, ev.proc, ev.payload["seq"]) == ("op_invoke", op.proc, str(op.seq))
+            if op.return_idx is None:
+                left_open += 1
+                assert res.status != "quiescent" or op.proc in res.faulty, cfg
+                continue
+            ev = res.events[op.return_idx]
+            assert (ev.kind, ev.proc, ev.payload["seq"]) == ("op_return", op.proc, str(op.seq))
+    assert left_open  # some crashed or stalled run left an op open
+
+
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_a_judged_run_frees_by_reference_counting(workload):
     """No reference cycle outlives a run judged live and from its parsed
@@ -475,6 +532,14 @@ def test_a_judged_run_frees_by_reference_counting(workload):
             assert gc.collect() == 0, crash
         finally:
             gc.enable()
+
+
+def test_log_len_is_the_record_count():
+    log = run_scenario(config(n=3, op_count=3, seed=7, crash="explicit:1@0:2")).events
+    count = len(log)  # counted, not built
+    assert count == len(list(log))
+    log.remove(next(ev for ev in log if ev.kind == "send"))
+    assert len(log) == count - 1 == len(list(log))
 
 
 @pytest.mark.parametrize("kind,key", [("send", "to"), ("recv", "from")])
