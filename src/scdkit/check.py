@@ -41,9 +41,10 @@ Checkers judge a RunData (defined in sim, re-exported here) and return
 Verdicts (pass / fail / skip plus a short detail); skip marks a precondition
 gate such as a run that never reached quiescence.  A simulated run is judged
 from the RunData that Simulator.run filled as it ran and returned.  load_run
-builds the same RunData from the records of a stored or parsed trace: it is
-the only reader of trace records, and rejects malformed input by exception,
-so no checker raises on a RunData it returned.
+builds the same RunData from a stored trace, reading the TraceLog that
+sim.parse_trace gives back entry by entry (or a plain list of records): it
+is the only reader of trace records, and rejects malformed input by
+exception, so no checker raises on a RunData it returned.
 """
 from __future__ import annotations
 
@@ -56,7 +57,7 @@ from typing import Optional
 from .core import INITIAL_TS, MsgId, Timestamp, parse_id_set
 from .shared_objects import INITIAL_VALUE, WritePayload, decode_payload
 from .sim import (END_STATUSES, MP_WORKLOADS, RECORD_KINDS, RW_WORKLOADS, OpRecord,
-                  RunData, ScenarioConfig, value_parse)
+                  RunData, ScenarioConfig, TraceLog, first_record, value_parse)
 
 
 @dataclass
@@ -106,18 +107,25 @@ class History:
 
 def load_run(events) -> RunData:
     """Read every trace record once into RunData; the checkers judge only
-    the parsed fields.  Message ids are parsed once per message: sends are
-    counted by their `m` text, and each distinct text is parsed at the end
-    (so a bad `m` is reported after any later malformed record).  A config
-    record that fails validation raises UsageError, a missing field or a
-    record by an unknown process KeyError, any other malformed value
-    ValueError.  So does a record of a kind no run writes, an operation of
-    a kind its workload never issues, a trace cut before its end record, or
-    an end record whose status is not one a run ends with; records after it
-    are read."""
-    if not events or events[0].kind != "config":
+    the parsed fields.  `events` is a list of records or a TraceLog, whose
+    entries are read: a send entry appends its channel key to the channels
+    from its proc to 1..reach and counts reach sends, a recv entry is one
+    receipt, and neither builds a record (but for the first record after a
+    crash, which becomes run.late).  Record indices (invoke_idx,
+    return_idx) count the records an entry stands for.  Message ids are
+    parsed once per message: sends are counted by their `m` text, and each
+    distinct text is parsed at the end (so a bad `m` is reported after any
+    later malformed record); each distinct delivered-set text is parsed
+    once, and the logs that hold it share its frozenset.  A config record that fails validation raises
+    UsageError, a missing field or a record by an unknown process KeyError,
+    any other malformed value ValueError.  So does a record of a kind no run
+    writes, an operation of a kind its workload never issues, a trace cut
+    before its end record, or an end record whose status is not one a run
+    ends with; records after it are read."""
+    entries = events.entries if isinstance(events, TraceLog) else events
+    if not entries or entries[0][1] != "config":
         raise ValueError("trace must start with a config record")
-    config = ScenarioConfig.from_payload(events[0].payload)
+    config = ScenarioConfig.from_payload(entries[0].payload)
     config.validate()
     run = RunData.start(config, events)
     objects = config.workload in OBJECT_WORKLOADS
@@ -125,55 +133,76 @@ def load_run(events) -> RunData:
     open_ops: dict = {}
     channels = defaultdict(lambda: ([], []))  # the pair is built once per channel
     sends: dict = {}  # m text -> send count
-    for idx, ev in enumerate(events):
-        kind, p = ev.kind, ev.payload
+    keys: dict = {}  # a FORWARD's field tuple -> its channel key (sd, sn, f)
+    id_sets: dict = {}  # a delivered set's text -> its ids, shared by the logs
+    shift = 0  # records before an entry less its index: reach - 1 per send entry
+    for k, ev in enumerate(entries):
+        kind, proc = ev[1], ev[2]
         if kind == "config":
             continue
         if kind == "end":
+            p = ev.payload
             if p["status"] not in END_STATUSES:
                 raise ValueError(f"run ended with unknown status {p['status']!r}")
             run.status, run.steps = p["status"], int(p["steps"])
             continue
-        if ev.proc not in run.logs:
-            raise KeyError(ev.proc)
-        if run.late is None and ev.proc in run.faulty:
-            run.late = ev
+        if proc not in run.logs:
+            raise KeyError(proc)
+        if run.late is None and proc in run.faulty:
+            run.late = first_record(ev)
+        if type(ev) is tuple:  # a TraceLog's send or recv entry
+            _, _, _, fwd, last = ev
+            key = keys.get(fwd)
+            if key is None:
+                key = keys[fwd] = fwd[1:4]
+            if kind == "send":
+                for dst in range(1, last + 1):
+                    channels[proc, dst][0].append(key)
+                sends[fwd[0]] = sends.get(fwd[0], 0) + last
+                shift += last - 1
+            else:
+                channels[int(last), proc][1].append(key)
+            continue
+        p = ev.payload
         if kind == "send":
-            channels[ev.proc, int(p["to"])][0].append((p["sd"], p["sn"], p["f"]))
+            channels[proc, int(p["to"])][0].append((p["sd"], p["sn"], p["f"]))
             m = p["m"]
             sends[m] = sends.get(m, 0) + 1
         elif kind == "recv":
-            channels[int(p["from"]), ev.proc][1].append((p["sd"], p["sn"], p["f"]))
+            channels[int(p["from"]), proc][1].append((p["sd"], p["sn"], p["f"]))
         elif kind == "bcast":
             mid, data = MsgId.parse(p["id"]), value_parse(p["data"])
-            run.broadcasts[mid] = (ev.proc, data)
+            run.broadcasts[mid] = (proc, data)
             w = decode_payload(data) if objects else None
             if isinstance(w, WritePayload):
                 _check_slot(w.r, config)
                 run.writes[mid] = w
-                if ev.proc in open_ops:  # a crashed writer's pending write keeps it
-                    open_ops[ev.proc].ts = w.ts
+                if proc in open_ops:  # a crashed writer's pending write keeps it
+                    open_ops[proc].ts = w.ts
         elif kind == "scd_deliver":
-            run.logs[ev.proc].append(parse_id_set(p["set"]))
+            ids = id_sets.get(p["set"])
+            if ids is None:
+                ids = id_sets[p["set"]] = parse_id_set(p["set"])
+            run.logs[proc].append(ids)
         elif kind == "broadcast_complete":
-            run.completed[ev.proc].add(MsgId.parse(p["id"]))
+            run.completed[proc].add(MsgId.parse(p["id"]))
         elif kind == "crash":
-            run.faulty.add(ev.proc)
+            run.faulty.add(proc)
         elif (kind == "op_invoke" or kind == "op_return") and p["op"] not in op_kinds:
             raise ValueError(f"{config.workload} run has a {p['op']!r} op")
         elif kind == "op_invoke" and objects:
-            op = OpRecord(ev.proc, int(p["seq"]), p["op"], invoke_idx=idx)
+            op = OpRecord(proc, int(p["seq"]), p["op"], invoke_idx=k + shift)
             if op.kind == "write":
                 op.r = _check_slot(int(p["r"]), config)
                 op.value = value_parse(p["v"])
-            open_ops[ev.proc] = op
+            open_ops[proc] = op
             run.ops.append(op)
         elif kind == "op_return" and objects:
-            op = open_ops.pop(ev.proc)
+            op = open_ops.pop(proc)
             if op.seq != int(p["seq"]):
-                raise ValueError(f"p{ev.proc} returns op {p['seq']} "
+                raise ValueError(f"p{proc} returns op {p['seq']} "
                                  f"while op {op.seq} is open")
-            op.return_idx = idx
+            op.return_idx = k + shift
             if "ts" in p or op.kind == "write":  # the witness orders writes by tag
                 op.ts = Timestamp.parse(p["ts"])
             if "tsa" in p:

@@ -33,14 +33,19 @@ ordered TraceLog: a TraceEvent per record, except that a fifo-broadcast is
 one entry standing for all its send records, and a delivery one entry for its
 recv record.  Those two kinds are nearly all of a run's records, and no
 judged path reads records, so they are built only when something iterates,
-indexes or compares the log (each then owns its dict), and render_trace
-writes their lines straight from the entries, joining each FORWARD's field
-text once per call.  The trace codec keeps the sharing for stored traces:
-render_trace sorts each distinct key list once per call, and parse_trace
-splits each distinct field text, and each distinct payload text before its
-last field, once per call, so the parsed records share equal field strings
-too.  Records are built with tuple.__new__, skipping TraceEvent's
-constructor.
+indexes or compares the log (each then owns its dict).
+
+The trace codec works on the same log.  render_trace writes send and recv
+lines straight from the entries, joining each FORWARD's field text once per
+call, and sorts each distinct key list of the other records once per call.
+parse_trace gives back a TraceLog: the send lines of one fan-out fold into
+one send entry and a recv line becomes one recv entry, sharing one field
+tuple per distinct field text, so a parsed trace holds the very entries the
+simulator wrote.  Every other line is a TraceEvent entry whose field texts,
+and payload texts before the last field, are split once per call, so equal
+field strings are shared there too.  check.load_run reads the entries, so
+neither a judged run nor a checked trace builds its send and recv records.
+Records are built with tuple.__new__, skipping TraceEvent's constructor.
 
 As it runs, the simulator also fills the RunData that the checkers judge,
 from the objects at hand where each record is written: the MsgId, the
@@ -48,7 +53,7 @@ delivered set and the OpResult, never the record text.  Each FORWARD's
 channel key (sd, sn, f) is built once and appended to a channel's sent list
 per send made, and to its received list from the channel entry a delivery
 pops.  Simulator.run returns it, and a simulated run is judged from it;
-check.load_run reads the same facts back from the records of a stored trace.
+check.load_run reads the same facts back from the log of a stored trace.
 
 A message-passing run keeps its enabled events in one sorted list of event
 tuples, Simulator.enabled: ("deliver", sender, receiver) for each non-empty
@@ -67,6 +72,7 @@ ids, so a transition pays only for what it changes.
 from __future__ import annotations
 
 import random
+import re
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field, fields
@@ -237,20 +243,21 @@ class TraceParseError(Exception):
 
 
 class TraceLog:
-    """A simulated run's records, in order, as one log of entries.
+    """A run's records, in order, as one log of entries: the log a simulated
+    run writes, or the one parse_trace reads back from its text.
 
     Every record is a TraceEvent entry, but for the two kinds a FORWARD
     writes.  One fifo-broadcast is one entry (step, "send", src, fields,
     reach), standing for its send records to processes 1..reach, and one
     delivery is one entry (step, "recv", dst, fields, src text); `fields` is
-    the FORWARD's shared tuple of field texts (_forward_fields).  So every
-    entry holds the step, kind and proc of its records at indices 0-2.
+    the FORWARD's shared tuple of field texts, in _FORWARD_KEYS order.  So
+    every entry holds the step, kind and proc of its records at indices 0-2.
 
     len() is the record count.  The records are built from the entries when
     the log is first iterated, indexed or compared, and kept: each built
     send or recv record owns a fresh payload dict.  A change to a record, or
-    remove(), persists in the log's records, but render_trace(log) writes
-    the run's send and recv lines from the entries and does not see it."""
+    remove(), persists in the log's records, but render_trace(log) and
+    check.load_run(log) read the entries and do not see it."""
 
     __slots__ = ("entries", "extra", "_records", "_built")
 
@@ -297,14 +304,23 @@ _FORWARD_KEYS = ("m", "sd", "sn", "f", "snf")  # a FORWARD's trace fields
 
 
 def _records_of(entry: tuple) -> list:
-    """The send or recv records of one compact TraceLog entry."""
-    step, kind, proc, values, last = entry
-    fields = dict(zip(_FORWARD_KEYS, values))
+    """The send or recv records of one compact TraceLog entry, each payload
+    in the sorted key order of its line."""
+    step, kind, proc, (m, sd, sn, f, snf), last = entry
     new = tuple.__new__
     if kind == "send":
-        return [new(TraceEvent, (step, kind, proc, {"to": str(dst), **fields}))
+        return [new(TraceEvent, (step, kind, proc, {"f": f, "m": m, "sd": sd, "sn": sn,
+                                                   "snf": snf, "to": str(dst)}))
                 for dst in range(1, last + 1)]
-    return [new(TraceEvent, (step, kind, proc, {"from": last, **fields}))]
+    return [new(TraceEvent, (step, kind, proc, {"f": f, "from": last, "m": m, "sd": sd,
+                                               "sn": sn, "snf": snf}))]
+
+
+def first_record(entry) -> TraceEvent:
+    """The first record a TraceLog entry stands for; a TraceEvent is its own."""
+    if type(entry) is not tuple:
+        return entry
+    return _records_of(entry if entry[1] == "recv" else (*entry[:4], 1))[0]
 
 
 def render_trace(events) -> str:
@@ -323,13 +339,13 @@ def render_trace(events) -> str:
         if type(ev) is tuple:  # a TraceLog's send or recv entry
             step, kind, proc, fwd, last = ev
             if kind == "send":
-                before, after = _text_around(fwd, "to")
-                head = f"{step}|send|{proc}|{before}"
-                lines += [f"{head}{dst}{after}" for dst in range(1, last + 1)]
+                head = f"{step}|send|{proc}|{_field_text(fwd)} to="
+                lines += [f"{head}{dst}\n" for dst in range(1, last + 1)]
             else:
                 around = recv_text.get(id(fwd))
                 if around is None:
-                    around = recv_text[id(fwd)] = _text_around(fwd, "from")
+                    f, _, rest = _field_text(fwd).partition(" ")
+                    around = recv_text[id(fwd)] = (f"{f} from=", f" {rest}\n")
                 append(f"{step}|recv|{proc}|{around[0]}{last}{around[1]}")
             continue
         payload = ev.payload
@@ -341,15 +357,24 @@ def render_trace(events) -> str:
     return "".join(lines)
 
 
-def _text_around(values: tuple, key: str) -> tuple:
-    """The payload text of a FORWARD's fields plus key, keys sorted, split
-    where key's value goes: (text up to "key=", text after the value,
-    newline included)."""
-    items = sorted(zip(_FORWARD_KEYS, values))
-    k = bisect_left(items, (key,))
-    before = "".join(f"{name}={value} " for name, value in items[:k])
-    after = "".join(f" {name}={value}" for name, value in items[k:])
-    return f"{before}{key}=", f"{after}\n"
+# A FORWARD's field text: its fields by sorted key.  A send line adds " to=",
+# which sorts last, and a recv line "from=" after the f field.
+_FIELD_TEXT = re.compile("f=([^ ]*) m=([^ ]*) sd=([^ ]*) sn=([^ ]*) snf=([^ ]*)")
+
+
+def _field_text(values: tuple) -> str:
+    m, sd, sn, f, snf = values
+    return f"f={f} m={m} sd={sd} sn={sn} snf={snf}"
+
+
+def _forward_of(text: str) -> Optional[tuple]:
+    """The field tuple, in _FORWARD_KEYS order, of a FORWARD's field text,
+    or None for any other text."""
+    match = _FIELD_TEXT.fullmatch(text)
+    if match is None:
+        return None
+    f, m, sd, sn, snf = match.groups()
+    return (m, sd, sn, f, snf)
 
 
 def _line_format(keys: tuple):
@@ -374,27 +399,57 @@ class _Memo(dict):
         return value
 
 
-def parse_trace(text: str) -> list:
-    """The records of a rendered trace, equal to the ones rendered.
+def parse_trace(text: str) -> TraceLog:
+    """The records of a rendered trace, equal to the ones rendered, as a
+    TraceLog of the entries the simulator writes.
 
-    Each distinct field text is split once per call, and each distinct
-    payload text before the last field is turned into a dict once: later
-    records with that head copy the dict and add their last field (a
-    FORWARD's send records differ only in their last field, its recv records
-    not at all).  So equal field texts, and equal kinds, are one string
-    object, as they are in the simulator's records, and each record still
-    owns its dict."""
+    A run of send lines that share a step, a proc and a FORWARD's field text
+    ("f=.. m=.. sd=.. sn=.. snf=..", exactly these keys) and end in to=1,
+    to=2, ... to=reach is one send entry, and a recv line of that field
+    text with its from= field after f= one recv entry.  A line that extends
+    the run is told by its text alone: it is the run's first line up to
+    "to=", then the next number, so it is not split.  The field tuple of
+    each distinct field text, and what each distinct recv payload holds, are
+    worked out once per call, so the entries of one FORWARD share one
+    field tuple, and its send and recv records share its strings.
+    Every other line is a TraceEvent entry: each distinct field text is
+    split once per call, and each distinct payload text before the last
+    field turned into a dict once, which later records with that head copy
+    before adding their last field.  So equal field texts, and equal kinds,
+    are one string object, as they are in the simulator's records, and each
+    record still owns its dict."""
     lines = text.splitlines()
     if text and not text.endswith("\n"):
         # render_trace ends every record with a newline
         raise TraceParseError(f"line {len(lines)}: trace ends mid-record")
-    events = []
-    append, new = events.append, tuple.__new__
+    log = TraceLog()
+    entries = log.entries
+    append, new = entries.append, tuple.__new__
     fields = _Memo(lambda chunk: chunk.partition("=")[::2])
     heads = _Memo(lambda head: dict(map(fields.__getitem__, head.split(" "))))
+    forwards = _Memo(_forward_of)
+
+    def recv_of(body):  # (field tuple, src text) of a recv payload in the exact form
+        chunks = body.split(" ", 2)
+        if len(chunks) < 3 or chunks[1][:5] != "from=":
+            return None
+        fwd = forwards[f"{chunks[0]} {chunks[2]}"]
+        return None if fwd is None else (fwd, chunks[1][5:])
+
+    recvs = _Memo(recv_of)
     kinds = {}
     step_text = step = None
+    # the last entry's line up to its to value while it is a send entry, and
+    # its reach; no line holds "\n"
+    run_text, reach = "\n", 0
+    extra = 0  # send lines folded into the entry before them
     for lineno, line in enumerate(lines, start=1):
+        if line.startswith(run_text) and line[len(run_text):] == str(reach + 1):
+            reach += 1
+            entries[-1] = (step, "send", proc, fwd, reach)
+            extra += 1
+            continue
+        run_text = "\n"
         parts = line.split("|", 3)
         if len(parts) != 4:
             if not line.strip():
@@ -407,6 +462,18 @@ def parse_trace(text: str) -> list:
             proc = int(p)
         except ValueError as e:
             raise TraceParseError(f"line {lineno}: {e}") from None
+        if kind == "send":
+            head, _, last = body.rpartition(" ")
+            fwd = forwards[head]
+            if fwd is not None and last == "to=1":
+                run_text, reach = line[:-1], 1
+                append((step, "send", proc, fwd, 1))
+                continue
+        elif kind == "recv":
+            recv = recvs[body]
+            if recv is not None:
+                append((step, "recv", proc, recv[0], recv[1]))
+                continue
         kind = kinds.setdefault(kind, kind)
         payload = {}
         if body:
@@ -416,7 +483,8 @@ def parse_trace(text: str) -> list:
             k, v = fields[last]
             payload[k] = v
         append(new(TraceEvent, (step, kind, proc, payload)))
-    return events
+    log.extra = extra
+    return log
 
 
 def value_str(v: bytes) -> str:
@@ -764,11 +832,11 @@ class OpRecord:
 class RunData:
     """What the checkers judge of one run.  Simulator.run fills it from the
     objects at each record's site as the run goes and returns it;
-    check.load_run reads it back from the records of a stored or parsed
-    trace.  Both give equal fields for one run."""
+    check.load_run reads it back from the log of a parsed trace (or from a
+    list of records).  Both give equal fields for one run."""
 
     config: ScenarioConfig
-    events: TraceLog | list  # a simulated run's log, or the records load_run read
+    events: TraceLog | list  # the simulated or parsed log, or the records load_run read
     status: Optional[str]  # an END_STATUSES entry; None until the end record
     steps: int = 0                                   # as the end record says
     faulty: set = field(default_factory=set)
@@ -801,9 +869,7 @@ def _first_late(entries: list, start: int) -> Optional[TraceEvent]:
     faulty = set()
     for e in islice(entries, start, None):
         if e[2] in faulty:
-            if type(e) is not tuple:
-                return e
-            return _records_of(e if e[1] == "recv" else (*e[:4], 1))[0]
+            return first_record(e)
         if e[1] == "crash":
             faulty.add(e[2])
     return None

@@ -9,8 +9,9 @@ the uniform, fifo and slow:1 delay policies, and four crash schedules each:
 none, random:K, explicit crashes, and explicit crashes whose keep cuts
 interrupt a handler.  For each run the digest takes the rendered trace and
 the verdict lines judged from the RunData the run filled.  Each run must
-also render the same text from its records as from the simulator's log, and
-get the same verdicts back from its parsed trace; a mismatch exits 1.
+also render the same text from its records as from the simulator's log,
+parse back to the entries of that log, and get the same verdicts back from
+its parsed trace; a mismatch exits 1.
 """
 from __future__ import annotations
 
@@ -61,8 +62,11 @@ def sweep() -> tuple:
         text = run.text
         if render_trace(list(run.events)) != text:
             raise SystemExit(f"records render unlike the log: {cfg}")
+        log = parse_trace(text)
+        if log.entries != run.events.entries:
+            raise SystemExit(f"parsed trace unlike the simulator's log: {cfg}")
         verdicts = "".join(v.line() + "\n" for v in evaluate_run(run))
-        parsed = "".join(v.line() + "\n" for v in evaluate_run(load_run(parse_trace(text))))
+        parsed = "".join(v.line() + "\n" for v in evaluate_run(load_run(log)))
         if parsed != verdicts:
             raise SystemExit(f"parsed trace judged unlike the live run: {cfg}")
         digest.update(text.encode())

@@ -280,9 +280,12 @@ def test_tampered_send_count_fails_bound():
 
 def test_sends_sum_texts_that_spell_one_id():
     res = run_scenario(ScenarioConfig(n=3, t=1, workload="raw_broadcast", op_count=2))
-    events = copy.deepcopy(res.events)
+    # a list of records: load_run reads a TraceLog's entries, not its records
+    events = copy.deepcopy(list(res.events))
     send = next(ev for ev in events if ev.kind == "send")
-    send.payload["m"] = send.payload["m"].replace(".", ".0")  # "1.0" -> "1.00"
+    original = send.payload["m"]
+    send.payload["m"] = original.replace(".", ".0")  # "1.0" -> "1.00"
+    assert send.payload["m"] != original
     assert load_run(events).sends == load_run(res.events).sends
 
 

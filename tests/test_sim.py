@@ -425,15 +425,21 @@ def _raise(*args):
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_judged_commands_build_no_records(workload, monkeypatch, capsys):
-    """scdkit fuzz and stats judge the RunData: they never build the
-    records of the simulator's log, whose send and recv entries are the
-    bulk of a run."""
+def test_judged_commands_build_no_records(workload, monkeypatch, capsys, tmp_path):
+    """scdkit run, fuzz and stats judge the RunData, and scdkit check the
+    parsed log: none of them builds the records of a log, whose send and
+    recv entries are the bulk of a run.  The run commands store a crash-free
+    and a crashed trace for check to judge."""
     n = "3" if workload in RW_WORKLOADS else "5"
-    commands = [["fuzz", "--n", n, "--workload", workload, "--ops", "6", "--nregs", "2",
-                 "--crash", "random:1", "--seeds", "8", "--delay", "slow:1"],
-                ["stats", "--n", n, "--workload", workload, "--ops", "6",
-                 "--crash", "explicit:1@7:2", "--seed", "3"]]
+    shape = ["--n", n, "--workload", workload, "--ops", "6", "--nregs", "2"]
+    stored = [["run", *shape, "--seed", "4", "--trace-dir", str(tmp_path)],
+              ["run", *shape, "--crash", "explicit:1@7:2", "--seed", "3",
+               "--trace-dir", str(tmp_path)]]
+    commands = [*stored,
+                ["check", *(str(tmp_path / f"{workload}_n{n}_s{seed}.trace")
+                            for seed in (4, 3))],
+                ["fuzz", *shape, "--crash", "random:1", "--seeds", "8", "--delay", "slow:1"],
+                ["stats", *shape, "--crash", "explicit:1@7:2", "--seed", "3"]]
     expected = []
     for argv in commands:
         expected.append((main(argv), capsys.readouterr().out))
@@ -478,10 +484,13 @@ def _rundata_configs(workload):
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_live_and_parsed_events_load_alike(workload):
     """The RunData a run fills as it goes equals what load_run reads back
-    from its records, in memory and after a render/parse round trip."""
+    from its records, in memory and after a render/parse round trip; the
+    parsed trace is the simulator's own log, entry for entry."""
     for cfg in _rundata_configs(workload):
         res = run_scenario(cfg)
-        from_events, from_text = load_run(res.events), load_run(parse_trace(res.text))
+        parsed = parse_trace(res.text)
+        assert parsed.entries == res.events.entries, cfg
+        from_events, from_text = load_run(res.events), load_run(parsed)
         for f in fields(RunData):
             live = getattr(res, f.name)
             assert live == getattr(from_events, f.name), (cfg, f.name)

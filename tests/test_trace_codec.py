@@ -2,16 +2,22 @@
 
 `old_render_trace` and `old_parse_trace` are the first render and parse,
 one f-string and one sort per record, one partition per payload field.  The
-codec in `scdkit.sim` shares work and strings between records; these tests
-hold it to the old output on arbitrary input, malformed text included.
+codec in `scdkit.sim` shares work and strings between records, and parses a
+FORWARD's send and recv lines into compact TraceLog entries; these tests
+hold it to the old output on arbitrary input, malformed text included, and
+hold load_run on those entries to load_run on the records they stand for.
 """
 from __future__ import annotations
+
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scdkit.check import load_run
 from scdkit.sim import (
     WORKLOADS,
+    RunData,
     ScenarioConfig,
     TraceEvent,
     TraceParseError,
@@ -129,6 +135,105 @@ def test_payload_edge_cases(body, payload):
     for ev in parse_trace(text):
         assert list(ev.payload.items()) == list(payload.items())
     assert _parsed(parse_trace, text) == _parsed(old_parse_trace, text)
+
+
+# One FORWARD's send lines (to=1..reach) or recv line, keys sorted, in the
+# exact form parse_trace folds into one TraceLog entry or perturbed out of it.
+_FIELD_VALUES = st.sampled_from(["0", "1", "3", "", "a=b", "1.0"])
+_M_VALUES = st.sampled_from(["1.0", "1.00", "2.1", "2.1", "x"])
+_FROM_VALUES = st.sampled_from(["1", "2", "3", "01", "+1", "a=b", "9"])
+_PROCS = st.sampled_from([1, 2, 3, 1, 2, 3, 4])
+_PERTURBATIONS = st.sampled_from([None, None, None, None, "gap", "repeat", "zero-padded",
+                                  "step", "proc", "missing", "extra", "duplicate", "swap",
+                                  "renamed"])
+
+
+@st.composite
+def forward_lines(draw):
+    step, proc = draw(st.integers(1, 6)), draw(_PROCS)
+    values = [draw(_FIELD_VALUES), draw(_M_VALUES), *(draw(_FIELD_VALUES) for _ in range(3))]
+    items = list(zip(("f", "m", "sd", "sn", "snf"), values))
+    if draw(st.booleans()):
+        kind, reach = "send", draw(st.integers(1, 4))
+        records = [[step, proc, [*items, ("to", str(dst))]] for dst in range(1, reach + 1)]
+    else:
+        kind = "recv"
+        records = [[step, proc, [items[0], ("from", draw(_FROM_VALUES)), *items[1:]]]]
+    k = draw(st.integers(0, len(records) - 1))
+    rec_items = records[k][2]
+    at = draw(st.integers(0, len(rec_items) - 1))
+    perturbation = draw(_PERTURBATIONS)
+    if perturbation == "gap" and len(records) > 1:
+        del records[k]
+    elif perturbation == "repeat":
+        records.insert(k, [records[k][0], records[k][1], list(rec_items)])
+    elif perturbation == "zero-padded":  # to=01, from=01
+        key = "to" if kind == "send" else "from"
+        i = next(i for i, (name, _) in enumerate(rec_items) if name == key)
+        rec_items[i] = (key, "0" + rec_items[i][1])
+    elif perturbation in ("step", "proc"):  # from the k-th line on
+        for rec in records[k:]:
+            rec[perturbation == "proc"] += 1
+    elif perturbation == "missing":
+        del rec_items[at]
+    elif perturbation == "extra":
+        rec_items.insert(at, draw(st.sampled_from([("x", "1"), ("g", ""), ("", "")])))
+    elif perturbation == "duplicate":
+        rec_items.insert(at, rec_items[draw(st.integers(0, len(rec_items) - 1))])
+    elif perturbation == "swap" and at + 1 < len(rec_items):
+        rec_items[at], rec_items[at + 1] = rec_items[at + 1], rec_items[at]
+    elif perturbation == "renamed":  # from -> fro, snf -> sn, f -> "", ...
+        rec_items[at] = (rec_items[at][0][:-1], rec_items[at][1])
+    return [f"{step}|{kind}|{proc}|" + " ".join(f"{name}={value}" for name, value in items)
+            for step, proc, items in records]
+
+
+_FORWARD_CONFIG = render_trace([TraceEvent(0, "config", 0, ScenarioConfig(
+    n=3, t=1, workload="snapshot_ops", op_count=2).to_payload())])
+# records that mark a crash (crash silence) or move the record index of an op
+_OTHER_LINES = st.sampled_from([
+    "2|crash|2|", "3|op_invoke|1|op=snapshot seq=0",
+    "7|op_return|1|op=snapshot seq=0 tsa=0:- vals=-", "4|bcast|1|data=- id=1.0",
+])
+_FORWARD_BREAK = st.sampled_from(["\n"] * 8 + ["\r\n", "\r", "\x0b", " "])
+
+
+@st.composite
+def forward_traces(draw):
+    """A snapshot_ops trace of FORWARD-shaped lines among a few other
+    records, between a config and an end record."""
+    lines = []
+    for group in draw(st.lists(st.one_of(forward_lines(), _OTHER_LINES.map(lambda x: [x])),
+                               max_size=8)):
+        lines += group
+    lines.append("9|end|0|expected=0 status=quiescent steps=9")
+    breaks = draw(st.lists(_FORWARD_BREAK, min_size=len(lines), max_size=len(lines)))
+    text = _FORWARD_CONFIG + "".join(line + br for line, br in zip(lines, breaks))
+    return text if text.endswith("\n") else text + "\n"
+
+
+def _loaded(events):
+    """Every field of load_run(events), the records of `events` listed, or
+    the exception."""
+    try:
+        run = load_run(events)
+    except Exception as e:  # noqa: BLE001 - the type and message are compared
+        return type(e), str(e)
+    return [(f.name, list(run.events) if f.name == "events" else getattr(run, f.name))
+            for f in fields(RunData)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(forward_traces())
+def test_forward_lines_parse_render_and_load_as_their_records(text):
+    assert _parsed(parse_trace, text) == _parsed(old_parse_trace, text)
+    try:
+        log = parse_trace(text)
+    except TraceParseError:
+        return
+    assert (render_trace(log).splitlines(True)
+            == old_render_trace(old_parse_trace(text)).splitlines(True))
+    assert _loaded(parse_trace(text)) == _loaded(list(parse_trace(text)))
 
 
 _KEYS = st.sampled_from(["", "a", "b", "m", "to", "{}", "}{", "{0}", "%s", "=", "é", "a b"])
