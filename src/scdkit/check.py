@@ -42,9 +42,9 @@ Verdicts (pass / fail / skip plus a short detail); skip marks a precondition
 gate such as a run that never reached quiescence.  A simulated run is judged
 from the RunData that Simulator.run filled as it ran and returned.  load_run
 builds the same RunData from a stored trace, reading the TraceLog that
-sim.parse_trace gives back entry by entry (or a plain list of records): it
-is the only reader of trace records, and rejects malformed input by
-exception, so no checker raises on a RunData it returned.
+sim.parse_trace gives back entry by entry: it is the only reader of trace
+records, and rejects malformed input by exception, so no checker raises on
+a RunData it returned.
 """
 from __future__ import annotations
 
@@ -57,7 +57,7 @@ from typing import Optional
 from .core import INITIAL_TS, MsgId, Timestamp, parse_id_set
 from .shared_objects import INITIAL_VALUE, WritePayload, decode_payload
 from .sim import (END_STATUSES, MP_WORKLOADS, RECORD_KINDS, RW_WORKLOADS, OpRecord,
-                  RunData, ScenarioConfig, TraceLog, first_record, value_parse)
+                  RunData, ScenarioConfig, TraceLog, value_parse)
 
 
 @dataclass
@@ -105,29 +105,31 @@ class History:
     nregs: int
 
 
-def load_run(events) -> RunData:
+def load_run(log: TraceLog) -> RunData:
     """Read every trace record once into RunData; the checkers judge only
-    the parsed fields.  `events` is a list of records or a TraceLog, whose
-    entries are read: a send entry appends its channel key to the channels
-    from its proc to 1..reach and counts reach sends, a recv entry is one
-    receipt, and neither builds a record (but for the first record after a
-    crash, which becomes run.late).  Record indices (invoke_idx,
+    the parsed fields.  The log's entries are read, and no record is built:
+    a send entry appends its channel key to the channels from its proc to
+    1..reach and counts reach sends, a recv entry is one receipt, and a
+    TraceEvent send or recv record (parse_trace keeps any line outside a
+    FORWARD's exact form as one) counts as its own.  The entry of the first
+    record after a crash becomes run.late.  Record indices (invoke_idx,
     return_idx) count the records an entry stands for.  Message ids are
     parsed once per message: sends are counted by their `m` text, and each
     distinct text is parsed at the end (so a bad `m` is reported after any
     later malformed record); each distinct delivered-set text is parsed
-    once, and the logs that hold it share its frozenset.  A config record that fails validation raises
-    UsageError, a missing field or a record by an unknown process KeyError,
-    any other malformed value ValueError.  So does a record of a kind no run
-    writes, an operation of a kind its workload never issues, a trace cut
-    before its end record, or an end record whose status is not one a run
-    ends with; records after it are read."""
-    entries = events.entries if isinstance(events, TraceLog) else events
+    once, and the logs that hold it share its frozenset.  A config record
+    that fails validation raises UsageError, a missing field or a record by
+    an unknown process KeyError, any other malformed value ValueError.  So
+    does a record of a kind no run writes, an operation of a kind its
+    workload never issues, a trace cut before its end record, or an end
+    record whose status is not one a run ends with; records after it are
+    read."""
+    entries = log.entries
     if not entries or entries[0][1] != "config":
         raise ValueError("trace must start with a config record")
     config = ScenarioConfig.from_payload(entries[0].payload)
     config.validate()
-    run = RunData.start(config, events)
+    run = RunData.start(config, log)
     objects = config.workload in OBJECT_WORKLOADS
     op_kinds = ("snapshot", "read", "write") if objects else ("bcast",)
     open_ops: dict = {}
@@ -149,8 +151,8 @@ def load_run(events) -> RunData:
         if proc not in run.logs:
             raise KeyError(proc)
         if run.late is None and proc in run.faulty:
-            run.late = first_record(ev)
-        if type(ev) is tuple:  # a TraceLog's send or recv entry
+            run.late = ev
+        if type(ev) is tuple:  # a send or recv entry
             _, _, _, fwd, last = ev
             key = keys.get(fwd)
             if key is None:
@@ -377,8 +379,7 @@ def check_fifo(run: RunData) -> Verdict:
 
 def check_crash_silence(run: RunData) -> Verdict:
     if run.late is not None:
-        return _fail("crash_silence",
-                     f"p{run.late.proc} emits {run.late.kind} after crashing")
+        return _fail("crash_silence", f"p{run.late[2]} emits {run.late[1]} after crashing")
     return _pass("crash_silence")
 
 

@@ -119,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz = sub.add_parser("fuzz", parents=[scen], help="sweep seeds over a scenario")
     p_fuzz.add_argument("--seeds", type=int, default=100, help="number of seeds")
     p_fuzz.add_argument("--seed-base", type=int, default=0, help="first seed")
-    p_fuzz.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p_fuzz.add_argument("--jobs", type=int, default=1,
+                        help="worker processes, at most one per seed")
     p_fuzz.set_defaults(func=cmd_fuzz)
 
     p_check = sub.add_parser("check", help="re-check stored trace files")
@@ -200,8 +201,9 @@ def cmd_fuzz(args) -> int:
         p["seed"] = str(args.seed_base + k)
         payloads.append(p)
     summary = FuzzSummary()
-    if args.jobs > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
+    jobs = min(args.jobs, args.seeds)  # no worker without a seed to run
+    if jobs > 1:
+        with multiprocessing.Pool(jobs) as pool:
             results = pool.map(_fuzz_one, payloads)
     else:
         results = map(_fuzz_one, payloads)

@@ -32,8 +32,8 @@ shared by its send and recv records.  The simulator writes its records to one
 ordered TraceLog: a TraceEvent per record, except that a fifo-broadcast is
 one entry standing for all its send records, and a delivery one entry for its
 recv record.  Those two kinds are nearly all of a run's records, and no
-judged path reads records, so they are built only when something iterates,
-indexes or compares the log (each then owns its dict).
+judged path reads records: the entries are the log, and iterating it builds
+each send and recv record afresh (each owning its dict) and keeps none.
 
 The trace codec works on the same log.  render_trace writes send and recv
 lines straight from the entries, joining each FORWARD's field text once per
@@ -43,8 +43,9 @@ one send entry and a recv line becomes one recv entry, sharing one field
 tuple per distinct field text, so a parsed trace holds the very entries the
 simulator wrote.  Every other line is a TraceEvent entry whose field texts,
 and payload texts before the last field, are split once per call, so equal
-field strings are shared there too.  check.load_run reads the entries, so
-neither a judged run nor a checked trace builds its send and recv records.
+field strings are shared there too.  render_trace and check.load_run take
+only a TraceLog and read its entries, so neither a judged run nor a checked
+trace builds its send and recv records.
 Records are built with tuple.__new__, skipping TraceEvent's constructor.
 
 As it runs, the simulator also fills the RunData that the checkers judge,
@@ -253,51 +254,40 @@ class TraceLog:
     the FORWARD's shared tuple of field texts, in _FORWARD_KEYS order.  So
     every entry holds the step, kind and proc of its records at indices 0-2.
 
-    len() is the record count.  The records are built from the entries when
-    the log is first iterated, indexed or compared, and kept: each built
-    send or recv record owns a fresh payload dict.  A change to a record, or
-    remove(), persists in the log's records, but render_trace(log) and
-    check.load_run(log) read the entries and do not see it."""
+    len() is the record count, so record indices (an op's invoke_idx and
+    return_idx) index the records that iteration yields.  Iteration builds
+    the send and recv records afresh, each with its own payload dict, and
+    keeps none: the entries are the log, and every reader sees what they
+    hold."""
 
-    __slots__ = ("entries", "extra", "_records", "_built")
+    __slots__ = ("entries", "extra")
 
     def __init__(self):
         self.entries = []
-        self.extra = 0      # records minus entries: reach - 1 per send entry
-        self._records = []  # the records of entries[:_built]
-        self._built = 0
+        self.extra = 0  # records minus entries: reach - 1 per send entry
 
     def __len__(self) -> int:
         return len(self.entries) + self.extra
 
-    def remove(self, record) -> None:
-        """Remove the first record equal to record, as list.remove does."""
-        self.records().remove(record)
-        self.extra -= 1
-
-    def records(self) -> list:
-        """The TraceEvent records, built once (and extended if the log grew)."""
-        entries, records = self.entries, self._records
-        if self._built < len(entries):
-            append, extend = records.append, records.extend
-            for e in islice(entries, self._built, None):
-                if type(e) is tuple:
-                    extend(_records_of(e))
-                else:
-                    append(e)
-            self._built = len(entries)
-        return records
-
     def __iter__(self):
-        return iter(self.records())
+        for e in self.entries:
+            if type(e) is tuple:
+                yield from _records_of(e)
+            else:
+                yield e
 
-    def __getitem__(self, k):
-        return self.records()[k]
-
-    def __eq__(self, other):
-        if isinstance(other, TraceLog):
-            other = other.records()
-        return self.records() == other
+    def remove(self, record) -> None:
+        """Remove the first record equal to record, as list.remove does.  The
+        entry that holds it gives way to TraceEvent entries for its other
+        records, so render_trace and check.load_run see the removal too."""
+        for k, e in enumerate(self.entries):
+            records = _records_of(e) if type(e) is tuple else [e]
+            if record in records:
+                records.remove(record)
+                self.entries[k:k + 1] = records
+                self.extra -= len(records)
+                return
+        raise ValueError("TraceLog.remove(x): x not in log")
 
 
 _FORWARD_KEYS = ("m", "sd", "sn", "f", "snf")  # a FORWARD's trace fields
@@ -316,27 +306,20 @@ def _records_of(entry: tuple) -> list:
                                                "sn": sn, "snf": snf}))]
 
 
-def first_record(entry) -> TraceEvent:
-    """The first record a TraceLog entry stands for; a TraceEvent is its own."""
-    if type(entry) is not tuple:
-        return entry
-    return _records_of(entry if entry[1] == "recv" else (*entry[:4], 1))[0]
-
-
-def render_trace(events) -> str:
-    """One line per record: step|kind|proc|key=value..., keys sorted.
+def render_trace(log: TraceLog) -> str:
+    """One line per record of log: step|kind|proc|key=value..., keys sorted.
 
     Records whose payloads list the same keys in the same order share one
-    format string, built (and its keys sorted) once per call.  A TraceLog's
-    send and recv lines are written from its entries, its records unbuilt:
-    the field text of each FORWARD is joined once per call for its send
-    records and once for its recv records."""
+    format string, built (and its keys sorted) once per call.  Send and recv
+    lines are written from the log's entries, no record built: the field
+    text of each FORWARD is joined once per call for its send records and
+    once for its recv records."""
     formats = {}
     recv_text = {}  # id of a FORWARD's field texts -> its recv line around "from"
     lines = []
     append = lines.append
-    for ev in events.entries if isinstance(events, TraceLog) else events:
-        if type(ev) is tuple:  # a TraceLog's send or recv entry
+    for ev in log.entries:
+        if type(ev) is tuple:  # a send or recv entry
             step, kind, proc, fwd, last = ev
             if kind == "send":
                 head = f"{step}|send|{proc}|{_field_text(fwd)} to="
@@ -832,11 +815,11 @@ class OpRecord:
 class RunData:
     """What the checkers judge of one run.  Simulator.run fills it from the
     objects at each record's site as the run goes and returns it;
-    check.load_run reads it back from the log of a parsed trace (or from a
-    list of records).  Both give equal fields for one run."""
+    check.load_run reads it back from the log of a parsed trace.  Both give
+    equal fields for one run."""
 
     config: ScenarioConfig
-    events: TraceLog | list  # the simulated or parsed log, or the records load_run read
+    events: TraceLog  # the simulated or parsed log
     status: Optional[str]  # an END_STATUSES entry; None until the end record
     steps: int = 0                                   # as the end record says
     faulty: set = field(default_factory=set)
@@ -845,12 +828,12 @@ class RunData:
     completed: dict = field(default_factory=dict)    # proc -> set[MsgId] (bcast done)
     channels: dict = field(default_factory=dict)     # (src, dst) -> (sent, received)
     sends: dict = field(default_factory=dict)        # MsgId -> FORWARD sends
-    late: Optional[TraceEvent] = None                # first record after its crash
+    late: Optional[tuple] = None                     # entry of the first record after its crash
     writes: dict = field(default_factory=dict)       # MsgId -> WritePayload
     ops: list = field(default_factory=list)          # OpRecords by invocation
 
     @staticmethod
-    def start(config: ScenarioConfig, events: TraceLog | list) -> "RunData":
+    def start(config: ScenarioConfig, events: TraceLog) -> "RunData":
         """The facts before the first record: an empty log and an empty
         completed set per process."""
         procs = range(1, config.n + 1)
@@ -862,14 +845,14 @@ class RunData:
         return render_trace(self.events)
 
 
-def _first_late(entries: list, start: int) -> Optional[TraceEvent]:
+def _first_late(entries: list, start: int) -> Optional[tuple]:
     """load_run's crash-silence rule from the TraceLog entries[start:],
-    which hold every crash record: the first record by a process after its
-    crash record.  Only that record is built."""
+    which hold every crash record: the entry of the first record by a
+    process after its crash record."""
     faulty = set()
     for e in islice(entries, start, None):
         if e[2] in faulty:
-            return first_record(e)
+            return e
         if e[1] == "crash":
             faulty.add(e[2])
     return None

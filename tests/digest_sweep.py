@@ -24,7 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from scdkit.check import evaluate_run, load_run  # noqa: E402
 from scdkit.sim import (MP_WORKLOADS, RW_WORKLOADS, ScenarioConfig,  # noqa: E402
-                        parse_trace, render_trace, run_scenario)
+                        TraceLog, parse_trace, render_trace, run_scenario)
 
 PINNED = "644444e2be96efbb"
 CRASHES = ("none", "random", "explicit", "explicit-keep")
@@ -60,7 +60,9 @@ def sweep() -> tuple:
     for cfg in configs():
         run = run_scenario(cfg)
         text = run.text
-        if render_trace(list(run.events)) != text:
+        records = TraceLog()  # a TraceEvent entry per record
+        records.entries = list(run.events)
+        if render_trace(records) != text:
             raise SystemExit(f"records render unlike the log: {cfg}")
         log = parse_trace(text)
         if log.entries != run.events.entries:

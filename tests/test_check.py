@@ -35,7 +35,7 @@ from scdkit.check import (
     load_run,
     timestamp_metadata,
 )
-from scdkit.sim import ScenarioConfig, run_scenario
+from scdkit.sim import ScenarioConfig, parse_trace, run_scenario
 
 
 def make_run(logs, n=3, status="quiescent"):
@@ -256,9 +256,17 @@ def test_live_run_passes_fifo_and_silence_and_bound():
     assert check_message_bound(run).status == "pass"
 
 
+def _tampered(text, edit):
+    """The parsed log of a trace whose lines edit(lines) changed in place:
+    a tampered trace reaches scdkit check rendered, edited and parsed."""
+    lines = text.splitlines(keepends=True)
+    edit(lines)
+    return parse_trace("".join(lines))
+
+
 def test_reordered_channel_fails_fifo():
     res = run_scenario(ScenarioConfig(n=3, t=1, workload="raw_broadcast", op_count=3))
-    events = list(res.events)
+    events = list(res.events)  # record k is line k
     recvs = [k for k, ev in enumerate(events) if ev.kind == "recv"]
     a = next(k for k in recvs if any(
         events[j].kind == "recv"
@@ -268,25 +276,29 @@ def test_reordered_channel_fails_fifo():
     b = next(j for j in recvs if j > a
              and events[j].proc == events[a].proc
              and events[j].payload["from"] == events[a].payload["from"])
-    events[a], events[b] = events[b], events[a]
-    assert check_fifo(load_run(events)).status == "fail"
+
+    def swap(lines):
+        lines[a], lines[b] = lines[b], lines[a]
+    assert check_fifo(load_run(_tampered(res.text, swap))).status == "fail"
 
 
 def test_tampered_send_count_fails_bound():
     res = run_scenario(ScenarioConfig(n=3, t=1, workload="raw_broadcast", op_count=2))
-    dup = [ev for ev in res.events if ev.kind == "send"]
-    assert check_message_bound(load_run(list(res.events) + dup)).status == "fail"
+
+    def send_twice(lines):
+        lines += [line for line in lines if line.split("|")[1] == "send"]
+    assert check_message_bound(load_run(_tampered(res.text, send_twice))).status == "fail"
 
 
 def test_sends_sum_texts_that_spell_one_id():
     res = run_scenario(ScenarioConfig(n=3, t=1, workload="raw_broadcast", op_count=2))
-    # a list of records: load_run reads a TraceLog's entries, not its records
-    events = copy.deepcopy(list(res.events))
-    send = next(ev for ev in events if ev.kind == "send")
-    original = send.payload["m"]
-    send.payload["m"] = original.replace(".", ".0")  # "1.0" -> "1.00"
-    assert send.payload["m"] != original
-    assert load_run(events).sends == load_run(res.events).sends
+    k, send = next((k, ev) for k, ev in enumerate(res.events) if ev.kind == "send")
+    m = send.payload["m"]
+
+    def respell(lines):  # "1.0" -> "1.00"
+        lines[k] = lines[k].replace(f" m={m} ", f" m={m.replace('.', '.0')} ")
+        assert m.replace(".", ".0") in lines[k]
+    assert load_run(_tampered(res.text, respell)).sends == load_run(res.events).sends
 
 
 def test_event_after_crash_fails_silence():
@@ -296,43 +308,74 @@ def test_event_after_crash_fails_silence():
     )
     events = list(res.events)
     crash_at = next(k for k, ev in enumerate(events) if ev.kind == "crash")
-    moved = next(ev for ev in events[:crash_at] if ev.proc == 2)
-    assert check_crash_silence(load_run(events + [moved])).status == "fail"
+    early = next(k for k, ev in enumerate(events[:crash_at]) if ev.proc == 2)
+
+    def replay(lines):
+        lines.append(lines[early])
+    assert check_crash_silence(load_run(_tampered(res.text, replay))).status == "fail"
 
 
-def _drop_to(events):
-    next(ev for ev in events if ev.kind == "send").payload.pop("to")
+@pytest.mark.parametrize("kind", ["recv", "send"])
+def test_crash_silence_fails_on_a_parsed_late_entry(kind):
+    """A recv line, or a fan-out's first send line, moved after its
+    process's crash line parses into a recv or send entry, and that entry
+    is the late record crash silence names."""
+    res = run_scenario(ScenarioConfig(n=3, t=1, workload="raw_broadcast", op_count=4,
+                                      crash="explicit:2@30", seed=1))
+    events = list(res.events)
+    crash_at = next(k for k, ev in enumerate(events) if ev.kind == "crash")
+    assert events[crash_at].proc == 2
+    k = max(k for k, ev in enumerate(events[:crash_at])
+            if ev.proc == 2 and ev.kind == kind and ev.payload.get("to", "1") == "1")
+
+    def move(lines):
+        lines.insert(crash_at, lines.pop(k))  # now just after the crash line
+    run = load_run(_tampered(res.text, move))
+    assert type(run.late) is tuple and run.late[1:3] == (kind, 2)
+    v = check_crash_silence(run)
+    assert (v.status, v.detail) == ("fail", f"p2 emits {kind} after crashing")
 
 
-def _bad_m(events):
-    next(ev for ev in events if ev.kind == "send").payload["m"] = "1.x"
+def _first(lines, kind, text=""):
+    return next(k for k, line in enumerate(lines) if line.split("|")[1] == kind and text in line)
 
 
-def _bcast_by_p9(events):
-    k = next(k for k, ev in enumerate(events) if ev.kind == "bcast")
-    events[k] = events[k]._replace(proc=9)
+def _drop_to(lines):
+    k = _first(lines, "send")
+    lines[k] = re.sub(" to=[0-9]+", "", lines[k])
 
 
-def _write_to_register_3(events):
-    next(ev for ev in events if ev.payload.get("op") == "write").payload["r"] = "3"
+def _bad_m(lines):
+    k = _first(lines, "send")
+    lines[k] = re.sub(" m=[^ ]*", " m=1.x", lines[k])
 
 
-def _recv_renamed(events):
-    events[:] = [ev._replace(kind="recx") if ev.kind == "recv" else ev for ev in events]
+def _bcast_by_p9(lines):
+    k = _first(lines, "bcast")
+    step, kind, _, body = lines[k].split("|", 3)
+    lines[k] = f"{step}|{kind}|9|{body}"
+
+
+def _write_to_register_3(lines):
+    k = _first(lines, "op_invoke", "|op=write ")
+    lines[k] = re.sub(" r=[0-9]+", " r=3", lines[k])
+
+
+def _recv_renamed(lines):
+    lines[:] = [line.replace("|recv|", "|recx|") for line in lines]
 
 
 def _renamed_op(new):
-    def mangle(events):
-        for ev in events:
-            if ev.payload.get("op") == "snapshot":
-                ev.payload["op"] = new
+    def mangle(lines):
+        lines[:] = [line.replace("|op=snapshot ", f"|op={new} ") for line in lines]
     return mangle
 
 
-def _untagged_write(events):
+def _untagged_write(lines):
     # no WRITE broadcast left to take the tag from, nor the return record
-    events[:] = [ev for ev in events if ev.kind != "bcast"]
-    next(ev for ev in events if ev.kind == "op_return" and "ts" in ev.payload).payload.pop("ts")
+    lines[:] = [line for line in lines if line.split("|")[1] != "bcast"]
+    k = _first(lines, "op_return", " ts=")
+    lines[k] = re.sub(" ts=[^ \n]*", "", lines[k])
 
 
 @pytest.mark.parametrize("mangle,error,match", [
@@ -350,24 +393,26 @@ def _untagged_write(events):
 def test_load_run_rejects_malformed_record(mangle, error, match):
     res = run_scenario(ScenarioConfig(n=3, t=1, workload="snapshot_ops", op_count=6,
                                       nregs=2, seed=2))
-    events = copy.deepcopy(list(res.events))
-    mangle(events)
+    log = _tampered(res.text, mangle)
     with pytest.raises(error, match=match):
-        load_run(events)
+        load_run(log)
+
+
+def _status_unknown(lines):
+    lines[-1] = lines[-1].replace(" status=quiescent ", " status=unknown ")
 
 
 @pytest.mark.parametrize("cut,match", [
-    (lambda events: events[:-1], "no end record"),
-    (lambda events: events[:-1] + [events[-1]._replace(payload={**events[-1].payload,
-                                                                  "status": "unknown"})],
-     "unknown status 'unknown'"),
+    (lambda lines: lines.pop(), "no end record"),
+    (_status_unknown, "unknown status 'unknown'"),
 ], ids=["no-end", "status-unknown"])
 def test_load_run_rejects_a_trace_without_a_run_end(cut, match):
-    events = run_scenario(ScenarioConfig(n=3, t=1, workload="snapshot_ops", op_count=6,
-                                         seed=2)).events
-    assert load_run(events).status == "quiescent"
+    text = run_scenario(ScenarioConfig(n=3, t=1, workload="snapshot_ops", op_count=6,
+                                       seed=2)).text
+    assert load_run(parse_trace(text)).status == "quiescent"
+    log = _tampered(text, cut)
     with pytest.raises(ValueError, match=match):
-        load_run(cut(events))
+        load_run(log)
 
 
 # -- history checkers --------------------------------------------------------

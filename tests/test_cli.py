@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from test_scd_mp import RELATIONS
 
-from scdkit import scd_mp, sim
+from scdkit import cli, scd_mp, sim
 from scdkit.cli import main
 
 
@@ -109,6 +109,33 @@ def test_fuzz_worker_pool_prints_the_lines_of_one_process(capsys, workload, extr
         out[jobs] = (code, capsys.readouterr().out.splitlines())
     assert out["1"] == out["2"]
     assert out["1"][1][0].startswith("fuzz|seeds=6|")
+
+
+@pytest.mark.parametrize("seeds,jobs,workers", [("2", "8", 2), ("5", "3", 3), ("1", "4", None)])
+def test_fuzz_starts_no_more_workers_than_seeds(capsys, monkeypatch, seeds, jobs, workers):
+    """A pool of --jobs workers, capped at --seeds; one seed runs in-process.
+    The pool is a stand-in that maps in-process, so no process starts."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(cli.multiprocessing, "Pool", InProcessPool)
+    code = main(["fuzz", "--n", "3", "--workload", "raw_broadcast", "--ops", "2",
+                 "--seeds", seeds, "--jobs", jobs])
+    assert code == 0
+    assert f"fuzz|seeds={seeds}|" in capsys.readouterr().out
+    assert sizes == ([] if workers is None else [workers])
 
 
 def test_fuzz_failure_line_ends_with_a_repro_that_fails_alike(capsys, monkeypatch):

@@ -9,9 +9,10 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_scd_mp import AlwaysPurgeProcess
+from test_trace_codec import log_of
 
 from scdkit import sim
-from scdkit.core import UsageError
+from scdkit.core import MsgId, UsageError
 from scdkit.check import OBJECT_WORKLOADS, RunData, evaluate_run, load_run
 from scdkit.cli import evaluate, main
 from scdkit.sim import (
@@ -21,7 +22,6 @@ from scdkit.sim import (
     ScenarioConfig,
     Simulator,
     TraceEvent,
-    TraceLog,
     TraceParseError,
     _CrashCut,
     _estimated_steps,
@@ -62,7 +62,8 @@ def test_trace_roundtrips_through_parser():
     res = run_scenario(config(workload="register_ops", op_count=6, crash="random:1"))
     events = parse_trace(res.text)
     assert lines(render_trace(events)) == lines(res.text)
-    assert events[0].kind == "config" and events[-1].kind == "end"
+    records = list(events)
+    assert records[0].kind == "config" and records[-1].kind == "end"
 
 
 def test_trace_cut_mid_record_fails_to_parse():
@@ -153,7 +154,7 @@ def test_step_budget_cuts_run_short():
     res = run_scenario(config(op_count=6, step_budget=10))
     assert res.status == "budget"
     assert res.steps == 10
-    assert res.events[-1].payload["status"] == "budget"
+    assert list(res.events)[-1].payload["status"] == "budget"
 
 
 def test_majority_crash_stalls_survivors():
@@ -411,9 +412,9 @@ def test_records_match_per_copy_records(workload):
                              crash=crash, delay=delay, seed=seed, nregs=2, writer=min(n, 2))
                 log = Simulator(cfg).run().events
                 per_copy = PerCopyRecordSimulator(cfg).run().events
-                assert log == per_copy, cfg
+                assert list(log) == per_copy.entries, cfg
                 assert len(log) == len(per_copy), cfg
-                assert lines(render_trace(log)) == lines(render_trace(list(log))), cfg
+                assert lines(render_trace(log)) == lines(render_trace(log_of(log))), cfg
                 # a send entry stands for its records to p1..p{reach}
                 cut |= any(type(e) is tuple and e[1] == "send" and e[4] < n
                            for e in log.entries)
@@ -443,7 +444,6 @@ def test_judged_commands_build_no_records(workload, monkeypatch, capsys, tmp_pat
     expected = []
     for argv in commands:
         expected.append((main(argv), capsys.readouterr().out))
-    monkeypatch.setattr(TraceLog, "records", _raise)
     monkeypatch.setattr(sim, "_records_of", _raise)
     for argv, want in zip(commands, expected):
         assert (main(argv), capsys.readouterr().out) == want, argv
@@ -457,7 +457,7 @@ def _workload_config(workload):
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_rendered_trace_parses_back_to_the_events(workload):
     events = run_scenario(_workload_config(workload)).events
-    assert parse_trace(render_trace(events)) == events
+    assert list(parse_trace(render_trace(events))) == list(events)
 
 
 def _rundata_configs(workload):
@@ -492,9 +492,14 @@ def test_live_and_parsed_events_load_alike(workload):
         assert parsed.entries == res.events.entries, cfg
         from_events, from_text = load_run(res.events), load_run(parsed)
         for f in fields(RunData):
-            live = getattr(res, f.name)
-            assert live == getattr(from_events, f.name), (cfg, f.name)
-            assert live == getattr(from_text, f.name), (cfg, f.name)
+            live = _field(res, f.name)
+            assert live == _field(from_events, f.name), (cfg, f.name)
+            assert live == _field(from_text, f.name), (cfg, f.name)
+
+
+def _field(run, name):
+    """A RunData field, its log compared by entries."""
+    return run.events.entries if name == "events" else getattr(run, name)
 
 
 @pytest.mark.parametrize("workload", OBJECT_WORKLOADS)
@@ -504,14 +509,15 @@ def test_op_indices_name_their_records(workload):
     left_open = 0
     for cfg in _rundata_configs(workload):
         res = run_scenario(cfg)
+        records = list(res.events)
         for op in res.ops:
-            ev = res.events[op.invoke_idx]
+            ev = records[op.invoke_idx]
             assert (ev.kind, ev.proc, ev.payload["seq"]) == ("op_invoke", op.proc, str(op.seq))
             if op.return_idx is None:
                 left_open += 1
                 assert res.status != "quiescent" or op.proc in res.faulty, cfg
                 continue
-            ev = res.events[op.return_idx]
+            ev = records[op.return_idx]
             assert (ev.kind, ev.proc, ev.payload["seq"]) == ("op_return", op.proc, str(op.seq))
     assert left_open  # some crashed or stalled run left an op open
 
@@ -551,11 +557,38 @@ def test_log_len_is_the_record_count():
     assert len(log) == count - 1 == len(list(log))
 
 
+@pytest.mark.parametrize("kind,to", [("send", "1"), ("send", "2"), ("recv", None)])
+def test_remove_reaches_every_reader(kind, to):
+    """remove() takes the record out of the log's entries: a fan-out's first
+    or middle send record, or a recv record.  The rendered trace loses
+    exactly its line, load_run one send or one receipt, and len() one."""
+    log = run_scenario(config(n=3, op_count=3, seed=7)).events
+    records, text, before = list(log), lines(render_trace(log)), load_run(log)
+    assert not before.faulty
+    k = next(k for k, ev in enumerate(records) if ev.kind == kind and ev.payload.get("to") == to)
+    ev = records[k]
+    log.remove(ev)
+    after = load_run(log)
+    assert lines(render_trace(log)) == text[:k] + text[k + 1:]
+    assert list(log) == records[:k] + records[k + 1:]
+    assert len(log) == len(records) - 1
+    p, mid = ev.payload, MsgId.parse(ev.payload["m"])
+    assert after.sends == {**before.sends, mid: before.sends[mid] - (kind == "send")}
+    if kind == "send":
+        channel, side = (ev.proc, int(p["to"])), 0
+    else:
+        channel, side = (int(p["from"]), ev.proc), 1
+    assert len(after.channels[channel][side]) == len(before.channels[channel][side]) - 1
+    assert after.channels[channel][1 - side] == before.channels[channel][1 - side]
+
+
 @pytest.mark.parametrize("kind,key", [("send", "to"), ("recv", "from")])
 def test_records_own_their_payloads(kind, key):
-    events = run_scenario(config(n=3, op_count=3, seed=7)).events
-    before = [TraceEvent(*ev[:3], dict(ev.payload)) for ev in events]
-    k = next(k for k, ev in enumerate(events) if ev.kind == kind)
-    del events[k].payload[key]
+    log = run_scenario(config(n=3, op_count=3, seed=7)).events
+    records = list(log)
+    before = [TraceEvent(*ev[:3], dict(ev.payload)) for ev in records]
+    k = next(k for k, ev in enumerate(records) if ev.kind == kind)
+    del records[k].payload[key]
+    assert list(log) == before  # the log's next records have the field
     del before[k].payload[key]
-    assert events == before  # no other send or recv record lost the field
+    assert records == before  # no other send or recv record lost the field

@@ -20,11 +20,20 @@ from scdkit.sim import (
     RunData,
     ScenarioConfig,
     TraceEvent,
+    TraceLog,
     TraceParseError,
     parse_trace,
     render_trace,
     run_scenario,
 )
+
+
+def log_of(records) -> TraceLog:
+    """A TraceLog whose entries are the TraceEvent records given, one per
+    record: the log of a trace with no FORWARD line in the exact form."""
+    log = TraceLog()
+    log.entries = list(records)
+    return log
 
 
 def old_render_event(ev: TraceEvent) -> str:
@@ -188,8 +197,8 @@ def forward_lines(draw):
             for step, proc, items in records]
 
 
-_FORWARD_CONFIG = render_trace([TraceEvent(0, "config", 0, ScenarioConfig(
-    n=3, t=1, workload="snapshot_ops", op_count=2).to_payload())])
+_FORWARD_CONFIG = render_trace(log_of([TraceEvent(0, "config", 0, ScenarioConfig(
+    n=3, t=1, workload="snapshot_ops", op_count=2).to_payload())]))
 # records that mark a crash (crash silence) or move the record index of an op
 _OTHER_LINES = st.sampled_from([
     "2|crash|2|", "3|op_invoke|1|op=snapshot seq=0",
@@ -212,15 +221,16 @@ def forward_traces(draw):
     return text if text.endswith("\n") else text + "\n"
 
 
-def _loaded(events):
-    """Every field of load_run(events), the records of `events` listed, or
-    the exception."""
+def _loaded(log):
+    """Every field of load_run(log), or the exception.  The log's records
+    are listed, and the late entry cut to the step, kind and proc of its
+    record, the part that crash silence reads."""
     try:
-        run = load_run(events)
+        run = load_run(log)
     except Exception as e:  # noqa: BLE001 - the type and message are compared
         return type(e), str(e)
-    return [(f.name, list(run.events) if f.name == "events" else getattr(run, f.name))
-            for f in fields(RunData)]
+    shown = {"events": list(run.events), "late": run.late and run.late[:3]}
+    return [(f.name, shown.get(f.name, getattr(run, f.name))) for f in fields(RunData)]
 
 
 @settings(max_examples=500, deadline=None)
@@ -233,7 +243,7 @@ def test_forward_lines_parse_render_and_load_as_their_records(text):
         return
     assert (render_trace(log).splitlines(True)
             == old_render_trace(old_parse_trace(text)).splitlines(True))
-    assert _loaded(parse_trace(text)) == _loaded(list(parse_trace(text)))
+    assert _loaded(parse_trace(text)) == _loaded(log_of(parse_trace(text)))
 
 
 _KEYS = st.sampled_from(["", "a", "b", "m", "to", "{}", "}{", "{0}", "%s", "=", "é", "a b"])
@@ -257,7 +267,8 @@ def event_lists(draw):
 @settings(max_examples=300, deadline=None)
 @given(event_lists())
 def test_render_matches_old_render(events):
-    assert render_trace(events).splitlines(True) == old_render_trace(events).splitlines(True)
+    assert (render_trace(log_of(events)).splitlines(True)
+            == old_render_trace(events).splitlines(True))
 
 
 def _workload_events(workload):
@@ -294,9 +305,11 @@ def test_parsed_records_share_field_text():
 
 @pytest.mark.parametrize("kind,key", [("send", "to"), ("send", "m"), ("recv", "from")])
 def test_parsed_records_own_their_payloads(kind, key):
-    events = parse_trace(render_trace(_workload_events("raw_broadcast")))
-    before = [TraceEvent(*ev[:3], dict(ev.payload)) for ev in events]
-    k = next(k for k, ev in enumerate(events) if ev.kind == kind)
-    del events[k].payload[key]
+    log = parse_trace(render_trace(_workload_events("raw_broadcast")))
+    records = list(log)
+    before = [TraceEvent(*ev[:3], dict(ev.payload)) for ev in records]
+    k = next(k for k, ev in enumerate(records) if ev.kind == kind)
+    del records[k].payload[key]
+    assert list(log) == before  # the log's next records have the field
     del before[k].payload[key]
-    assert events == before  # no other record, and no later parse, lost the field
+    assert records == before  # no other record lost the field
