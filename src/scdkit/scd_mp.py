@@ -132,9 +132,13 @@ class ScdProcess:
         return out
 
     def on_forward(self, fmsg: ForwardMsg):
-        """Receipt of a FORWARD: absorb it, then attempt delivery."""
+        """Receipt of a FORWARD: absorb it, then attempt delivery.  A stale
+        copy changes nothing, so with no entry touched it cannot deliver."""
+        m, sd, sn_sd, f, sn_f = fmsg
+        if sn_sd <= self.clock[sd] and not self._touched:
+            return [], []
         out: list[ForwardMsg] = []
-        self.forward(fmsg.m, fmsg.sd, fmsg.sn_sd, fmsg.f, fmsg.sn_f, out)
+        self.forward(m, sd, sn_sd, f, sn_f, out)
         delivered = self.try_deliver()
         return out, ([delivered] if delivered is not None else [])
 
@@ -206,7 +210,9 @@ class ScdProcess:
         majority = self._majority
         touched = [e for e in self._touched if e.forwarders >= majority]
         self._touched = []
-        outside = touched and [e for e in self.buffer if e.forwarders < majority]
+        if not touched:
+            return None
+        outside = [e for e in self.buffer if e.forwarders < majority]
         if not _unblocked(touched, outside, self.n // 2):
             return None
         candidates = [e for e in self.buffer if e.forwarders >= majority]

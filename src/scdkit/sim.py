@@ -59,10 +59,30 @@ check.load_run reads the same facts back from the log of a stored trace.
 A message-passing run keeps its enabled events in one sorted list of event
 tuples, Simulator.enabled: ("deliver", sender, receiver) for each non-empty
 channel, then ("invoke", p) for each live process that may start an operation
-(plain tuple order, as "deliver" < "invoke").  The list changes in place only
-when a channel fills or empties, an operation starts or returns, or a process
-crashes, so choosing an event scans no channel and asks no process.  In both
-worlds an event's last item is the process that acts on it.
+(plain tuple order, as "deliver" < "invoke").  The list changes in place, by
+Simulator._enable and _disable, only when a channel fills or empties, an
+operation starts or returns, or a process crashes, so choosing an event scans
+no channel and asks no process.  In both worlds an event's last item is the
+process that acts on it.  Each delay policy picks without a scan:
+
+  * uniform draws an index into the list.
+  * slow keeps, by the same two helpers, a second sorted list of the events
+    whose acting process is not slow, and draws from it (15 times in 16) or
+    from the whole list.
+  * fifo keeps a queue of (send number, channel index), one per send that
+    reached a channel, in send order.  The oldest message in flight is the
+    first entry still at its channel's head; an entry whose message is gone
+    already is dropped as the pick meets it.  Messages leave out of send
+    order when a crash's victim delivery takes its receiver's oldest message
+    or a crashed receiver's channels are cleared.  With nothing in flight the
+    lowest process starts its next operation.
+
+The draws are those of the scans these replace: an index is randrange's,
+drawn inline with random.Random's own loop (getrandbits(k), k the length's
+bit length, until below the length), and slow draws its random() and
+randrange over a list equal to the filtered copy it once built.  An RwWorld's
+choices are built afresh each step, so they are filtered or ordered as they
+come.
 
 The exhaustive interleaving explorer for the shared-memory construction
 (explore_rw) drives the same world object as the simulator, enumerating every
@@ -865,7 +885,7 @@ def _forward_fields(fmsg: ForwardMsg) -> tuple:
     return (str(fmsg.m.id), str(fmsg.sd), str(fmsg.sn_sd), str(fmsg.f), str(fmsg.sn_f))
 
 
-# fifo policy without deliveries: finish work before starting new work
+# fifo policy in a shared-memory run: finish work before starting new work
 _WORK_ORDER = {"mem": 0, "apply": 1, "invoke": 2, "tick": 3}
 
 
@@ -917,8 +937,12 @@ class Simulator:
             self._sent = [[] for _ in self.channels]
             self._received = [[] for _ in self.channels]
             self._deliveries = [("deliver", s, d) for s in procs for d in procs]
-            # the sorted enabled events (see the module docstring)
+            # the sorted enabled events, and the policy's index into them
+            # (see the module docstring)
             self.enabled = [("invoke", i) for i in procs if self.scripts[i]]
+            self._fast = ([e for e in self.enabled if e[-1] not in self.slow_set]
+                          if self.policy == "slow" else None)
+            self._order = deque() if self.policy == "fifo" else None
             self._pid_text = [str(i) for i in range(config.n + 1)]
         self.trace("config", 0, **config.to_payload())
 
@@ -940,6 +964,7 @@ class Simulator:
             reach = min(n, self._cut[1])
             self._cut = (src, self._cut[1] - reach)
         sent, channels, faulty = self._sent, self.channels, self.data.faulty
+        order = self._order
         seq = self._send_seq
         for dst in range(1, reach + 1):
             seq += 1
@@ -949,7 +974,9 @@ class Simulator:
                 q = channels[idx]
                 q.append((seq, fmsg, forward, key))
                 if len(q) == 1:
-                    insort(self.enabled, self._deliveries[idx])
+                    self._enable(self._deliveries[idx])
+                if order is not None:
+                    order.append((seq, idx))
         self._send_seq = seq
         if reach:
             self._log_append((self.step, "send", src, forward, reach))
@@ -965,7 +992,7 @@ class Simulator:
         return self.cur[i] is None and self.next_op[i] < len(self.scripts[i])
 
     def invoke(self, i: int) -> None:
-        del self.enabled[bisect_left(self.enabled, ("invoke", i))]
+        self._disable(("invoke", i))
         seq = self.next_op[i]
         self.next_op[i] = seq + 1
         op = self.scripts[i][seq]
@@ -988,30 +1015,6 @@ class Simulator:
         else:
             step = obj.begin_write(op[1], op[2])
         self._obj_step(i, step)
-
-    def receive(self, d: int, fmsg: ForwardMsg) -> None:
-        """Process d's receipt of a FORWARD, after its recv record."""
-        scd, data = self.scd[d], self.data
-        outs, sets = scd.on_forward(fmsg)
-        for f in outs:
-            self.fifo_broadcast(d, f)
-        for ms in sets:
-            ids = frozenset(m.id for m in ms)
-            self.trace("scd_deliver", d, set=format_id_set(ids))
-            data.logs[d].append(ids)
-        done = scd.broadcast_complete()
-        if done is not None:
-            self.trace("broadcast_complete", d, id=str(done))
-            data.completed[d].add(done)
-            # a raw broadcast op's message is the only one it broadcasts
-            cur = self.cur[d]
-            if cur is not None and cur.kind == "bcast":
-                self._op_returned(d)
-                self.trace("op_return", d, op="bcast", seq=str(cur.seq), ok="1")
-        obj = self.obj[d]
-        if obj is not None:
-            for ms in sets:
-                self._obj_step(d, obj.on_set_delivered(ms))
 
     def _obj_step(self, i: int, step) -> None:
         if step.broadcast is not None:
@@ -1036,7 +1039,7 @@ class Simulator:
     def _op_returned(self, i: int) -> None:
         self.cur[i] = None
         if self.next_op[i] < len(self.scripts[i]):
-            insort(self.enabled, ("invoke", i))
+            self._enable(("invoke", i))
 
     def _broadcast(self, i: int, payload: bytes, write=None) -> None:
         """scd-broadcast a new message of process i; `write` is the
@@ -1053,6 +1056,16 @@ class Simulator:
 
     # -- event machinery --------------------------------------------------
 
+    def _enable(self, ev) -> None:
+        insort(self.enabled, ev)
+        if self._fast is not None and ev[-1] not in self.slow_set:
+            insort(self._fast, ev)
+
+    def _disable(self, ev) -> None:
+        del self.enabled[bisect_left(self.enabled, ev)]
+        if self._fast is not None and ev[-1] not in self.slow_set:
+            del self._fast[bisect_left(self._fast, ev)]
+
     def enabled_events(self):
         if self.world is not None:
             return self.world.choices()
@@ -1060,34 +1073,68 @@ class Simulator:
 
     def schedule_next(self, events):
         if self.policy == "fifo":
-            if events[0][0] == "deliver":
-                # the oldest message at the head of a channel; deliveries
-                # lead the sorted list of a message-passing run
-                ch, n = self.channels, self.config.n
-                return min(events[:bisect_left(events, ("invoke",))],
-                           key=lambda ev: ch[(ev[1] - 1) * n + ev[2] - 1][0][0])
-            # work starts (or continues) only when no delivery is ready
-            return min(events, key=lambda ev: (_WORK_ORDER[ev[0]], ev[-1]))
+            if self.world is not None:
+                # work starts (or continues) only when no delivery is ready
+                return min(events, key=lambda ev: (_WORK_ORDER[ev[0]], ev[-1]))
+            if events[0][0] == "invoke":
+                return events[0]  # nothing in flight: the lowest process starts
+            # the oldest message in flight, which heads its channel: drop the
+            # send-order entries of messages already gone
+            order, channels = self._order, self.channels
+            while True:
+                seq, idx = order[0]
+                q = channels[idx]
+                if q and q[0][0] == seq:
+                    return self._deliveries[idx]
+                order.popleft()
         if self.policy == "slow":
             # an event ends with the process that acts on it (a delivery's receiver)
-            fast = [e for e in events if e[-1] not in self.slow_set]
+            fast = (self._fast if self.world is None
+                    else [e for e in events if e[-1] not in self.slow_set])
             if fast and self.sched_rng.random() < 0.9375:
-                return fast[self.sched_rng.randrange(len(fast))]
-        return events[self.sched_rng.randrange(len(events))]
+                events = fast
+        # randrange(n) as random.Random draws it (_randbelow_with_getrandbits)
+        n = len(events)
+        k = n.bit_length()
+        getrandbits = self.sched_rng.getrandbits
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return events[r]
 
     def execute(self, ev) -> None:
-        if self.world is not None:
-            self.world.step(ev, self.trace, self.data)
-        elif ev[0] == "deliver":
+        if ev[0] == "deliver":
             _, s, d = ev
             idx = (s - 1) * self.config.n + d - 1
             q = self.channels[idx]
             _, fmsg, forward, key = q.popleft()
             if not q:
-                del self.enabled[bisect_left(self.enabled, ev)]
+                self._disable(ev)
             self._log_append((self.step, "recv", d, forward, self._pid_text[s]))
             self._received[idx].append(key)
-            self.receive(d, fmsg)
+            scd, data = self.scd[d], self.data
+            outs, sets = scd.on_forward(fmsg)
+            for f in outs:
+                self.fifo_broadcast(d, f)
+            for ms in sets:
+                ids = frozenset(m.id for m in ms)
+                self.trace("scd_deliver", d, set=format_id_set(ids))
+                data.logs[d].append(ids)
+            done = scd.broadcast_complete()
+            if done is not None:
+                self.trace("broadcast_complete", d, id=str(done))
+                data.completed[d].add(done)
+                # a raw broadcast op's message is the only one it broadcasts
+                cur = self.cur[d]
+                if cur is not None and cur.kind == "bcast":
+                    self._op_returned(d)
+                    self.trace("op_return", d, op="bcast", seq=str(cur.seq), ok="1")
+            obj = self.obj[d]
+            if obj is not None:
+                for ms in sets:
+                    self._obj_step(d, obj.on_set_delivered(ms))
+        elif self.world is not None:
+            self.world.step(ev, self.trace, self.data)
         elif ev[0] == "invoke":
             self.invoke(ev[1])
         else:
@@ -1108,12 +1155,12 @@ class Simulator:
                     self._cut = None
         if self.world is None:
             if self.can_invoke(proc):
-                del self.enabled[bisect_left(self.enabled, ("invoke", proc))]
+                self._disable(("invoke", proc))
             n = self.config.n
             for idx in range(proc - 1, n * n, n):
                 if self.channels[idx]:
                     self.channels[idx].clear()
-                    del self.enabled[bisect_left(self.enabled, self._deliveries[idx])]
+                    self._disable(self._deliveries[idx])
         if not self.data.faulty:
             self._first_crash = len(self.log.entries)
         self.data.faulty.add(proc)
@@ -1143,23 +1190,28 @@ class Simulator:
     # -- the run loop ------------------------------------------------------
 
     def run(self) -> RunData:
+        enabled_events, schedule_next, execute = (
+            self.enabled_events, self.schedule_next, self.execute)
+        budget, plan = self.config.step_budget, self.crash_plan
+        next_crash = plan[0][0] if plan else budget  # the budget stops the run first
         while True:
-            if self.step >= self.config.step_budget:
+            if self.step >= budget:
                 status = "budget"
                 break
-            if self.crash_plan and self.crash_plan[0][0] <= self.step:
-                _, proc, keep = self.crash_plan.pop(0)
+            if self.step >= next_crash:
+                _, proc, keep = plan.pop(0)
+                next_crash = plan[0][0] if plan else budget
                 self.step += 1
                 if proc not in self.data.faulty:
                     self.execute_crash(proc, keep)
                 continue
-            events = self.enabled_events()
+            events = enabled_events()
             if not events:
                 status = "stalled" if self.pending_work() else "quiescent"
                 break
-            ev = self.schedule_next(events)
+            ev = schedule_next(events)
             self.step += 1
-            self.execute(ev)
+            execute(ev)
         self.trace(
             "end",
             0,

@@ -61,9 +61,16 @@ def purge_blocked_oracle(candidates: list, buffer: list, n: int) -> list:
 
 
 class AlwaysPurgeProcess(ScdProcess):
-    """try_deliver as first written: the full purge whenever some entry has
-    a majority.  The differential tests here and in test_sim hold the gated
-    try_deliver to its results."""
+    """on_forward and try_deliver as first written: every receipt, a stale
+    copy too, attempts a delivery, and the full purge runs whenever some
+    entry has a majority.  The differential tests here and in test_sim hold
+    the gated receipt to its results."""
+
+    def on_forward(self, fmsg):
+        out = []
+        self.forward(*fmsg, out)
+        delivered = self.try_deliver()
+        return out, ([delivered] if delivered is not None else [])
 
     def try_deliver(self):
         candidates = [e for e in self.buffer if e.forwarders >= self._majority]

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import gc
 import random
-from bisect import bisect_left, insort
 from dataclasses import fields
 
 import pytest
@@ -255,6 +254,18 @@ class RescanningSimulator(Simulator):
         return (1, prio, ev[-1])
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1])
+def test_uniform_pick_draws_as_randrange(seed):
+    """schedule_next draws a uniform index with random.Random's own loop
+    (_randbelow_with_getrandbits), written inline: the draws, and so the
+    seed->trace mapping, are randrange's on the Python that runs this."""
+    s = Simulator(config(seed=seed))
+    s.sched_rng, ref = random.Random(seed), random.Random(seed)
+    for _ in range(2):
+        for n in range(1, 301):
+            assert s.schedule_next(list(range(n))) == ref.randrange(n), n
+
+
 def mp_config(workload: str, rng: random.Random) -> ScenarioConfig:
     """A config of one message-passing workload: n up to 9, random or explicit
     crashes (explicit ones with keep cuts, up to n - 1 of them), and every
@@ -298,9 +309,14 @@ def test_scheduler_matches_rescanning_scheduler(workload, seed):
 
 class RescanCheckedSimulator(Simulator):
     """Holds Simulator.enabled, kept sorted in place, to RescanningSimulator's
-    rescan of the same state after every step, crash steps included."""
+    rescan of the same state after every step, crash steps included; and the
+    policy's index into it to the picks it replaced: under slow the fast list
+    to a filtered copy of the rescan, under fifo the pick to the minimum over
+    the rescan's channel heads (that pick draws nothing)."""
 
     rescan = RescanningSimulator.enabled_events
+    rescan_pick = RescanningSimulator.schedule_next
+    _fifo_key = RescanningSimulator._fifo_key
 
     def __init__(self, config):
         super().__init__(config)
@@ -308,7 +324,12 @@ class RescanCheckedSimulator(Simulator):
         self._check()
 
     def _check(self):
-        assert self.enabled == self.rescan(), self.step
+        events = self.rescan()
+        assert self.enabled == events, self.step
+        if self.policy == "slow":
+            assert self._fast == [e for e in events if e[-1] not in self.slow_set], self.step
+        if self.policy == "fifo" and events:
+            assert self.schedule_next(self.enabled) == self.rescan_pick(events), self.step
         self.checked += 1
 
     def execute(self, ev):
@@ -328,6 +349,39 @@ def test_enabled_list_matches_rescan_at_every_step(workload, seed):
     res = sim.run()
     # one check per step and at the start, plus one per uncut victim event
     assert sim.checked >= res.steps + 1
+
+
+class VictimOrderSimulator(RescanCheckedSimulator):
+    """Counts the victim deliveries that take a message other than the
+    oldest one in flight, which leave the fifo send-order queue with a
+    gone entry behind a live one."""
+
+    out_of_order = 0
+
+    def execute_crash(self, proc, keep):
+        ev = self._victim_event(proc) if keep is not None else None
+        if ev is not None and ev[0] == "deliver":
+            self.out_of_order += ev != self.rescan_pick(self.rescan())
+        super().execute_crash(proc, keep)
+
+
+@pytest.mark.parametrize("workload", ["raw_broadcast", "register_ops"])
+def test_fifo_pick_skips_messages_gone_out_of_send_order(workload):
+    """Keep-cut crashes whose victim deliveries are not the oldest message
+    in flight, and whose cleared channels drop queued sends: the fifo pick
+    still takes the oldest message left, step for step as the rescan's."""
+    out_of_order = 0
+    for n, crash in [(3, "explicit:2@6:1"), (4, "explicit:2@9:2,3@30:0"),
+                     (5, "explicit:1@12:3,4@25:1"), (5, "explicit:3@7:0,5@40:4")]:
+        for seed in range(3):
+            cfg = config(n=n, t=(n - 1) // 2, workload=workload, op_count=2 * n,
+                         crash=crash, delay="fifo", seed=seed)
+            sim = VictimOrderSimulator(cfg)
+            res = sim.run()
+            out_of_order += sim.out_of_order
+            expected = render_trace(RescanningSimulator(cfg).run().events).splitlines()
+            assert render_trace(res.events).splitlines() == expected, cfg
+    assert out_of_order
 
 
 class AlwaysPurgeSimulator(Simulator):
@@ -360,9 +414,12 @@ def _fields(fmsg):
 
 class PerCopyRecordSimulator(Simulator):
     """Trace records as first written: every send and recv record formats
-    the FORWARD's fields itself through trace().  The differential test below
-    holds Simulator, which formats them once per FORWARD and writes one log
-    entry per fan-out and per delivery, to its records and their lines."""
+    the FORWARD's fields itself.  The differential test below holds
+    Simulator, which formats them once per FORWARD and writes one log entry
+    per fan-out and per delivery, to its records and their lines.  Sends
+    queue on the simulator's channels, send-order queue and enable helper;
+    a delivery runs the simulator's own, whose recv entry is then replaced
+    by the record formatted here."""
 
     def fifo_broadcast(self, src, fmsg):
         n = self.config.n
@@ -376,21 +433,23 @@ class PerCopyRecordSimulator(Simulator):
             if dst not in self.data.faulty:
                 idx = (src - 1) * n + dst - 1
                 q = self.channels[idx]
-                q.append((self._send_seq, fmsg, None))
+                q.append((self._send_seq, fmsg, None, None))
                 if len(q) == 1:
-                    insort(self.enabled, self._deliveries[idx])
+                    self._enable(self._deliveries[idx])
+                if self._order is not None:
+                    self._order.append((self._send_seq, idx))
 
     def execute(self, ev):
         if ev[0] != "deliver":
             return super().execute(ev)
         _, s, d = ev
-        idx = (s - 1) * self.config.n + d - 1
-        q = self.channels[idx]
-        _, fmsg, _ = q.popleft()
-        if not q:
-            del self.enabled[bisect_left(self.enabled, ev)]
-        self.trace("recv", d, **{"from": str(s)}, **_fields(fmsg))
-        self.receive(d, fmsg)
+        fmsg = self.channels[(s - 1) * self.config.n + d - 1][0][1]
+        entries = self.log.entries
+        k = len(entries)
+        try:
+            super().execute(ev)  # a keep cut leaves by _CrashCut
+        finally:
+            entries[k] = TraceEvent(self.step, "recv", d, {"from": str(s), **_fields(fmsg)})
 
 
 # (n, crash): crash-free (at n = 1 too), random:K, and explicit crashes whose
@@ -445,6 +504,9 @@ def test_judged_commands_build_no_records(workload, monkeypatch, capsys, tmp_pat
     for argv in commands:
         expected.append((main(argv), capsys.readouterr().out))
     monkeypatch.setattr(sim, "_records_of", _raise)
+    # an rw_equivalence log holds no send or recv entry: reading it record
+    # by record would call no _records_of
+    monkeypatch.setattr(sim.TraceLog, "__iter__", _raise)
     for argv, want in zip(commands, expected):
         assert (main(argv), capsys.readouterr().out) == want, argv
 
