@@ -120,10 +120,10 @@ def load_run(log: TraceLog) -> RunData:
     once, and the logs that hold it share its frozenset.  A config record
     that fails validation raises UsageError, a missing field or a record by
     an unknown process KeyError, any other malformed value ValueError.  So
-    does a record of a kind no run writes, an operation of a kind its
-    workload never issues, a trace cut before its end record, or an end
-    record whose status is not one a run ends with; records after it are
-    read."""
+    does a send to, or a recv from, a process outside 1..n, a record of a
+    kind no run writes, an operation of a kind its workload never issues, a
+    trace cut before its end record, or an end record whose status is not
+    one a run ends with; records after it are read."""
     entries = log.entries
     if not entries or entries[0][1] != "config":
         raise ValueError("trace must start with a config record")
@@ -137,6 +137,15 @@ def load_run(log: TraceLog) -> RunData:
     sends: dict = {}  # m text -> send count
     keys: dict = {}  # a FORWARD's field tuple -> its channel key (sd, sn, f)
     id_sets: dict = {}  # a delivered set's text -> its ids, shared by the logs
+    n = config.n
+    pids = {str(i): i for i in range(1, n + 1)}  # the texts of 1..n, for to= and from=
+
+    def peer(text: str) -> int:  # the process a send's to= or a recv's from= names
+        pid = pids.get(text)
+        if pid is None:
+            raise ValueError(f"peer process {text!r} outside 1..{n}")
+        return pid
+
     shift = 0  # records before an entry less its index: reach - 1 per send entry
     for k, ev in enumerate(entries):
         kind, proc = ev[1], ev[2]
@@ -158,20 +167,22 @@ def load_run(log: TraceLog) -> RunData:
             if key is None:
                 key = keys[fwd] = fwd[1:4]
             if kind == "send":
+                if last > n:
+                    peer(str(last))  # raises: the entry stands for a send to p{last}
                 for dst in range(1, last + 1):
                     channels[proc, dst][0].append(key)
                 sends[fwd[0]] = sends.get(fwd[0], 0) + last
                 shift += last - 1
             else:
-                channels[int(last), proc][1].append(key)
+                channels[pids.get(last) or peer(last), proc][1].append(key)
             continue
         p = ev.payload
         if kind == "send":
-            channels[proc, int(p["to"])][0].append((p["sd"], p["sn"], p["f"]))
+            channels[proc, peer(p["to"])][0].append((p["sd"], p["sn"], p["f"]))
             m = p["m"]
             sends[m] = sends.get(m, 0) + 1
         elif kind == "recv":
-            channels[int(p["from"]), proc][1].append((p["sd"], p["sn"], p["f"]))
+            channels[peer(p["from"]), proc][1].append((p["sd"], p["sn"], p["f"]))
         elif kind == "bcast":
             mid, data = MsgId.parse(p["id"]), value_parse(p["data"])
             run.broadcasts[mid] = (proc, data)

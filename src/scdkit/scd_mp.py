@@ -2,12 +2,12 @@
 
 Each process keeps a buffer of application messages it has heard of but not
 yet delivered.  A buffer entry records, per process f, the sequence number
-that f's own counter had when f forwarded the message (INFINITE while no
-forward from f has been seen).  A message becomes deliverable once a strict
-majority has forwarded it; the candidate set is then purged to a fixpoint,
-dropping any candidate that is not known to precede some still-buffered
-message at a majority of forwarders.  Whatever survives is delivered as one
-message set.
+that f's own counter had when f forwarded the message (INFINITE, an int
+above every sequence number, while no forward from f has been seen).  A
+message becomes deliverable once a strict majority has forwarded it; the
+candidate set is then purged to a fixpoint, dropping any candidate that is
+not known to precede some still-buffered message at a majority of
+forwarders.  Whatever survives is delivered as one message set.
 
 The buffer is indexed by (sender, sequence number), and each entry counts
 its known forwarders as its columns leave INFINITE.  Each entry also stores,
@@ -32,23 +32,27 @@ over the candidates touched since the last attempt, and the purge runs only
 if one survives; ScdProcess.try_deliver proves that this skips no delivery,
 whatever the count threshold.
 
+The touched list holds only candidates: `forward` puts an entry on it once
+the entry has a majority, and a receipt that leaves it empty cannot deliver,
+so `on_forward` calls `try_deliver` only when it is not.
+
 The processes only emit FORWARD messages.  A fifo_broadcast here is a request
 to send the same FORWARD to every process (self included; the receipt guard
 absorbs the self copy), so one scd-broadcast costs at most n*n point-to-point
-sends overall.  Completion of an scd-broadcast is a predicate, re-checked
-after every event: no buffer entry of the caller's own message remains.  The
-buffer's own entries are counted as they are added and delivered, so the
-check reads one number.
+sends overall.  Completion of an scd-broadcast is a predicate: no buffer
+entry of the caller's own message remains.  The buffer's own entries are
+counted as they are added and delivered, so the check reads one number, and
+it needs checking only after a delivered set, the one event that lowers it.
 """
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .core import AppMessage, MsgId, UsageError
 
-INFINITE = math.inf
+INFINITE = sys.maxsize  # an int, so the count pass compares ints only
 
 
 class ForwardMsg(NamedTuple):
@@ -104,9 +108,9 @@ def purge_blocked(candidates: list, buffer: list, n: int) -> list:
 class ScdProcess:
     """Per-process protocol state machine.
 
-    Handlers mutate local state and return the FORWARD broadcasts to expand
-    (one entry per fifo_broadcast, to be sent to all n processes) plus any
-    delivered message sets; the transport lives elsewhere.
+    Handlers mutate local state and return the FORWARD to expand (sent to
+    all n processes by one fifo_broadcast), or None, and on a receipt also
+    the message set it delivered, or None; the transport lives elsewhere.
     """
 
     def __init__(self, pid: int, n: int):
@@ -116,35 +120,37 @@ class ScdProcess:
         self._majority = n // 2 + 1
         self._index: dict = {}   # (sd, sn) -> the buffered entry
         self._own = 0            # buffered entries of this process's messages
-        self._touched: list[BufferEntry] = []  # given a forwarder since the last try_deliver
+        # the candidates given a forwarder since the last try_deliver
+        self._touched: list[BufferEntry] = []
         self.sn = 0
         # clock[j] = greatest sn of a j-initiated message delivered here;
         # -1 while nothing from j was delivered (first messages carry sn 0).
         self.clock = [-1] * (n + 1)
         self.pending_broadcast: MsgId | None = None
 
-    def scbroadcast(self, m: AppMessage) -> list[ForwardMsg]:
+    def scbroadcast(self, m: AppMessage) -> ForwardMsg:
         if self.pending_broadcast is not None:
             raise UsageError(f"p{self.pid}: scbroadcast while one is pending")
         self.pending_broadcast = m.id
-        out: list[ForwardMsg] = []
-        self.forward(m, self.pid, self.sn, self.pid, self.sn, out)
-        return out
+        return self.forward(m, self.pid, self.sn, self.pid, self.sn)
 
     def on_forward(self, fmsg: ForwardMsg):
-        """Receipt of a FORWARD: absorb it, then attempt delivery.  A stale
-        copy changes nothing, so with no entry touched it cannot deliver."""
+        """Receipt of a FORWARD: absorb it, then attempt delivery if some
+        entry is a touched candidate.  Returns (this process's FORWARD or
+        None, the delivered message set or None).  A stale copy changes
+        nothing."""
         m, sd, sn_sd, f, sn_f = fmsg
-        if sn_sd <= self.clock[sd] and not self._touched:
-            return [], []
-        out: list[ForwardMsg] = []
-        self.forward(m, sd, sn_sd, f, sn_f, out)
-        delivered = self.try_deliver()
-        return out, ([delivered] if delivered is not None else [])
+        out = None if sn_sd <= self.clock[sd] else self.forward(m, sd, sn_sd, f, sn_f)
+        if self._touched:
+            return out, self.try_deliver()
+        return out, None
 
-    def forward(self, m, sd, sn_sd, f, sn_f, out) -> None:
+    def forward(self, m, sd, sn_sd, f, sn_f) -> ForwardMsg | None:
+        """Absorb FORWARD(m, sd, sn_sd, f, sn_f); return this process's own
+        FORWARD of m on its first receipt, else None."""
         if sn_sd <= self.clock[sd]:
-            return  # already delivered here; stale copy
+            return None  # already delivered here; stale copy
+        out = None
         entry = self._index.get((sd, sn_sd))
         if entry is None:
             # all columns INFINITE: forwarded before nothing, and every other
@@ -156,15 +162,16 @@ class ScdProcess:
             self.buffer.append(entry)
             self._index[(sd, sn_sd)] = entry
             self._own += sd == self.pid
-            out.append(ForwardMsg(m, sd, sn_sd, self.pid, self.sn))
+            out = ForwardMsg(m, sd, sn_sd, self.pid, self.sn)
             self.sn += 1
         cl = entry.cl
         if cl[f] != INFINITE:
             assert cl[f] == sn_f  # the self copy of this process's scbroadcast
-            return
+            return out
         cl[f] = sn_f
         entry.forwarders += 1
-        self._touched.append(entry)
+        if entry.forwarders >= self._majority:
+            self._touched.append(entry)
         ahead = entry.ahead
         # only the pairs (entry, o) and (o, entry) change, by at most one
         for o in ahead:
@@ -175,6 +182,7 @@ class ScdProcess:
                     o.ahead[entry] -= 1
             elif c == sn_f:
                 o.ahead[entry] -= 1
+        return out
 
     def try_deliver(self):
         """Deliver one message set if possible, None otherwise.
@@ -206,12 +214,16 @@ class ScdProcess:
         which matters at n = 1: there that entry is a candidate at once, and
         its self copy changes nothing.  `forward` rejects a receipt that
         would rewrite a finite column, which would break the second point.
+
+        `on_forward` calls this only when a touched candidate is left.  A
+        receipt that leaves its entry x short of a majority adds no
+        candidate, and by the second point it only makes x block more, so
+        every chain of the first point survives it and no set is
+        deliverable.
         """
         majority = self._majority
-        touched = [e for e in self._touched if e.forwarders >= majority]
+        touched = self._touched
         self._touched = []
-        if not touched:
-            return None
         outside = [e for e in self.buffer if e.forwarders < majority]
         if not _unblocked(touched, outside, self.n // 2):
             return None

@@ -937,6 +937,11 @@ class Simulator:
             self._sent = [[] for _ in self.channels]
             self._received = [[] for _ in self.channels]
             self._deliveries = [("deliver", s, d) for s in procs for d in procs]
+            # per source: (dst, channel index, channel, sent list) for each dst
+            n = config.n
+            self._rows = [None, *([(d, idx, self.channels[idx], self._sent[idx])
+                                   for d, idx in zip(procs, range((s - 1) * n, s * n))]
+                                  for s in procs)]
             # the sorted enabled events, and the policy's index into them
             # (see the module docstring)
             self.enabled = [("invoke", i) for i in procs if self.scripts[i]]
@@ -963,15 +968,13 @@ class Simulator:
         if self._cut is not None and self._cut[0] == src:
             reach = min(n, self._cut[1])
             self._cut = (src, self._cut[1] - reach)
-        sent, channels, faulty = self._sent, self.channels, self.data.faulty
-        order = self._order
+        row = self._rows[src]
+        faulty, order = self.data.faulty, self._order
         seq = self._send_seq
-        for dst in range(1, reach + 1):
+        for dst, idx, q, sent in (row if reach == n else row[:reach]):
             seq += 1
-            idx = (src - 1) * n + dst - 1
-            sent[idx].append(key)
+            sent.append(key)
             if dst not in faulty:
-                q = channels[idx]
                 q.append((seq, fmsg, forward, key))
                 if len(q) == 1:
                     self._enable(self._deliveries[idx])
@@ -1051,8 +1054,7 @@ class Simulator:
         if write is not None:
             self.data.writes[mid] = write
             self.cur[i].ts = write.ts  # a crashed writer's pending write keeps it
-        for f in self.scd[i].scbroadcast(AppMessage(mid, payload)):
-            self.fifo_broadcast(i, f)
+        self.fifo_broadcast(i, self.scd[i].scbroadcast(AppMessage(mid, payload)))
 
     # -- event machinery --------------------------------------------------
 
@@ -1112,18 +1114,20 @@ class Simulator:
                 self._disable(ev)
             self._log_append((self.step, "recv", d, forward, self._pid_text[s]))
             self._received[idx].append(key)
-            scd, data = self.scd[d], self.data
-            outs, sets = scd.on_forward(fmsg)
-            for f in outs:
-                self.fifo_broadcast(d, f)
-            for ms in sets:
-                ids = frozenset(m.id for m in ms)
-                self.trace("scd_deliver", d, set=format_id_set(ids))
-                data.logs[d].append(ids)
+            scd = self.scd[d]
+            out, ms = scd.on_forward(fmsg)
+            if out is not None:
+                self.fifo_broadcast(d, out)
+            if ms is None:
+                return
+            ids = frozenset(m.id for m in ms)
+            self.trace("scd_deliver", d, set=format_id_set(ids))
+            self.data.logs[d].append(ids)
+            # only a delivered set can complete d's pending broadcast
             done = scd.broadcast_complete()
             if done is not None:
                 self.trace("broadcast_complete", d, id=str(done))
-                data.completed[d].add(done)
+                self.data.completed[d].add(done)
                 # a raw broadcast op's message is the only one it broadcasts
                 cur = self.cur[d]
                 if cur is not None and cur.kind == "bcast":
@@ -1131,8 +1135,7 @@ class Simulator:
                     self.trace("op_return", d, op="bcast", seq=str(cur.seq), ok="1")
             obj = self.obj[d]
             if obj is not None:
-                for ms in sets:
-                    self._obj_step(d, obj.on_set_delivered(ms))
+                self._obj_step(d, obj.on_set_delivered(ms))
         elif self.world is not None:
             self.world.step(ev, self.trace, self.data)
         elif ev[0] == "invoke":

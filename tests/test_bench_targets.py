@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from scdkit.sim import ScenarioConfig, run_scenario
+
 _PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 _spec = importlib.util.spec_from_file_location("perfbench_tracing", _PATH)
 tracing = importlib.util.module_from_spec(_spec)
@@ -36,3 +38,23 @@ def test_target_resolves(module, cls, attr):
 
 def test_untraced_entry_points_are_unwrapped():
     tracing.assert_unwrapped()
+
+
+# the spans whose per-layer metrics a small message-passing run must feed
+_PER_STEP = ["sim.enabled_events", "sim.schedule_next", "sim.execute",
+             "scd_mp.on_forward", "scd_mp.try_deliver", "scd_mp.purge_blocked"]
+
+
+def test_traced_per_step_targets_run():
+    """Each hooked protocol and scheduler target is still called on a small
+    raw_broadcast run with one crash, through the wrappers a traced run
+    installs: trimming a call layer cannot silently zero its metrics."""
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        run_scenario(ScenarioConfig(n=5, t=2, workload="raw_broadcast", op_count=10,
+                                    crash="random:1", seed=3))
+    finally:
+        tracer.uninstall()
+    calls = {name: row[0] for name, row in tracer.totals().items()}
+    assert all(calls.get(name, 0) > 0 for name in _PER_STEP), calls

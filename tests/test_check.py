@@ -350,6 +350,27 @@ def _bad_m(lines):
     lines[k] = re.sub(" m=[^ ]*", " m=1.x", lines[k])
 
 
+def _send_to_p9(lines):
+    # the fan-out's run of send lines breaks there: a send record of its own
+    k = max(k for k, line in enumerate(lines) if "|send|" in line and line.endswith(" to=3\n"))
+    lines[k] = lines[k].replace(" to=3\n", " to=9\n")
+
+
+def _recv_from_p9(exact):
+    def mangle(lines):
+        k = _first(lines, "recv")
+        lines[k] = re.sub(" from=[0-9]+", " from=9", lines[k])
+        if not exact:  # outside a FORWARD's exact form: a recv record
+            lines[k] = lines[k].replace("\n", " x=1\n")
+    return mangle
+
+
+def _send_to_p4(lines):
+    # one more line in a fan-out's run of send lines: a send entry of reach 4
+    k = _first(lines, "send", " to=3")
+    lines.insert(k + 1, lines[k].replace(" to=3", " to=4"))
+
+
 def _bcast_by_p9(lines):
     k = _first(lines, "bcast")
     step, kind, _, body = lines[k].split("|", 3)
@@ -389,6 +410,10 @@ def _untagged_write(lines):
     # leave the history
     (_renamed_op("frob"), ValueError, "snapshot_ops run has a 'frob' op"),
     (_renamed_op("bcast"), ValueError, "snapshot_ops run has a 'bcast' op"),
+    (_send_to_p9, ValueError, "peer process '9' outside 1..3"),
+    (_recv_from_p9(exact=True), ValueError, "peer process '9' outside 1..3"),
+    (_recv_from_p9(exact=False), ValueError, "peer process '9' outside 1..3"),
+    (_send_to_p4, ValueError, "peer process '4' outside 1..3"),
 ])
 def test_load_run_rejects_malformed_record(mangle, error, match):
     res = run_scenario(ScenarioConfig(n=3, t=1, workload="snapshot_ops", op_count=6,

@@ -283,6 +283,28 @@ def _send_without_to(text):
     return "".join(lines)
 
 
+def _peer_9(kind):
+    """The last send line to p3 sends to p9, or the last recv line is from p9."""
+    def mangle(text):
+        lines = text.splitlines(True)
+        if kind == "send":
+            k = max(k for k, l in enumerate(lines) if "|send|" in l and l.endswith(" to=3\n"))
+            lines[k] = lines[k].replace(" to=3\n", " to=9\n")
+        else:
+            k = max(k for k, l in enumerate(lines) if "|recv|" in l)
+            lines[k] = re.sub(r" from=\d+", " from=9", lines[k])
+        return "".join(lines)
+    return mangle
+
+
+def _send_to_p4(text):
+    """A fan-out's send lines run on to p4: one send entry of reach 4."""
+    lines = text.splitlines(True)
+    k = next(k for k, l in enumerate(lines) if "|send|" in l and l.endswith(" to=3\n"))
+    lines.insert(k + 1, lines[k].replace(" to=3\n", " to=4\n"))
+    return "".join(lines)
+
+
 def _config(old, new):
     def mangle(text):
         head, rest = text.split("\n", 1)
@@ -315,10 +337,14 @@ def _garbage_line(text):
      "ValueError: register_ops run has a 'frob' op"),
     (lambda text: text.replace("|op=read ", "|op=bcast "),
      "ValueError: register_ops run has a 'bcast' op"),
+    (_peer_9("send"), "ValueError: peer process '9' outside 1..3"),
+    (_peer_9("recv"), "ValueError: peer process '9' outside 1..3"),
+    (_send_to_p4, "ValueError: peer process '4' outside 1..3"),
 ], ids=["no-op-invoke", "unknown-proc", "garbage-line", "cut-at-300",
         "write-register-9", "send-without-to", "bcast-by-p9", "config-crash-random-x",
         "config-n-0", "config-budget-0", "config-budget-minus-5", "recv-renamed",
-        "read-renamed-frob", "read-renamed-bcast"])
+        "read-renamed-frob", "read-renamed-bcast", "send-to-p9", "recv-from-p9",
+        "send-run-to-p4"])
 def test_malformed_trace_exits_2_with_error_line(tmp_path, capsys, mangle, reason):
     main(["run", "--n", "3", "--workload", "register_ops", "--ops", "4", "--seed", "1",
           "--trace-dir", str(tmp_path)])

@@ -2,12 +2,13 @@
 broken protocol, not just corrupted fixtures.
 
 The broadcast mutants replace the one blocking relation, scd_mp._unblocked,
-which both the delivery gate and the purge read.  The object mutant is a
-write without its SYNC round.  A run is killed when a verdict fails or the
-run raises an AssertionError.  The configs are fixed: 100 runs at n = 3, 5,
-7, every odd one with a random minority crash.  The `fifo` delay policy is
-left out: it delivers in global send order, so broadcasts barely overlap and
-it kills no mutant.
+which both the delivery gate and the purge read, or shrink the delivery
+quorum that `forward` tests before an entry becomes a candidate.  The object
+mutant is a write without its SYNC round.  A run is killed when a verdict
+fails or the run raises an AssertionError.  The configs are fixed: 100 runs
+at n = 3, 5, 7, every odd one with a random minority crash.  The `fifo`
+delay policy is left out: it delivers in global send order, so broadcasts
+barely overlap and it kills no mutant.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from test_scd_mp import RELATIONS
 
 from scdkit import scd_mp
 from scdkit.check import evaluate_run, load_run
+from scdkit.scd_mp import ScdProcess
 from scdkit.shared_objects import SnapshotObject
 from scdkit.sim import ScenarioConfig, run_scenario
 
@@ -55,6 +57,25 @@ def test_checkers_flag_relation_mutants(monkeypatch, relation, delay):
         assert kills == 0
     else:
         assert kills >= MIN_KILLS, f"{relation} under {delay}: {kills}/{CONFIGS} killed"
+
+
+# kills out of 100 measured when the row was added; floors, not targets
+HALF_QUORUM_KILLS = {"uniform": 60, "slow:1": 45}
+
+
+@pytest.mark.parametrize("delay", HALF_QUORUM_KILLS)
+def test_checkers_flag_the_half_quorum_mutant(monkeypatch, delay):
+    """A message becomes a candidate once n // 2 processes forwarded it, one
+    short of the strict majority the paper's delivery waits for."""
+    real_init = ScdProcess.__init__
+
+    def half_quorum(self, pid, n):
+        real_init(self, pid, n)
+        self._majority = n // 2
+
+    monkeypatch.setattr(ScdProcess, "__init__", half_quorum)
+    kills = sum(map(killed, configs(delay)))
+    assert kills >= HALF_QUORUM_KILLS[delay], f"{kills}/{CONFIGS} killed"
 
 
 def write_without_sync(self, r, value):

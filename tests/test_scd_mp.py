@@ -67,10 +67,8 @@ class AlwaysPurgeProcess(ScdProcess):
     the gated receipt to its results."""
 
     def on_forward(self, fmsg):
-        out = []
-        self.forward(*fmsg, out)
-        delivered = self.try_deliver()
-        return out, ([delivered] if delivered is not None else [])
+        out = self.forward(*fmsg)
+        return out, self.try_deliver()
 
     def try_deliver(self):
         candidates = [e for e in self.buffer if e.forwarders >= self._majority]
@@ -93,7 +91,7 @@ def test_fresh_broadcast_creates_entry_and_forward():
     p = ScdProcess(1, 3)
     m = msg(1, 0)
     out = p.scbroadcast(m)
-    assert out == [ForwardMsg(m, 1, 0, 1, 0)]
+    assert out == ForwardMsg(m, 1, 0, 1, 0)
     assert p.sn == 1
     (e,) = p.buffer
     assert (e.sd, e.sn) == (1, 0)
@@ -115,9 +113,9 @@ def test_first_foreign_forward_creates_entry_and_reforwards():
     out, delivered = p.on_forward(ForwardMsg(m, 1, 0, 1, 0))
     # p2 echoes with its own counter value, which then advances; its own
     # column stays unknown until the self copy of that echo arrives
-    assert out == [ForwardMsg(m, 1, 0, 2, 0)]
+    assert out == ForwardMsg(m, 1, 0, 2, 0)
     assert p.sn == 1
-    assert delivered == []
+    assert delivered is None
     (e,) = p.buffer
     assert e.cl == [INFINITE, 0, INFINITE, INFINITE]
 
@@ -127,10 +125,10 @@ def test_known_message_updates_forwarder_column_only():
     m = msg(1, 0)
     p.on_forward(ForwardMsg(m, 1, 0, 1, 0))
     out, delivered = p.on_forward(ForwardMsg(m, 1, 0, 3, 5))
-    assert out == []  # no re-forward for an already buffered message
+    assert out is None  # no re-forward for an already buffered message
     assert p.buffer == [] or delivered  # majority reached, see below
     # with cl = [0, 0, 5] all three known, 3 of 3 > 3/2: delivered
-    assert delivered == [frozenset({m})]
+    assert delivered == frozenset({m})
     assert p.clock[1] == 0
 
 
@@ -142,18 +140,18 @@ def test_stale_forward_is_absorbed_silently():
     assert p.clock[1] == 0
     # self copy and any further copies of the delivered message are stale
     out, delivered = p.on_forward(ForwardMsg(m, 1, 0, 2, 0))
-    assert out == [] and delivered == []
+    assert out is None and delivered is None
     assert p.buffer == []
 
 
 def test_majority_of_forwarders_required_to_deliver():
     p = ScdProcess(3, 5)
     m = msg(1, 0)
-    (echo,), _ = p.on_forward(ForwardMsg(m, 1, 0, 1, 0))
+    echo, _ = p.on_forward(ForwardMsg(m, 1, 0, 1, 0))
     _, delivered = p.on_forward(ForwardMsg(m, 1, 0, 2, 0))
-    assert delivered == []  # two known forwarders of five: not a majority
+    assert delivered is None  # two known forwarders of five: not a majority
     _, delivered = p.on_forward(echo)  # own copy makes three
-    assert delivered == [frozenset({m})]
+    assert delivered == frozenset({m})
 
 
 def test_clock_advances_monotonically_per_sender():
@@ -162,7 +160,7 @@ def test_clock_advances_monotonically_per_sender():
         m = msg(1, k)
         p.on_forward(ForwardMsg(m, 1, k, 1, k))
         _, delivered = p.on_forward(ForwardMsg(m, 1, k, 3, k))
-        assert delivered == [frozenset({m})]
+        assert delivered == frozenset({m})
         assert p.clock[1] == k
 
 
@@ -320,15 +318,22 @@ def _gated_matches_always_purge(n, pid, stream, legal):
             return
         if legal:
             out = got if call == "scbroadcast" else got[0]
-            selfq.extend(out)
+            if out is not None:
+                selfq.append(out)
             if call == "scbroadcast":
-                own.append(out[0])
+                own.append(out)
         # the own-entry count and the pair counts against the buffer scans
         # they replaced
         for p in (gated, oracle):
             assert p._own == sum(e.sd == pid for e in p.buffer)
             assert_counts_match_columns(p)
-        assert gated.broadcast_complete() == oracle.broadcast_complete()
+        done = gated.broadcast_complete()
+        assert done == oracle.broadcast_complete()
+        # the simulator asks only after a delivered set: on a legal stream
+        # nothing else completes a broadcast (an illegal one can name the
+        # receiver's next broadcast as delivered before it is made)
+        assert not legal or done is None or (call == "on_forward" and got[1] is not None), \
+            (call, arg)
     assert [(e.sd, e.sn, e.cl) for e in gated.buffer] == \
         [(e.sd, e.sn, e.cl) for e in oracle.buffer]
 
@@ -351,8 +356,9 @@ class LoopbackNet:
         self.queues = {(i, j): deque() for i in self.procs for j in self.procs}
         self.delivered = {i: [] for i in self.procs}
 
-    def send_all(self, src, fwds):
-        for fm in fwds:
+    def send_all(self, src, fm):
+        """fifo-broadcast a handler's FORWARD, if it returned one."""
+        if fm is not None:
             for dst in self.procs:
                 self.queues[(src, dst)].append(fm)
 
@@ -363,9 +369,10 @@ class LoopbackNet:
                 return
             src, dst = rng.choice(ready)
             fm = self.queues[(src, dst)].popleft()
-            out, sets = self.procs[dst].on_forward(fm)
+            out, ms = self.procs[dst].on_forward(fm)
             self.send_all(dst, out)
-            self.delivered[dst].extend(sets)
+            if ms is not None:
+                self.delivered[dst].append(ms)
 
 
 @settings(max_examples=25, deadline=None)
@@ -406,38 +413,46 @@ def test_delivery_respects_first_seen_majority_order():
 
 def test_receipts_that_cannot_deliver_skip_the_purge(monkeypatch):
     """A receipt that leaves its entry short of a majority, or a stale copy
-    of a delivered message, calls no purge_blocked.  The counts are taken
-    only while some other entry has a majority: the ungated try_deliver
-    purged on each of those receipts."""
-    calls = []
-    real = scd_mp.purge_blocked
+    of a delivered message, calls no try_deliver, and so no purge_blocked.
+    The counts are taken only while some other entry has a majority: the
+    ungated try_deliver purged on each of those receipts."""
+    purges, attempts = [], []
+    real_purge, real_try = scd_mp.purge_blocked, ScdProcess.try_deliver
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting_purge(*args):
+        purges.append(args)
+        return real_purge(*args)
 
-    monkeypatch.setattr(scd_mp, "purge_blocked", counting)
+    def counting_try(self):
+        attempts.append(self.pid)
+        return real_try(self)
+
+    monkeypatch.setattr(scd_mp, "purge_blocked", counting_purge)
+    monkeypatch.setattr(ScdProcess, "try_deliver", counting_try)
     rng = random.Random(5)
     net = LoopbackNet(5)
     sent = dict.fromkeys(net.procs, 1)  # each process broadcasts 4 messages
     for i, p in net.procs.items():
         net.send_all(i, p.scbroadcast(msg(i, 0)))
     skipped = {"short": 0, "stale": 0}
+    receipts = 0
     while any(net.queues.values()):
         src, dst = rng.choice([key for key, q in net.queues.items() if q])
         fm = net.queues[(src, dst)].popleft()
         p = net.procs[dst]
         stale = fm.sn_sd <= p.clock[fm.sd]
         majority_elsewhere = any(2 * e.forwarders > p.n for e in p.buffer)
-        before = len(calls)
+        before = len(purges), len(attempts)
         out, _ = p.on_forward(fm)
+        receipts += 1
         net.send_all(dst, out)
         entry = p._index.get((fm.sd, fm.sn_sd))
         if stale or (entry is not None and 2 * entry.forwarders <= p.n):
-            assert len(calls) == before, fm
+            assert (len(purges), len(attempts)) == before, fm
             skipped["stale" if stale else "short"] += majority_elsewhere
         if p.broadcast_complete() is not None and sent[dst] < 4:
             net.send_all(dst, p.scbroadcast(msg(dst, sent[dst])))
             sent[dst] += 1
     assert skipped["short"] and skipped["stale"], skipped
-    assert calls  # the receipts that can deliver still purge
+    # the receipts that can deliver still attempt it, and purge
+    assert purges and len(purges) <= len(attempts) < receipts
