@@ -167,6 +167,9 @@ class RwProcess:
         return c
 
     def state_key(self):
+        """Everything a step of this process reads.  `delivered` is left
+        out: it is the union of this process's own sequence, setseq[pid],
+        which the key holds (pid and n are fixed per process)."""
         f = self.frame
         return (
             tuple(self.sent),

@@ -86,12 +86,19 @@ come.
 
 The exhaustive interleaving explorer for the shared-memory construction
 (explore_rw) drives the same world object as the simulator, enumerating every
-schedule by DFS and deduplicating identical global states.  A successor copies
-only the process that steps, and a state is keyed by interned per-component
-ids, so a transition pays only for what it changes.
+schedule by DFS and deduplicating identical global states.  A state is its
+key, one int packing the interned ids of the memory and of each process and
+each process's next_op; each id stands for one canonical component object,
+never mutated once interned.  A step of process i reads and writes only
+process i, the memory and next_op[i], so equal ids there give equal
+successors, and each such local transition is stepped once: on a clone of
+the stepped process and the memory, whose new ids the explorer memoizes.
+A process's state key leaves out its delivered set, the union of its own
+sequence, which the key holds.
 """
 from __future__ import annotations
 
+import copy
 import random
 import re
 from bisect import bisect_left, insort
@@ -114,6 +121,7 @@ MP_WORKLOADS = (
     "sc_snapshot_ops",
 )
 RW_WORKLOADS = ("rw_equivalence",)
+MEM_MODES = ("atomic", "sc")  # SharedSnapshotMemory modes
 END_STATUSES = ("quiescent", "stalled", "budget")  # how Simulator.run ends
 RECORD_KINDS = frozenset((  # every kind of trace record a run writes
     "config", "send", "recv", "bcast", "scd_deliver", "broadcast_complete",
@@ -157,7 +165,7 @@ class ScenarioConfig:
             raise UsageError("step budget must be >= 1")
         if self.nregs < 1:
             raise UsageError("nregs must be >= 1")
-        if self.mem not in ("atomic", "sc"):
+        if self.mem not in MEM_MODES:
             raise UsageError(f"unknown memory mode {self.mem!r}")
         if not 1 <= self.writer <= self.n:
             raise UsageError("writer must be a process id")
@@ -509,16 +517,20 @@ class SharedSnapshotMemory:
     writes and applies them later (apply_one), except that a snapshot by the
     owner first flushes its own queue; per-process order is preserved, so the
     result is sequentially consistent but deliberately not linearizable.
+    Each queue is a tuple, replaced on every change, so a clone copies two
+    small dicts and shares every queue.
     """
 
     def __init__(self, n: int, mode: str = "atomic"):
+        if mode not in MEM_MODES:
+            raise UsageError(f"unknown memory mode {mode!r}")
         self.n = n
         self.mode = mode
         self.store = {}
         for obj in ("SENT", "SETSEQ"):
             for i in range(1, n + 1):
                 self.store[(obj, i)] = frozenset() if obj == "SENT" else ()
-        self.queues = {i: deque() for i in range(1, n + 1)}
+        self.queues = {i: () for i in range(1, n + 1)}
 
     def execute(self, pid: int, op):
         if op[0] == "write":
@@ -526,7 +538,7 @@ class SharedSnapshotMemory:
             if idx != pid:
                 raise UsageError(f"p{pid} writing single-writer entry of p{idx}")
             if self.mode == "sc":
-                self.queues[pid].append((obj, idx, val))
+                self.queues[pid] += ((obj, idx, val),)
             else:
                 self.store[(obj, idx)] = val
             return None
@@ -536,11 +548,14 @@ class SharedSnapshotMemory:
         return (pad,) + tuple(self.store[(obj, i)] for i in range(1, self.n + 1))
 
     def flush(self, pid: int) -> None:
-        while self.queues[pid]:
-            self.apply_one(pid)
+        for obj, idx, val in self.queues[pid]:
+            self.store[(obj, idx)] = val
+        self.queues[pid] = ()
 
     def apply_one(self, pid: int):
-        obj, idx, val = self.queues[pid].popleft()
+        q = self.queues[pid]
+        obj, idx, val = q[0]
+        self.queues[pid] = q[1:]
         self.store[(obj, idx)] = val
         return obj, idx
 
@@ -548,7 +563,7 @@ class SharedSnapshotMemory:
         return len(self.queues[pid])
 
     def drop_pending(self, pid: int) -> None:
-        self.queues[pid].clear()
+        self.queues[pid] = ()
 
     def visible_sent_union(self) -> frozenset:
         out = frozenset()
@@ -560,16 +575,13 @@ class SharedSnapshotMemory:
         c = SharedSnapshotMemory.__new__(SharedSnapshotMemory)
         c.n, c.mode = self.n, self.mode
         c.store = dict(self.store)
-        c.queues = {i: deque(q) for i, q in self.queues.items()}
+        c.queues = dict(self.queues)
         return c
 
     def state_key(self):
         # store and queues keep their insertion order (SENT 1..n, then
         # SETSEQ 1..n; queues 1..n) through writes and clones
-        return (
-            tuple(self.store.values()),
-            tuple(map(tuple, self.queues.values())),
-        )
+        return tuple(self.store.values()), tuple(self.queues.values())
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +599,11 @@ class RwWorld:
     """
 
     def __init__(self, n: int, scripts: dict, mem_mode: str = "atomic"):
+        if n < 1:
+            raise UsageError("n must be >= 1")
+        for i in scripts:
+            if i not in range(1, n + 1):
+                raise UsageError(f"script of {i!r}, not a process id in 1..{n}")
         self.n = n
         self.procs = {i: RwProcess(i, n) for i in range(1, n + 1)}
         self.memory = SharedSnapshotMemory(n, mem_mode)
@@ -702,33 +719,92 @@ def explore_rw(n: int, scripts: dict, mem_mode: str = "atomic", state_limit: int
     Every run of the world is a path through a finite acyclic state graph
     (each step strictly consumes script items, queue entries, frame progress
     or undelivered messages), so the distinct terminal states cover every
-    interleaving's observable outcome.  Each successor is a copy-on-write
-    clone that copies only the stepped process (RwWorld.clone), and two
-    states are the same when their interned keys are (RwWorld.state_key),
-    that is when every process, the memory, next_op and alive are equal.
+    interleaving's observable outcome.
+
+    A state is its key: one int packing the interned id of the memory, of
+    each process and each next_op (alive is always true here).  Ids come
+    from RwWorld.state_key, and for each position (the memory, process 1..n)
+    every id maps to one canonical object, which is never mutated once
+    interned: a step runs on clones.  The DFS stack and `seen` hold keys
+    only.  Choices are taken from a scratch world pointed at the canonical
+    objects of the state at hand, which copies nothing.
+
+    A step of process i reads and writes only process i, the memory and
+    next_op[i] (an invoke also reads script i, which is fixed), so equal
+    ids there give an equal successor there, and every other field of the
+    key is unchanged.  Each local transition, (choice, process-i id, memory
+    id, next_op[i]), is therefore stepped once: the memo maps it to the
+    difference it adds to a key.  Only a memo miss clones, steps and keys a
+    world (RwWorld.clone, step, state_key).  next_op[i] stays in the memo
+    key although the protocol makes it redundant (process i's own SENT entry
+    holds exactly the messages it invoked), because the explorer must not
+    rest on that.
+
+    Field widths come from the inputs: every new id comes with a state new
+    to `seen`, two at most, so ids stay below n + 2 * state_limit + 1, and a
+    next_op at most its script's length.  No input overflows a field.
+
     Returns (terminal worlds in discovery order, states visited); raises
     UsageError once more than state_limit states are seen.
     """
-    root = RwWorld(n, scripts, mem_mode)
-    seen = {root.state_key()}
-    terminals = {}
+    w = RwWorld(n, scripts, mem_mode)  # the root, then the scratch world
+    w.state_key()
+    ids = w.key_ids  # the ids of the state at hand
+    canon = [{ids[0]: w.memory}] + [{ids[j]: w.procs[j]} for j in range(1, n + 1)]
+    id_bits = (n + 2 * max(state_limit, 1)).bit_length()
+    op_bits = max(map(len, w.scripts.values())).bit_length()
+    id_mask, op_mask = (1 << id_bits) - 1, (1 << op_bits) - 1
+    # bit offset of the memory id (0), process j's id (j) and next_op[j] (n + j)
+    shift = [j * id_bits for j in range(n + 1)]
+    shift += [(n + 1) * id_bits + j * op_bits for j in range(n)]
+    top = (n + 1) * id_bits + n * op_bits
+    # the fields a step of i reads and writes, and each choice's tag above them
+    local = [0] + [id_mask | id_mask << shift[i] | op_mask << shift[n + i]
+                   for i in range(1, n + 1)]
+    tag = {(t, i): (k * (n + 1) + i) << top
+           for k, t in enumerate(("invoke", "tick", "mem", "apply"))
+           for i in range(1, n + 1)}
+    procs, next_op = w.procs, w.next_op
+    root = sum(ids[j] << shift[j] for j in range(n + 1))
+    seen = {root}
+    memo = {}
+    terminals = []
     stack = [root]
     while stack:
-        w = stack.pop()
+        key = stack.pop()
+        ids[0] = key & id_mask
+        w.memory = canon[0][ids[0]]
+        for j in range(1, n + 1):
+            ids[j] = k = key >> shift[j] & id_mask
+            procs[j] = canon[j][k]
+            next_op[j] = key >> shift[n + j] & op_mask
         choices = w.choices()
         if not choices:
-            terminals.setdefault(w.state_key(), w)
+            t = copy.copy(w)  # shares the canonical objects, owns its dicts
+            t.procs, t.next_op, t.alive = dict(procs), dict(next_op), dict(w.alive)
+            t.key_ids = list(ids)
+            terminals.append(t)
             continue
         for c in choices:
-            w2 = w.clone(c[1])
-            w2.step(c)
-            k = w2.state_key()
+            i = c[1]
+            local_key = key & local[i] | tag[c]
+            d = memo.get(local_key)
+            if d is None:
+                w2 = w.clone(i)
+                w2.step(c)
+                w2.state_key()
+                m, p = w2.key_ids[0], w2.key_ids[i]
+                canon[0].setdefault(m, w2.memory)
+                canon[i].setdefault(p, w2.procs[i])
+                d = memo[local_key] = ((m - ids[0]) + (p - ids[i] << shift[i])
+                                       + ((c[0] == "invoke") << shift[n + i]))
+            k = key + d
             if k not in seen:
                 if len(seen) >= state_limit:
                     raise UsageError(f"state limit {state_limit} exceeded")
                 seen.add(k)
-                stack.append(w2)
-    return list(terminals.values()), len(seen)
+                stack.append(k)
+    return terminals, len(seen)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Determinism sweep: one digest over the traces and verdicts of 504 configs.
+"""Determinism sweep: one digest over the traces and verdicts of 504 configs,
+and one over the exhaustive explorer's results.
 
-    python tests/digest_sweep.py            # exit 0 when the digest is PINNED
-    python tests/digest_sweep.py --print    # print the digest only
+    python tests/digest_sweep.py            # exit 0 when both digests are pinned
+    python tests/digest_sweep.py --print    # print the digests only
 
 Needs only the standard library and this checkout's src/, so it runs on any
 supported Python without pytest.  The configs cover the 7 workloads, n 2-7,
@@ -12,21 +13,29 @@ the verdict lines judged from the RunData the run filled.  Each run must
 also render the same text from its records as from the simulator's log,
 parse back to the entries of that log, and get the same verdicts back from
 its parsed trace; a mismatch exits 1.
+
+The explorer digest takes, for each of 22 explorations, the state count and
+every terminal's per-process delivery logs in discovery order.  They are
+explore_rw at n = 2 over the acceptance criterion-5 splits (1 to 3
+messages) and the 2+2 split, and at n = 3 over 1+1+0, in both memory modes.
 """
 from __future__ import annotations
 
 import hashlib
 import random
 import sys
+from itertools import product
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from scdkit.check import evaluate_run, load_run  # noqa: E402
+from scdkit.core import AppMessage, MsgId, format_id_set  # noqa: E402
 from scdkit.sim import (MP_WORKLOADS, RW_WORKLOADS, ScenarioConfig,  # noqa: E402
-                        TraceLog, parse_trace, render_trace, run_scenario)
+                        TraceLog, explore_rw, parse_trace, render_trace, run_scenario)
 
 PINNED = "644444e2be96efbb"
+EXPLORE_PINNED = "0f2386f4e8e56adc"
 CRASHES = ("none", "random", "explicit", "explicit-keep")
 
 
@@ -77,15 +86,38 @@ def sweep() -> tuple:
     return digest.hexdigest()[:16], count
 
 
+def explore_sweep() -> tuple:
+    """(hex digest, number of explorations)."""
+    digest = hashlib.sha256()
+    count = 0
+    splits = [(c1, c2) for c1 in range(4) for c2 in range(4) if 1 <= c1 + c2 <= 3]
+    for counts, mem in product(splits + [(2, 2), (1, 1, 0)], ("atomic", "sc")):
+        scripts = {i: [AppMessage(MsgId(i, k), f"{i}.{k}".encode()) for k in range(c)]
+                   for i, c in enumerate(counts, start=1)}
+        terminals, states = explore_rw(len(counts), scripts, mem)
+        lines = [f"{'+'.join(map(str, counts))}|{mem}|states={states}|terminals={len(terminals)}"]
+        for world in terminals:
+            lines.append(" ".join(
+                f"p{i}=" + "/".join(format_id_set(m.id for m in s) for s in p.log)
+                for i, p in world.procs.items()))
+        digest.update("".join(line + "\n" for line in lines).encode())
+        count += 1
+    return digest.hexdigest()[:16], count
+
+
 def main(argv) -> int:
     got, count = sweep()
     print(f"digest|{got}|configs={count}|python={sys.version.split()[0]}")
+    explored, jobs = explore_sweep()
+    print(f"explore|{explored}|jobs={jobs}")
     if "--print" in argv:
         return 0
-    if got != PINNED:
-        print(f"error: digest {got} != pinned {PINNED}", file=sys.stderr)
-        return 1
-    return 0
+    status = 0
+    for name, digest, pinned in (("digest", got, PINNED), ("explore", explored, EXPLORE_PINNED)):
+        if digest != pinned:
+            print(f"error: {name} digest {digest} != pinned {pinned}", file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

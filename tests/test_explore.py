@@ -158,3 +158,47 @@ def test_copy_on_write_step_leaves_parent_unchanged(mem):
 def test_state_limit_raises():
     with pytest.raises(UsageError, match="state limit 100"):
         explore_rw(2, scripts_for(2, 2), "atomic", state_limit=100)
+
+
+@pytest.mark.parametrize("n,scripts,mem,match", [
+    (2, {3: scripts_for(0, 0, 1)[3]}, "atomic", "not a process id"),
+    (2, {0: []}, "atomic", "not a process id"),
+    (2, scripts_for(1), "weird", "unknown memory mode"),
+    (0, {}, "atomic", "n must be"),
+], ids=["script-of-p3-at-n2", "script-of-p0", "unknown-mode", "n0"])
+def test_rejects_inputs_it_cannot_explore(n, scripts, mem, match):
+    with pytest.raises(UsageError, match=match):
+        explore_rw(n, scripts, mem)
+
+
+def test_field_widths_follow_the_state_limit():
+    """Keys pack their fields by widths taken from the inputs, so neither a
+    state limit far past any machine word nor a long script overflows."""
+    want = PINNED[(1, 2)]
+    terminals, states = explore_rw(2, scripts_for(1, 2), "atomic", state_limit=10**40)
+    assert (len(terminals), states) == want[:2]
+    terminals, states = explore_rw(1, scripts_for(40), "atomic")
+    assert len(terminals) == 1
+    assert len(terminals[0].procs[1].log) == 40
+
+
+# distinct local transitions (choice, process-i state, memory, next_op[i]) of 2+2
+LOCAL_TRANSITIONS = {"atomic": 6550, "sc": 21740}
+
+
+@pytest.mark.parametrize("mem", MODES)
+def test_each_local_transition_steps_once(mem, monkeypatch):
+    """A step of process i reads and writes only process i, the memory and
+    next_op[i], so the explorer steps each distinct such transition once,
+    however many global states share it."""
+    steps = []
+    step = RwWorld.step
+
+    def counted(self, choice, *args):
+        steps.append(choice)
+        return step(self, choice, *args)
+
+    monkeypatch.setattr(RwWorld, "step", counted)
+    terminals, states = explore_rw(2, scripts_for(2, 2), mem)
+    assert (len(terminals), states) == (PINNED[(2, 2)][0], PINNED[(2, 2)][1 + MODES.index(mem)])
+    assert len(steps) == LOCAL_TRANSITIONS[mem]
