@@ -160,7 +160,7 @@ class RwProcess:
         c = RwProcess.__new__(RwProcess)
         c.pid, c.n = self.pid, self.n
         c.sent = list(self.sent)
-        c.setseq = [list(s) for s in self.setseq]
+        c.setseq = list(map(list, self.setseq))
         c.delivered = set(self.delivered)
         f = self.frame
         c.frame = Frame(f.kind, f.msg, f.stage, f.todeliver) if f else None
@@ -173,6 +173,6 @@ class RwProcess:
         f = self.frame
         return (
             tuple(self.sent),
-            tuple(tuple(s) for s in self.setseq),
+            tuple(map(tuple, self.setseq)),
             (f.kind, f.msg, f.stage, f.todeliver) if f else None,
         )

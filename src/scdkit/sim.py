@@ -89,12 +89,15 @@ The exhaustive interleaving explorer for the shared-memory construction
 schedule by DFS and deduplicating identical global states.  A state is its
 key, one int packing the interned ids of the memory and of each process and
 each process's next_op; each id stands for one canonical component object,
-never mutated once interned.  A step of process i reads and writes only
-process i, the memory and next_op[i], so equal ids there give equal
-successors, and each such local transition is stepped once: on a clone of
-the stepped process and the memory, whose new ids the explorer memoizes.
-A process's state key leaves out its delivered set, the union of its own
-sequence, which the key holds.
+never mutated once interned.  Process i's choices and their steps read and
+write only process i, the memory and next_op[i], so equal ids there give
+equal successors: one successor table per process maps those fields to the
+key differences of all of process i's choices, and a state costs n lookups
+and one add per successor.  Only a table miss lists process i's choices and
+steps each one, on fresh copies of just the components it writes
+(RwWorld.WRITES, which step's key invalidation follows too), and interns
+those copies.  A process's state key leaves out its delivered set, the union
+of its own sequence, which the key holds.
 """
 from __future__ import annotations
 
@@ -590,20 +593,30 @@ class SharedSnapshotMemory:
 
 class RwWorld:
     """Processes of the shared-memory construction plus their memory and the
-    per-process scripts of messages still to broadcast.
+    per-process scripts of messages still to broadcast.  The k-th message of
+    process i's script must be MsgId(i, k), as the simulator plans it.
 
-    For the explorer, a world keys its state by interned ids: `interned` maps
-    each component's nested state (a process's or the memory's) to a small
-    int and is shared by every world cloned from one root; `key_ids[0]` caches
-    the memory's id and `key_ids[i]` process i's, None once stale.
+    A world can key its state by interned ids: `interned` maps each
+    component's nested state (a process's or the memory's) to a small int and
+    is shared by every world cloned from one root; `key_ids[0]` caches the
+    memory's id and `key_ids[i]` process i's, None once stale.
     """
+
+    # What a choice of process i writes, as (the memory, process i); an
+    # invoke also writes next_op[i].  step's key invalidation and the
+    # explorer's copies both follow this table.
+    WRITES = {"invoke": (False, True), "tick": (False, True),
+              "mem": (True, True), "apply": (True, False)}
 
     def __init__(self, n: int, scripts: dict, mem_mode: str = "atomic"):
         if n < 1:
             raise UsageError("n must be >= 1")
-        for i in scripts:
+        for i, script in scripts.items():
             if i not in range(1, n + 1):
                 raise UsageError(f"script of {i!r}, not a process id in 1..{n}")
+            for k, m in enumerate(script):
+                if m.id != MsgId(i, k):
+                    raise UsageError(f"message {k} of p{i}'s script is {m.id}, not {i}.{k}")
         self.n = n
         self.procs = {i: RwProcess(i, n) for i in range(1, n + 1)}
         self.memory = SharedSnapshotMemory(n, mem_mode)
@@ -613,10 +626,13 @@ class RwWorld:
         self.interned = {}
         self.key_ids = [None] * (n + 1)
 
-    def choices(self) -> list:
+    def choices(self, pids=None) -> list:
+        """The choices of processes `pids` (default 1..n), in pid order.
+        Those of process i read only process i, the memory, next_op[i],
+        alive[i] and script i."""
         out = []
         visible = self.memory.visible_sent_union()
-        for i in range(1, self.n + 1):
+        for i in pids or range(1, self.n + 1):
             if not self.alive[i]:
                 continue
             p = self.procs[i]
@@ -625,7 +641,7 @@ class RwWorld:
             else:
                 if self.next_op[i] < len(self.scripts[i]):
                     out.append(("invoke", i))
-                if visible - p.delivered:
+                if not visible <= p.delivered:
                     out.append(("tick", i))
             if self.memory.pending_count(i):
                 out.append(("apply", i))
@@ -636,8 +652,10 @@ class RwWorld:
         RunData it fills; the explorer passes neither."""
         tag, i = choice
         p = self.procs[i]
-        self.key_ids[i] = None
-        if tag == "mem" or tag == "apply":
+        writes_memory, writes_process = self.WRITES[tag]
+        if writes_process:
+            self.key_ids[i] = None
+        if writes_memory:
             self.key_ids[0] = None
         if tag == "invoke":
             k = self.next_op[i]
@@ -669,12 +687,10 @@ class RwWorld:
                 trace("broadcast_complete", i, id=str(frame.msg.id))
                 run.completed[i].add(frame.msg.id)
                 trace("op_return", i, op="bcast", seq=str(self.next_op[i] - 1), ok="1")
-        elif tag == "apply":
+        else:  # apply; WRITES has no other tag
             obj, idx = self.memory.apply_one(i)
             if trace:
                 trace("mem_apply", i, obj=obj, index=str(idx))
-        else:
-            raise AssertionError(choice)
 
     def crash(self, i: int) -> None:
         self.alive[i] = False
@@ -722,21 +738,23 @@ def explore_rw(n: int, scripts: dict, mem_mode: str = "atomic", state_limit: int
     interleaving's observable outcome.
 
     A state is its key: one int packing the interned id of the memory, of
-    each process and each next_op (alive is always true here).  Ids come
-    from RwWorld.state_key, and for each position (the memory, process 1..n)
-    every id maps to one canonical object, which is never mutated once
-    interned: a step runs on clones.  The DFS stack and `seen` hold keys
-    only.  Choices are taken from a scratch world pointed at the canonical
-    objects of the state at hand, which copies nothing.
+    each process and each next_op (alive is always true here).  For each
+    position (the memory, process 1..n) every id maps to one canonical
+    object, which is never mutated once interned.  The DFS stack and `seen`
+    hold keys only.
 
-    A step of process i reads and writes only process i, the memory and
-    next_op[i] (an invoke also reads script i, which is fixed), so equal
-    ids there give an equal successor there, and every other field of the
-    key is unchanged.  Each local transition, (choice, process-i id, memory
-    id, next_op[i]), is therefore stepped once: the memo maps it to the
-    difference it adds to a key.  Only a memo miss clones, steps and keys a
-    world (RwWorld.clone, step, state_key).  next_op[i] stays in the memo
-    key although the protocol makes it redundant (process i's own SENT entry
+    Process i's choices, and what each of them steps to, read only process
+    i, the memory and next_op[i] (and script i, which is fixed), and a step
+    changes no other field of the key.  So one successor table per process
+    maps those fields of a key to the differences that process i's choices
+    add to it, in choice order.  A state costs n table lookups and one add
+    per successor, and is terminal when every group is empty.  Only a table
+    miss decodes the memory, process i and next_op[i], lists process i's
+    choices (RwWorld.choices) and steps each one (RwWorld.step) on fresh
+    copies of just the components it writes (RwWorld.WRITES); only those
+    copies are interned.  Each distinct local transition is therefore
+    stepped once.  next_op[i] stays in the table key
+    although the protocol makes it redundant (process i's own SENT entry
     holds exactly the messages it invoked), because the explorer must not
     rest on that.
 
@@ -748,8 +766,9 @@ def explore_rw(n: int, scripts: dict, mem_mode: str = "atomic", state_limit: int
     UsageError once more than state_limit states are seen.
     """
     w = RwWorld(n, scripts, mem_mode)  # the root, then the scratch world
-    w.state_key()
-    ids = w.key_ids  # the ids of the state at hand
+    interned = w.interned
+    ids = [interned.setdefault(part.state_key(), len(interned))
+           for part in (w.memory, *w.procs.values())]
     canon = [{ids[0]: w.memory}] + [{ids[j]: w.procs[j]} for j in range(1, n + 1)]
     id_bits = (n + 2 * max(state_limit, 1)).bit_length()
     op_bits = max(map(len, w.scripts.values())).bit_length()
@@ -757,53 +776,70 @@ def explore_rw(n: int, scripts: dict, mem_mode: str = "atomic", state_limit: int
     # bit offset of the memory id (0), process j's id (j) and next_op[j] (n + j)
     shift = [j * id_bits for j in range(n + 1)]
     shift += [(n + 1) * id_bits + j * op_bits for j in range(n)]
-    top = (n + 1) * id_bits + n * op_bits
-    # the fields a step of i reads and writes, and each choice's tag above them
-    local = [0] + [id_mask | id_mask << shift[i] | op_mask << shift[n + i]
-                   for i in range(1, n + 1)]
-    tag = {(t, i): (k * (n + 1) + i) << top
-           for k, t in enumerate(("invoke", "tick", "mem", "apply"))
-           for i in range(1, n + 1)}
-    procs, next_op = w.procs, w.next_op
+    procs, next_op, writes, memories = w.procs, w.next_op, RwWorld.WRITES, canon[0]
+
+    def successors(i: int, key: int) -> tuple:
+        """The key differences of process i's choices at `key`."""
+        mem_id, proc_id = key & id_mask, key >> shift[i] & id_mask
+        op = key >> shift[n + i] & op_mask
+        memory, proc = memories[mem_id], canon[i][proc_id]
+        w.memory, procs[i], next_op[i] = memory, proc, op
+        out = []
+        for c in w.choices((i,)):
+            writes_memory, writes_process = writes[c[0]]
+            w.memory = m = memory.clone() if writes_memory else memory
+            procs[i] = p = proc.clone() if writes_process else proc
+            next_op[i] = op
+            w.step(c)
+            d = next_op[i] - op << shift[n + i]
+            if writes_memory:
+                k = interned.setdefault(m.state_key(), len(interned))
+                memories.setdefault(k, m)
+                d += k - mem_id
+            if writes_process:
+                k = interned.setdefault(p.state_key(), len(interned))
+                canon[i].setdefault(k, p)
+                d += k - proc_id << shift[i]
+            out.append(d)
+        return tuple(out)
+
+    def world_at(key: int) -> RwWorld:
+        """A world of the canonical objects of `key`, owning its dicts."""
+        t = copy.copy(w)
+        t.key_ids = [key >> shift[j] & id_mask for j in range(n + 1)]
+        t.memory = memories[t.key_ids[0]]
+        t.procs = {j: canon[j][t.key_ids[j]] for j in range(1, n + 1)}
+        t.next_op = {j: key >> shift[n + j] & op_mask for j in range(1, n + 1)}
+        t.alive = dict(w.alive)
+        return t
+
+    # per process: its table, and the key fields a step of it reads and writes
+    groups = [(i, {}, id_mask | id_mask << shift[i] | op_mask << shift[n + i])
+              for i in range(1, n + 1)]
     root = sum(ids[j] << shift[j] for j in range(n + 1))
     seen = {root}
-    memo = {}
     terminals = []
     stack = [root]
     while stack:
         key = stack.pop()
-        ids[0] = key & id_mask
-        w.memory = canon[0][ids[0]]
-        for j in range(1, n + 1):
-            ids[j] = k = key >> shift[j] & id_mask
-            procs[j] = canon[j][k]
-            next_op[j] = key >> shift[n + j] & op_mask
-        choices = w.choices()
-        if not choices:
-            t = copy.copy(w)  # shares the canonical objects, owns its dicts
-            t.procs, t.next_op, t.alive = dict(procs), dict(next_op), dict(w.alive)
-            t.key_ids = list(ids)
-            terminals.append(t)
-            continue
-        for c in choices:
-            i = c[1]
-            local_key = key & local[i] | tag[c]
-            d = memo.get(local_key)
-            if d is None:
-                w2 = w.clone(i)
-                w2.step(c)
-                w2.state_key()
-                m, p = w2.key_ids[0], w2.key_ids[i]
-                canon[0].setdefault(m, w2.memory)
-                canon[i].setdefault(p, w2.procs[i])
-                d = memo[local_key] = ((m - ids[0]) + (p - ids[i] << shift[i])
-                                       + ((c[0] == "invoke") << shift[n + i]))
-            k = key + d
-            if k not in seen:
-                if len(seen) >= state_limit:
-                    raise UsageError(f"state limit {state_limit} exceeded")
-                seen.add(k)
-                stack.append(k)
+        terminal = True
+        for i, table, local in groups:
+            local_key = key & local
+            group = table.get(local_key)
+            if group is None:
+                group = table[local_key] = successors(i, key)
+            if not group:
+                continue
+            terminal = False
+            for d in group:
+                k = key + d
+                if k not in seen:
+                    if len(seen) >= state_limit:
+                        raise UsageError(f"state limit {state_limit} exceeded")
+                    seen.add(k)
+                    stack.append(k)
+        if terminal:
+            terminals.append(world_at(key))
     return terminals, len(seen)
 
 

@@ -1,18 +1,22 @@
 """The exhaustive explorer of the shared-memory construction (explore_rw).
 
-The explorer copies only the stepped process into each successor and keys
-states by interned ids.  These tests pin its counts, compare it with the
-explorer it replaced (every process copied, nested keys; kept here as an
-oracle) and check that a copy-on-write step leaves its parent untouched.
+The explorer keys states by interned component ids and expands each state
+through one successor table per process, stepping each choice on fresh
+copies of only what it writes.  These tests pin its counts and its n = 3
+reach, compare it with the explorer it replaced (every process copied,
+nested keys; kept here as an oracle), and check that neither a copy-on-write
+step nor an exploration mutates a component it shares.
 """
 from __future__ import annotations
 
 import copy
+import hashlib
 
 import pytest
 
-from scdkit.core import AppMessage, MsgId, UsageError
-from scdkit.sim import RwWorld, explore_rw
+from scdkit.core import AppMessage, MsgId, UsageError, format_id_set
+from scdkit.scd_from_snapshot import RwProcess
+from scdkit.sim import RwWorld, SharedSnapshotMemory, explore_rw
 
 MODES = ("atomic", "sc")
 
@@ -82,6 +86,17 @@ def full_state(w: RwWorld) -> tuple:
 
 def logs(terminals) -> list:
     return [[tuple(p.log) for p in w.procs.values()] for w in terminals]
+
+
+def logs_digest(terminals) -> str:
+    """sha256 of every terminal's delivery logs in discovery order, one line
+    per terminal as tests/digest_sweep.py writes them."""
+    digest = hashlib.sha256()
+    for w in terminals:
+        digest.update((" ".join(
+            f"p{i}=" + "/".join(format_id_set(m.id for m in s) for s in p.log)
+            for i, p in w.procs.items()) + "\n").encode())
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +180,12 @@ def test_state_limit_raises():
     (2, {0: []}, "atomic", "not a process id"),
     (2, scripts_for(1), "weird", "unknown memory mode"),
     (0, {}, "atomic", "n must be"),
-], ids=["script-of-p3-at-n2", "script-of-p0", "unknown-mode", "n0"])
+    (2, {1: [AppMessage(MsgId(2, 0), b"x")], 2: [AppMessage(MsgId(2, 0), b"x")]}, "atomic",
+     "message 0 of p1's script is 2.0, not 1.0"),
+    (2, {1: scripts_for(1)[1] * 2}, "atomic", "message 1 of p1's script is 1.0, not 1.1"),
+    (2, {2: [AppMessage(MsgId(2, 1), b"x")]}, "atomic", "message 0 of p2's script is 2.1, not 2.0"),
+], ids=["script-of-p3-at-n2", "script-of-p0", "unknown-mode", "n0",
+        "foreign-message", "repeated-message", "sequence-gap"])
 def test_rejects_inputs_it_cannot_explore(n, scripts, mem, match):
     with pytest.raises(UsageError, match=match):
         explore_rw(n, scripts, mem)
@@ -202,3 +222,34 @@ def test_each_local_transition_steps_once(mem, monkeypatch):
     terminals, states = explore_rw(2, scripts_for(2, 2), mem)
     assert (len(terminals), states) == (PINNED[(2, 2)][0], PINNED[(2, 2)][1 + MODES.index(mem)])
     assert len(steps) == LOCAL_TRANSITIONS[mem]
+
+
+def test_three_process_reach_is_pinned():
+    """1+1+1 at n = 3 is past the full-copy oracle's reach, and it is where
+    the per-process successor tables share most.  Its counts and terminal
+    logs were pinned on the per-choice memo those tables replaced."""
+    terminals, states = explore_rw(3, scripts_for(1, 1, 1), "atomic")
+    assert (states, len(terminals)) == (1_065_657, 28_396)
+    assert logs_digest(terminals) == (
+        "e238f52d35612ee24dc8506e3bb7e08ff435da6165343b9e6ea57d4ca064ae16")
+
+
+@pytest.mark.parametrize("mem", MODES)
+def test_exploring_mutates_no_interned_component(mem, monkeypatch):
+    """The explorer interns each component it keys and shares it from then
+    on, stepping only fresh copies of what a choice writes.  So after each
+    exploration, every process and memory it keyed still has that key."""
+    original = {cls: cls.state_key for cls in (RwProcess, SharedSnapshotMemory)}
+    keyed = []
+    for cls, state_key in original.items():
+        def recording(self, _state_key=state_key):
+            k = _state_key(self)
+            keyed.append((self, k))
+            return k
+        monkeypatch.setattr(cls, "state_key", recording)
+    for counts in sorted(PINNED) + [(1, 1, 0)]:
+        explore_rw(len(counts), scripts_for(*counts), mem)
+        assert keyed, counts
+        changed = [part for part, k in keyed if original[type(part)](part) != k]
+        assert not changed, counts
+        keyed.clear()
