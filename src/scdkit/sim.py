@@ -87,17 +87,19 @@ come.
 The exhaustive interleaving explorer for the shared-memory construction
 (explore_rw) drives the same world object as the simulator, enumerating every
 schedule by DFS and deduplicating identical global states.  A state is its
-key, one int packing the interned ids of the memory and of each process and
-each process's next_op; each id stands for one canonical component object,
-never mutated once interned.  Process i's choices and their steps read and
-write only process i, the memory and next_op[i], so equal ids there give
-equal successors: one successor table per process maps those fields to the
-key differences of all of process i's choices, and a state costs n lookups
-and one add per successor.  Only a table miss lists process i's choices and
-steps each one, on fresh copies of just the components it writes
-(RwWorld.WRITES, which step's key invalidation follows too), and interns
-those copies.  A process's state key leaves out its delivered set, the union
-of its own sequence, which the key holds.
+key, one int packing an interned id per process, one per single-writer
+memory entry (SENT[j], SETSEQ[j], and queue j in sc mode) and each process's
+next_op; a process id stands for one canonical object, never mutated once
+interned, and an entry id for an immutable value.  Process i's choices and
+their steps read only process i, next_op[i], its own entries and queue, and
+the arrays RwWorld.READS names for its frame, and write only the first
+three, so equal fields there give equal successors: one successor table per
+process maps those fields to the key differences of all of process i's
+choices, and a state costs n lookups and one add per successor.  Only a
+table miss lists process i's choices and steps each one, on a fresh copy of
+process i and a scratch memory loaded from the key, and interns the process
+and the entries the step changed.  A process's state key leaves out its
+delivered set, the union of its own sequence, which the key holds.
 """
 from __future__ import annotations
 
@@ -596,17 +598,11 @@ class RwWorld:
     per-process scripts of messages still to broadcast.  The k-th message of
     process i's script must be MsgId(i, k), as the simulator plans it.
 
-    A world can key its state by interned ids: `interned` maps each
-    component's nested state (a process's or the memory's) to a small int and
-    is shared by every world cloned from one root; `key_ids[0]` caches the
-    memory's id and `key_ids[i]` process i's, None once stale.
+    Its components are the processes and the memory's single-writer entries
+    and queues; next_op and alive are per process.  READS says which of them
+    each process's choices read and write, which is what the explorer keys
+    its successor tables on.
     """
-
-    # What a choice of process i writes, as (the memory, process i); an
-    # invoke also writes next_op[i].  step's key invalidation and the
-    # explorer's copies both follow this table.
-    WRITES = {"invoke": (False, True), "tick": (False, True),
-              "mem": (True, True), "apply": (True, False)}
 
     def __init__(self, n: int, scripts: dict, mem_mode: str = "atomic"):
         if n < 1:
@@ -623,13 +619,19 @@ class RwWorld:
         self.scripts = {i: list(scripts.get(i, ())) for i in range(1, n + 1)}
         self.next_op = {i: 0 for i in range(1, n + 1)}
         self.alive = {i: True for i in range(1, n + 1)}
-        self.interned = {}
-        self.key_ids = [None] * (n + 1)
+
+    # What process i's choices and their steps read of the memory besides
+    # its own entries SENT[i] and SETSEQ[i] and its own queue: the arrays
+    # named here, by the stage of its open frame (None: no frame, where
+    # whether its tick is enabled reads every SENT entry).  They write only
+    # process i, next_op[i], and its own entries and queue.
+    READS = {None: ("SENT",), "sent_snap": ("SENT",), "catch_snap": ("SETSEQ",),
+             "sent_write": (), "catch_write": (), "deliver_write": ()}
 
     def choices(self, pids=None) -> list:
         """The choices of processes `pids` (default 1..n), in pid order.
-        Those of process i read only process i, the memory, next_op[i],
-        alive[i] and script i."""
+        Those of process i read only process i, what READS names of the
+        memory, next_op[i], alive[i] and script i."""
         out = []
         visible = self.memory.visible_sent_union()
         for i in pids or range(1, self.n + 1):
@@ -652,11 +654,6 @@ class RwWorld:
         RunData it fills; the explorer passes neither."""
         tag, i = choice
         p = self.procs[i]
-        writes_memory, writes_process = self.WRITES[tag]
-        if writes_process:
-            self.key_ids[i] = None
-        if writes_memory:
-            self.key_ids[0] = None
         if tag == "invoke":
             k = self.next_op[i]
             self.next_op[i] = k + 1
@@ -687,7 +684,7 @@ class RwWorld:
                 trace("broadcast_complete", i, id=str(frame.msg.id))
                 run.completed[i].add(frame.msg.id)
                 trace("op_return", i, op="bcast", seq=str(self.next_op[i] - 1), ok="1")
-        else:  # apply; WRITES has no other tag
+        else:  # apply, the only other tag
             obj, idx = self.memory.apply_one(i)
             if trace:
                 trace("mem_apply", i, obj=obj, index=str(idx))
@@ -695,12 +692,12 @@ class RwWorld:
     def crash(self, i: int) -> None:
         self.alive[i] = False
         self.memory.drop_pending(i)
-        self.key_ids[0] = None
 
     def clone(self, i: int) -> "RwWorld":
         """A copy to run one step of process i on.  Only process i, the memory
         and the per-process dicts are copied: a step of i mutates no other
-        process, so the copy shares them, and the intern table, with self."""
+        process, so the copy shares them with self.  The explorer copies
+        components itself; perfbench's traced spans name this method."""
         c = RwWorld.__new__(RwWorld)
         c.n = self.n
         c.procs = dict(self.procs)
@@ -709,23 +706,15 @@ class RwWorld:
         c.scripts = self.scripts  # scripts are never mutated
         c.next_op = dict(self.next_op)
         c.alive = dict(self.alive)
-        c.interned = self.interned
-        c.key_ids = list(self.key_ids)
         return c
 
     def state_key(self) -> tuple:
-        """The global state as a flat tuple of small ints: the interned ids of
-        the memory and of processes 1..n, then next_op and alive.  Two worlds
-        of one exploration get equal keys exactly when their memories,
-        processes, next_op and alive are equal.  Only stale ids are
-        recomputed, which after a step is the memory's and the stepped
-        process's."""
-        ids, interned = self.key_ids, self.interned
-        for j, k in enumerate(ids):
-            if k is None:
-                part = self.memory if j == 0 else self.procs[j]
-                ids[j] = interned.setdefault(part.state_key(), len(interned))
-        return (*ids, *self.next_op.values(), *self.alive.values())
+        """The global state as nested tuples: the memory's key, the key of
+        each process 1..n, then next_op and alive.  The explorer keys by
+        interned component ids instead; perfbench's traced spans name this
+        method."""
+        return (self.memory.state_key(), *(p.state_key() for p in self.procs.values()),
+                tuple(self.next_op.values()), tuple(self.alive.values()))
 
 
 def explore_rw(n: int, scripts: dict, mem_mode: str = "atomic", state_limit: int = 2_000_000):
@@ -737,94 +726,147 @@ def explore_rw(n: int, scripts: dict, mem_mode: str = "atomic", state_limit: int
     or undelivered messages), so the distinct terminal states cover every
     interleaving's observable outcome.
 
-    A state is its key: one int packing the interned id of the memory, of
-    each process and each next_op (alive is always true here).  For each
-    position (the memory, process 1..n) every id maps to one canonical
-    object, which is never mutated once interned.  The DFS stack and `seen`
-    hold keys only.
+    A state is its key: one int packing an interned id per process, one per
+    single-writer entry of the memory (SENT[j], SETSEQ[j] and, in sc mode,
+    queue j; an atomic memory's queues stay empty) and each next_op (alive
+    is always true here).  Each field has its own intern table.  A process
+    id maps to one canonical object, never mutated once interned; an entry
+    id maps to its value, which is immutable.  The DFS stack and `seen` hold
+    keys only.
 
     Process i's choices, and what each of them steps to, read only process
-    i, the memory and next_op[i] (and script i, which is fixed), and a step
-    changes no other field of the key.  So one successor table per process
-    maps those fields of a key to the differences that process i's choices
-    add to it, in choice order.  A state costs n table lookups and one add
-    per successor, and is terminal when every group is empty.  Only a table
-    miss decodes the memory, process i and next_op[i], lists process i's
-    choices (RwWorld.choices) and steps each one (RwWorld.step) on fresh
-    copies of just the components it writes (RwWorld.WRITES); only those
-    copies are interned.  Each distinct local transition is therefore
-    stepped once.  next_op[i] stays in the table key
-    although the protocol makes it redundant (process i's own SENT entry
-    holds exactly the messages it invoked), because the explorer must not
-    rest on that.
+    i, next_op[i] (and script i, which is fixed), its own entries and queue,
+    and the arrays RwWorld.READS names for its frame; a step writes only
+    process i, next_op[i] and its own entries and queue.  So one successor
+    table per process maps those fields of a key, its read set, to the
+    differences that process i's choices add to the key, in choice order.
+    The read set depends only on process i's state, so its mask is computed
+    once per interned process id.  A state costs n table lookups and one add
+    per successor, and is terminal when every group is empty; a write by
+    another process misses process i's table only while i is idle or about
+    to snapshot the array written.  Only a table miss loads the key's
+    entries into the scratch world's memory, lists process i's choices
+    (RwWorld.choices) and steps each one (RwWorld.step) on a fresh copy of
+    process i (apply, which writes no process, on the canonical one).  The
+    memory is never copied: the own entries a step changed are interned,
+    then put back for the next choice.  Each distinct local transition is
+    therefore stepped once.  next_op[i] stays in the table key although the
+    protocol makes it redundant (process i's own SENT entry holds exactly
+    the messages it invoked), because the explorer must not rest on that.
 
-    Field widths come from the inputs: every new id comes with a state new
-    to `seen`, two at most, so ids stay below n + 2 * state_limit + 1, and a
-    next_op at most its script's length.  No input overflows a field.
+    Field widths come from the inputs.  Each field has its own ids, and a
+    new id comes with a successor key new to `seen`, one per choice; all
+    but those of the last table miss (at most 3 choices) entered `seen`, so
+    a field's ids stay below state_limit + 3.  A next_op is at most its
+    script's length.  No input overflows a field.
 
     Returns (terminal worlds in discovery order, states visited); raises
     UsageError once more than state_limit states are seen.
     """
     w = RwWorld(n, scripts, mem_mode)  # the root, then the scratch world
-    interned = w.interned
-    ids = [interned.setdefault(part.state_key(), len(interned))
-           for part in (w.memory, *w.procs.values())]
-    canon = [{ids[0]: w.memory}] + [{ids[j]: w.procs[j]} for j in range(1, n + 1)]
-    id_bits = (n + 2 * max(state_limit, 1)).bit_length()
+    procs, next_op, memory = w.procs, w.next_op, w.memory
+    # the entries as (memory attribute, slot, array, writer), SENT last: a
+    # key's top field has no fixed width, and SENT entries take the fewest
+    # values, so that keeps keys short
+    entries = [("store", ("SETSEQ", j), "SETSEQ", j) for j in range(1, n + 1)]
+    if mem_mode == "sc":
+        entries += [("queues", j, "queue", j) for j in range(1, n + 1)]
+    entries += [("store", ("SENT", j), "SENT", j) for j in range(1, n + 1)]
+    # key fields from the low bits up: next_op[1..n], then field f < n for
+    # process f + 1 and field n + e for entries[e]
+    id_bits = (max(state_limit, 1) + 2).bit_length()
     op_bits = max(map(len, w.scripts.values())).bit_length()
     id_mask, op_mask = (1 << id_bits) - 1, (1 << op_bits) - 1
-    # bit offset of the memory id (0), process j's id (j) and next_op[j] (n + j)
-    shift = [j * id_bits for j in range(n + 1)]
-    shift += [(n + 1) * id_bits + j * op_bits for j in range(n)]
-    procs, next_op, writes, memories = w.procs, w.next_op, RwWorld.WRITES, canon[0]
+    op_shift = [None] + [j * op_bits for j in range(n)]
+    shift = [n * op_bits + f * id_bits for f in range(n + len(entries))]
+    # per field: state key (process) or value (entry) -> id, and id -> object
+    ids = [{} for _ in shift]
+    objs = [[] for _ in shift]
+
+    def intern(f: int, obj, k) -> int:
+        i = ids[f].setdefault(k, len(objs[f]))
+        if i == len(objs[f]):
+            objs[f].append(obj)
+            if f < n:
+                masks[f].append(read_mask(f + 1, obj))
+        return i
+
+    def fields(*fs) -> int:
+        return sum(id_mask << shift[f] for f in fs)
+
+    arrays = {obj: fields(*(f for f, e in enumerate(entries, n) if e[2] == obj))
+              for obj in ("SENT", "SETSEQ")}
+    own = [[f for f, e in enumerate(entries, n) if e[3] == i] for i in range(1, n + 1)]
+    always = [op_mask << op_shift[i] | fields(i - 1, *own[i - 1]) for i in range(1, n + 1)]
+    masks = [[] for _ in range(n)]  # per process: interned id -> read-set mask
+    reads = RwWorld.READS
+
+    def read_mask(i: int, p: RwProcess) -> int:
+        m = always[i - 1]
+        for obj in reads[p.frame.stage if p.frame else None]:
+            m |= arrays[obj]
+        return m
+
+    root = sum(intern(i - 1, p, p.state_key()) << shift[i - 1] for i, p in procs.items())
+    loaded = []  # per entry: (field, scratch memory dict, slot, values)
+    for f, (attr, slot, _, _) in enumerate(entries, n):
+        d = getattr(memory, attr)
+        root += intern(f, d[slot], d[slot]) << shift[f]
+        loaded.append((f, d, slot, objs[f]))
+    mine = [[loaded[f - n] for f in fs] for fs in own]
 
     def successors(i: int, key: int) -> tuple:
         """The key differences of process i's choices at `key`."""
-        mem_id, proc_id = key & id_mask, key >> shift[i] & id_mask
-        op = key >> shift[n + i] & op_mask
-        memory, proc = memories[mem_id], canon[i][proc_id]
-        w.memory, procs[i], next_op[i] = memory, proc, op
+        f_proc, o_shift = i - 1, op_shift[i]
+        proc_id, op = key >> shift[f_proc] & id_mask, key >> o_shift & op_mask
+        proc = procs[i] = objs[f_proc][proc_id]
+        next_op[i] = op
+        for f, d, slot, values in loaded:
+            d[slot] = values[key >> shift[f] & id_mask]
         out = []
         for c in w.choices((i,)):
-            writes_memory, writes_process = writes[c[0]]
-            w.memory = m = memory.clone() if writes_memory else memory
-            procs[i] = p = proc.clone() if writes_process else proc
+            procs[i] = p = proc if c[0] == "apply" else proc.clone()
             next_op[i] = op
             w.step(c)
-            d = next_op[i] - op << shift[n + i]
-            if writes_memory:
-                k = interned.setdefault(m.state_key(), len(interned))
-                memories.setdefault(k, m)
-                d += k - mem_id
-            if writes_process:
-                k = interned.setdefault(p.state_key(), len(interned))
-                canon[i].setdefault(k, p)
-                d += k - proc_id << shift[i]
-            out.append(d)
+            diff = next_op[i] - op << o_shift
+            if p is not proc:
+                diff += intern(f_proc, p, p.state_key()) - proc_id << shift[f_proc]
+            for f, d, slot, values in mine[f_proc]:
+                v = d[slot]
+                k = key >> shift[f] & id_mask
+                if v is not values[k]:
+                    diff += intern(f, v, v) - k << shift[f]
+                    d[slot] = values[k]
+            out.append(diff)
         return tuple(out)
 
+    memories = {}  # by the entry fields, the top of a key
+
     def world_at(key: int) -> RwWorld:
-        """A world of the canonical objects of `key`, owning its dicts."""
+        """A world of the canonical objects of `key`, owning its dicts; the
+        worlds of one exploration share a memory where its entries agree."""
         t = copy.copy(w)
-        t.key_ids = [key >> shift[j] & id_mask for j in range(n + 1)]
-        t.memory = memories[t.key_ids[0]]
-        t.procs = {j: canon[j][t.key_ids[j]] for j in range(1, n + 1)}
-        t.next_op = {j: key >> shift[n + j] & op_mask for j in range(1, n + 1)}
+        t.procs = {i: objs[i - 1][key >> shift[i - 1] & id_mask] for i in range(1, n + 1)}
+        top = key >> shift[n]
+        m = memories.get(top)
+        if m is None:
+            m = memories[top] = SharedSnapshotMemory(n, mem_mode)
+            for f, (attr, slot, _, _) in enumerate(entries, n):
+                getattr(m, attr)[slot] = objs[f][key >> shift[f] & id_mask]
+        t.memory = m
+        t.next_op = {i: key >> op_shift[i] & op_mask for i in range(1, n + 1)}
         t.alive = dict(w.alive)
         return t
 
-    # per process: its table, and the key fields a step of it reads and writes
-    groups = [(i, {}, id_mask | id_mask << shift[i] | op_mask << shift[n + i])
-              for i in range(1, n + 1)]
-    root = sum(ids[j] << shift[j] for j in range(n + 1))
+    groups = [(i, {}, masks[i - 1], shift[i - 1]) for i in range(1, n + 1)]
     seen = {root}
     terminals = []
     stack = [root]
     while stack:
         key = stack.pop()
         terminal = True
-        for i, table, local in groups:
-            local_key = key & local
+        for i, table, read_masks, proc_shift in groups:
+            local_key = key & read_masks[key >> proc_shift & id_mask]
             group = table.get(local_key)
             if group is None:
                 group = table[local_key] = successors(i, key)

@@ -1,11 +1,13 @@
 """The exhaustive explorer of the shared-memory construction (explore_rw).
 
-The explorer keys states by interned component ids and expands each state
-through one successor table per process, stepping each choice on fresh
-copies of only what it writes.  These tests pin its counts and its n = 3
-reach, compare it with the explorer it replaced (every process copied,
-nested keys; kept here as an oracle), and check that neither a copy-on-write
-step nor an exploration mutates a component it shares.
+The explorer keys states by interned ids of each process and each memory
+entry, and expands each state through one successor table per process, keyed
+by what that process's choices read (RwWorld.READS).  These tests pin its
+counts and its n = 3 reach, compare it with the explorer it replaced (every
+process copied, nested keys; kept here as an oracle), check that the oracle
+sees a read set that is too small, that neither a copy-on-write step nor an
+exploration mutates a component it shares, and that both memory modes give
+the same outcomes.
 """
 from __future__ import annotations
 
@@ -39,7 +41,6 @@ def full_copy(w: RwWorld) -> RwWorld:
     c.procs = {i: p.clone() for i, p in w.procs.items()}
     c.memory = w.memory.clone()
     c.next_op, c.alive = dict(w.next_op), dict(w.alive)
-    c.key_ids = list(w.key_ids)
     return c
 
 
@@ -142,11 +143,26 @@ def test_explorer_matches_full_copy_oracle(counts, mem):
     assert [nested_key(w) for w in got] == [nested_key(w) for w in want]
 
 
+def test_oracle_sees_a_read_set_too_small(monkeypatch):
+    """With an idle process's read set cut to its own entries, its table
+    would hand the tick enabling of one state to states where another
+    process's broadcast is visible: the oracle comparison must catch that."""
+    monkeypatch.setitem(RwWorld.READS, None, ())
+
+    def agrees(counts, mem):
+        scripts = scripts_for(*counts)
+        got, got_states = explore_rw(len(counts), scripts, mem)
+        want, want_states = oracle_explore(len(counts), scripts, mem)
+        return got_states == want_states and logs(got) == logs(want)
+
+    assert not all(agrees(counts, mem) for counts, mem in DIFF_CASES)
+
+
 @pytest.mark.parametrize("mem", MODES)
 def test_copy_on_write_step_leaves_parent_unchanged(mem):
     """At every state of the 1+2 exploration, stepping a clone for each
     choice leaves the parent's full state and key as they were, and the
-    clone's cached key equals one computed from scratch."""
+    clone reaches the full state that a full copy of the parent reaches."""
     root = RwWorld(2, scripts_for(1, 2), mem)
     seen = {root.state_key()}
     stack = [root]
@@ -159,9 +175,10 @@ def test_copy_on_write_step_leaves_parent_unchanged(mem):
             w2.step(c)
             assert full_state(w) == before, c
             assert w.state_key() == key, c
+            w3 = full_copy(w)
+            w3.step(c)
+            assert full_state(w2) == full_state(w3), c
             k = w2.state_key()
-            w2.key_ids = [None] * len(w2.key_ids)
-            assert w2.state_key() == k, c
             transitions += 1
             if k not in seen:
                 seen.add(k)
@@ -202,26 +219,37 @@ def test_field_widths_follow_the_state_limit():
     assert len(terminals[0].procs[1].log) == 40
 
 
-# distinct local transitions (choice, process-i state, memory, next_op[i]) of 2+2
-LOCAL_TRANSITIONS = {"atomic": 6550, "sc": 21740}
+# distinct local transitions of 2+2: (choice, process-i state, next_op[i],
+# the entries process i's read set holds)
+LOCAL_TRANSITIONS = {"atomic": 3166, "sc": 6934}
 
 
 @pytest.mark.parametrize("mem", MODES)
 def test_each_local_transition_steps_once(mem, monkeypatch):
-    """A step of process i reads and writes only process i, the memory and
-    next_op[i], so the explorer steps each distinct such transition once,
-    however many global states share it."""
-    steps = []
-    step = RwWorld.step
+    """A step of process i reads and writes only process i, next_op[i] and
+    the memory entries of its read set, so the explorer steps each distinct
+    such transition once, however many global states share it.  No step
+    copies the memory, whether it writes an entry or not: the explorer puts
+    back in its scratch memory what a step changed."""
+    writes, copies = [], []
+    step, clone = RwWorld.step, SharedSnapshotMemory.clone
 
     def counted(self, choice, *args):
-        steps.append(choice)
-        return step(self, choice, *args)
+        before = self.memory.state_key()
+        step(self, choice, *args)
+        writes.append(self.memory.state_key() != before)
+
+    def counted_clone(self):
+        copies.append(self)
+        return clone(self)
 
     monkeypatch.setattr(RwWorld, "step", counted)
+    monkeypatch.setattr(SharedSnapshotMemory, "clone", counted_clone)
     terminals, states = explore_rw(2, scripts_for(2, 2), mem)
     assert (len(terminals), states) == (PINNED[(2, 2)][0], PINNED[(2, 2)][1 + MODES.index(mem)])
-    assert len(steps) == LOCAL_TRANSITIONS[mem]
+    assert len(writes) == LOCAL_TRANSITIONS[mem]
+    assert any(writes) and not all(writes)
+    assert not copies
 
 
 def test_three_process_reach_is_pinned():
@@ -236,20 +264,56 @@ def test_three_process_reach_is_pinned():
 
 @pytest.mark.parametrize("mem", MODES)
 def test_exploring_mutates_no_interned_component(mem, monkeypatch):
-    """The explorer interns each component it keys and shares it from then
-    on, stepping only fresh copies of what a choice writes.  So after each
-    exploration, every process and memory it keyed still has that key."""
-    original = {cls: cls.state_key for cls in (RwProcess, SharedSnapshotMemory)}
-    keyed = []
-    for cls, state_key in original.items():
-        def recording(self, _state_key=state_key):
-            k = _state_key(self)
-            keyed.append((self, k))
-            return k
-        monkeypatch.setattr(cls, "state_key", recording)
+    """The explorer interns each process it keys and each memory entry's
+    value, and shares them from then on: it steps only fresh copies of a
+    process, and its scratch memory only ever holds interned entry values.
+    So after each exploration, every process it keyed still has that key,
+    and every entry value a memory operation met still equals a copy taken
+    then."""
+    state_key = RwProcess.state_key
+    keyed, met = [], {}
+
+    def recording(self):
+        k = state_key(self)
+        keyed.append((self, k))
+        return k
+
+    def meeting(method):
+        def op(self, *args):
+            for v in (*self.store.values(), *self.queues.values()):
+                met.setdefault(id(v), (v, copy.deepcopy(v)))
+            return method(self, *args)
+        return op
+
+    monkeypatch.setattr(RwProcess, "state_key", recording)
+    for name in ("execute", "apply_one"):
+        monkeypatch.setattr(SharedSnapshotMemory, name, meeting(getattr(SharedSnapshotMemory, name)))
     for counts in sorted(PINNED) + [(1, 1, 0)]:
         explore_rw(len(counts), scripts_for(*counts), mem)
-        assert keyed, counts
-        changed = [part for part, k in keyed if original[type(part)](part) != k]
-        assert not changed, counts
+        assert keyed and met, counts
+        assert not [p for p, k in keyed if state_key(p) != k], counts
+        assert not [v for v, then in met.values() if v != then], counts
         keyed.clear()
+        met.clear()
+
+
+# distinct delivery-log outcomes of each split at n = 2, and of each n = 3
+# split with one message at each of two processes
+OUTCOMES = {(0, 1): 1, (0, 2): 2, (0, 3): 4, (1, 1): 7, (1, 2): 23, (2, 2): 121}
+THREE_PROCESS_OUTCOMES = 15
+OUTCOME_CASES = (sorted(PINNED) + sorted(s[::-1] for s in PINNED if s[0] != s[1])
+                 + [(1, 1, 0), (1, 0, 1), (0, 1, 1)])
+
+
+@pytest.mark.parametrize("counts", OUTCOME_CASES, ids=lambda c: "+".join(map(str, c)))
+def test_memory_modes_give_equal_outcomes(counts):
+    """An outcome is the tuple of every process's delivery log.  The sc
+    memory reaches more states than the atomic one, but the same outcome
+    set: SCD-broadcast has no real-time clause to tell them apart."""
+    outcomes = [
+        {tuple(map(tuple, log)) for log in logs(explore_rw(len(counts), scripts_for(*counts), mem)[0])}
+        for mem in MODES
+    ]
+    assert outcomes[0] == outcomes[1]
+    want = OUTCOMES[tuple(sorted(counts))] if len(counts) == 2 else THREE_PROCESS_OUTCOMES
+    assert len(outcomes[0]) == want
