@@ -23,10 +23,10 @@ Trace-level checks (delivery logs of message sets):
 History-level checks (operations of the object layers):
 
   * linearizable_bruteforce and sequentially_consistent: one memoized
-    exhaustive search for small histories, run with two precedence
-    relations, real time and per-process program order.  A pending write of
-    a crashed process is "possibly effective": the search may place it or
-    leave it out.
+    exhaustive search for histories of at most 10 and 16 ops, run with two
+    precedence relations, real time and per-process program order.  A
+    pending write of a crashed process is "possibly effective": the search
+    may place it or leave it out.
   * linearizable_witness: reconstructs every process's timestamp-array
     trajectory from its delivery log and builds one order of the operations
     from the tags the protocol itself produces.  One validator, _misorder,
@@ -450,13 +450,13 @@ def _search(h: History, prop: str, bound: int, before) -> Verdict:
     return _pass(prop, f"order {'<'.join(order)}" if order else "empty history")
 
 
-def check_linearizable_bruteforce(h: History, bound: int = 10) -> Verdict:
-    return _search(h, "linearizable_bruteforce", bound,
+def check_linearizable_bruteforce(h: History) -> Verdict:
+    return _search(h, "linearizable_bruteforce", 10,
                    lambda a, b: a.return_idx is not None and a.return_idx < b.invoke_idx)
 
 
-def check_sequentially_consistent(h: History, bound: int = 16) -> Verdict:
-    return _search(h, "sequentially_consistent", bound,
+def check_sequentially_consistent(h: History) -> Verdict:
+    return _search(h, "sequentially_consistent", 16,
                    lambda a, b: a.proc == b.proc and a.seq < b.seq)
 
 

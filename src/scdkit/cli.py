@@ -134,20 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def scenario_from_args(args) -> ScenarioConfig:
+    """The config the scenario flags name: they are its payload keys."""
     t = args.t if args.t is not None else (args.n - 1) // 2
-    config = ScenarioConfig(
-        n=args.n,
-        t=t,
-        workload=args.workload,
-        op_count=args.ops,
-        crash=args.crash,
-        delay=args.delay,
-        seed=args.seed,
-        step_budget=args.budget,
-        nregs=args.nregs,
-        mem=args.mem,
-        writer=args.writer,
-    )
+    config = ScenarioConfig.from_payload({**vars(args), "t": t})
     config.validate()
     return config
 

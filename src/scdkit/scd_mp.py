@@ -9,28 +9,28 @@ candidate set is then purged to a fixpoint, dropping any candidate that is
 not known to precede some still-buffered message at a majority of
 forwarders.  Whatever survives is delivered as one message set.
 
-The buffer is indexed by (sender, sequence number), and each entry counts
-its known forwarders as its columns leave INFINITE.  Each entry also stores,
-for every other buffered entry o, the pair count `ahead[o]`: how many
-processes forwarded it before o.  How counts move: a receipt of
-FORWARD(x, f) takes column f of x off INFINITE, so only x.ahead[o] (which
-can only rise) and o.ahead[x] (which can only fall) change, each by at most
-one, and `forward` updates them in one pass over the buffer.  A new entry
-starts with every column INFINITE, so x.ahead[o] = 0 and o.ahead[x] =
+The buffer is one map (sender, sequence number) -> entry, in arrival order,
+and each entry counts its known forwarders as its columns leave INFINITE.
+Each entry also stores, for every other buffered entry o, the pair count
+`ahead[o]`: how many processes forwarded it before o.  How counts move: a
+receipt of FORWARD(x, f) takes column f of x off INFINITE, so only x.ahead[o]
+(which can only rise) and o.ahead[x] (which can only fall) change, each by
+at most one, and `forward` updates them in one pass over the buffer.  A new
+entry starts with every column INFINITE, so x.ahead[o] = 0 and o.ahead[x] =
 o.forwarders.  A process forwards a message only on first receipt, so a
 column is written once: only the self copy of the process's own
 scbroadcast finds its column set, with the same number, and any other
-rewrite fails an assertion.  Delivered entries leave the survivors' maps.
-Entries are hashed by identity (`eq=False`), so they key each other's maps
-without building a (sd, sn) tuple per lookup.
+rewrite fails an assertion.  Delivered entries leave the map and the
+survivors' pair counts.  Entries are hashed by identity (`eq=False`), so
+they key each other's maps without building a (sd, sn) tuple per lookup.
 
 The blocking relation, "o blocks e when at most half the processes
 forwarded e before o" (`e.ahead[o] <= half`), is written once, in
-`_unblocked`, with the fixpoint that follows its drops.  The purge runs it
-over every candidate against the non-candidates.  The delivery gate runs it
-over the candidates touched since the last attempt, and the purge runs only
-if one survives; ScdProcess.try_deliver proves that this skips no delivery,
-whatever the count threshold.
+`_unblocked`, with the fixpoint that follows its drops.  `try_deliver`
+builds the non-candidate list once; the delivery gate runs the relation over
+the candidates touched since the last attempt against it, and the purge,
+over every candidate, runs only if one survives.  ScdProcess.try_deliver
+proves that this skips no delivery, whatever the count threshold.
 
 The touched list holds only candidates: `forward` puts an entry on it once
 the entry has a majority, and a receipt that leaves it empty cannot deliver,
@@ -97,12 +97,13 @@ def _unblocked(keep: list, check: list, half: int) -> list:
     return keep
 
 
-def purge_blocked(candidates: list, buffer: list, n: int) -> list:
+def purge_blocked(candidates: list, outside: list, half: int) -> list:
     """Shrink the candidate set to a fixpoint: drop any candidate that at most
-    half the processes are known to have forwarded before some non-candidate
-    (`_unblocked` against the entries outside the candidate set)."""
-    inside = set(candidates)
-    return list(_unblocked(candidates, [e for e in buffer if e not in inside], n // 2))
+    `half` processes are known to have forwarded before some entry of
+    `outside`, the non-candidates, directly or through dropped candidates.
+    It is `_unblocked` under its own name, because the benchmark times the
+    purge by it."""
+    return _unblocked(candidates, outside, half)
 
 
 class ScdProcess:
@@ -116,9 +117,8 @@ class ScdProcess:
     def __init__(self, pid: int, n: int):
         self.pid = pid
         self.n = n
-        self.buffer: list[BufferEntry] = []
+        self.buffer: dict = {}   # (sd, sn) -> its entry, in arrival order
         self._majority = n // 2 + 1
-        self._index: dict = {}   # (sd, sn) -> the buffered entry
         self._own = 0            # buffered entries of this process's messages
         # the candidates given a forwarder since the last try_deliver
         self._touched: list[BufferEntry] = []
@@ -146,21 +146,21 @@ class ScdProcess:
         return out, None
 
     def forward(self, m, sd, sn_sd, f, sn_f) -> ForwardMsg | None:
-        """Absorb FORWARD(m, sd, sn_sd, f, sn_f); return this process's own
-        FORWARD of m on its first receipt, else None."""
-        if sn_sd <= self.clock[sd]:
-            return None  # already delivered here; stale copy
+        """Absorb FORWARD(m, sd, sn_sd, f, sn_f) of a message not delivered
+        here (sn_sd > clock[sd]: `on_forward` drops stale copies, and
+        `scbroadcast`'s sn is above every own one delivered); return this
+        process's own FORWARD of m on its first receipt, else None."""
         out = None
-        entry = self._index.get((sd, sn_sd))
+        buffer = self.buffer
+        entry = buffer.get((sd, sn_sd))
         if entry is None:
             # all columns INFINITE: forwarded before nothing, and every other
             # entry is ahead of it at each of that entry's forwarders
             entry = BufferEntry(m, sd, sn_sd, [INFINITE] * (self.n + 1), 0,
-                                dict.fromkeys(self.buffer, 0))
-            for o in self.buffer:
+                                dict.fromkeys(buffer.values(), 0))
+            for o in buffer.values():
                 o.ahead[entry] = o.forwarders
-            self.buffer.append(entry)
-            self._index[(sd, sn_sd)] = entry
+            buffer[sd, sn_sd] = entry
             self._own += sd == self.pid
             out = ForwardMsg(m, sd, sn_sd, self.pid, self.sn)
             self.sn += 1
@@ -224,11 +224,13 @@ class ScdProcess:
         majority = self._majority
         touched = self._touched
         self._touched = []
-        outside = [e for e in self.buffer if e.forwarders < majority]
-        if not _unblocked(touched, outside, self.n // 2):
+        entries = self.buffer.values()
+        outside = [e for e in entries if e.forwarders < majority]
+        half = self.n // 2
+        if not _unblocked(touched, outside, half):
             return None
-        candidates = [e for e in self.buffer if e.forwarders >= majority]
-        todeliver = purge_blocked(candidates, self.buffer, self.n)
+        candidates = [e for e in entries if e.forwarders >= majority]
+        todeliver = purge_blocked(candidates, outside, half)
         if not todeliver:
             return None
         return self._deliver(todeliver)
@@ -238,15 +240,14 @@ class ScdProcess:
         return their messages."""
         for e in todeliver:
             # Delivered entries always outrun the clock: an entry exists only
-            # while sn > clock[sd], and no later entry of sd can overtake it.
+            # while sn > clock[sd], and no later entry of sd can overtake it
+            # in todeliver, which keeps the buffer's arrival order.
             assert self.clock[e.sd] < e.sn
             self.clock[e.sd] = e.sn
-            del self._index[(e.sd, e.sn)]
+            del self.buffer[e.sd, e.sn]
             self._own -= e.sd == self.pid
             e.ahead = None  # it keys the entries delivered with it: free it now
-        gone = set(todeliver)
-        self.buffer = [e for e in self.buffer if e not in gone]
-        for e in self.buffer:
+        for e in self.buffer.values():
             ahead = e.ahead
             for d in todeliver:
                 del ahead[d]
@@ -256,14 +257,12 @@ class ScdProcess:
         """Drop the pair counts of the entries still buffered, once this
         process takes no more steps: they key each other, so a crashed or
         stalled process then frees by reference counting too."""
-        for e in self.buffer:
+        for e in self.buffer.values():
             e.ahead = None
 
     def broadcast_complete(self) -> MsgId | None:
         """Report (and clear) a completed pending scd-broadcast, if any."""
-        if self.pending_broadcast is None:
-            return None
-        if self._own:
+        if self.pending_broadcast is None or self._own:
             return None
         done = self.pending_broadcast
         self.pending_broadcast = None

@@ -139,8 +139,10 @@ WORKLOADS = MP_WORKLOADS + RW_WORKLOADS
 # ---------------------------------------------------------------------------
 # config
 
-# fields stored under a shorter key in config records
-_PAYLOAD_KEYS = {"op_count": "ops", "step_budget": "budget"}
+# the config record's payload keys, one per field in field order; they are
+# also the scenario flags of the command line
+_PAYLOAD_KEYS = ("n", "t", "workload", "ops", "crash", "delay", "seed", "budget",
+                "nregs", "mem", "writer")
 
 
 @dataclass
@@ -196,15 +198,15 @@ class ScenarioConfig:
         return self.workload in MP_WORKLOADS and 2 * self.crash_count() >= self.n
 
     def to_payload(self) -> dict:
-        return {_PAYLOAD_KEYS.get(f.name, f.name): str(getattr(self, f.name))
-                for f in fields(self)}
+        return {k: str(getattr(self, f.name))
+                for k, f in zip(_PAYLOAD_KEYS, fields(self), strict=True)}
 
     @staticmethod
     def from_payload(p: dict) -> "ScenarioConfig":
         cast = {"int": int, "str": str}  # field annotations are strings here
         return ScenarioConfig(**{
-            f.name: cast[f.type](p[_PAYLOAD_KEYS.get(f.name, f.name)])
-            for f in fields(ScenarioConfig)
+            f.name: cast[f.type](p[k])
+            for k, f in zip(_PAYLOAD_KEYS, fields(ScenarioConfig), strict=True)
         })
 
 
@@ -1064,7 +1066,7 @@ class Simulator:
         self.scripts = plan_ops(config, plan_rng)
         self.crash_plan = plan_crashes(config, random.Random(f"{config.seed}:crash"))
         self.policy, self.slow_set = parse_delay_policy(config.delay, config.n)
-        self._cut = None  # (proc, sends remaining) during an interrupted handler
+        self._cut = None  # the victim's sends remaining during an interrupted handler
         self._send_seq = 0
         self.data = RunData.start(config, self.log)  # filled as the run goes
         self._first_crash = 0  # entry index of the first crash record, once there is one
@@ -1119,9 +1121,9 @@ class Simulator:
         forward = _forward_fields(fmsg)
         key = forward[1:4]  # (sd, sn, f)
         n = reach = self.config.n
-        if self._cut is not None and self._cut[0] == src:
-            reach = min(n, self._cut[1])
-            self._cut = (src, self._cut[1] - reach)
+        if self._cut is not None:  # only the victim's handler runs while it is set
+            reach = min(n, self._cut)
+            self._cut -= reach
         row = self._rows[src]
         faulty, order = self.data.faulty, self._order
         seq = self._send_seq
@@ -1300,17 +1302,16 @@ class Simulator:
     def execute_crash(self, proc: int, keep: Optional[int]) -> None:
         if self.world is not None:
             self.world.crash(proc)
-        elif keep is not None:
-            victim_ev = self._victim_event(proc)
+        else:
+            victim_ev = self._victim_event(proc) if keep is not None else None
             if victim_ev is not None:
-                self._cut = (proc, keep)
+                self._cut = keep
                 try:
                     self.execute(victim_ev)
                 except _CrashCut:
                     pass
                 finally:
                     self._cut = None
-        if self.world is None:
             if self.can_invoke(proc):
                 self._disable(("invoke", proc))
             n = self.config.n

@@ -30,7 +30,6 @@ from scdkit.sim import (WORKLOADS, ScenarioConfig, Simulator, explore_rw, parse_
 # pinned scale and tolerances
 SEEDS_PER_N = 334          # 3 values of n -> 1002 seeds total, >= 1000
 RW_SEEDS = 1000
-BRUTE_BOUND = 10           # ops checked exhaustively
 WITNESS_OPS = 2000         # largest history checked by the tag witness
 STALL_BUDGET = 10**6       # steps a blocked run may burn before we call it
 CORE_PROPS = ("validity", "integrity", "ms_ordering", "containment", "termination")
@@ -100,7 +99,7 @@ def test_criterion_3_linearizability_brute_and_witness():
         assert run.status == "quiescent"
         h = extract_history(run)
         w = check_linearizable_witness(h, timestamp_metadata(run))
-        b = check_linearizable_bruteforce(h, bound=BRUTE_BOUND)
+        b = check_linearizable_bruteforce(h)
         assert b.status != "skip", (seed, b.line())
         assert w.status == b.status == "pass", (seed, w.line(), b.line())
         small += 1
@@ -233,7 +232,7 @@ def test_criterion_6_register_variants():
             assert run.status == "quiescent"
             h = extract_history(run)
             w = check_linearizable_witness(h, timestamp_metadata(run))
-            b = check_linearizable_bruteforce(h, bound=BRUTE_BOUND)
+            b = check_linearizable_bruteforce(h)
             assert w.status == b.status == "pass", (wl, seed, w.line(), b.line())
         for wl in ("sc_register_ops", "sc_snapshot_ops"):
             cfg = ScenarioConfig(n=3, t=1, workload=wl, op_count=rng.randint(4, 12),

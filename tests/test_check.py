@@ -505,7 +505,8 @@ def test_bruteforce_branches_on_pending_write_of_crashed_process():
 def test_bruteforce_skips_oversized_history():
     ops = [op(1, k, "write", 2 * k, 2 * k + 1, value=b"x") for k in range(11)]
     h = History(ops=ops, nregs=1)
-    assert check_linearizable_bruteforce(h, bound=10).status == "skip"
+    v = check_linearizable_bruteforce(h)
+    assert (v.status, v.detail) == ("skip", "11 ops exceed bound 10")
 
 
 def test_sc_rejects_own_program_order_violation():
@@ -694,7 +695,7 @@ def test_witness_agrees_with_bruteforce_on_small_histories(seed):
         return
     h = extract_history(run)
     w = check_linearizable_witness(h, timestamp_metadata(run))
-    b = check_linearizable_bruteforce(h, bound=10)
+    b = check_linearizable_bruteforce(h)
     if b.status != "skip":
         assert w.status == b.status, (w.line(), b.line())
     assert w.status == "pass"

@@ -229,6 +229,16 @@ def test_default_t_is_floor_half(capsys):
     assert code == 0
 
 
+def test_scenario_flags_are_the_config_payload_keys():
+    """A config whose every field is off its default comes back from its
+    own config-record payload given as flags, as a repro line gives them."""
+    cfg = sim.ScenarioConfig(n=4, t=2, workload="snapshot_ops", op_count=7,
+                             crash="random:1", delay="slow:2", seed=9, step_budget=5000,
+                             nregs=2, mem="sc", writer=3)
+    argv = ["run"] + [a for k, v in cfg.to_payload().items() for a in (f"--{k}", v)]
+    assert cli.scenario_from_args(cli.build_parser().parse_args(argv)) == cfg
+
+
 def test_fuzz_reports_unchecked_runs_apart_from_passes(capsys):
     # the sequential-consistency search skips past 16 ops: nothing is checked
     code = main(["fuzz", "--n", "3", "--workload", "sc_register_ops", "--ops", "24",

@@ -38,10 +38,16 @@ def with_counts(entries: list, n: int) -> list:
 
 def assert_counts_match_columns(p: ScdProcess) -> None:
     """Every buffered pair's count equals the column oracle."""
-    for e in p.buffer:
-        assert list(e.ahead) == [o for o in p.buffer if o is not e]
+    for e in p.buffer.values():
+        assert list(e.ahead) == [o for o in p.buffer.values() if o is not e]
         for o, count in e.ahead.items():
             assert count == seen_first_count(e, o, p.n), (e, o)
+
+
+def purge(candidates: list, buffer, n: int) -> list:
+    """purge_blocked against the entries of `buffer` outside the candidate
+    set, as try_deliver calls it."""
+    return purge_blocked(candidates, [e for e in buffer if e not in candidates], n // 2)
 
 
 def purge_blocked_oracle(candidates: list, buffer: list, n: int) -> list:
@@ -63,16 +69,17 @@ def purge_blocked_oracle(candidates: list, buffer: list, n: int) -> list:
 class AlwaysPurgeProcess(ScdProcess):
     """on_forward and try_deliver as first written: every receipt, a stale
     copy too, attempts a delivery, and the full purge runs whenever some
-    entry has a majority.  The differential tests here and in test_sim hold
-    the gated receipt to its results."""
+    entry has a majority.  Only the call to forward skips a stale copy, as
+    forward requires.  The differential tests here and in test_sim hold the
+    gated receipt to its results."""
 
     def on_forward(self, fmsg):
-        out = self.forward(*fmsg)
+        out = None if fmsg.sn_sd <= self.clock[fmsg.sd] else self.forward(*fmsg)
         return out, self.try_deliver()
 
     def try_deliver(self):
-        candidates = [e for e in self.buffer if e.forwarders >= self._majority]
-        todeliver = purge_blocked(candidates, self.buffer, self.n)
+        candidates = [e for e in self.buffer.values() if e.forwarders >= self._majority]
+        todeliver = purge(candidates, self.buffer.values(), self.n)
         if not todeliver:
             return None
         return self._deliver(todeliver)
@@ -93,8 +100,8 @@ def test_fresh_broadcast_creates_entry_and_forward():
     out = p.scbroadcast(m)
     assert out == ForwardMsg(m, 1, 0, 1, 0)
     assert p.sn == 1
-    (e,) = p.buffer
-    assert (e.sd, e.sn) == (1, 0)
+    ((key, e),) = p.buffer.items()
+    assert key == (e.sd, e.sn) == (1, 0)
     assert e.cl == [INFINITE, 0, INFINITE, INFINITE]
     assert p.pending_broadcast == m.id
     assert p.broadcast_complete() is None  # own entry still buffered
@@ -116,7 +123,7 @@ def test_first_foreign_forward_creates_entry_and_reforwards():
     assert out == ForwardMsg(m, 1, 0, 2, 0)
     assert p.sn == 1
     assert delivered is None
-    (e,) = p.buffer
+    (e,) = p.buffer.values()
     assert e.cl == [INFINITE, 0, INFINITE, INFINITE]
 
 
@@ -126,7 +133,7 @@ def test_known_message_updates_forwarder_column_only():
     p.on_forward(ForwardMsg(m, 1, 0, 1, 0))
     out, delivered = p.on_forward(ForwardMsg(m, 1, 0, 3, 5))
     assert out is None  # no re-forward for an already buffered message
-    assert p.buffer == [] or delivered  # majority reached, see below
+    assert p.buffer == {} or delivered  # majority reached, see below
     # with cl = [0, 0, 5] all three known, 3 of 3 > 3/2: delivered
     assert delivered == frozenset({m})
     assert p.clock[1] == 0
@@ -141,7 +148,7 @@ def test_stale_forward_is_absorbed_silently():
     # self copy and any further copies of the delivered message are stale
     out, delivered = p.on_forward(ForwardMsg(m, 1, 0, 2, 0))
     assert out is None and delivered is None
-    assert p.buffer == []
+    assert p.buffer == {}
 
 
 def test_majority_of_forwarders_required_to_deliver():
@@ -176,13 +183,13 @@ def test_purge_drops_candidate_behind_outside_entry():
     # processes, so a cannot be delivered yet
     a = BufferEntry(msg(1, 0), 1, 0, [INFINITE, 0, 1, INFINITE])
     b = BufferEntry(msg(2, 0), 2, 0, [INFINITE, 2, 0, INFINITE])
-    assert purge_blocked([a], with_counts([a, b], 3), 3) == []
+    assert purge([a], with_counts([a, b], 3), 3) == []
 
 
 def test_purge_keeps_candidate_ahead_at_majority():
     a = BufferEntry(msg(1, 0), 1, 0, [INFINITE, 0, 0, INFINITE])
     b = BufferEntry(msg(2, 0), 2, 0, [INFINITE, 2, 7, INFINITE])
-    assert purge_blocked([a], with_counts([a, b], 3), 3) == [a]
+    assert purge([a], with_counts([a, b], 3), 3) == [a]
 
 
 def test_purge_cascade():
@@ -191,7 +198,7 @@ def test_purge_cascade():
     a = BufferEntry(msg(1, 0), 1, 0, [INFINITE, 0, 0, INFINITE])
     b = BufferEntry(msg(2, 0), 2, 0, [INFINITE, 1, INFINITE, 3])
     c = BufferEntry(msg(3, 0), 3, 0, [INFINITE, INFINITE, 1, 0])
-    kept = purge_blocked([a, b], with_counts([a, b, c], 3), 3)
+    kept = purge([a, b], with_counts([a, b, c], 3), 3)
     assert b not in kept
     # a vs c: a precedes c at p1 (0 < inf) and p2 (0 < 1), not at p3 (inf),
     # so at 2 of 3 processes, a majority: a stays
@@ -213,11 +220,11 @@ def test_purge_result_ignores_candidate_order(seed):
         entries.append(BufferEntry(msg(1 + k % n, k), 1 + k % n, k, cl))
     with_counts(entries, n)
     cands = [e for e in entries if 2 * sum(1 for c in e.cl[1:] if c != INFINITE) > n]
-    baseline = purge_blocked(cands, entries, n)
+    baseline = purge(cands, entries, n)
     for _ in range(4):
         shuffled = cands[:]
         rng.shuffle(shuffled)
-        assert set(map(id, purge_blocked(shuffled, entries, n))) == set(map(id, baseline))
+        assert set(map(id, purge(shuffled, entries, n))) == set(map(id, baseline))
 
 
 @st.composite
@@ -238,7 +245,7 @@ def purge_inputs(draw):
 @given(purge_inputs())
 def test_purge_matches_rescanning_oracle(inputs):
     cands, entries, n = inputs
-    got = purge_blocked(cands, entries, n)
+    got = purge(cands, entries, n)
     assert [id(e) for e in got] == [id(e) for e in purge_blocked_oracle(cands, entries, n)]
 
 
@@ -325,7 +332,7 @@ def _gated_matches_always_purge(n, pid, stream, legal):
         # the own-entry count and the pair counts against the buffer scans
         # they replaced
         for p in (gated, oracle):
-            assert p._own == sum(e.sd == pid for e in p.buffer)
+            assert p._own == sum(e.sd == pid for e in p.buffer.values())
             assert_counts_match_columns(p)
         done = gated.broadcast_complete()
         assert done == oracle.broadcast_complete()
@@ -334,8 +341,8 @@ def _gated_matches_always_purge(n, pid, stream, legal):
         # receiver's next broadcast as delivered before it is made)
         assert not legal or done is None or (call == "on_forward" and got[1] is not None), \
             (call, arg)
-    assert [(e.sd, e.sn, e.cl) for e in gated.buffer] == \
-        [(e.sd, e.sn, e.cl) for e in oracle.buffer]
+    assert [(e.sd, e.sn, e.cl) for e in gated.buffer.values()] == \
+        [(e.sd, e.sn, e.cl) for e in oracle.buffer.values()]
 
 
 def test_rewritten_column_is_rejected():
@@ -391,7 +398,7 @@ def test_all_processes_deliver_all_messages(seed):
         got = set().union(*sets) if sets else set()
         assert got == set(msgs)
         assert net.procs[i].broadcast_complete() == MsgId(i, 0)
-        assert net.procs[i].buffer == []
+        assert net.procs[i].buffer == {}
 
 
 def test_delivery_respects_first_seen_majority_order():
@@ -441,12 +448,12 @@ def test_receipts_that_cannot_deliver_skip_the_purge(monkeypatch):
         fm = net.queues[(src, dst)].popleft()
         p = net.procs[dst]
         stale = fm.sn_sd <= p.clock[fm.sd]
-        majority_elsewhere = any(2 * e.forwarders > p.n for e in p.buffer)
+        majority_elsewhere = any(2 * e.forwarders > p.n for e in p.buffer.values())
         before = len(purges), len(attempts)
         out, _ = p.on_forward(fm)
         receipts += 1
         net.send_all(dst, out)
-        entry = p._index.get((fm.sd, fm.sn_sd))
+        entry = p.buffer.get((fm.sd, fm.sn_sd))
         if stale or (entry is not None and 2 * entry.forwarders <= p.n):
             assert (len(purges), len(attempts)) == before, fm
             skipped["stale" if stale else "short"] += majority_elsewhere

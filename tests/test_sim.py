@@ -14,6 +14,7 @@ from scdkit import sim
 from scdkit.core import MsgId, UsageError
 from scdkit.check import OBJECT_WORKLOADS, RunData, evaluate_run, load_run
 from scdkit.cli import evaluate, main
+from scdkit.scd_mp import ScdProcess
 from scdkit.sim import (
     MP_WORKLOADS,
     RW_WORKLOADS,
@@ -407,6 +408,28 @@ def test_gated_delivery_matches_always_purge(workload, seed):
         assert render_trace(Simulator(cfg).run().events).splitlines() == expected
 
 
+@pytest.mark.parametrize("workload", MP_WORKLOADS)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**30))
+def test_forward_never_sees_a_delivered_message(workload, seed):
+    """ScdProcess.forward keeps no stale-copy check of its own: every call,
+    from a receipt or from scbroadcast, names a message that its process has
+    not delivered yet."""
+    real = ScdProcess.forward
+
+    def checked(self, m, sd, sn_sd, f, sn_f):
+        assert sn_sd > self.clock[sd], (self.pid, sd, sn_sd, self.clock[sd])
+        return real(self, m, sd, sn_sd, f, sn_f)
+
+    rng = random.Random(seed)
+    alone = config(n=1, t=0, workload=workload, op_count=rng.randint(1, 6),
+                   delay=rng.choice(["uniform", "fifo", "slow:1"]), seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ScdProcess, "forward", checked)
+        for cfg in (mp_config(workload, rng), alone):
+            Simulator(cfg).run()
+
+
 def _fields(fmsg):
     return {"m": str(fmsg.m.id), "sd": str(fmsg.sd), "sn": str(fmsg.sn_sd),
             "f": str(fmsg.f), "snf": str(fmsg.sn_f)}
@@ -424,10 +447,10 @@ class PerCopyRecordSimulator(Simulator):
     def fifo_broadcast(self, src, fmsg):
         n = self.config.n
         for dst in range(1, n + 1):
-            if self._cut is not None and self._cut[0] == src:
-                if self._cut[1] <= 0:
+            if self._cut is not None:
+                if self._cut <= 0:
                     raise _CrashCut()
-                self._cut = (src, self._cut[1] - 1)
+                self._cut -= 1
             self._send_seq += 1
             self.trace("send", src, to=str(dst), **_fields(fmsg))
             if dst not in self.data.faulty:
