@@ -131,7 +131,9 @@ def load_run(log: TraceLog) -> RunData:
     config.validate()
     run = RunData.start(config, log)
     objects = config.workload in OBJECT_WORKLOADS
-    op_kinds = ("snapshot", "read", "write") if objects else ("bcast",)
+    # the kinds plan_ops issues: a register is read, a snapshot object scanned
+    op_kinds = ((("snapshot", "write") if "snapshot" in config.workload else ("read", "write"))
+                if objects else ("bcast",))
     open_ops: dict = {}
     channels = defaultdict(lambda: ([], []))  # the pair is built once per channel
     sends: dict = {}  # m text -> send count

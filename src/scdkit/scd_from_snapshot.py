@@ -41,7 +41,8 @@ class Frame:
 
 
 class RwProcess:
-    """Per-process state of the shared-memory construction."""
+    """Per-process state of the shared-memory construction, with the host's
+    position in this process's script (`next_op`) and its liveness."""
 
     def __init__(self, pid: int, n: int):
         self.pid = pid
@@ -50,6 +51,8 @@ class RwProcess:
         self.setseq = [[] for _ in range(n + 1)]          # local copy of SETSEQ
         self.delivered: set = set()                       # members(setseq[pid]), memoized
         self.frame: Optional[Frame] = None
+        self.next_op = 0
+        self.alive = True
 
     @property
     def log(self) -> list:
@@ -164,6 +167,7 @@ class RwProcess:
         c.delivered = set(self.delivered)
         f = self.frame
         c.frame = Frame(f.kind, f.msg, f.stage, f.todeliver) if f else None
+        c.next_op, c.alive = self.next_op, self.alive
         return c
 
     def state_key(self):
@@ -175,4 +179,6 @@ class RwProcess:
             tuple(self.sent),
             tuple(map(tuple, self.setseq)),
             (f.kind, f.msg, f.stage, f.todeliver) if f else None,
+            self.next_op,
+            self.alive,
         )

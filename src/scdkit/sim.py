@@ -24,9 +24,10 @@ Things the simulator injects or enforces:
     still see undelivered messages, which makes quiescence decidable.
 
 Runs end quiescent (nothing enabled, no operation pending), stalled (nothing
-enabled but operations pending, the signature of a lost majority), or out of
-step budget.  Trace records are line-oriented: step|kind|proc|key=value...,
-and their kinds are those of RECORD_KINDS; check.load_run rejects any other.
+enabled but a live process's broadcast never completed, the signature of a
+lost majority, decided from the RunData alone), or out of step budget.
+Trace records are line-oriented: step|kind|proc|key=value..., and their
+kinds are those of RECORD_KINDS; check.load_run rejects any other.
 A FORWARD's trace fields are formatted once, when it is fifo-broadcast, and
 shared by its send and recv records.  The simulator writes its records to one
 ordered TraceLog: a TraceEvent per record, except that a fifo-broadcast is
@@ -87,19 +88,20 @@ come.
 The exhaustive interleaving explorer for the shared-memory construction
 (explore_rw) drives the same world object as the simulator, enumerating every
 schedule by DFS and deduplicating identical global states.  A state is its
-key, one int packing an interned id per process, one per single-writer
-memory entry (SENT[j], SETSEQ[j], and queue j in sc mode) and each process's
-next_op; a process id stands for one canonical object, never mutated once
-interned, and an entry id for an immutable value.  Process i's choices and
-their steps read only process i, next_op[i], its own entries and queue, and
-the arrays RwWorld.READS names for its frame, and write only the first
-three, so equal fields there give equal successors: one successor table per
-process maps those fields to the key differences of all of process i's
-choices, and a state costs n lookups and one add per successor.  Only a
-table miss lists process i's choices and steps each one, on a fresh copy of
-process i and a scratch memory loaded from the key, and interns the process
-and the entries the step changed.  A process's state key leaves out its
-delivered set, the union of its own sequence, which the key holds.
+key, one int packing an interned id per component of the world: each
+process, which holds its script position and liveness, and each
+single-writer memory entry (SENT[j], SETSEQ[j], and queue j in sc mode).  A
+process id stands for one canonical object, never mutated once interned,
+and an entry id for an immutable value.  Process i's choices and their
+steps read only process i, its own entries, and the arrays RwWorld.READS
+names for its frame, and write only the first two, so equal fields there
+give equal successors: one successor table per process maps those fields to
+the key differences of all of process i's choices, and a state costs n
+lookups and one add per successor.  Only a table miss lists process i's
+choices and steps each one, on a fresh copy of process i and a scratch
+memory loaded from the key, and interns the process and the entries the
+step changed.  A process's state key leaves out its delivered set, the
+union of its own sequence, which the key holds.
 """
 from __future__ import annotations
 
@@ -518,14 +520,16 @@ def value_parse(s: str) -> bytes:
 
 
 class SharedSnapshotMemory:
-    """SENT/SETSEQ arrays of single-writer entries.
+    """SENT/SETSEQ arrays of single-writer entries, and a write queue per
+    process, all in one map `store`: ("SENT", i), ("SETSEQ", i) and
+    ("queue", i) are process i's entries.
 
     atomic mode applies writes at invocation.  sc mode queues each process's
     writes and applies them later (apply_one), except that a snapshot by the
     owner first flushes its own queue; per-process order is preserved, so the
     result is sequentially consistent but deliberately not linearizable.
-    Each queue is a tuple, replaced on every change, so a clone copies two
-    small dicts and shares every queue.
+    Each queue is a tuple, replaced on every change, so a clone copies one
+    small dict and shares every entry.
     """
 
     def __init__(self, n: int, mode: str = "atomic"):
@@ -534,10 +538,9 @@ class SharedSnapshotMemory:
         self.n = n
         self.mode = mode
         self.store = {}
-        for obj in ("SENT", "SETSEQ"):
+        for obj, empty in (("SENT", frozenset()), ("SETSEQ", ()), ("queue", ())):
             for i in range(1, n + 1):
-                self.store[(obj, i)] = frozenset() if obj == "SENT" else ()
-        self.queues = {i: () for i in range(1, n + 1)}
+                self.store[(obj, i)] = empty
 
     def execute(self, pid: int, op):
         if op[0] == "write":
@@ -545,7 +548,7 @@ class SharedSnapshotMemory:
             if idx != pid:
                 raise UsageError(f"p{pid} writing single-writer entry of p{idx}")
             if self.mode == "sc":
-                self.queues[pid] += ((obj, idx, val),)
+                self.store[("queue", pid)] += ((obj, idx, val),)
             else:
                 self.store[(obj, idx)] = val
             return None
@@ -555,22 +558,16 @@ class SharedSnapshotMemory:
         return (pad,) + tuple(self.store[(obj, i)] for i in range(1, self.n + 1))
 
     def flush(self, pid: int) -> None:
-        for obj, idx, val in self.queues[pid]:
+        for obj, idx, val in self.store[("queue", pid)]:
             self.store[(obj, idx)] = val
-        self.queues[pid] = ()
+        self.store[("queue", pid)] = ()
 
     def apply_one(self, pid: int):
-        q = self.queues[pid]
+        q = self.store[("queue", pid)]
         obj, idx, val = q[0]
-        self.queues[pid] = q[1:]
+        self.store[("queue", pid)] = q[1:]
         self.store[(obj, idx)] = val
         return obj, idx
-
-    def pending_count(self, pid: int) -> int:
-        return len(self.queues[pid])
-
-    def drop_pending(self, pid: int) -> None:
-        self.queues[pid] = ()
 
     def visible_sent_union(self) -> frozenset:
         out = frozenset()
@@ -582,13 +579,12 @@ class SharedSnapshotMemory:
         c = SharedSnapshotMemory.__new__(SharedSnapshotMemory)
         c.n, c.mode = self.n, self.mode
         c.store = dict(self.store)
-        c.queues = dict(self.queues)
         return c
 
     def state_key(self):
-        # store and queues keep their insertion order (SENT 1..n, then
-        # SETSEQ 1..n; queues 1..n) through writes and clones
-        return tuple(self.store.values()), tuple(self.queues.values())
+        # store keeps its insertion order (SENT 1..n, SETSEQ 1..n, then
+        # queue 1..n) through writes and clones
+        return tuple(self.store.values())
 
 
 # ---------------------------------------------------------------------------
@@ -600,10 +596,10 @@ class RwWorld:
     per-process scripts of messages still to broadcast.  The k-th message of
     process i's script must be MsgId(i, k), as the simulator plans it.
 
-    Its components are the processes and the memory's single-writer entries
-    and queues; next_op and alive are per process.  READS says which of them
-    each process's choices read and write, which is what the explorer keys
-    its successor tables on.
+    Its components are exactly the processes, each holding its script
+    position and liveness, and the memory's single-writer entries: SENT[i],
+    SETSEQ[i] and queue i.  READS says which of them each process's choices
+    read, which is what the explorer keys its successor tables on.
     """
 
     def __init__(self, n: int, scripts: dict, mem_mode: str = "atomic"):
@@ -619,35 +615,34 @@ class RwWorld:
         self.procs = {i: RwProcess(i, n) for i in range(1, n + 1)}
         self.memory = SharedSnapshotMemory(n, mem_mode)
         self.scripts = {i: list(scripts.get(i, ())) for i in range(1, n + 1)}
-        self.next_op = {i: 0 for i in range(1, n + 1)}
-        self.alive = {i: True for i in range(1, n + 1)}
 
     # What process i's choices and their steps read of the memory besides
-    # its own entries SENT[i] and SETSEQ[i] and its own queue: the arrays
-    # named here, by the stage of its open frame (None: no frame, where
-    # whether its tick is enabled reads every SENT entry).  They write only
-    # process i, next_op[i], and its own entries and queue.
+    # its own entries SENT[i], SETSEQ[i] and queue i: the arrays named here,
+    # by the stage of its open frame (None: no frame, where whether its tick
+    # is enabled reads every SENT entry).  They write only process i and its
+    # own entries.
     READS = {None: ("SENT",), "sent_snap": ("SENT",), "catch_snap": ("SETSEQ",),
              "sent_write": (), "catch_write": (), "deliver_write": ()}
 
     def choices(self, pids=None) -> list:
         """The choices of processes `pids` (default 1..n), in pid order.
-        Those of process i read only process i, what READS names of the
-        memory, next_op[i], alive[i] and script i."""
+        Those of process i read only process i, its own entries, what READS
+        names of the memory, and script i."""
         out = []
+        store = self.memory.store
         visible = self.memory.visible_sent_union()
         for i in pids or range(1, self.n + 1):
-            if not self.alive[i]:
-                continue
             p = self.procs[i]
+            if not p.alive:
+                continue
             if p.frame is not None:
                 out.append(("mem", i))
             else:
-                if self.next_op[i] < len(self.scripts[i]):
+                if p.next_op < len(self.scripts[i]):
                     out.append(("invoke", i))
                 if not visible <= p.delivered:
                     out.append(("tick", i))
-            if self.memory.pending_count(i):
+            if store[("queue", i)]:
                 out.append(("apply", i))
         return out
 
@@ -657,8 +652,8 @@ class RwWorld:
         tag, i = choice
         p = self.procs[i]
         if tag == "invoke":
-            k = self.next_op[i]
-            self.next_op[i] = k + 1
+            k = p.next_op
+            p.next_op = k + 1
             m = self.scripts[i][k]
             if trace:
                 trace("op_invoke", i, op="bcast", seq=str(k))
@@ -685,38 +680,36 @@ class RwWorld:
             if p.frame is None and frame.kind == "broadcast" and trace:
                 trace("broadcast_complete", i, id=str(frame.msg.id))
                 run.completed[i].add(frame.msg.id)
-                trace("op_return", i, op="bcast", seq=str(self.next_op[i] - 1), ok="1")
+                trace("op_return", i, op="bcast", seq=str(p.next_op - 1), ok="1")
         else:  # apply, the only other tag
             obj, idx = self.memory.apply_one(i)
             if trace:
                 trace("mem_apply", i, obj=obj, index=str(idx))
 
     def crash(self, i: int) -> None:
-        self.alive[i] = False
-        self.memory.drop_pending(i)
+        """Crash process i, dropping its queued writes: it writes only
+        process i and queue i."""
+        self.procs[i].alive = False
+        self.memory.store[("queue", i)] = ()
 
     def clone(self, i: int) -> "RwWorld":
-        """A copy to run one step of process i on.  Only process i, the memory
-        and the per-process dicts are copied: a step of i mutates no other
-        process, so the copy shares them with self.  The explorer copies
-        components itself; perfbench's traced spans name this method."""
+        """A copy to run one step of process i on.  Only process i and the
+        memory are copied: a step of i mutates no other process, so the copy
+        shares them with self.  The explorer copies components itself;
+        perfbench's traced spans name this method."""
         c = RwWorld.__new__(RwWorld)
         c.n = self.n
         c.procs = dict(self.procs)
         c.procs[i] = self.procs[i].clone()
         c.memory = self.memory.clone()
         c.scripts = self.scripts  # scripts are never mutated
-        c.next_op = dict(self.next_op)
-        c.alive = dict(self.alive)
         return c
 
     def state_key(self) -> tuple:
-        """The global state as nested tuples: the memory's key, the key of
-        each process 1..n, then next_op and alive.  The explorer keys by
-        interned component ids instead; perfbench's traced spans name this
-        method."""
-        return (self.memory.state_key(), *(p.state_key() for p in self.procs.values()),
-                tuple(self.next_op.values()), tuple(self.alive.values()))
+        """The global state as nested tuples: the memory's key, then the key
+        of each process 1..n.  The explorer keys by interned component ids
+        instead; perfbench's traced spans name this method."""
+        return (self.memory.state_key(), *(p.state_key() for p in self.procs.values()))
 
 
 def explore_rw(n: int, scripts: dict, mem_mode: str = "atomic", state_limit: int = 2_000_000):
@@ -728,59 +721,52 @@ def explore_rw(n: int, scripts: dict, mem_mode: str = "atomic", state_limit: int
     or undelivered messages), so the distinct terminal states cover every
     interleaving's observable outcome.
 
-    A state is its key: one int packing an interned id per process, one per
-    single-writer entry of the memory (SENT[j], SETSEQ[j] and, in sc mode,
-    queue j; an atomic memory's queues stay empty) and each next_op (alive
-    is always true here).  Each field has its own intern table.  A process
-    id maps to one canonical object, never mutated once interned; an entry
-    id maps to its value, which is immutable.  The DFS stack and `seen` hold
-    keys only.
+    A state is its key: one int packing an interned id per component of the
+    world, each process (its script position and liveness included) and
+    each single-writer entry of the memory (SENT[j], SETSEQ[j] and, in sc
+    mode, queue j; an atomic memory's queues stay empty).  Each field has
+    its own intern table.  A process id maps to one canonical object, never
+    mutated once interned; an entry id maps to its value, which is
+    immutable.  The DFS stack and `seen` hold keys only.
 
     Process i's choices, and what each of them steps to, read only process
-    i, next_op[i] (and script i, which is fixed), its own entries and queue,
-    and the arrays RwWorld.READS names for its frame; a step writes only
-    process i, next_op[i] and its own entries and queue.  So one successor
-    table per process maps those fields of a key, its read set, to the
-    differences that process i's choices add to the key, in choice order.
-    The read set depends only on process i's state, so its mask is computed
-    once per interned process id.  A state costs n table lookups and one add
-    per successor, and is terminal when every group is empty; a write by
-    another process misses process i's table only while i is idle or about
-    to snapshot the array written.  Only a table miss loads the key's
-    entries into the scratch world's memory, lists process i's choices
-    (RwWorld.choices) and steps each one (RwWorld.step) on a fresh copy of
-    process i (apply, which writes no process, on the canonical one).  The
-    memory is never copied: the own entries a step changed are interned,
-    then put back for the next choice.  Each distinct local transition is
-    therefore stepped once.  next_op[i] stays in the table key although the
-    protocol makes it redundant (process i's own SENT entry holds exactly
-    the messages it invoked), because the explorer must not rest on that.
+    i (and script i, which is fixed), its own entries, and the arrays
+    RwWorld.READS names for its frame; a step writes only process i and its
+    own entries.  So one successor table per process maps those fields of a
+    key, its read set, to the differences that process i's choices add to
+    the key, in choice order.  The read set depends only on process i's
+    state, so its mask is computed once per interned process id.  A state
+    costs n table lookups and one add per successor, and is terminal when
+    every group is empty; a write by another process misses process i's
+    table only while i is idle or about to snapshot the array written.  Only
+    a table miss loads the key's entries into the scratch world's memory,
+    lists process i's choices (RwWorld.choices) and steps each one
+    (RwWorld.step) on a fresh copy of process i (apply, which writes no
+    process, on the canonical one).  The memory is never copied: the own
+    entries a step changed are interned, then put back for the next choice.
+    Each distinct local transition is therefore stepped once.
 
     Field widths come from the inputs.  Each field has its own ids, and a
     new id comes with a successor key new to `seen`, one per choice; all
     but those of the last table miss (at most 3 choices) entered `seen`, so
-    a field's ids stay below state_limit + 3.  A next_op is at most its
-    script's length.  No input overflows a field.
+    a field's ids stay below state_limit + 3, and no input overflows a
+    field.
 
     Returns (terminal worlds in discovery order, states visited); raises
     UsageError once more than state_limit states are seen.
     """
     w = RwWorld(n, scripts, mem_mode)  # the root, then the scratch world
-    procs, next_op, memory = w.procs, w.next_op, w.memory
-    # the entries as (memory attribute, slot, array, writer), SENT last: a
-    # key's top field has no fixed width, and SENT entries take the fewest
-    # values, so that keeps keys short
-    entries = [("store", ("SETSEQ", j), "SETSEQ", j) for j in range(1, n + 1)]
-    if mem_mode == "sc":
-        entries += [("queues", j, "queue", j) for j in range(1, n + 1)]
-    entries += [("store", ("SENT", j), "SENT", j) for j in range(1, n + 1)]
-    # key fields from the low bits up: next_op[1..n], then field f < n for
-    # process f + 1 and field n + e for entries[e]
+    procs, store = w.procs, w.memory.store
+    # the entries by their memory slots, SENT last: a key's top field has no
+    # fixed width, and SENT entries take the fewest values, so that keeps
+    # keys short
+    order = ("SETSEQ", "queue", "SENT") if mem_mode == "sc" else ("SETSEQ", "SENT")
+    entries = [(obj, j) for obj in order for j in range(1, n + 1)]
+    # key fields from the low bits up: field f < n for process f + 1, then
+    # field n + e for entries[e]
     id_bits = (max(state_limit, 1) + 2).bit_length()
-    op_bits = max(map(len, w.scripts.values())).bit_length()
-    id_mask, op_mask = (1 << id_bits) - 1, (1 << op_bits) - 1
-    op_shift = [None] + [j * op_bits for j in range(n)]
-    shift = [n * op_bits + f * id_bits for f in range(n + len(entries))]
+    id_mask = (1 << id_bits) - 1
+    shift = [f * id_bits for f in range(n + len(entries))]
     # per field: state key (process) or value (entry) -> id, and id -> object
     ids = [{} for _ in shift]
     objs = [[] for _ in shift]
@@ -796,10 +782,10 @@ def explore_rw(n: int, scripts: dict, mem_mode: str = "atomic", state_limit: int
     def fields(*fs) -> int:
         return sum(id_mask << shift[f] for f in fs)
 
-    arrays = {obj: fields(*(f for f, e in enumerate(entries, n) if e[2] == obj))
+    arrays = {obj: fields(*(f for f, e in enumerate(entries, n) if e[0] == obj))
               for obj in ("SENT", "SETSEQ")}
-    own = [[f for f, e in enumerate(entries, n) if e[3] == i] for i in range(1, n + 1)]
-    always = [op_mask << op_shift[i] | fields(i - 1, *own[i - 1]) for i in range(1, n + 1)]
+    own = [[f for f, e in enumerate(entries, n) if e[1] == i] for i in range(1, n + 1)]
+    always = [fields(i - 1, *own[i - 1]) for i in range(1, n + 1)]
     masks = [[] for _ in range(n)]  # per process: interned id -> read-set mask
     reads = RwWorld.READS
 
@@ -810,54 +796,50 @@ def explore_rw(n: int, scripts: dict, mem_mode: str = "atomic", state_limit: int
         return m
 
     root = sum(intern(i - 1, p, p.state_key()) << shift[i - 1] for i, p in procs.items())
-    loaded = []  # per entry: (field, scratch memory dict, slot, values)
-    for f, (attr, slot, _, _) in enumerate(entries, n):
-        d = getattr(memory, attr)
-        root += intern(f, d[slot], d[slot]) << shift[f]
-        loaded.append((f, d, slot, objs[f]))
+    loaded = []  # per entry: (field, slot, values)
+    for f, slot in enumerate(entries, n):
+        root += intern(f, store[slot], store[slot]) << shift[f]
+        loaded.append((f, slot, objs[f]))
     mine = [[loaded[f - n] for f in fs] for fs in own]
 
     def successors(i: int, key: int) -> tuple:
         """The key differences of process i's choices at `key`."""
-        f_proc, o_shift = i - 1, op_shift[i]
-        proc_id, op = key >> shift[f_proc] & id_mask, key >> o_shift & op_mask
+        f_proc = i - 1
+        proc_id = key >> shift[f_proc] & id_mask
         proc = procs[i] = objs[f_proc][proc_id]
-        next_op[i] = op
-        for f, d, slot, values in loaded:
-            d[slot] = values[key >> shift[f] & id_mask]
+        for f, slot, values in loaded:
+            store[slot] = values[key >> shift[f] & id_mask]
         out = []
         for c in w.choices((i,)):
             procs[i] = p = proc if c[0] == "apply" else proc.clone()
-            next_op[i] = op
             w.step(c)
-            diff = next_op[i] - op << o_shift
+            diff = 0
             if p is not proc:
-                diff += intern(f_proc, p, p.state_key()) - proc_id << shift[f_proc]
-            for f, d, slot, values in mine[f_proc]:
-                v = d[slot]
+                diff = intern(f_proc, p, p.state_key()) - proc_id << shift[f_proc]
+            for f, slot, values in mine[f_proc]:
+                v = store[slot]
                 k = key >> shift[f] & id_mask
                 if v is not values[k]:
                     diff += intern(f, v, v) - k << shift[f]
-                    d[slot] = values[k]
+                    store[slot] = values[k]
             out.append(diff)
         return tuple(out)
 
     memories = {}  # by the entry fields, the top of a key
 
     def world_at(key: int) -> RwWorld:
-        """A world of the canonical objects of `key`, owning its dicts; the
-        worlds of one exploration share a memory where its entries agree."""
+        """A world of the canonical objects of `key`, owning its process
+        dict; the worlds of one exploration share a memory where its entries
+        agree."""
         t = copy.copy(w)
         t.procs = {i: objs[i - 1][key >> shift[i - 1] & id_mask] for i in range(1, n + 1)}
         top = key >> shift[n]
         m = memories.get(top)
         if m is None:
             m = memories[top] = SharedSnapshotMemory(n, mem_mode)
-            for f, (attr, slot, _, _) in enumerate(entries, n):
-                getattr(m, attr)[slot] = objs[f][key >> shift[f] & id_mask]
+            for f, slot in enumerate(entries, n):
+                m.store[slot] = objs[f][key >> shift[f] & id_mask]
         t.memory = m
-        t.next_op = {i: key >> op_shift[i] & op_mask for i in range(1, n + 1)}
-        t.alive = dict(w.alive)
         return t
 
     groups = [(i, {}, masks[i - 1], shift[i - 1]) for i in range(1, n + 1)]
@@ -1337,13 +1319,12 @@ class Simulator:
         return None
 
     def pending_work(self) -> bool:
-        if self.world is not None:
-            return False  # an empty choice set means every round finished
-        return any(
-            i not in self.data.faulty
-            and (self.cur[i] is not None or self.scd[i].pending_broadcast is not None)
-            for i in range(1, self.config.n + 1)
-        )
+        """Whether some live process's broadcast never completed, the fact
+        check_termination fails on.  With nothing enabled, that is a live
+        process with an open operation or broadcast round."""
+        run = self.data
+        return any(sender not in run.faulty and mid not in run.completed[sender]
+                   for mid, (sender, _) in run.broadcasts.items())
 
     # -- the run loop ------------------------------------------------------
 

@@ -392,6 +392,16 @@ def _renamed_op(new):
     return mangle
 
 
+def _register_reads_renamed(lines):
+    # a register_ops trace whose reads are renamed to snapshots, in place of
+    # the snapshot_ops trace: a register workload issues no snapshot
+    text = run_scenario(ScenarioConfig(n=3, t=1, workload="register_ops", op_count=6,
+                                       seed=3)).text
+    assert "|op=read " in text
+    lines[:] = [line.replace("|op=read ", "|op=snapshot ")
+                for line in text.splitlines(keepends=True)]
+
+
 def _untagged_write(lines):
     # no WRITE broadcast left to take the tag from, nor the return record
     lines[:] = [line for line in lines if line.split("|")[1] != "bcast"]
@@ -414,6 +424,9 @@ def _untagged_write(lines):
     (_recv_from_p9(exact=True), ValueError, "peer process '9' outside 1..3"),
     (_recv_from_p9(exact=False), ValueError, "peer process '9' outside 1..3"),
     (_send_to_p4, ValueError, "peer process '4' outside 1..3"),
+    # a snapshot workload issues no read, a register workload no snapshot
+    (_renamed_op("read"), ValueError, "snapshot_ops run has a 'read' op"),
+    (_register_reads_renamed, ValueError, "register_ops run has a 'snapshot' op"),
 ])
 def test_load_run_rejects_malformed_record(mangle, error, match):
     res = run_scenario(ScenarioConfig(n=3, t=1, workload="snapshot_ops", op_count=6,

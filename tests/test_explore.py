@@ -40,7 +40,6 @@ def full_copy(w: RwWorld) -> RwWorld:
     c = copy.copy(w)
     c.procs = {i: p.clone() for i, p in w.procs.items()}
     c.memory = w.memory.clone()
-    c.next_op, c.alive = dict(w.next_op), dict(w.alive)
     return c
 
 
@@ -49,10 +48,7 @@ def nested_key(w: RwWorld) -> tuple:
     m = w.memory
     return (
         tuple(w.procs[i].state_key() for i in range(1, w.n + 1)),
-        (tuple(m.store[k] for k in sorted(m.store)),
-         tuple(tuple(m.queues[i]) for i in range(1, m.n + 1))),
-        tuple(w.next_op[i] for i in range(1, w.n + 1)),
-        tuple(w.alive[i] for i in range(1, w.n + 1)),
+        tuple(m.store[k] for k in sorted(m.store)),
     )
 
 
@@ -187,6 +183,41 @@ def test_copy_on_write_step_leaves_parent_unchanged(mem):
     assert transitions > len(seen)
 
 
+@pytest.mark.parametrize("mem", MODES)
+def test_crash_writes_only_its_process_and_queue(mem):
+    """At every state of the 1+2 exploration where a process has an open
+    frame, crashing it changes only that process's state key and its own
+    queue, which it empties, and leaves it no choices.  In sc mode some of
+    those states hold a write in the victim's queue."""
+    root = RwWorld(2, scripts_for(1, 2), mem)
+    seen = {nested_key(root)}
+    stack = [root]
+    crashed = queued = 0
+    while stack:
+        w = stack.pop()
+        for i, p in w.procs.items():
+            if p.frame is None:
+                continue
+            c = full_copy(w)
+            c.crash(i)
+            procs = {j: q.state_key() for j, q in c.procs.items() if j != i}
+            store = {k: v for k, v in c.memory.store.items() if k != ("queue", i)}
+            assert procs == {j: q.state_key() for j, q in w.procs.items() if j != i}
+            assert store == {k: v for k, v in w.memory.store.items() if k != ("queue", i)}
+            assert c.procs[i].state_key() != p.state_key()
+            assert c.memory.store["queue", i] == () and c.choices((i,)) == []
+            crashed += 1
+            queued += bool(w.memory.store["queue", i])
+        for choice in w.choices():
+            w2 = full_copy(w)
+            w2.step(choice)
+            k = nested_key(w2)
+            if k not in seen:
+                seen.add(k)
+                stack.append(w2)
+    assert crashed and (queued > 0) == (mem == "sc"), (crashed, queued)
+
+
 def test_state_limit_raises():
     with pytest.raises(UsageError, match="state limit 100"):
         explore_rw(2, scripts_for(2, 2), "atomic", state_limit=100)
@@ -219,18 +250,18 @@ def test_field_widths_follow_the_state_limit():
     assert len(terminals[0].procs[1].log) == 40
 
 
-# distinct local transitions of 2+2: (choice, process-i state, next_op[i],
-# the entries process i's read set holds)
+# distinct local transitions of 2+2: (choice, process-i state, the entries
+# process i's read set holds)
 LOCAL_TRANSITIONS = {"atomic": 3166, "sc": 6934}
 
 
 @pytest.mark.parametrize("mem", MODES)
 def test_each_local_transition_steps_once(mem, monkeypatch):
-    """A step of process i reads and writes only process i, next_op[i] and
-    the memory entries of its read set, so the explorer steps each distinct
-    such transition once, however many global states share it.  No step
-    copies the memory, whether it writes an entry or not: the explorer puts
-    back in its scratch memory what a step changed."""
+    """A step of process i reads and writes only process i and the memory
+    entries of its read set, so the explorer steps each distinct such
+    transition once, however many global states share it.  No step copies
+    the memory, whether it writes an entry or not: the explorer puts back
+    in its scratch memory what a step changed."""
     writes, copies = [], []
     step, clone = RwWorld.step, SharedSnapshotMemory.clone
 
@@ -280,7 +311,7 @@ def test_exploring_mutates_no_interned_component(mem, monkeypatch):
 
     def meeting(method):
         def op(self, *args):
-            for v in (*self.store.values(), *self.queues.values()):
+            for v in self.store.values():
                 met.setdefault(id(v), (v, copy.deepcopy(v)))
             return method(self, *args)
         return op

@@ -430,6 +430,45 @@ def test_forward_never_sees_a_delivered_message(workload, seed):
             Simulator(cfg).run()
 
 
+class PerProcessStallSimulator(Simulator):
+    """Where a run finds nothing enabled, records the per-process stall rule
+    that Simulator.pending_work's RunData rule replaced: some live process
+    has an open operation or a pending broadcast (message passing), or an
+    open frame (shared memory)."""
+
+    per_process = None  # None: the run never found nothing enabled
+
+    def pending_work(self):
+        live = [i for i in range(1, self.config.n + 1) if i not in self.data.faulty]
+        if self.world is None:
+            self.per_process = any(
+                self.cur[i] is not None or self.scd[i].pending_broadcast is not None
+                for i in live)
+        else:
+            self.per_process = any(self.world.procs[i].frame is not None for i in live)
+        return super().pending_work()
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_stall_rule_matches_per_process_rule(workload):
+    """A run that ends with nothing enabled is stalled exactly when the
+    per-process rule holds, over configs with up to n - 1 crashes, so
+    majority crashes too, and both memory modes."""
+    rng = random.Random(f"stall:{workload}")
+    stalled = 0
+    for _ in range(300):
+        cfg = mp_config(workload, rng)
+        if workload in RW_WORKLOADS:
+            cfg.mem = rng.choice(sim.MEM_MODES)
+        simulator = PerProcessStallSimulator(cfg)
+        res = simulator.run()
+        assert simulator.per_process is not None and res.status != "budget", cfg
+        assert (res.status == "stalled") == simulator.per_process, cfg
+        stalled += res.status == "stalled"
+    # a shared-memory run never stalls: any number of processes may crash
+    assert (stalled > 0) == (workload in MP_WORKLOADS), stalled
+
+
 def _fields(fmsg):
     return {"m": str(fmsg.m.id), "sd": str(fmsg.sd), "sn": str(fmsg.sn_sd),
             "f": str(fmsg.f), "snf": str(fmsg.sn_f)}
