@@ -11,7 +11,6 @@ malformed trace.
 from __future__ import annotations
 
 import argparse
-import multiprocessing
 import os
 import shlex
 import sys
@@ -192,6 +191,7 @@ def cmd_fuzz(args) -> int:
     summary = FuzzSummary()
     jobs = min(args.jobs, args.seeds)  # no worker without a seed to run
     if jobs > 1:
+        import multiprocessing  # here, not at the top: it adds to every start
         with multiprocessing.Pool(jobs) as pool:
             results = pool.map(_fuzz_one, payloads)
     else:

@@ -18,20 +18,22 @@ processes may crash.
 Each round runs as an explicit frame: a tiny program counter plus the one
 pending shared-memory operation.  The host executes that operation against
 whatever memory implementation it has and feeds the result back; frames of
-one process never interleave with each other.  Keeping the frame as plain
-data (rather than a suspended Python frame) makes processes cheap to clone,
-which the exhaustive interleaving explorer relies on.
+one process never interleave with each other.
+
+Every field of a process holds an immutable value (tuples, frozensets, a
+Frame), and a step rebinds the fields it changes rather than mutating them.
+So a clone copies references and shares every value with its original, and a
+process's state key is its fields as they are, which the exhaustive
+interleaving explorer relies on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import AppMessage, UsageError
 
 
-@dataclass
-class Frame:
+class Frame(NamedTuple):
     """One activation of broadcast-and-progress or of a background tick."""
 
     kind: str                 # broadcast | tick
@@ -46,16 +48,15 @@ class RwProcess:
 
     def __init__(self, pid: int, n: int):
         self.pid = pid
-        self.n = n
-        self.sent = [frozenset() for _ in range(n + 1)]   # local copy, 1-based
-        self.setseq = [[] for _ in range(n + 1)]          # local copy of SETSEQ
-        self.delivered: set = set()                       # members(setseq[pid]), memoized
+        self.sent = (frozenset(),) * (n + 1)   # local copy of SENT, 1-based
+        self.setseq = ((),) * (n + 1)          # local copy of SETSEQ, 1-based
+        self.delivered = frozenset()           # members(setseq[pid]), memoized
         self.frame: Optional[Frame] = None
         self.next_op = 0
         self.alive = True
 
     @property
-    def log(self) -> list:
+    def log(self) -> tuple:
         """The sets delivered here, in order: this process's own sequence,
         which a SETSEQ snapshot hands back unchanged (see catch_snap)."""
         return self.setseq[self.pid]
@@ -65,7 +66,8 @@ class RwProcess:
     def start_broadcast(self, m: AppMessage) -> None:
         if self.frame is not None:
             raise UsageError(f"p{self.pid}: round already active")
-        self.sent[self.pid] = self.sent[self.pid] | {m}
+        i, sent = self.pid, self.sent
+        self.sent = sent[:i] + (sent[i] | {m},) + sent[i + 1:]
         self.frame = Frame("broadcast", m, "sent_write")
 
     def start_tick(self) -> None:
@@ -85,14 +87,14 @@ class RwProcess:
         if f.stage == "catch_snap":
             return ("snapshot", "SETSEQ")
         if f.stage in ("catch_write", "deliver_write"):
-            seq = tuple(self.setseq[self.pid]) + (f.todeliver,)
-            return ("write", "SETSEQ", self.pid, seq)
+            return ("write", "SETSEQ", self.pid, self.setseq[self.pid] + (f.todeliver,))
         if f.stage == "sent_snap":
             return ("snapshot", "SENT")
         raise AssertionError(f.stage)
 
     def complete_memop(self, result) -> Optional[frozenset]:
-        """Feed back the result of the pending operation.
+        """Feed back the result of the pending operation; a snapshot's
+        result tuple is adopted as is.
 
         Returns a message set if this step scd-delivered one.  Deliveries
         coincide with the SETSEQ write that publishes them, so a crash can
@@ -102,14 +104,13 @@ class RwProcess:
         if f is None:
             raise UsageError(f"p{self.pid}: no active round")
         if f.stage == "sent_write":
-            f.stage = "catch_snap"
+            self.frame = Frame(f.kind, f.msg, "catch_snap", f.todeliver)
             return None
         if f.stage == "catch_snap":
-            prev_own = list(self.setseq[self.pid])
-            self.setseq = [list(s) for s in result]
             # Own writes are never reordered past own snapshots, so the
             # snapshot can not hand back a stale copy of our own sequence.
-            assert self.setseq[self.pid] == prev_own
+            assert result[self.pid] == self.setseq[self.pid]
+            self.setseq = result
             self._next_catch_up(f)
             return None
         if f.stage == "catch_write":
@@ -117,11 +118,10 @@ class RwProcess:
             self._next_catch_up(f)
             return delivered
         if f.stage == "sent_snap":
-            self.sent = list(result)
-            rest = frozenset().union(*self.sent[1:]) - self.delivered
+            self.sent = result
+            rest = frozenset().union(*result[1:]) - self.delivered
             if rest:
-                f.todeliver = rest
-                f.stage = "deliver_write"
+                self.frame = Frame(f.kind, f.msg, "deliver_write", rest)
             else:
                 self._finish(f)
             return None
@@ -137,18 +137,18 @@ class RwProcess:
         """Find the next not-fully-delivered first set in the snapshot taken
         at the top of catch-up; lowest process id first, rescanning after
         every delivery."""
-        for j in range(1, self.n + 1):
-            for s in self.setseq[j]:
-                if s <= self.delivered:
+        delivered = self.delivered
+        for seq in self.setseq[1:]:
+            for s in seq:
+                if s <= delivered:
                     continue
-                f.todeliver = s - self.delivered
-                f.stage = "catch_write"
+                self.frame = Frame(f.kind, f.msg, "catch_write", s - delivered)
                 return
-        f.todeliver = None
-        f.stage = "sent_snap"
+        self.frame = Frame(f.kind, f.msg, "sent_snap", None)
 
     def _commit_delivery(self, todeliver: frozenset) -> frozenset:
-        self.setseq[self.pid].append(todeliver)
+        i, setseq = self.pid, self.setseq
+        self.setseq = setseq[:i] + (setseq[i] + (todeliver,),) + setseq[i + 1:]
         self.delivered |= todeliver
         return todeliver
 
@@ -160,25 +160,15 @@ class RwProcess:
     # -- cloning for the explorer ----------------------------------------
 
     def clone(self) -> "RwProcess":
+        """A copy sharing every field's value: a step rebinds fields, never
+        mutates their values."""
         c = RwProcess.__new__(RwProcess)
-        c.pid, c.n = self.pid, self.n
-        c.sent = list(self.sent)
-        c.setseq = list(map(list, self.setseq))
-        c.delivered = set(self.delivered)
-        f = self.frame
-        c.frame = Frame(f.kind, f.msg, f.stage, f.todeliver) if f else None
-        c.next_op, c.alive = self.next_op, self.alive
+        c.__dict__.update(self.__dict__)
         return c
 
     def state_key(self):
-        """Everything a step of this process reads.  `delivered` is left
-        out: it is the union of this process's own sequence, setseq[pid],
-        which the key holds (pid and n are fixed per process)."""
-        f = self.frame
-        return (
-            tuple(self.sent),
-            tuple(map(tuple, self.setseq)),
-            (f.kind, f.msg, f.stage, f.todeliver) if f else None,
-            self.next_op,
-            self.alive,
-        )
+        """Everything a step of this process reads, as the fields are.
+        `delivered` is left out: it is the union of this process's own
+        sequence, setseq[pid], which the key holds (pid is fixed per
+        process)."""
+        return (self.sent, self.setseq, self.frame, self.next_op, self.alive)

@@ -98,14 +98,15 @@ names for its frame, and write only the first two, so equal fields there
 give equal successors: one successor table per process maps those fields to
 the key differences of all of process i's choices, and a state costs n
 lookups and one add per successor.  Only a table miss lists process i's
-choices and steps each one, on a fresh copy of process i and a scratch
-memory loaded from the key, and interns the process and the entries the
-step changed.  A process's state key leaves out its delivered set, the
+choices and steps each one, on a clone of process i and a scratch memory
+loaded from the key, and interns the process and the entries the step
+changed.  A process holds only immutable values, and a step rebinds the
+fields it changes, so the clone copies references and the process's state
+key is its fields as they are.  That key leaves out its delivered set, the
 union of its own sequence, which the key holds.
 """
 from __future__ import annotations
 
-import copy
 import random
 import re
 from bisect import bisect_left, insort
@@ -630,7 +631,7 @@ class RwWorld:
         names of the memory, and script i."""
         out = []
         store = self.memory.store
-        visible = self.memory.visible_sent_union()
+        visible = None  # the SENT union, computed once an idle process asks
         for i in pids or range(1, self.n + 1):
             p = self.procs[i]
             if not p.alive:
@@ -640,6 +641,8 @@ class RwWorld:
             else:
                 if p.next_op < len(self.scripts[i]):
                     out.append(("invoke", i))
+                if visible is None:
+                    visible = self.memory.visible_sent_union()
                 if not visible <= p.delivered:
                     out.append(("tick", i))
             if store[("queue", i)]:
@@ -741,10 +744,11 @@ def explore_rw(n: int, scripts: dict, mem_mode: str = "atomic", state_limit: int
     table only while i is idle or about to snapshot the array written.  Only
     a table miss loads the key's entries into the scratch world's memory,
     lists process i's choices (RwWorld.choices) and steps each one
-    (RwWorld.step) on a fresh copy of process i (apply, which writes no
-    process, on the canonical one).  The memory is never copied: the own
-    entries a step changed are interned, then put back for the next choice.
-    Each distinct local transition is therefore stepped once.
+    (RwWorld.step) on a clone of process i that shares its immutable field
+    values (apply, which writes no process, on the canonical one).  No field
+    and no memory is copied: the own entries a step changed are interned,
+    then put back for the next choice.  Each distinct local transition is
+    therefore stepped once.
 
     Field widths come from the inputs.  Each field has its own ids, and a
     new id comes with a successor key new to `seen`, one per choice; all
@@ -831,7 +835,8 @@ def explore_rw(n: int, scripts: dict, mem_mode: str = "atomic", state_limit: int
         """A world of the canonical objects of `key`, owning its process
         dict; the worlds of one exploration share a memory where its entries
         agree."""
-        t = copy.copy(w)
+        t = RwWorld.__new__(RwWorld)
+        t.n, t.scripts = n, w.scripts
         t.procs = {i: objs[i - 1][key >> shift[i - 1] & id_mask] for i in range(1, n + 1)}
         top = key >> shift[n]
         m = memories.get(top)

@@ -3,8 +3,12 @@ from __future__ import annotations
 
 import contextlib
 import io
+import multiprocessing
+import os
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,12 +134,21 @@ def test_fuzz_starts_no_more_workers_than_seeds(capsys, monkeypatch, seeds, jobs
         def map(self, fn, items):
             return list(map(fn, items))
 
-    monkeypatch.setattr(cli.multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
     code = main(["fuzz", "--n", "3", "--workload", "raw_broadcast", "--ops", "2",
                  "--seeds", seeds, "--jobs", jobs])
     assert code == 0
     assert f"fuzz|seeds={seeds}|" in capsys.readouterr().out
     assert sizes == ([] if workers is None else [workers])
+
+
+def test_importing_the_cli_leaves_multiprocessing_unimported():
+    """Only a fuzz run with --jobs > 1 pays for importing multiprocessing."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, scdkit.cli; print('multiprocessing' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
 
 
 def test_fuzz_failure_line_ends_with_a_repro_that_fails_alike(capsys, monkeypatch):

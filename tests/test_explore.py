@@ -6,8 +6,8 @@ by what that process's choices read (RwWorld.READS).  These tests pin its
 counts and its n = 3 reach, compare it with the explorer it replaced (every
 process copied, nested keys; kept here as an oracle), check that the oracle
 sees a read set that is too small, that neither a copy-on-write step nor an
-exploration mutates a component it shares, and that both memory modes give
-the same outcomes.
+exploration mutates a component it shares, that every process it keys holds
+only immutable values, and that both memory modes give the same outcomes.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import hashlib
 import pytest
 
 from scdkit.core import AppMessage, MsgId, UsageError, format_id_set
-from scdkit.scd_from_snapshot import RwProcess
+from scdkit.scd_from_snapshot import Frame, RwProcess
 from scdkit.sim import RwWorld, SharedSnapshotMemory, explore_rw
 
 MODES = ("atomic", "sc")
@@ -326,6 +326,37 @@ def test_exploring_mutates_no_interned_component(mem, monkeypatch):
         assert not [v for v, then in met.values() if v != then], counts
         keyed.clear()
         met.clear()
+
+
+def frozen(v) -> bool:
+    """Whether v is an immutable value all the way down."""
+    if isinstance(v, (tuple, frozenset)):  # Frame and AppMessage are tuples
+        return all(map(frozen, v))
+    return isinstance(v, (int, str, bytes, type(None)))
+
+
+@pytest.mark.parametrize("mem", MODES)
+def test_interned_processes_hold_only_immutable_values(mem, monkeypatch):
+    """Every process the explorer keys holds only tuples, frozensets and
+    Frames, and a clone shares each of them with its original, so a table
+    miss copies no field and keys the fields as they are."""
+    state_key = RwProcess.state_key
+    keyed = []
+
+    def recording(self):
+        keyed.append(self)
+        return state_key(self)
+
+    monkeypatch.setattr(RwProcess, "state_key", recording)
+    for counts in ((2, 2), (1, 1, 0)):
+        explore_rw(len(counts), scripts_for(*counts), mem)
+    assert any(p.frame for p in keyed) and any(len(p.log) > 1 for p in keyed)
+    for p in keyed:
+        assert all(map(frozen, vars(p).values())), vars(p)
+        assert type(p.sent) is type(p.setseq) is tuple and type(p.delivered) is frozenset
+        assert p.frame is None or type(p.frame) is Frame
+        c = p.clone()
+        assert all(getattr(c, k) is v for k, v in vars(p).items())
 
 
 # distinct delivery-log outcomes of each split at n = 2, and of each n = 3

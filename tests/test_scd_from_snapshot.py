@@ -29,7 +29,7 @@ def test_broadcast_delivers_own_message():
     m = msg(1, 0)
     p1.start_broadcast(m)
     assert drive(p1, mem) == [frozenset({m})]
-    assert p1.log == [frozenset({m})]
+    assert p1.log == (frozenset({m}),)
     # the delivery is published: SETSEQ[1] holds one set
     assert mem.store[("SETSEQ", 1)] == (frozenset({m}),)
     assert mem.store[("SENT", 1)] == frozenset({m})
@@ -54,8 +54,8 @@ def test_tick_delivers_only_missing_part_of_first_set():
     mem.store[("SENT", 1)] = frozenset({m1, m2})
     p2 = RwProcess(2, 2)
     # p2 already delivered {m1} on its own earlier
-    p2.setseq[2] = [frozenset({m1})]
-    p2.delivered = {m1}
+    p2.setseq = ((), (), (frozenset({m1}),))
+    p2.delivered = frozenset({m1})
     mem.store[("SETSEQ", 2)] = (frozenset({m1}),)
     p2.start_tick()
     assert drive(p2, mem) == [frozenset({m2})]
@@ -77,8 +77,8 @@ def test_tick_skips_fully_covered_head_sets():
     mem.store[("SETSEQ", 1)] = (frozenset({m1}), frozenset({m2, m3}))
     mem.store[("SENT", 1)] = frozenset({m1, m2, m3})
     p2 = RwProcess(2, 2)
-    p2.setseq[2] = [frozenset({m1, m2})]
-    p2.delivered = {m1, m2}
+    p2.setseq = ((), (), (frozenset({m1, m2}),))
+    p2.delivered = frozenset({m1, m2})
     mem.store[("SETSEQ", 2)] = (frozenset({m1, m2}),)
     p2.start_tick()
     # head set {m1} is covered; the second set still owes m3
