@@ -218,14 +218,16 @@ def load_run(log: TraceLog) -> RunData:
                 raise ValueError(f"p{proc} returns op {p['seq']} "
                                  f"while op {op.seq} is open")
             op.return_idx = k + shift
-            if "ts" in p or op.kind == "write":  # the witness orders writes by tag
-                op.ts = Timestamp.parse(p["ts"])
-            if "tsa" in p:
-                op.tsa = tuple(Timestamp.parse(t) for t in p["tsa"].split(","))
-            if "vals" in p:
+            # a write returns its tag; a read its tag, value and tag array;
+            # a snapshot its values and tag array
+            if op.kind == "snapshot":
                 op.result_values = tuple(value_parse(v) for v in p["vals"].split(","))
-            elif "v" in p:
-                op.result_values = (value_parse(p["v"]),)
+            else:
+                op.ts = Timestamp.parse(p["ts"])
+                if op.kind == "read":
+                    op.result_values = (value_parse(p["v"]),)
+            if op.kind != "write":
+                op.tsa = tuple(Timestamp.parse(t) for t in p["tsa"].split(","))
         elif kind not in RECORD_KINDS:
             raise ValueError(f"unknown record kind {kind!r}")
     if run.status is None:

@@ -24,13 +24,30 @@ rewrite fails an assertion.  Delivered entries leave the map and the
 survivors' pair counts.  Entries are hashed by identity (`eq=False`), so
 they key each other's maps without building a (sd, sn) tuple per lookup.
 
-The blocking relation, "o blocks e when at most half the processes
-forwarded e before o" (`e.ahead[o] <= half`), is written once, in
-`_unblocked`, with the fixpoint that follows its drops.  `try_deliver`
-builds the non-candidate list once; the delivery gate runs the relation over
-the candidates touched since the last attempt against it, and the purge,
-over every candidate, runs only if one survives.  ScdProcess.try_deliver
-proves that this skips no delivery, whatever the count threshold.
+The blocking relation is "o blocks e when at most `threshold(n)` (half) of
+the processes forwarded e before o" (`e.ahead[o] <= half`); each process
+reads the threshold once.  Each entry also stores `blockers`, how many
+non-candidates (entries short of a majority) block it, kept by the same
+moves as the pair counts:
+
+- A new entry x blocks every other entry o with at most half forwarders
+  (o.ahead[x] = o.forwarders), and every non-candidate blocks x
+  (x.ahead[o] = 0), so x starts at the number of non-candidates, or at 0
+  under a negative threshold, which blocks nothing.  Under a strict
+  majority a candidate has more than half forwarders, so a new entry never
+  blocks one; the counts compare against the threshold, not the majority,
+  so they stay exact under any threshold and any quorum of at least one.
+- A receipt of FORWARD(x, f) changes a count only where x.ahead[o] rises
+  past half (o, a non-candidate, stops blocking x) or o.ahead[x] falls to
+  half (x, a non-candidate, starts blocking o).
+- When x reaches a majority it leaves the counts of every entry it blocks.
+- A delivery removes candidates only, which no count holds.
+
+The purge's first round keeps the candidates whose count is 0, and
+`_unblocked` follows blocks through the candidates it drops, to a
+fixpoint.  The delivery gate purges only if a candidate touched since the
+last attempt has no blocker; ScdProcess.try_deliver proves that this skips
+no delivery, whatever the threshold.
 
 The touched list holds only candidates: `forward` puts an entry on it once
 the entry has a majority, and a receipt that leaves it empty cannot deliver,
@@ -66,7 +83,7 @@ class ForwardMsg(NamedTuple):
     sn_f: int
 
 
-@dataclass(eq=False)  # hashed by identity: entries key each other's `ahead`
+@dataclass(eq=False, slots=True)  # hashed by identity: entries key each other's `ahead`
 class BufferEntry:
     m: AppMessage
     sd: int
@@ -76,6 +93,15 @@ class BufferEntry:
     # ahead[o]: processes that forwarded this entry before o, for every other
     # buffered entry o (column f counts when cl[f] < o.cl[f])
     ahead: dict = field(default_factory=dict, repr=False)
+    # non-candidate entries o that block this one: ahead[o] <= threshold(n)
+    blockers: int = 0
+
+
+def threshold(n: int) -> int:
+    """The blocking threshold: o blocks e when at most this many of the n
+    processes forwarded e before o (`e.ahead[o] <= threshold(n)`), that is,
+    when e is not known to precede o at a strict majority."""
+    return n // 2
 
 
 def _unblocked(keep: list, check: list, half: int) -> list:
@@ -97,13 +123,16 @@ def _unblocked(keep: list, check: list, half: int) -> list:
     return keep
 
 
-def purge_blocked(candidates: list, outside: list, half: int) -> list:
-    """Shrink the candidate set to a fixpoint: drop any candidate that at most
-    `half` processes are known to have forwarded before some entry of
-    `outside`, the non-candidates, directly or through dropped candidates.
-    It is `_unblocked` under its own name, because the benchmark times the
-    purge by it."""
-    return _unblocked(candidates, outside, half)
+def purge_blocked(candidates: list, half: int) -> list:
+    """Shrink the candidate set, in buffer order, to a fixpoint: drop any
+    candidate that at most `half` processes are known to have forwarded
+    before some non-candidate, directly or through dropped candidates.  The
+    first round reads the stored `blockers` counts; `_unblocked` follows
+    the drops."""
+    keep, check = [], []
+    for e in candidates:
+        (check if e.blockers else keep).append(e)
+    return _unblocked(keep, check, half)
 
 
 class ScdProcess:
@@ -119,6 +148,8 @@ class ScdProcess:
         self.n = n
         self.buffer: dict = {}   # (sd, sn) -> its entry, in arrival order
         self._majority = n // 2 + 1
+        self._half = threshold(n)
+        self._outside = 0        # buffered non-candidates
         self._own = 0            # buffered entries of this process's messages
         # the candidates given a forwarder since the last try_deliver
         self._touched: list[BufferEntry] = []
@@ -152,15 +183,23 @@ class ScdProcess:
         process's own FORWARD of m on its first receipt, else None."""
         out = None
         buffer = self.buffer
+        half = self._half
         entry = buffer.get((sd, sn_sd))
         if entry is None:
-            # all columns INFINITE: forwarded before nothing, and every other
-            # entry is ahead of it at each of that entry's forwarders
+            # all columns INFINITE: forwarded before nothing, so every
+            # non-candidate blocks it, and every other entry is ahead of it
+            # at each of that entry's forwarders, so it blocks the entries
+            # with at most `half` forwarders
             entry = BufferEntry(m, sd, sn_sd, [INFINITE] * (self.n + 1), 0,
-                                dict.fromkeys(buffer.values(), 0))
+                                dict.fromkeys(buffer.values(), 0),
+                                self._outside if half >= 0 else 0)
             for o in buffer.values():
-                o.ahead[entry] = o.forwarders
+                k = o.forwarders
+                o.ahead[entry] = k
+                if k <= half:
+                    o.blockers += 1
             buffer[sd, sn_sd] = entry
+            self._outside += 1
             self._own += sd == self.pid
             out = ForwardMsg(m, sd, sn_sd, self.pid, self.sn)
             self.sn += 1
@@ -169,19 +208,37 @@ class ScdProcess:
             assert cl[f] == sn_f  # the self copy of this process's scbroadcast
             return out
         cl[f] = sn_f
-        entry.forwarders += 1
-        if entry.forwarders >= self._majority:
-            self._touched.append(entry)
+        majority = self._majority
+        forwarders = entry.forwarders = entry.forwarders + 1
         ahead = entry.ahead
-        # only the pairs (entry, o) and (o, entry) change, by at most one
+        if forwarders >= majority:
+            self._touched.append(entry)
+            if forwarders == majority:  # a candidate now: it leaves every count
+                self._outside -= 1
+                for o in ahead:
+                    if o.ahead[entry] <= half:
+                        o.blockers -= 1
+        outside = forwarders < majority
+        over = half + 1
+        # only the pairs (entry, o) and (o, entry) change, by at most one,
+        # and a blocker count only where its pair crosses the threshold
         for o in ahead:
             c = o.cl[f]
             if sn_f < c:
-                ahead[o] += 1
-                if c != INFINITE:
-                    o.ahead[entry] -= 1
-            elif c == sn_f:
-                o.ahead[entry] -= 1
+                k = ahead[o] + 1
+                ahead[o] = k
+                if k == over and o.forwarders < majority:
+                    entry.blockers -= 1
+                if c == INFINITE:
+                    continue
+            elif c != sn_f:
+                continue
+            # o was ahead of entry at f and no longer is
+            oa = o.ahead
+            k = oa[entry] - 1
+            oa[entry] = k
+            if k == half and outside:
+                o.blockers += 1
         return out
 
     def try_deliver(self):
@@ -189,9 +246,11 @@ class ScdProcess:
 
         Call a set of candidates deliverable when no entry outside it blocks
         a member (`_unblocked`); the purge returns the largest deliverable
-        set.  The gate runs the same fixpoint over the candidates touched
-        since the last call against the non-candidates, and the purge runs
-        only if one survives, because otherwise no set is deliverable:
+        set.  Its first round keeps the candidates that no non-candidate
+        blocks (`blockers == 0`), and `_unblocked` follows blocks through
+        the candidates it drops.  The gate purges only if some candidate
+        touched since the last call has no blocker, because otherwise no set
+        is deliverable:
 
         - After every call, each candidate left in the buffer reaches a
           non-candidate through a chain of blocks, so no set is deliverable.
@@ -204,16 +263,16 @@ class ScdProcess:
           entries that block x can stop blocking it, and only x can become
           a candidate.
         - Hence a set without x was deliverable before the receipt, which
-          the first point rules out.  A deliverable set D holds x, and the
-          gate keeps its touched members: none is blocked by a
-          non-candidate or by a touched candidate outside D.
+          the first point rules out.  A deliverable set D holds x, and no
+          non-candidate blocks a member of D, so x.blockers is 0 and the
+          gate lets the purge run.
 
         The same holds for all the entries touched between two calls, and,
-        since only the direction in which counts move matters, for any count
-        threshold in place of half.  `scbroadcast` touches its own entry,
-        which matters at n = 1: there that entry is a candidate at once, and
-        its self copy changes nothing.  `forward` rejects a receipt that
-        would rewrite a finite column, which would break the second point.
+        since only the direction in which counts move matters, for any
+        threshold.  `scbroadcast` touches its own entry, which matters at
+        n = 1: there that entry is a candidate at once, and its self copy
+        changes nothing.  `forward` rejects a receipt that would rewrite a
+        finite column, which would break the second point.
 
         `on_forward` calls this only when a touched candidate is left.  A
         receipt that leaves its entry x short of a majority adds no
@@ -221,16 +280,16 @@ class ScdProcess:
         every chain of the first point survives it and no set is
         deliverable.
         """
-        majority = self._majority
         touched = self._touched
         self._touched = []
-        entries = self.buffer.values()
-        outside = [e for e in entries if e.forwarders < majority]
-        half = self.n // 2
-        if not _unblocked(touched, outside, half):
+        for e in touched:
+            if not e.blockers:
+                break
+        else:
             return None
-        candidates = [e for e in entries if e.forwarders >= majority]
-        todeliver = purge_blocked(candidates, outside, half)
+        majority = self._majority
+        candidates = [e for e in self.buffer.values() if e.forwarders >= majority]
+        todeliver = purge_blocked(candidates, self._half)
         if not todeliver:
             return None
         return self._deliver(todeliver)

@@ -1,7 +1,8 @@
 """Determinism sweep: one digest over the traces and verdicts of 504 configs,
-and one over the exhaustive explorer's results.
+one over 27 configs at the scale of perfbench's `fanout`, and one over the
+exhaustive explorer's results.
 
-    python tests/digest_sweep.py            # exit 0 when both digests are pinned
+    python tests/digest_sweep.py            # exit 0 when all three digests are pinned
     python tests/digest_sweep.py --print    # print the digests only
 
 Needs only the standard library and this checkout's src/, so it runs on any
@@ -13,6 +14,12 @@ the verdict lines judged from the RunData the run filled.  Each run must
 also render the same text from its records as from the simulator's log,
 parse back to the entries of that log, and get the same verdicts back from
 its parsed trace; a mismatch exits 1.
+
+The fanout digest runs the same checks over raw_broadcast at n = 11, 13 and
+15 with 4n broadcasts, under the three delay policies, crash-free, with
+random:t crashes and with t explicit crashes whose keep cuts interrupt a
+handler.  Its buffers hold many entries at once, which the small configs
+never reach, so it guards the SCD buffer's stored counts.
 
 The explorer digest takes, for each of 22 explorations, the state count and
 every terminal's per-process delivery logs in discovery order.  They are
@@ -35,6 +42,7 @@ from scdkit.sim import (MP_WORKLOADS, RW_WORKLOADS, ScenarioConfig,  # noqa: E40
                         TraceLog, explore_rw, parse_trace, render_trace, run_scenario)
 
 PINNED = "644444e2be96efbb"
+FANOUT_PINNED = "b185d29713bafc34"
 EXPLORE_PINNED = "0f2386f4e8e56adc"
 CRASHES = ("none", "random", "explicit", "explicit-keep")
 
@@ -62,11 +70,28 @@ def configs():
                         mem=rng.choice(["atomic", "sc"]), writer=rng.randint(1, n))
 
 
-def sweep() -> tuple:
-    """(hex digest, number of configs)."""
+def fanout_configs():
+    """The 27 fanout-scale configs, in a fixed order, each from its own seed."""
+    for n in (11, 13, 15):
+        t = (n - 1) // 2
+        for delay in ("uniform", "fifo", "slow:1"):
+            for crash in ("none", "random", "explicit-keep"):
+                rng = random.Random(f"fanout:{n}:{delay}:{crash}")
+                if crash == "random":
+                    crash = f"random:{t}"
+                elif crash == "explicit-keep":
+                    crash = "explicit:" + ",".join(
+                        f"{p}@{rng.randrange(4 * n * n * n)}:{rng.randint(0, n)}"
+                        for p in sorted(rng.sample(range(1, n + 1), t)))
+                yield ScenarioConfig(n=n, t=t, workload="raw_broadcast", op_count=4 * n,
+                                     crash=crash, delay=delay, seed=rng.randrange(2**31))
+
+
+def sweep(cfgs) -> tuple:
+    """(hex digest, number of configs) over the runs of `cfgs`."""
     digest = hashlib.sha256()
     count = 0
-    for cfg in configs():
+    for cfg in cfgs:
         run = run_scenario(cfg)
         text = run.text
         records = TraceLog()  # a TraceEvent entry per record
@@ -106,14 +131,17 @@ def explore_sweep() -> tuple:
 
 
 def main(argv) -> int:
-    got, count = sweep()
+    got, count = sweep(configs())
     print(f"digest|{got}|configs={count}|python={sys.version.split()[0]}")
+    fanout, fanout_count = sweep(fanout_configs())
+    print(f"fanout|{fanout}|configs={fanout_count}")
     explored, jobs = explore_sweep()
     print(f"explore|{explored}|jobs={jobs}")
     if "--print" in argv:
         return 0
     status = 0
-    for name, digest, pinned in (("digest", got, PINNED), ("explore", explored, EXPLORE_PINNED)):
+    for name, digest, pinned in (("digest", got, PINNED), ("fanout", fanout, FANOUT_PINNED),
+                                 ("explore", explored, EXPLORE_PINNED)):
         if digest != pinned:
             print(f"error: {name} digest {digest} != pinned {pinned}", file=sys.stderr)
             status = 1

@@ -409,12 +409,33 @@ def _untagged_write(lines):
     lines[k] = re.sub(" ts=[^ \n]*", "", lines[k])
 
 
+def _return_without(op, field):
+    # the first return of an `op` loses a result field; the reads are taken
+    # from a register_ops trace, as a snapshot workload issues none
+    def mangle(lines):
+        if op == "read":
+            text = run_scenario(ScenarioConfig(n=3, t=1, workload="register_ops",
+                                               op_count=6, seed=3)).text
+            lines[:] = text.splitlines(keepends=True)
+        k = _first(lines, "op_return", f"|op={op} ")
+        lines[k], found = re.subn(f" {field}=[^ \n]*", "", lines[k])
+        assert found == 1
+    return mangle
+
+
 @pytest.mark.parametrize("mangle,error,match", [
     (_drop_to, KeyError, "to"),
     (_bad_m, ValueError, "invalid literal"),
     (_bcast_by_p9, KeyError, "9"),
     (_write_to_register_3, ValueError, "register 3 outside 1..2"),
     (_untagged_write, KeyError, "ts"),
+    pytest.param(_return_without("read", "ts"), KeyError, "'ts'", id="read-without-ts"),
+    pytest.param(_return_without("read", "tsa"), KeyError, "'tsa'", id="read-without-tsa"),
+    pytest.param(_return_without("read", "v"), KeyError, "'v'", id="read-without-v"),
+    pytest.param(_return_without("snapshot", "tsa"), KeyError, "'tsa'",
+                 id="snapshot-without-tsa"),
+    pytest.param(_return_without("snapshot", "vals"), KeyError, "'vals'",
+                 id="snapshot-without-vals"),
     (_recv_renamed, ValueError, "unknown record kind 'recx'"),
     # an unknown op kind would be replayed as a read; a bcast op would
     # leave the history

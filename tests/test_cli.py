@@ -152,7 +152,7 @@ def test_importing_the_cli_leaves_multiprocessing_unimported():
 
 
 def test_fuzz_failure_line_ends_with_a_repro_that_fails_alike(capsys, monkeypatch):
-    monkeypatch.setattr(scd_mp, "_unblocked", RELATIONS["never-blocks"])
+    monkeypatch.setattr(scd_mp, "threshold", RELATIONS["never-blocks"])
     code = main(["fuzz", "--n", "5", "--workload", "raw_broadcast", "--ops", "20",
                  "--crash", "random:2", "--delay", "slow:1", "--seeds", "4"])
     fails = [line for line in capsys.readouterr().out.splitlines()
@@ -320,6 +320,21 @@ def _peer_9(kind):
     return mangle
 
 
+def _return_without(op, field):
+    """The first return of an `op` loses a result field; the snapshots are
+    taken from a snapshot_ops trace, as a register workload issues none."""
+    def mangle(text):
+        if op == "snapshot":
+            text = sim.run_scenario(sim.ScenarioConfig(n=3, t=1, workload="snapshot_ops",
+                                                       op_count=4, seed=1)).text
+        lines = text.splitlines(True)
+        k = next(k for k, l in enumerate(lines) if "|op_return|" in l and f"|op={op} " in l)
+        lines[k], found = re.subn(f" {field}=[^ \n]*", "", lines[k])
+        assert found == 1
+        return "".join(lines)
+    return mangle
+
+
 def _send_to_p4(text):
     """A fan-out's send lines run on to p4: one send entry of reach 4."""
     lines = text.splitlines(True)
@@ -363,11 +378,17 @@ def _garbage_line(text):
     (_peer_9("send"), "ValueError: peer process '9' outside 1..3"),
     (_peer_9("recv"), "ValueError: peer process '9' outside 1..3"),
     (_send_to_p4, "ValueError: peer process '4' outside 1..3"),
+    (_return_without("read", "ts"), "KeyError: 'ts'"),
+    (_return_without("read", "tsa"), "KeyError: 'tsa'"),
+    (_return_without("read", "v"), "KeyError: 'v'"),
+    (_return_without("snapshot", "tsa"), "KeyError: 'tsa'"),
+    (_return_without("snapshot", "vals"), "KeyError: 'vals'"),
 ], ids=["no-op-invoke", "unknown-proc", "garbage-line", "cut-at-300",
         "write-register-9", "send-without-to", "bcast-by-p9", "config-crash-random-x",
         "config-n-0", "config-budget-0", "config-budget-minus-5", "recv-renamed",
         "read-renamed-frob", "read-renamed-bcast", "send-to-p9", "recv-from-p9",
-        "send-run-to-p4"])
+        "send-run-to-p4", "read-without-ts", "read-without-tsa", "read-without-v",
+        "snapshot-without-tsa", "snapshot-without-vals"])
 def test_malformed_trace_exits_2_with_error_line(tmp_path, capsys, mangle, reason):
     main(["run", "--n", "3", "--workload", "register_ops", "--ops", "4", "--seed", "1",
           "--trace-dir", str(tmp_path)])

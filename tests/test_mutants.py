@@ -1,11 +1,12 @@
 """Protocol-mutant gate (DeMillo et al. 1978): the checkers must flag a
 broken protocol, not just corrupted fixtures.
 
-The broadcast mutants replace the one blocking relation, scd_mp._unblocked,
-which both the delivery gate and the purge read, or shrink the delivery
-quorum that `forward` tests before an entry becomes a candidate.  The object
-mutant is a write without its SYNC round.  A run is killed when a verdict
-fails or the run raises an AssertionError.  The configs are fixed: 100 runs
+The broadcast mutants replace the threshold of the one blocking relation,
+scd_mp.threshold, which the stored blocker counts, the delivery gate and the
+purge all read, or shrink the delivery quorum that `forward` tests before an
+entry becomes a candidate.  The object mutant is a write without its SYNC
+round.  A run is killed when a verdict fails or the run raises an
+AssertionError.  The configs are fixed: 100 runs
 at n = 3, 5, 7, every odd one with a random minority crash.  The `fifo`
 delay policy is left out: it delivers in global send order, so broadcasts
 barely overlap and it kills no mutant.
@@ -51,7 +52,7 @@ def killed(cfg: ScenarioConfig) -> bool:
 @pytest.mark.parametrize("delay", ["uniform", "slow:1"])
 @pytest.mark.parametrize("relation", RELATIONS)
 def test_checkers_flag_relation_mutants(monkeypatch, relation, delay):
-    monkeypatch.setattr(scd_mp, "_unblocked", RELATIONS[relation])
+    monkeypatch.setattr(scd_mp, "threshold", RELATIONS[relation])
     kills = sum(map(killed, configs(delay)))
     if relation == "real":
         assert kills == 0

@@ -14,8 +14,8 @@ from scdkit.scd_mp import (
     ForwardMsg,
     INFINITE,
     ScdProcess,
-    _unblocked,
     purge_blocked,
+    threshold,
 )
 
 
@@ -28,26 +28,39 @@ def seen_first_count(entry: BufferEntry, other: BufferEntry, n: int) -> int:
     return sum(1 for f in range(1, n + 1) if entry.cl[f] < other.cl[f])
 
 
-def with_counts(entries: list, n: int) -> list:
-    """Fill the pair counts of hand-built entries from their columns, as
-    ScdProcess keeps them for its buffer."""
+def blocker_count(entry: BufferEntry, outside, n: int) -> int:
+    """How many entries of `outside` block `entry` at the threshold."""
+    half = scd_mp.threshold(n)
+    return sum(1 for o in outside if o is not entry and entry.ahead[o] <= half)
+
+
+def with_counts(entries: list, n: int, candidates: list) -> list:
+    """Fill the pair counts and blocker counts of hand-built entries from
+    their columns, as ScdProcess keeps them for its buffer, taking
+    `candidates` as the entries with a majority."""
     for e in entries:
         e.ahead = {o: seen_first_count(e, o, n) for o in entries if o is not e}
+    outside = [e for e in entries if e not in candidates]
+    for e in entries:
+        e.blockers = blocker_count(e, outside, n)
     return entries
 
 
 def assert_counts_match_columns(p: ScdProcess) -> None:
-    """Every buffered pair's count equals the column oracle."""
+    """Every buffered entry's forwarder count, pair counts and blocker count
+    equal a recount from its columns and the candidacy of the others."""
+    outside = [o for o in p.buffer.values() if o.forwarders < p._majority]
     for e in p.buffer.values():
+        assert e.forwarders == sum(c != INFINITE for c in e.cl[1:]), e
         assert list(e.ahead) == [o for o in p.buffer.values() if o is not e]
         for o, count in e.ahead.items():
             assert count == seen_first_count(e, o, p.n), (e, o)
+        assert e.blockers == blocker_count(e, outside, p.n), e
 
 
-def purge(candidates: list, buffer, n: int) -> list:
-    """purge_blocked against the entries of `buffer` outside the candidate
-    set, as try_deliver calls it."""
-    return purge_blocked(candidates, [e for e in buffer if e not in candidates], n // 2)
+def purge(candidates: list, n: int) -> list:
+    """purge_blocked at the threshold, as try_deliver calls it."""
+    return purge_blocked(candidates, scd_mp.threshold(n))
 
 
 def purge_blocked_oracle(candidates: list, buffer: list, n: int) -> list:
@@ -79,18 +92,19 @@ class AlwaysPurgeProcess(ScdProcess):
 
     def try_deliver(self):
         candidates = [e for e in self.buffer.values() if e.forwarders >= self._majority]
-        todeliver = purge(candidates, self.buffer.values(), self.n)
+        todeliver = purge(candidates, self.n)
         if not todeliver:
             return None
         return self._deliver(todeliver)
 
 
 RELATIONS = {
-    "real": _unblocked,
+    "real": threshold,
     # protocol mutants of the one blocking relation, patched as
-    # scd_mp._unblocked so that the gate and the purge both read them
-    "never-blocks": lambda keep, check, half: keep,
-    "threshold-half-1": lambda keep, check, half: _unblocked(keep, check, half - 1),
+    # scd_mp.threshold so that the stored counts, the gate and the purge
+    # all read them
+    "never-blocks": lambda n: -1,
+    "threshold-half-1": lambda n: n // 2 - 1,
 }
 
 
@@ -131,11 +145,15 @@ def test_known_message_updates_forwarder_column_only():
     p = ScdProcess(2, 3)
     m = msg(1, 0)
     p.on_forward(ForwardMsg(m, 1, 0, 1, 0))
+    (e,) = p.buffer.values()
     out, delivered = p.on_forward(ForwardMsg(m, 1, 0, 3, 5))
     assert out is None  # no re-forward for an already buffered message
-    assert p.buffer == {} or delivered  # majority reached, see below
-    # with cl = [0, 0, 5] all three known, 3 of 3 > 3/2: delivered
+    # only column 3 was written; p2's own column waits for the self copy of
+    # its echo, so p1 and p3 are known: 2 of 3 > 3/2, a majority
+    assert e.cl == [INFINITE, 0, INFINITE, 5]
+    assert e.forwarders == 2
     assert delivered == frozenset({m})
+    assert p.buffer == {}
     assert p.clock[1] == 0
 
 
@@ -183,13 +201,15 @@ def test_purge_drops_candidate_behind_outside_entry():
     # processes, so a cannot be delivered yet
     a = BufferEntry(msg(1, 0), 1, 0, [INFINITE, 0, 1, INFINITE])
     b = BufferEntry(msg(2, 0), 2, 0, [INFINITE, 2, 0, INFINITE])
-    assert purge([a], with_counts([a, b], 3), 3) == []
+    with_counts([a, b], 3, [a])
+    assert purge([a], 3) == []
 
 
 def test_purge_keeps_candidate_ahead_at_majority():
     a = BufferEntry(msg(1, 0), 1, 0, [INFINITE, 0, 0, INFINITE])
     b = BufferEntry(msg(2, 0), 2, 0, [INFINITE, 2, 7, INFINITE])
-    assert purge([a], with_counts([a, b], 3), 3) == [a]
+    with_counts([a, b], 3, [a])
+    assert purge([a], 3) == [a]
 
 
 def test_purge_cascade():
@@ -198,7 +218,8 @@ def test_purge_cascade():
     a = BufferEntry(msg(1, 0), 1, 0, [INFINITE, 0, 0, INFINITE])
     b = BufferEntry(msg(2, 0), 2, 0, [INFINITE, 1, INFINITE, 3])
     c = BufferEntry(msg(3, 0), 3, 0, [INFINITE, INFINITE, 1, 0])
-    kept = purge([a, b], with_counts([a, b, c], 3), 3)
+    with_counts([a, b, c], 3, [a, b])
+    kept = purge([a, b], 3)
     assert b not in kept
     # a vs c: a precedes c at p1 (0 < inf) and p2 (0 < 1), not at p3 (inf),
     # so at 2 of 3 processes, a majority: a stays
@@ -218,13 +239,13 @@ def test_purge_result_ignores_candidate_order(seed):
             if rng.random() < 0.7:
                 cl[f] = rng.randint(0, 4)
         entries.append(BufferEntry(msg(1 + k % n, k), 1 + k % n, k, cl))
-    with_counts(entries, n)
     cands = [e for e in entries if 2 * sum(1 for c in e.cl[1:] if c != INFINITE) > n]
-    baseline = purge(cands, entries, n)
+    with_counts(entries, n, cands)
+    baseline = purge(cands, n)
     for _ in range(4):
         shuffled = cands[:]
         rng.shuffle(shuffled)
-        assert set(map(id, purge(shuffled, entries, n))) == set(map(id, baseline))
+        assert set(map(id, purge(shuffled, n))) == set(map(id, baseline))
 
 
 @st.composite
@@ -238,14 +259,14 @@ def purge_inputs(draw):
         cl = [INFINITE] + draw(st.lists(column, min_size=n, max_size=n))
         entries.append(BufferEntry(msg(1 + k % n, k), 1 + k % n, k, cl))
     cands = [e for e in entries if 2 * sum(1 for c in e.cl[1:] if c != INFINITE) > n]
-    return cands, with_counts(entries, n), n
+    return cands, with_counts(entries, n, cands), n
 
 
 @settings(max_examples=400, deadline=None)
 @given(purge_inputs())
 def test_purge_matches_rescanning_oracle(inputs):
     cands, entries, n = inputs
-    got = purge(cands, entries, n)
+    got = purge(cands, n)
     assert [id(e) for e in got] == [id(e) for e in purge_blocked_oracle(cands, entries, n)]
 
 
@@ -289,11 +310,11 @@ def _outcome(call, *args):
 @given(inputs=forward_streams())
 def test_gated_delivery_matches_always_purge(relation, inputs):
     """The gate never skips a purge that would deliver, whatever the
-    blocking relation's threshold: its proof uses only how counts move.
-    After every event, the stored pair counts equal the column oracle, and
-    a legal stream never fails an assertion."""
+    blocking threshold: its proof uses only how counts move.  After every
+    event, the stored pair and blocker counts equal a recount from the
+    columns, and a legal stream never fails an assertion."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scd_mp, "_unblocked", RELATIONS[relation])
+        mp.setattr(scd_mp, "threshold", RELATIONS[relation])
         _gated_matches_always_purge(*inputs)
 
 
@@ -329,7 +350,7 @@ def _gated_matches_always_purge(n, pid, stream, legal):
                 selfq.append(out)
             if call == "scbroadcast":
                 own.append(out)
-        # the own-entry count and the pair counts against the buffer scans
+        # the own-entry count and the stored counts against the buffer scans
         # they replaced
         for p in (gated, oracle):
             assert p._own == sum(e.sd == pid for e in p.buffer.values())
