@@ -28,25 +28,29 @@ enabled but a live process's broadcast never completed, the signature of a
 lost majority, decided from the RunData alone), or out of step budget.
 Trace records are line-oriented: step|kind|proc|key=value..., and their
 kinds are those of RECORD_KINDS; check.load_run rejects any other.
-A FORWARD's trace fields are formatted once, when it is fifo-broadcast, and
-shared by its send and recv records.  The simulator writes its records to one
-ordered TraceLog: a TraceEvent per record, except that a fifo-broadcast is
-one entry standing for all its send records, and a delivery one entry for its
-recv record.  Those two kinds are nearly all of a run's records, and no
-judged path reads records: the entries are the log, and iterating it builds
-each send and recv record afresh (each owning its dict) and keeps none.
+A FORWARD's trace fields are looked up once, when it is fifo-broadcast, and
+shared by its send and recv records.  Each distinct field value (a MsgId or
+an int) has one text per run, so all FORWARDs of one message share its m, sd
+and sn texts.  The simulator writes its records to one ordered TraceLog: a
+TraceEvent per record, except that a fifo-broadcast is one entry standing
+for all its send records, and a delivery one entry for its recv record.
+Those two kinds are nearly all of a run's records, and no judged path reads
+records: the entries are the log, and iterating it builds each send and recv
+record afresh (each owning its dict) and keeps none.
 
 The trace codec works on the same log.  render_trace writes send and recv
 lines straight from the entries, joining each FORWARD's field text once per
 call, and sorts each distinct key list of the other records once per call.
-parse_trace gives back a TraceLog: the send lines of one fan-out fold into
-one send entry and a recv line becomes one recv entry, sharing one field
-tuple per distinct field text, so a parsed trace holds the very entries the
-simulator wrote.  Every other line is a TraceEvent entry whose field texts,
-and payload texts before the last field, are split once per call, so equal
-field strings are shared there too.  render_trace and check.load_run take
-only a TraceLog and read its entries, so neither a judged run nor a checked
-trace builds its send and recv records.
+parse_trace reads the text's lines in bounded chunks, so it never holds a
+list of them all, and gives back a TraceLog: the send lines of one fan-out
+fold into one send entry and a recv line becomes one recv entry, sharing one
+field tuple per distinct field text and one string per distinct field value,
+so a parsed trace holds the very entries the simulator wrote.  Every other
+line is a TraceEvent entry whose field texts, and payload texts before the
+last field, are split once per call, so equal field strings are shared there
+too.  render_trace and check.load_run take only a TraceLog and read its
+entries, so neither a judged run nor a checked trace builds its send and
+recv records.
 Records are built with tuple.__new__, skipping TraceEvent's constructor.
 
 As it runs, the simulator also fills the RunData that the checkers judge,
@@ -112,7 +116,7 @@ import re
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field, fields
-from itertools import islice
+from itertools import chain, islice
 from typing import NamedTuple, Optional
 
 from .core import AppMessage, MsgId, Timestamp, UsageError, format_id_set
@@ -291,6 +295,9 @@ class TraceLog:
     delivery is one entry (step, "recv", dst, fields, src text); `fields` is
     the FORWARD's shared tuple of field texts, in _FORWARD_KEYS order.  So
     every entry holds the step, kind and proc of its records at indices 0-2.
+    Each distinct field value has one text in a simulated or parsed log,
+    so all FORWARDs of one message share its m, sd and sn strings.
+    parse_trace reads a text's lines in bounded chunks.
 
     len() is the record count, so record indices (an op's invoke_idx and
     return_idx) index the records that iteration yields.  Iteration builds
@@ -388,13 +395,14 @@ def _field_text(values: tuple) -> str:
     return f"f={f} m={m} sd={sd} sn={sn} snf={snf}"
 
 
-def _forward_of(text: str) -> Optional[tuple]:
+def _forward_of(text: str, texts: dict) -> Optional[tuple]:
     """The field tuple, in _FORWARD_KEYS order, of a FORWARD's field text,
-    or None for any other text."""
+    or None for any other text.  Each field is looked up in texts, so one
+    distinct field value has one text across every FORWARD that holds it."""
     match = _FIELD_TEXT.fullmatch(text)
     if match is None:
         return None
-    f, m, sd, sn, snf = match.groups()
+    f, m, sd, sn, snf = map(texts.__getitem__, match.groups())
     return (m, sd, sn, f, snf)
 
 
@@ -420,6 +428,22 @@ class _Memo(dict):
         return value
 
 
+_CHUNK_CHARS = 1 << 16  # the least length of a chunk of lines that parse_trace splits
+
+
+def _chunks(text: str):
+    """text in consecutive pieces of at least _CHUNK_CHARS characters, the
+    last one maybe shorter, each ending just after a newline or at the end
+    of text.  A newline always ends a line of str.splitlines, and never
+    starts a two-character break ("\r\n"), so splitting each piece gives
+    the lines of text.splitlines() in order, though no list of them all."""
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or size
+        yield text[start:end]
+        start = end
+
+
 def parse_trace(text: str) -> TraceLog:
     """The records of a rendered trace, equal to the ones rendered, as a
     TraceLog of the entries the simulator writes.
@@ -438,24 +462,26 @@ def parse_trace(text: str) -> TraceLog:
     field turned into a dict once, which later records with that head copy
     before adding their last field.  So equal field texts, and equal kinds,
     are one string object, as they are in the simulator's records, and each
-    record still owns its dict."""
-    lines = text.splitlines()
+    record still owns its dict.  A FORWARD's field values, and a recv
+    line's from= text, are one string per distinct text, shared across
+    forwarders.  The lines are split a bounded chunk at a time (_chunks)."""
     if text and not text.endswith("\n"):
         # render_trace ends every record with a newline
-        raise TraceParseError(f"line {len(lines)}: trace ends mid-record")
+        raise TraceParseError(f"line {len(text.splitlines())}: trace ends mid-record")
     log = TraceLog()
     entries = log.entries
     append, new = entries.append, tuple.__new__
     fields = _Memo(lambda chunk: chunk.partition("=")[::2])
     heads = _Memo(lambda head: dict(map(fields.__getitem__, head.split(" "))))
-    forwards = _Memo(_forward_of)
+    texts = _Memo(str)  # each distinct FORWARD field text once: str(s) is s
+    forwards = _Memo(lambda head: _forward_of(head, texts))
 
     def recv_of(body):  # (field tuple, src text) of a recv payload in the exact form
         chunks = body.split(" ", 2)
         if len(chunks) < 3 or chunks[1][:5] != "from=":
             return None
         fwd = forwards[f"{chunks[0]} {chunks[2]}"]
-        return None if fwd is None else (fwd, chunks[1][5:])
+        return None if fwd is None else (fwd, texts[chunks[1][5:]])
 
     recvs = _Memo(recv_of)
     kinds = {}
@@ -464,6 +490,7 @@ def parse_trace(text: str) -> TraceLog:
     # its reach; no line holds "\n"
     run_text, reach = "\n", 0
     extra = 0  # send lines folded into the entry before them
+    lines = chain.from_iterable(map(str.splitlines, _chunks(text)))
     for lineno, line in enumerate(lines, start=1):
         if line.startswith(run_text) and line[len(run_text):] == str(reach + 1):
             reach += 1
@@ -1021,13 +1048,6 @@ def _first_late(entries: list, start: int) -> Optional[tuple]:
     return None
 
 
-def _forward_fields(fmsg: ForwardMsg) -> tuple:
-    """The trace field texts of one FORWARD message, in _FORWARD_KEYS order,
-    shared by its send and recv entries.  A tuple of strings, unlike a dict,
-    leaves the entries that hold it untracked by the cyclic collector."""
-    return (str(fmsg.m.id), str(fmsg.sd), str(fmsg.sn_sd), str(fmsg.f), str(fmsg.sn_f))
-
-
 # fifo policy in a shared-memory run: finish work before starting new work
 _WORK_ORDER = {"mem": 0, "apply": 1, "invoke": 2, "tick": 3}
 
@@ -1091,7 +1111,8 @@ class Simulator:
             self._fast = ([e for e in self.enabled if e[-1] not in self.slow_set]
                           if self.policy == "slow" else None)
             self._order = deque() if self.policy == "fifo" else None
-            self._pid_text = [str(i) for i in range(config.n + 1)]
+            # the trace text of each FORWARD field value (a MsgId or an int)
+            self._text = _Memo(str)
         self.trace("config", 0, **config.to_payload())
 
     # -- trace / transport hooks -----------------------------------------
@@ -1104,8 +1125,13 @@ class Simulator:
         crash that cuts src's handler lets only its remaining sends out, then
         raises _CrashCut.  The trace fields and the channel key (sd, sn, f)
         are built once here: the sends made are one TraceLog entry, and each
-        channel entry carries both for the recv entry."""
-        forward = _forward_fields(fmsg)
+        channel entry carries both for the recv entry.  Each distinct field
+        value's text is made once per run (_text), and the fields are a
+        tuple of them, which (unlike a dict) leaves its entries untracked by
+        the cyclic collector."""
+        m, sd, sn, f, snf = fmsg
+        text = self._text
+        forward = (text[m.id], text[sd], text[sn], text[f], text[snf])
         key = forward[1:4]  # (sd, sn, f)
         n = reach = self.config.n
         if self._cut is not None:  # only the victim's handler runs while it is set
@@ -1255,7 +1281,7 @@ class Simulator:
             _, fmsg, forward, key = q.popleft()
             if not q:
                 self._disable(ev)
-            self._log_append((self.step, "recv", d, forward, self._pid_text[s]))
+            self._log_append((self.step, "recv", d, forward, self._text[s]))
             self._received[idx].append(key)
             scd = self.scd[d]
             out, ms = scd.on_forward(fmsg)

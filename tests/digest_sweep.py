@@ -12,8 +12,9 @@ none, random:K, explicit crashes, and explicit crashes whose keep cuts
 interrupt a handler.  For each run the digest takes the rendered trace and
 the verdict lines judged from the RunData the run filled.  Each run must
 also render the same text from its records as from the simulator's log,
-parse back to the entries of that log, and get the same verdicts back from
-its parsed trace; a mismatch exits 1.
+parse back to the entries of that log, also when the parser reads its lines
+in chunks of 7 characters (so chunk ends fall after nearly every line), and
+get the same verdicts back from its parsed trace; a mismatch exits 1.
 
 The fanout digest runs the same checks over raw_broadcast at n = 11, 13 and
 15 with 4n broadcasts, under the three delay policies, crash-free, with
@@ -36,6 +37,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from scdkit import sim  # noqa: E402
 from scdkit.check import evaluate_run, load_run  # noqa: E402
 from scdkit.core import AppMessage, MsgId, format_id_set  # noqa: E402
 from scdkit.sim import (MP_WORKLOADS, RW_WORKLOADS, ScenarioConfig,  # noqa: E402
@@ -87,6 +89,15 @@ def fanout_configs():
                                      crash=crash, delay=delay, seed=rng.randrange(2**31))
 
 
+def parse_in_small_chunks(text: str) -> TraceLog:
+    """parse_trace(text) with the parser's chunk length cut to 7 characters."""
+    default, sim._CHUNK_CHARS = sim._CHUNK_CHARS, 7
+    try:
+        return parse_trace(text)
+    finally:
+        sim._CHUNK_CHARS = default
+
+
 def sweep(cfgs) -> tuple:
     """(hex digest, number of configs) over the runs of `cfgs`."""
     digest = hashlib.sha256()
@@ -101,6 +112,8 @@ def sweep(cfgs) -> tuple:
         log = parse_trace(text)
         if log.entries != run.events.entries:
             raise SystemExit(f"parsed trace unlike the simulator's log: {cfg}")
+        if parse_in_small_chunks(text).entries != log.entries:
+            raise SystemExit(f"trace parsed in small chunks unlike in whole ones: {cfg}")
         verdicts = "".join(v.line() + "\n" for v in evaluate_run(run))
         parsed = "".join(v.line() + "\n" for v in evaluate_run(load_run(log)))
         if parsed != verdicts:

@@ -6,14 +6,19 @@ codec in `scdkit.sim` shares work and strings between records, and parses a
 FORWARD's send and recv lines into compact TraceLog entries; these tests
 hold it to the old output on arbitrary input, malformed text included, and
 hold load_run on those entries to load_run on the records they stand for.
+The parser reads a text's lines in chunks; the oracle tests also run it
+with chunks of a few characters, so that chunk ends fall all over a text.
 """
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import fields
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scdkit import sim
 from scdkit.check import load_run
 from scdkit.sim import (
     WORKLOADS,
@@ -78,6 +83,17 @@ def _parsed(parse, text):
     return [(type(ev), ev, list(ev.payload.items())) for ev in events]
 
 
+def assert_parses_like_old_parser(text):
+    """parse_trace(text), with its own chunk length and with chunks of 1, 3
+    and 7 characters, gives old_parse_trace's records, or its error type,
+    message and line number."""
+    want = _parsed(old_parse_trace, text)
+    assert _parsed(parse_trace, text) == want
+    for size in (1, 3, 7):
+        with mock.patch.object(sim, "_CHUNK_CHARS", size):
+            assert _parsed(parse_trace, text) == want, f"chunks of {size}"
+
+
 # Few distinct keys and values, so that heads, last fields and keys repeat.
 _WORDS = st.sampled_from(["", "a", "b", "to", "m", "x=y", "|", "1.0", " ", "=", "3"])
 _CHUNK = st.one_of(
@@ -127,7 +143,7 @@ def trace_texts(draw):
 @settings(max_examples=600, deadline=None)
 @given(trace_texts())
 def test_parser_matches_old_parser(text):
-    assert _parsed(parse_trace, text) == _parsed(old_parse_trace, text)
+    assert_parses_like_old_parser(text)
 
 
 @pytest.mark.parametrize("body,payload", [
@@ -283,11 +299,27 @@ def test_codec_matches_old_codec_on_simulated_traces(workload):
     text = render_trace(events)
     # lists of lines (ends kept): pytest's diff of two long texts can take minutes
     assert text.splitlines(True) == old_render_trace(events).splitlines(True)
-    assert _parsed(parse_trace, text) == _parsed(old_parse_trace, text)
+    assert_parses_like_old_parser(text)
+
+
+def assert_one_text_per_field_value(log):
+    """The FORWARD entries of log hold one string per distinct field text:
+    all forwarders of one message share its m, sd and sn texts, and each
+    pid has one text."""
+    texts, forwarders = {}, {}
+    for e in log.entries:
+        if type(e) is tuple:
+            for t in (*e[3], e[4]) if e[1] == "recv" else e[3]:
+                assert texts.setdefault(t, t) is t
+            forwarders.setdefault(e[3][0], set()).add(e[3][3])
+    assert max(map(len, forwarders.values())) == 4
 
 
 def test_parsed_records_share_field_text():
-    events = parse_trace(render_trace(_workload_events("raw_broadcast")))
+    simulated = _workload_events("raw_broadcast")
+    events = parse_trace(render_trace(simulated))
+    assert_one_text_per_field_value(simulated)
+    assert_one_text_per_field_value(events)
     first = next(ev for ev in events if ev.kind == "send")
     sends = [ev for ev in events
              if ev.kind == "send" and ev.payload["m"] == first.payload["m"]
@@ -301,6 +333,26 @@ def test_parsed_records_share_field_text():
     assert len(recvs) > 1
     for ev in recvs:
         assert ev.payload["m"] is first.payload["m"]
+
+
+def test_parse_holds_no_list_of_all_lines():
+    """parse_trace of a 1.18 MB trace allocates less than 1.25 times the
+    text's length beyond what its log keeps (a list of all its lines, with
+    their strings, takes about 2.9 times)."""
+    cfg = ScenarioConfig(n=5, t=2, workload="snapshot_ops", op_count=300, nregs=3, seed=7)
+    text = render_trace(run_scenario(cfg).events)
+    assert len(text) > 10**6
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        log = parse_trace(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(log) > 10**4
+    assert peak - kept < 1.25 * len(text)
 
 
 @pytest.mark.parametrize("kind,key", [("send", "to"), ("send", "m"), ("recv", "from")])
