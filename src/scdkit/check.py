@@ -18,7 +18,8 @@ Trace-level checks (delivery logs of message sets):
     message-passing runs where a majority crashed (liveness needs a correct
     majority)
   * fifo / crash silence / message bound: transport sanity and the n*n cap
-    on point-to-point sends per broadcast
+    on point-to-point sends per broadcast.  fifo walks the log itself, where
+    channel order is kept: no other fact repeats it.
 
 History-level checks (operations of the object layers):
 
@@ -42,14 +43,14 @@ Verdicts (pass / fail / skip plus a short detail); skip marks a precondition
 gate such as a run that never reached quiescence.  A simulated run is judged
 from the RunData that Simulator.run filled as it ran and returned.  load_run
 builds the same RunData from a stored trace, reading the TraceLog that
-sim.parse_trace gives back entry by entry: it is the only reader of trace
-records, and rejects malformed input by exception, so no checker raises on
-a RunData it returned.
+sim.parse_trace gives back entry by entry, and builds no record.  It and
+check_fifo are the only readers of the log's entries; load_run rejects
+malformed input by exception, so no checker raises on a RunData it
+returned.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
 from dataclasses import dataclass
 from operator import le
 from typing import Optional
@@ -57,7 +58,7 @@ from typing import Optional
 from .core import INITIAL_TS, MsgId, Timestamp, parse_id_set
 from .shared_objects import INITIAL_VALUE, WritePayload, decode_payload
 from .sim import (END_STATUSES, MP_WORKLOADS, RECORD_KINDS, RW_WORKLOADS, OpRecord,
-                  RunData, ScenarioConfig, TraceLog, value_parse)
+                  Memo, RunData, ScenarioConfig, TraceLog, value_parse)
 
 
 @dataclass
@@ -108,26 +109,28 @@ class History:
 def load_run(log: TraceLog) -> RunData:
     """Read every trace record once into RunData; the checkers judge only
     the parsed fields.  The log's entries are read, and no record is built:
-    a send entry appends its channel key to the channels from its proc to
-    1..reach and counts reach sends, a recv entry is one receipt, and a
-    TraceEvent send or recv record (parse_trace keeps any line outside a
-    FORWARD's exact form as one) counts as its own.  The entry of the first
-    record after a crash becomes run.late.  Record indices (invoke_idx,
-    return_idx) count the records an entry stands for.  Message ids are
-    parsed once per message: sends are counted by their `m` text, and each
-    distinct text is parsed at the end (so a bad `m` is reported after any
-    later malformed record); each distinct delivered-set text is parsed
-    once, and the logs that hold it share its frozenset.  A config record
-    that fails validation raises UsageError, a missing field or a record by
-    an unknown process KeyError, any other malformed value ValueError.  So
-    does a send to, or a recv from, a process outside 1..n, a record of a
-    kind no run writes, an operation of a kind its workload never issues, a
-    trace cut before its end record, or an end record whose status is not
-    one a run ends with; records after it are read."""
+    a send entry counts reach sends, and a (step, kind, proc, fields) entry
+    is read through a dict of its fields.  The entry of the first record
+    after a crash becomes run.late.  Record indices (invoke_idx,
+    return_idx) count the records an entry stands for.  Each distinct id
+    text is parsed into one MsgId and each distinct tag text into one
+    Timestamp, shared by every fact that holds it; sends are counted by
+    their `m` text, and each distinct text is parsed at the end (so a bad
+    `m` is reported after any later malformed record); each distinct
+    delivered-set text is parsed once, and the logs that hold it share its
+    frozenset.  A config record that fails validation raises UsageError, a
+    missing field or a record by an unknown process KeyError, any other
+    malformed value ValueError.  So does a send to, or a recv from, a
+    process outside 1..n (a send entry whose reach is above n sends to
+    p{reach}), a record of a kind no run writes, an operation of a kind its
+    workload never issues, a trace cut before its end record, or an end
+    record whose status is not one a run ends with; records after it are
+    read.  A send or recv record lacking a FORWARD field check_fifo reads
+    raises KeyError too, so check_fifo never does."""
     entries = log.entries
     if not entries or entries[0][1] != "config":
         raise ValueError("trace must start with a config record")
-    config = ScenarioConfig.from_payload(entries[0].payload)
+    config = ScenarioConfig.from_payload(_payload(entries[0]))
     config.validate()
     run = RunData.start(config, log)
     objects = config.workload in OBJECT_WORKLOADS
@@ -135,12 +138,13 @@ def load_run(log: TraceLog) -> RunData:
     op_kinds = ((("snapshot", "write") if "snapshot" in config.workload else ("read", "write"))
                 if objects else ("bcast",))
     open_ops: dict = {}
-    channels = defaultdict(lambda: ([], []))  # the pair is built once per channel
     sends: dict = {}  # m text -> send count
-    keys: dict = {}  # a FORWARD's field tuple -> its channel key (sd, sn, f)
-    id_sets: dict = {}  # a delivered set's text -> its ids, shared by the logs
+    msg_ids = Memo(MsgId.parse)  # id text -> its MsgId
+    id_sets = Memo(lambda text: parse_id_set(text, msg_ids.__getitem__))
+    stamps = Memo(Timestamp.parse)  # tag text -> its Timestamp
+    arrays = Memo(lambda text: tuple(map(stamps.__getitem__, text.split(","))))
     n = config.n
-    pids = {str(i): i for i in range(1, n + 1)}  # the texts of 1..n, for to= and from=
+    pids = _pids(n)
 
     def peer(text: str) -> int:  # the process a send's to= or a recv's from= names
         pid = pids.get(text)
@@ -154,7 +158,7 @@ def load_run(log: TraceLog) -> RunData:
         if kind == "config":
             continue
         if kind == "end":
-            p = ev.payload
+            p = _payload(ev)
             if p["status"] not in END_STATUSES:
                 raise ValueError(f"run ended with unknown status {p['status']!r}")
             run.status, run.steps = p["status"], int(p["steps"])
@@ -163,30 +167,26 @@ def load_run(log: TraceLog) -> RunData:
             raise KeyError(proc)
         if run.late is None and proc in run.faulty:
             run.late = ev
-        if type(ev) is tuple:  # a send or recv entry
-            _, _, _, fwd, last = ev
-            key = keys.get(fwd)
-            if key is None:
-                key = keys[fwd] = fwd[1:4]
+        if len(ev) == 5:  # a FORWARD's send or recv entry
+            last = ev[4]
             if kind == "send":
                 if last > n:
                     peer(str(last))  # raises: the entry stands for a send to p{last}
-                for dst in range(1, last + 1):
-                    channels[proc, dst][0].append(key)
-                sends[fwd[0]] = sends.get(fwd[0], 0) + last
+                m = ev[3][0]
+                sends[m] = sends.get(m, 0) + last
                 shift += last - 1
-            else:
-                channels[pids.get(last) or peer(last), proc][1].append(key)
+            elif last not in pids:
+                peer(last)  # raises
             continue
-        p = ev.payload
-        if kind == "send":
-            channels[proc, peer(p["to"])][0].append((p["sd"], p["sn"], p["f"]))
-            m = p["m"]
-            sends[m] = sends.get(m, 0) + 1
-        elif kind == "recv":
-            channels[peer(p["from"]), proc][1].append((p["sd"], p["sn"], p["f"]))
+        p = _payload(ev)
+        if kind == "send" or kind == "recv":
+            peer(p["to" if kind == "send" else "from"])
+            _channel_key(p)  # raises here on a missing field, not in check_fifo
+            if kind == "send":
+                m = p["m"]
+                sends[m] = sends.get(m, 0) + 1
         elif kind == "bcast":
-            mid, data = MsgId.parse(p["id"]), value_parse(p["data"])
+            mid, data = msg_ids[p["id"]], value_parse(p["data"])
             run.broadcasts[mid] = (proc, data)
             w = decode_payload(data) if objects else None
             if isinstance(w, WritePayload):
@@ -195,12 +195,9 @@ def load_run(log: TraceLog) -> RunData:
                 if proc in open_ops:  # a crashed writer's pending write keeps it
                     open_ops[proc].ts = w.ts
         elif kind == "scd_deliver":
-            ids = id_sets.get(p["set"])
-            if ids is None:
-                ids = id_sets[p["set"]] = parse_id_set(p["set"])
-            run.logs[proc].append(ids)
+            run.logs[proc].append(id_sets[p["set"]])
         elif kind == "broadcast_complete":
-            run.completed[proc].add(MsgId.parse(p["id"]))
+            run.completed[proc].add(msg_ids[p["id"]])
         elif kind == "crash":
             run.faulty.add(proc)
         elif (kind == "op_invoke" or kind == "op_return") and p["op"] not in op_kinds:
@@ -223,20 +220,36 @@ def load_run(log: TraceLog) -> RunData:
             if op.kind == "snapshot":
                 op.result_values = tuple(value_parse(v) for v in p["vals"].split(","))
             else:
-                op.ts = Timestamp.parse(p["ts"])
+                op.ts = stamps[p["ts"]]
                 if op.kind == "read":
                     op.result_values = (value_parse(p["v"]),)
             if op.kind != "write":
-                op.tsa = tuple(Timestamp.parse(t) for t in p["tsa"].split(","))
+                op.tsa = arrays[p["tsa"]]
         elif kind not in RECORD_KINDS:
             raise ValueError(f"unknown record kind {kind!r}")
     if run.status is None:
         raise ValueError("trace has no end record")
-    run.channels = dict(channels)
     for m, count in sends.items():  # two texts may spell one id ("1.1", "1.01")
-        mid = MsgId.parse(m)
+        mid = msg_ids[m]
         run.sends[mid] = run.sends.get(mid, 0) + count
     return run
+
+
+def _payload(entry: tuple) -> dict:
+    """The payload of a (step, kind, proc, fields) entry."""
+    f = entry[3]
+    return dict(zip(f[::2], f[1::2]))
+
+
+def _pids(n: int) -> dict:
+    """The texts of processes 1..n, as a send's to= or a recv's from= names
+    them, mapped to the processes."""
+    return {str(i): i for i in range(1, n + 1)}
+
+
+def _channel_key(p: dict) -> tuple:
+    """What check_fifo compares of a send or recv payload."""
+    return p["sd"], p["sn"], p["f"]
 
 
 def _check_slot(r: int, config: ScenarioConfig) -> int:
@@ -275,37 +288,35 @@ def check_integrity(run: RunData) -> Verdict:
 
 def check_ms_ordering(run: RunData) -> Verdict:
     """Look for m, m' with m strictly before m' at one process and strictly
-    after at another.  Scanning each pair's common messages in one process's
-    set order while tracking the running maximum of the other's positions
-    finds an inversion iff one exists."""
+    after at another.  For each pair i < j, walk i's sets in order, keeping
+    the greatest position at j among the messages of i's earlier sets: a
+    message of the current set placed below it at j is an inversion, and
+    one exists iff the walk meets one.  A message delivered twice counts at
+    its last set, at i as at j."""
     pos = {
         i: {mid: x for x, s in enumerate(sets) for mid in s}
         for i, sets in run.logs.items()
     }
     procs = sorted(run.logs)
-    for a in range(len(procs)):
-        for b in range(a + 1, len(procs)):
-            i, j = procs[a], procs[b]
-            common = [mid for mid in pos[i] if mid in pos[j]]
-            common.sort(key=lambda mid: (pos[i][mid], pos[j][mid]))
-            run_max = None  # (pos_j, mid) over strictly earlier sets at i
-            x = 0
-            while x < len(common):
-                y = x
-                while y < len(common) and pos[i][common[y]] == pos[i][common[x]]:
-                    y += 1
-                if run_max is not None:
-                    for mid in common[x:y]:
-                        if pos[j][mid] < run_max[0]:
-                            return _fail(
-                                "ms_ordering",
-                                f"p{i} orders {run_max[1]}<{mid}, "
-                                f"p{j} orders {mid}<{run_max[1]}",
-                            )
-                for mid in common[x:y]:
-                    if run_max is None or pos[j][mid] > run_max[0]:
-                        run_max = (pos[j][mid], mid)
-                x = y
+    for a, i in enumerate(procs):
+        sets, at_i = run.logs[i], pos[i]
+        if sum(map(len, sets)) != len(at_i):  # drop all but each id's last set
+            sets = [[mid for mid in s if at_i[mid] == x] for x, s in enumerate(sets)]
+        for j in procs[a + 1:]:
+            at_j = pos[j]
+            top, top_mid = -1, None  # the greatest position at j so far, and its message
+            for s in sets:
+                high, high_mid = top, top_mid
+                for mid in s:
+                    y = at_j.get(mid)
+                    if y is None:
+                        continue
+                    if y < top:
+                        return _fail("ms_ordering", f"p{i} orders {top_mid}<{mid}, "
+                                                    f"p{j} orders {mid}<{top_mid}")
+                    if y > high:
+                        high, high_mid = y, mid
+                top, top_mid = high, high_mid
     return _pass("ms_ordering")
 
 
@@ -386,10 +397,57 @@ def check_termination(run: RunData) -> Verdict:
 
 
 def check_fifo(run: RunData) -> Verdict:
-    for (src, dst), (sent, received) in sorted(run.channels.items()):
-        if received != sent[: len(received)]:
-            return _fail("fifo", f"channel {src}->{dst} reorders or loses")
+    """Each channel s->d receives what s sent on it, in order.  One walk of
+    the log numbers each source's fan-outs as they come: a send entry
+    reaches 1..reach, a send record its to= process.  A receipt on s->d
+    must be of the next fan-out of s, after the one its last receipt took,
+    whose reach covers d; the two are compared by their (sd, sn, f) fields.
+    A channel keeps only the number of that last fan-out, so a receipt of a
+    message sent later in the log, or never, fails.  The failing channel
+    first in (src, dst) order is named."""
+    n = run.config.n
+    pids = _pids(n)
+    width = n + 1
+    fanouts = [[] for _ in range(width)]  # per source: send entries, (key, to) per record
+    taken = [0] * (width * width)  # channel s->d at s * width + d
+    failed = set()
+    for e in run.events.entries:
+        kind = e[1]
+        if kind == "recv":
+            dst = e[2]
+            if len(e) == 5:
+                src, got = pids[e[4]], e[3]
+            else:
+                p = _payload(e)
+                src, got = pids[p["from"]], _channel_key(p)
+            sent, c = fanouts[src], src * width + dst
+            x = taken[c]
+            while x < len(sent):
+                o = sent[x]
+                x += 1
+                if dst <= o[4] if len(o) == 5 else dst == o[1]:
+                    want = o[3] if len(o) == 5 else o[0]
+                    if want is not got and _fifo_key(want) != _fifo_key(got):
+                        failed.add((src, dst))
+                    break
+            else:
+                failed.add((src, dst))
+            taken[c] = x
+        elif kind == "send":
+            if len(e) == 5:
+                fanouts[e[2]].append(e)
+            else:
+                p = _payload(e)
+                fanouts[e[2]].append((_channel_key(p), pids[p["to"]]))
+    if failed:
+        src, dst = min(failed)
+        return _fail("fifo", f"channel {src}->{dst} reorders or loses")
     return _pass("fifo")
+
+
+def _fifo_key(fields: tuple) -> tuple:
+    """(sd, sn, f) of a FORWARD's field texts, or of a key already that."""
+    return fields[1:4] if len(fields) == 5 else fields
 
 
 def check_crash_silence(run: RunData) -> Verdict:

@@ -67,7 +67,8 @@ def format_id_set(ids) -> str:
     return ",".join(str(i) for i in sorted(ids))
 
 
-def parse_id_set(text: str) -> frozenset:
+def parse_id_set(text: str, parse=MsgId.parse) -> frozenset:
+    """The ids of a format_id_set text, each read by parse."""
     if not text:
         return frozenset()
-    return frozenset(MsgId.parse(part) for part in text.split(","))
+    return frozenset(map(parse, text.split(",")))

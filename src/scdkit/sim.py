@@ -27,38 +27,39 @@ Runs end quiescent (nothing enabled, no operation pending), stalled (nothing
 enabled but a live process's broadcast never completed, the signature of a
 lost majority, decided from the RunData alone), or out of step budget.
 Trace records are line-oriented: step|kind|proc|key=value..., and their
-kinds are those of RECORD_KINDS; check.load_run rejects any other.
-A FORWARD's trace fields are looked up once, when it is fifo-broadcast, and
-shared by its send and recv records.  Each distinct field value (a MsgId or
-an int) has one text per run, so all FORWARDs of one message share its m, sd
-and sn texts.  The simulator writes its records to one ordered TraceLog: a
-TraceEvent per record, except that a fifo-broadcast is one entry standing
-for all its send records, and a delivery one entry for its recv record.
-Those two kinds are nearly all of a run's records, and no judged path reads
-records: the entries are the log, and iterating it builds each send and recv
-record afresh (each owning its dict) and keeps none.
+kinds are those of RECORD_KINDS; check.load_run rejects any other.  The
+simulator writes them to one ordered TraceLog of dict-free entries (see
+TraceLog for their two shapes): a record is (step, kind, proc, fields),
+its payload's keys and values in the sorted key order of its line, except
+that a fifo-broadcast is one entry standing for all its send records, and a
+delivery one entry for its recv record.  Those two kinds are nearly all of a
+run's records.  A FORWARD's trace fields are looked up once, when it is
+fifo-broadcast, and shared by its send and recv entries; each distinct field
+value (a MsgId or an int) has one text per run, so all FORWARDs of one
+message share its m, sd and sn texts.  No judged path reads records: the
+entries are the log, and iterating it builds each record afresh, a
+TraceEvent owning its payload dict, and keeps none.
 
-The trace codec works on the same log.  render_trace writes send and recv
-lines straight from the entries, joining each FORWARD's field text once per
-call, and sorts each distinct key list of the other records once per call.
-parse_trace reads the text's lines in bounded chunks, so it never holds a
-list of them all, and gives back a TraceLog: the send lines of one fan-out
-fold into one send entry and a recv line becomes one recv entry, sharing one
-field tuple per distinct field text and one string per distinct field value,
-so a parsed trace holds the very entries the simulator wrote.  Every other
-line is a TraceEvent entry whose field texts, and payload texts before the
-last field, are split once per call, so equal field strings are shared there
-too.  render_trace and check.load_run take only a TraceLog and read its
-entries, so neither a judged run nor a checked trace builds its send and
-recv records.
-Records are built with tuple.__new__, skipping TraceEvent's constructor.
+The trace codec works on the same log.  render_trace writes every line
+straight from the entries: each distinct key list is sorted once per call,
+each FORWARD's field text joined once per call, and the send lines of one
+fan-out are one string.  parse_trace reads the text's lines in bounded
+chunks, so it never holds a list of them all, and gives back a TraceLog:
+the send lines of one fan-out fold into one send entry and a recv line
+becomes one recv entry, sharing one field tuple per distinct field text and
+one string per distinct field value.  Every other line is a (step, kind,
+proc, fields) entry whose field texts, and payload texts before the last
+field, are split once per call, so equal field strings are shared there
+too.  So a parsed trace holds the very entries the simulator wrote.
+render_trace and check.load_run take only a TraceLog and read its entries,
+so neither a judged run nor a checked trace builds a record.
 
 As it runs, the simulator also fills the RunData that the checkers judge,
 from the objects at hand where each record is written: the MsgId, the
-delivered set and the OpResult, never the record text.  Each FORWARD's
-channel key (sd, sn, f) is built once and appended to a channel's sent list
-per send made, and to its received list from the channel entry a delivery
-pops.  Simulator.run returns it, and a simulated run is judged from it;
+delivered set and the OpResult, never the record text.  Each distinct
+delivered set is one frozenset, with one text, per run.  Channel order is
+kept only in the log: check.check_fifo walks its send and recv entries.
+Simulator.run returns the RunData, and a simulated run is judged from it;
 check.load_run reads the same facts back from the log of a stored trace.
 
 A message-passing run keeps its enabled events in one sorted list of event
@@ -287,23 +288,27 @@ class TraceParseError(Exception):
 
 class TraceLog:
     """A run's records, in order, as one log of entries: the log a simulated
-    run writes, or the one parse_trace reads back from its text.
+    run writes, or the one parse_trace reads back from its text.  An entry
+    is a plain tuple of one of two shapes, told apart by its length:
 
-    Every record is a TraceEvent entry, but for the two kinds a FORWARD
-    writes.  One fifo-broadcast is one entry (step, "send", src, fields,
-    reach), standing for its send records to processes 1..reach, and one
-    delivery is one entry (step, "recv", dst, fields, src text); `fields` is
-    the FORWARD's shared tuple of field texts, in _FORWARD_KEYS order.  So
-    every entry holds the step, kind and proc of its records at indices 0-2.
-    Each distinct field value has one text in a simulated or parsed log,
-    so all FORWARDs of one message share its m, sd and sn strings.
-    parse_trace reads a text's lines in bounded chunks.
+      * (step, kind, proc, fields), one record: `fields` holds its
+        payload's keys and values in order, (k1, v1, k2, v2, ...);
+      * a FORWARD's records, which are nearly all of a run's.  One
+        fifo-broadcast is (step, "send", src, fwd, reach), standing for its
+        send records to processes 1..reach, and one delivery is
+        (step, "recv", dst, fwd, src text); `fwd` is the FORWARD's shared
+        tuple of field texts, in _FORWARD_KEYS order.
+
+    So every entry holds the step, kind and proc of its records at indices
+    0-2, and holds only ints, strings and tuples of strings, which the
+    cyclic collector untracks.  Each distinct field value has one text in a
+    simulated or parsed log, so all FORWARDs of one message share its m, sd
+    and sn strings.
 
     len() is the record count, so record indices (an op's invoke_idx and
     return_idx) index the records that iteration yields.  Iteration builds
-    the send and recv records afresh, each with its own payload dict, and
-    keeps none: the entries are the log, and every reader sees what they
-    hold."""
+    each record afresh as a TraceEvent with its own payload dict, and keeps
+    none: the entries are the log, and every reader sees what they hold."""
 
     __slots__ = ("entries", "extra")
 
@@ -316,20 +321,17 @@ class TraceLog:
 
     def __iter__(self):
         for e in self.entries:
-            if type(e) is tuple:
-                yield from _records_of(e)
-            else:
-                yield e
+            yield from _records_of(e)
 
     def remove(self, record) -> None:
         """Remove the first record equal to record, as list.remove does.  The
-        entry that holds it gives way to TraceEvent entries for its other
-        records, so render_trace and check.load_run see the removal too."""
+        entry that holds it gives way to one entry per other record it
+        stood for, so render_trace and check.load_run see the removal too."""
         for k, e in enumerate(self.entries):
-            records = _records_of(e) if type(e) is tuple else [e]
+            records = _records_of(e)
             if record in records:
                 records.remove(record)
-                self.entries[k:k + 1] = records
+                self.entries[k:k + 1] = map(_entry_of, records)
                 self.extra -= len(records)
                 return
         raise ValueError("TraceLog.remove(x): x not in log")
@@ -338,11 +340,25 @@ class TraceLog:
 _FORWARD_KEYS = ("m", "sd", "sn", "f", "snf")  # a FORWARD's trace fields
 
 
+def _flat(payload: dict) -> tuple:
+    """A payload's keys and values in order: (k1, v1, k2, v2, ...)."""
+    return tuple(chain.from_iterable(payload.items()))
+
+
+def _entry_of(ev: TraceEvent) -> tuple:
+    """The (step, kind, proc, fields) entry of one record."""
+    return (*ev[:3], _flat(ev.payload))
+
+
 def _records_of(entry: tuple) -> list:
-    """The send or recv records of one compact TraceLog entry, each payload
-    in the sorted key order of its line."""
-    step, kind, proc, (m, sd, sn, f, snf), last = entry
+    """The records of one TraceLog entry, each payload in the key order of
+    its fields, or for a FORWARD's entry in the sorted key order of its
+    line."""
     new = tuple.__new__
+    if len(entry) == 4:
+        step, kind, proc, f = entry
+        return [new(TraceEvent, (step, kind, proc, dict(zip(f[::2], f[1::2]))))]
+    step, kind, proc, (m, sd, sn, f, snf), last = entry
     if kind == "send":
         return [new(TraceEvent, (step, kind, proc, {"f": f, "m": m, "sd": sd, "sn": sn,
                                                    "snf": snf, "to": str(dst)}))
@@ -354,34 +370,35 @@ def _records_of(entry: tuple) -> list:
 def render_trace(log: TraceLog) -> str:
     """One line per record of log: step|kind|proc|key=value..., keys sorted.
 
-    Records whose payloads list the same keys in the same order share one
-    format string, built (and its keys sorted) once per call.  Send and recv
-    lines are written from the log's entries, no record built: the field
-    text of each FORWARD is joined once per call for its send records and
-    once for its recv records."""
+    Entries whose fields list the same keys in the same order share one
+    format string, built (and its keys sorted) once per call.  A FORWARD's
+    lines are written from its entries: the field text of each FORWARD is
+    joined once per call for its send records and once for its recv
+    records, and the send lines of one fan-out are one string."""
     formats = {}
     recv_text = {}  # id of a FORWARD's field texts -> its recv line around "from"
+    tails = Memo(lambda reach: [*map(str, range(1, reach)), f"{reach}\n"])
     lines = []
     append = lines.append
     for ev in log.entries:
-        if type(ev) is tuple:  # a send or recv entry
-            step, kind, proc, fwd, last = ev
-            if kind == "send":
-                head = f"{step}|send|{proc}|{_field_text(fwd)} to="
-                lines += [f"{head}{dst}\n" for dst in range(1, last + 1)]
-            else:
-                around = recv_text.get(id(fwd))
-                if around is None:
-                    f, _, rest = _field_text(fwd).partition(" ")
-                    around = recv_text[id(fwd)] = (f"{f} from=", f" {rest}\n")
-                append(f"{step}|recv|{proc}|{around[0]}{last}{around[1]}")
+        if len(ev) == 4:
+            fields = ev[3]
+            keys = fields[::2]
+            fmt = formats.get(keys)
+            if fmt is None:
+                fmt = formats[keys] = _line_format(keys)
+            append(fmt(*ev[:3], *fields))
             continue
-        payload = ev.payload
-        keys = tuple(payload)
-        fmt = formats.get(keys)
-        if fmt is None:
-            fmt = formats[keys] = _line_format(keys)
-        append(fmt(*ev[:3], *payload.values()))
+        step, kind, proc, fwd, last = ev
+        if kind == "send":
+            head = f"{step}|send|{proc}|{_field_text(fwd)} to="
+            append(head + ("\n" + head).join(tails[last]))
+        else:
+            around = recv_text.get(id(fwd))
+            if around is None:
+                f, _, rest = _field_text(fwd).partition(" ")
+                around = recv_text[id(fwd)] = (f"{f} from=", f" {rest}\n")
+            append(f"{step}|recv|{proc}|{around[0]}{last}{around[1]}")
     return "".join(lines)
 
 
@@ -408,14 +425,14 @@ def _forward_of(text: str, texts: dict) -> Optional[tuple]:
 
 def _line_format(keys: tuple):
     """str.format of a record line, taking step, kind, proc and then the
-    payload values in the order of keys, and writing the fields by sorted key."""
+    fields of an entry whose keys are `keys`, and writing them by sorted key."""
     order = sorted(range(len(keys)), key=keys.__getitem__)
     fields = " ".join(
-        f"{keys[i]}".replace("{", "{{").replace("}", "}}") + f"={{{i + 3}}}" for i in order)
+        f"{keys[i]}".replace("{", "{{").replace("}", "}}") + f"={{{2 * i + 4}}}" for i in order)
     return ("{0}|{1}|{2}|" + fields + "\n").format
 
 
-class _Memo(dict):
+class Memo(dict):
     """A table that computes each missing entry once, with make(key)."""
 
     __slots__ = ("make",)
@@ -457,24 +474,30 @@ def parse_trace(text: str) -> TraceLog:
     each distinct field text, and what each distinct recv payload holds, are
     worked out once per call, so the entries of one FORWARD share one
     field tuple, and its send and recv records share its strings.
-    Every other line is a TraceEvent entry: each distinct field text is
-    split once per call, and each distinct payload text before the last
-    field turned into a dict once, which later records with that head copy
-    before adding their last field.  So equal field texts, and equal kinds,
-    are one string object, as they are in the simulator's records, and each
-    record still owns its dict.  A FORWARD's field values, and a recv
-    line's from= text, are one string per distinct text, shared across
-    forwarders.  The lines are split a bounded chunk at a time (_chunks)."""
+    Every other line is a (step, kind, proc, fields) entry: each distinct
+    field text is split once per call, and each distinct payload text before
+    the last field turned into its fields once, which later entries with
+    that head extend by their last field (a key given twice keeps its first
+    place and its last value, as in a dict).  So equal field texts, and
+    equal kinds, are one string object, as they are in the simulator's
+    entries.  A FORWARD's field values, and a recv line's from= text, are
+    one string per distinct text, shared across forwarders.  The lines are
+    split a bounded chunk at a time (_chunks)."""
     if text and not text.endswith("\n"):
         # render_trace ends every record with a newline
         raise TraceParseError(f"line {len(text.splitlines())}: trace ends mid-record")
     log = TraceLog()
     entries = log.entries
-    append, new = entries.append, tuple.__new__
-    fields = _Memo(lambda chunk: chunk.partition("=")[::2])
-    heads = _Memo(lambda head: dict(map(fields.__getitem__, head.split(" "))))
-    texts = _Memo(str)  # each distinct FORWARD field text once: str(s) is s
-    forwards = _Memo(lambda head: _forward_of(head, texts))
+    append = entries.append
+    fields = Memo(lambda chunk: chunk.partition("=")[::2])
+
+    def head_of(head):  # (payload dict, its flat fields) of a payload head
+        payload = dict(map(fields.__getitem__, head.split(" ")))
+        return payload, _flat(payload)
+
+    heads = Memo(head_of)
+    texts = Memo(str)  # each distinct FORWARD field text once: str(s) is s
+    forwards = Memo(lambda head: _forward_of(head, texts))
 
     def recv_of(body):  # (field tuple, src text) of a recv payload in the exact form
         chunks = body.split(" ", 2)
@@ -483,7 +506,7 @@ def parse_trace(text: str) -> TraceLog:
         fwd = forwards[f"{chunks[0]} {chunks[2]}"]
         return None if fwd is None else (fwd, texts[chunks[1][5:]])
 
-    recvs = _Memo(recv_of)
+    recvs = Memo(recv_of)
     kinds = {}
     step_text = step = None
     # the last entry's line up to its to value while it is a send entry, and
@@ -523,14 +546,16 @@ def parse_trace(text: str) -> TraceLog:
                 append((step, "recv", proc, recv[0], recv[1]))
                 continue
         kind = kinds.setdefault(kind, kind)
-        payload = {}
+        flat = ()
         if body:
             head, sep, last = body.rpartition(" ")
+            flat = fields[last]
             if sep:  # the head may be empty: " x=1" has the field "" too
-                payload = heads[head].copy()
-            k, v = fields[last]
-            payload[k] = v
-        append(new(TraceEvent, (step, kind, proc, payload)))
+                payload, head_flat = heads[head]
+                # a key given twice keeps its first place and its last value
+                flat = (head_flat + flat if flat[0] not in payload
+                        else _flat({**payload, flat[0]: flat[1]}))
+        append((step, kind, proc, flat))
     log.extra = extra
     return log
 
@@ -686,8 +711,8 @@ class RwWorld:
             p.next_op = k + 1
             m = self.scripts[i][k]
             if trace:
-                trace("op_invoke", i, op="bcast", seq=str(k))
-                trace("bcast", i, id=str(m.id), data=value_str(m.payload))
+                trace("op_invoke", i, "op", "bcast", "seq", str(k))
+                trace("bcast", i, "data", value_str(m.payload), "id", str(m.id))
                 run.broadcasts[m.id] = (i, m.payload)
             p.start_broadcast(m)
         elif tag == "tick":
@@ -697,24 +722,24 @@ class RwWorld:
             op = p.pending_memop()
             if trace:
                 if op[0] == "write":
-                    trace("mem_write", i, obj=op[1], index=str(op[2]))
+                    trace("mem_write", i, "index", str(op[2]), "obj", op[1])
                 else:
-                    trace("mem_snapshot", i, obj=op[1])
+                    trace("mem_snapshot", i, "obj", op[1])
             result = self.memory.execute(i, op)
             delivered = p.complete_memop(result)
             if delivered is not None and trace:
                 ids = frozenset(m.id for m in delivered)
-                trace("scd_deliver", i, set=format_id_set(ids))
+                trace("scd_deliver", i, "set", format_id_set(ids))
                 run.logs[i].append(ids)
             # a round runs alone, so a finished broadcast round is op next_op - 1
             if p.frame is None and frame.kind == "broadcast" and trace:
-                trace("broadcast_complete", i, id=str(frame.msg.id))
+                trace("broadcast_complete", i, "id", str(frame.msg.id))
                 run.completed[i].add(frame.msg.id)
-                trace("op_return", i, op="bcast", seq=str(p.next_op - 1), ok="1")
+                trace("op_return", i, "ok", "1", "op", "bcast", "seq", str(p.next_op - 1))
         else:  # apply, the only other tag
             obj, idx = self.memory.apply_one(i)
             if trace:
-                trace("mem_apply", i, obj=obj, index=str(idx))
+                trace("mem_apply", i, "index", str(idx), "obj", obj)
 
     def crash(self, i: int) -> None:
         """Crash process i, dropping its queued writes: it writes only
@@ -983,7 +1008,7 @@ class _CrashCut(Exception):
 # the facts of a run, and the simulator
 
 
-@dataclass
+@dataclass(slots=True)
 class OpRecord:
     proc: int
     seq: int
@@ -1003,10 +1028,12 @@ class OpRecord:
 
 @dataclass
 class RunData:
-    """What the checkers judge of one run.  Simulator.run fills it from the
+    """What the checkers judge of one run: its log, and each fact the log's
+    text would only spell, held once.  Simulator.run fills it from the
     objects at each record's site as the run goes and returns it;
     check.load_run reads it back from the log of a parsed trace.  Both give
-    equal fields for one run."""
+    equal fields for one run.  Channel order is the log's alone: no field
+    repeats it."""
 
     config: ScenarioConfig
     events: TraceLog  # the simulated or parsed log
@@ -1016,7 +1043,6 @@ class RunData:
     broadcasts: dict = field(default_factory=dict)   # MsgId -> (sender, payload)
     logs: dict = field(default_factory=dict)         # proc -> [frozenset[MsgId]]
     completed: dict = field(default_factory=dict)    # proc -> set[MsgId] (bcast done)
-    channels: dict = field(default_factory=dict)     # (src, dst) -> (sent, received)
     sends: dict = field(default_factory=dict)        # MsgId -> FORWARD sends
     late: Optional[tuple] = None                     # entry of the first record after its crash
     writes: dict = field(default_factory=dict)       # MsgId -> WritePayload
@@ -1094,15 +1120,12 @@ class Simulator:
             self.next_op = [0] * (config.n + 1)
             self.cur: list[Optional[OpRecord]] = [None] * (config.n + 1)
             self.msg_seq = [0] * (config.n + 1)
-            # channel s -> d, its delivery event, and the keys of the FORWARDs
-            # sent and received on it, at index (s-1)*n + (d-1)
+            # channel s -> d and its delivery event, at index (s-1)*n + (d-1)
             self.channels = [deque() for _ in range(config.n * config.n)]
-            self._sent = [[] for _ in self.channels]
-            self._received = [[] for _ in self.channels]
             self._deliveries = [("deliver", s, d) for s in procs for d in procs]
-            # per source: (dst, channel index, channel, sent list) for each dst
+            # per source: (dst, channel index, channel) for each dst
             n = config.n
-            self._rows = [None, *([(d, idx, self.channels[idx], self._sent[idx])
+            self._rows = [None, *([(d, idx, self.channels[idx])
                                    for d, idx in zip(procs, range((s - 1) * n, s * n))]
                                   for s in procs)]
             # the sorted enabled events, and the policy's index into them
@@ -1112,27 +1135,28 @@ class Simulator:
                           if self.policy == "slow" else None)
             self._order = deque() if self.policy == "fifo" else None
             # the trace text of each FORWARD field value (a MsgId or an int)
-            self._text = _Memo(str)
-        self.trace("config", 0, **config.to_payload())
+            self._text = Memo(str)
+            # each distinct delivered set, and its trace text, once per run
+            self._sets = Memo(lambda ids: (ids, format_id_set(ids)))
+        self.trace("config", 0, *chain.from_iterable(sorted(config.to_payload().items())))
 
     # -- trace / transport hooks -----------------------------------------
 
-    def trace(self, kind: str, proc: int, **payload) -> None:
-        self._log_append(tuple.__new__(TraceEvent, (self.step, kind, proc, payload)))
+    def trace(self, kind: str, proc: int, *fields: str) -> None:
+        """Write one record: fields are its payload's keys and values, in the
+        sorted key order of its line, so a parsed trace holds equal entries."""
+        self._log_append((self.step, kind, proc, fields))
 
     def fifo_broadcast(self, src: int, fmsg: ForwardMsg) -> None:
         """Send fmsg to every process, src included, in process order; a
         crash that cuts src's handler lets only its remaining sends out, then
-        raises _CrashCut.  The trace fields and the channel key (sd, sn, f)
-        are built once here: the sends made are one TraceLog entry, and each
-        channel entry carries both for the recv entry.  Each distinct field
-        value's text is made once per run (_text), and the fields are a
-        tuple of them, which (unlike a dict) leaves its entries untracked by
-        the cyclic collector."""
+        raises _CrashCut.  The trace fields are built once here: the sends
+        made are one TraceLog entry, and each channel entry carries them for
+        the recv entry.  Each distinct field value's text is made once per
+        run (_text)."""
         m, sd, sn, f, snf = fmsg
         text = self._text
         forward = (text[m.id], text[sd], text[sn], text[f], text[snf])
-        key = forward[1:4]  # (sd, sn, f)
         n = reach = self.config.n
         if self._cut is not None:  # only the victim's handler runs while it is set
             reach = min(n, self._cut)
@@ -1140,11 +1164,10 @@ class Simulator:
         row = self._rows[src]
         faulty, order = self.data.faulty, self._order
         seq = self._send_seq
-        for dst, idx, q, sent in (row if reach == n else row[:reach]):
+        for dst, idx, q in (row if reach == n else row[:reach]):
             seq += 1
-            sent.append(key)
             if dst not in faulty:
-                q.append((seq, fmsg, forward, key))
+                q.append((seq, fmsg, forward))
                 if len(q) == 1:
                     self._enable(self._deliveries[idx])
                 if order is not None:
@@ -1169,12 +1192,13 @@ class Simulator:
         self.next_op[i] = seq + 1
         op = self.scripts[i][seq]
         kind = op[0]
-        inv = {"op": kind, "seq": str(seq)}
         cur = self.cur[i] = OpRecord(i, seq, kind, invoke_idx=len(self.log))
         if kind == "write":
-            inv["r"], inv["v"] = str(op[1]), value_str(op[2])
             cur.r, cur.value = op[1], op[2]
-        self.trace("op_invoke", i, **inv)
+            self.trace("op_invoke", i, "op", kind, "r", str(op[1]), "seq", str(seq),
+                       "v", value_str(op[2]))
+        else:
+            self.trace("op_invoke", i, "op", kind, "seq", str(seq))
         if kind == "bcast":
             self._broadcast(i, op[1])
             return
@@ -1196,17 +1220,15 @@ class Simulator:
             self._op_returned(i)
             cur.return_idx = len(self.log)
             cur.result_values, cur.ts, cur.tsa = res.values, res.ts, res.tsa
-            out = {"op": cur.kind, "seq": str(cur.seq)}
             if res.kind == "write":
-                out["ts"] = str(res.ts)
+                out = ("ts", str(res.ts))
             elif res.kind == "read":
-                out["v"] = value_str(res.values[0])
-                out["ts"] = str(res.ts)
-                out["tsa"] = ",".join(str(t) for t in res.tsa)
+                out = ("ts", str(res.ts), "tsa", ",".join(str(t) for t in res.tsa),
+                       "v", value_str(res.values[0]))
             else:
-                out["vals"] = ",".join(value_str(v) for v in res.values)
-                out["tsa"] = ",".join(str(t) for t in res.tsa)
-            self.trace("op_return", i, **out)
+                out = ("tsa", ",".join(str(t) for t in res.tsa),
+                       "vals", ",".join(value_str(v) for v in res.values))
+            self.trace("op_return", i, "op", cur.kind, "seq", str(cur.seq), *out)
 
     def _op_returned(self, i: int) -> None:
         self.cur[i] = None
@@ -1218,7 +1240,7 @@ class Simulator:
         WritePayload that payload encodes, if it is one."""
         mid = MsgId(i, self.msg_seq[i])
         self.msg_seq[i] += 1
-        self.trace("bcast", i, id=str(mid), data=value_str(payload))
+        self.trace("bcast", i, "data", value_str(payload), "id", str(mid))
         self.data.broadcasts[mid] = (i, payload)
         if write is not None:
             self.data.writes[mid] = write
@@ -1278,30 +1300,29 @@ class Simulator:
             _, s, d = ev
             idx = (s - 1) * self.config.n + d - 1
             q = self.channels[idx]
-            _, fmsg, forward, key = q.popleft()
+            _, fmsg, forward = q.popleft()
             if not q:
                 self._disable(ev)
             self._log_append((self.step, "recv", d, forward, self._text[s]))
-            self._received[idx].append(key)
             scd = self.scd[d]
             out, ms = scd.on_forward(fmsg)
             if out is not None:
                 self.fifo_broadcast(d, out)
             if ms is None:
                 return
-            ids = frozenset(m.id for m in ms)
-            self.trace("scd_deliver", d, set=format_id_set(ids))
+            ids, text = self._sets[frozenset(m.id for m in ms)]
+            self.trace("scd_deliver", d, "set", text)
             self.data.logs[d].append(ids)
             # only a delivered set can complete d's pending broadcast
             done = scd.broadcast_complete()
             if done is not None:
-                self.trace("broadcast_complete", d, id=str(done))
+                self.trace("broadcast_complete", d, "id", str(done))
                 self.data.completed[d].add(done)
                 # a raw broadcast op's message is the only one it broadcasts
                 cur = self.cur[d]
                 if cur is not None and cur.kind == "bcast":
                     self._op_returned(d)
-                    self.trace("op_return", d, op="bcast", seq=str(cur.seq), ok="1")
+                    self.trace("op_return", d, "ok", "1", "op", "bcast", "seq", str(cur.seq))
             obj = self.obj[d]
             if obj is not None:
                 self._obj_step(d, obj.on_set_delivered(ms))
@@ -1382,19 +1403,11 @@ class Simulator:
             ev = schedule_next(events)
             self.step += 1
             execute(ev)
-        self.trace(
-            "end",
-            0,
-            status=status,
-            steps=str(self.step),
-            expected="1" if self.config.expected_nonterminating() else "0",
-        )
+        self.trace("end", 0, "expected", "1" if self.config.expected_nonterminating() else "0",
+                   "status", status, "steps", str(self.step))
         run = self.data
         run.status, run.steps = status, self.step
         if self.world is None:
-            n = self.config.n
-            run.channels = {(idx // n + 1, idx % n + 1): (sent, self._received[idx])
-                            for idx, sent in enumerate(self._sent) if sent}
             for scd in self.scd[1:]:
                 scd.release()  # no process steps again
         if run.faulty:

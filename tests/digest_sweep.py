@@ -14,7 +14,10 @@ the verdict lines judged from the RunData the run filled.  Each run must
 also render the same text from its records as from the simulator's log,
 parse back to the entries of that log, also when the parser reads its lines
 in chunks of 7 characters (so chunk ends fall after nearly every line), and
-get the same verdicts back from its parsed trace; a mismatch exits 1.
+get the same verdicts back from its parsed trace; a mismatch exits 1.  So
+does an entry of the simulated or the parsed log that the cyclic collector
+still tracks after two gc.collect() calls: an entry holds only ints,
+strings and tuples of strings, which the collector untracks.
 
 The fanout digest runs the same checks over raw_broadcast at n = 11, 13 and
 15 with 4n broadcasts, under the three delay policies, crash-free, with
@@ -29,6 +32,7 @@ messages) and the 2+2 split, and at n = 3 over 1+1+0, in both memory modes.
 """
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
 import sys
@@ -105,8 +109,8 @@ def sweep(cfgs) -> tuple:
     for cfg in cfgs:
         run = run_scenario(cfg)
         text = run.text
-        records = TraceLog()  # a TraceEvent entry per record
-        records.entries = list(run.events)
+        records = TraceLog()  # an entry per record
+        records.entries = [sim._entry_of(ev) for ev in run.events]
         if render_trace(records) != text:
             raise SystemExit(f"records render unlike the log: {cfg}")
         log = parse_trace(text)
@@ -114,6 +118,12 @@ def sweep(cfgs) -> tuple:
             raise SystemExit(f"parsed trace unlike the simulator's log: {cfg}")
         if parse_in_small_chunks(text).entries != log.entries:
             raise SystemExit(f"trace parsed in small chunks unlike in whole ones: {cfg}")
+        # one collection untracks every fields tuple, but may meet an entry
+        # before the tuple it holds; the next then untracks every entry
+        gc.collect()
+        gc.collect()
+        if any(map(gc.is_tracked, run.events.entries + log.entries)):
+            raise SystemExit(f"a log entry is still tracked by the collector: {cfg}")
         verdicts = "".join(v.line() + "\n" for v in evaluate_run(run))
         parsed = "".join(v.line() + "\n" for v in evaluate_run(load_run(log)))
         if parsed != verdicts:

@@ -7,6 +7,7 @@ import random
 import re
 from operator import le
 
+import digest_sweep
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_mutants import write_without_sync
@@ -15,6 +16,7 @@ from scdkit.core import INITIAL_TS, MsgId, Timestamp
 from scdkit.shared_objects import INITIAL_VALUE, SnapshotObject, WritePayload
 from scdkit.check import (
     History,
+    Verdict,
     _misorder,
     _write_rank,
     OpRecord,
@@ -35,7 +37,7 @@ from scdkit.check import (
     load_run,
     timestamp_metadata,
 )
-from scdkit.sim import ScenarioConfig, parse_trace, run_scenario
+from scdkit.sim import MP_WORKLOADS, ScenarioConfig, parse_trace, run_scenario
 
 
 def make_run(logs, n=3, status="quiescent"):
@@ -188,6 +190,73 @@ def test_ms_ordering_scan_matches_quadratic_reference(seed):
     assert (check_ms_ordering(run).status == "pass") == expect
 
 
+def pair_sort_ms_ordering(run: RunData) -> Verdict:
+    """The ms_ordering check it replaced: per pair of processes, the common
+    messages sorted by (position at i, position at j), scanned with the
+    running maximum of the positions at j over earlier sets at i."""
+    pos = {
+        i: {mid: x for x, s in enumerate(sets) for mid in s}
+        for i, sets in run.logs.items()
+    }
+    procs = sorted(run.logs)
+    for a in range(len(procs)):
+        for b in range(a + 1, len(procs)):
+            i, j = procs[a], procs[b]
+            common = [mid for mid in pos[i] if mid in pos[j]]
+            common.sort(key=lambda mid: (pos[i][mid], pos[j][mid]))
+            run_max = None  # (pos_j, mid) over strictly earlier sets at i
+            x = 0
+            while x < len(common):
+                y = x
+                while y < len(common) and pos[i][common[y]] == pos[i][common[x]]:
+                    y += 1
+                if run_max is not None:
+                    for mid in common[x:y]:
+                        if pos[j][mid] < run_max[0]:
+                            return Verdict(
+                                "ms_ordering", "fail",
+                                f"p{i} orders {run_max[1]}<{mid}, "
+                                f"p{j} orders {mid}<{run_max[1]}",
+                            )
+                for mid in common[x:y]:
+                    if run_max is None or pos[j][mid] > run_max[0]:
+                        run_max = (pos[j][mid], mid)
+                x = y
+    return Verdict("ms_ordering", "pass")
+
+
+def assert_names_an_inversion(logs, detail):
+    """detail names m, m' that one process delivers in strictly one set
+    order and another in the opposite, each at its last delivery."""
+    i, a, b, j = re.fullmatch(r"p(\d+) orders (\S+)<(\S+), p(\d+) orders \3<\2",
+                              detail).groups()
+    a, b = MsgId.parse(a), MsgId.parse(b)
+    pos = {k: {m: x for x, s in enumerate(logs[k]) for m in s} for k in (int(i), int(j))}
+    assert pos[int(i)][a] < pos[int(i)][b] and pos[int(j)][b] < pos[int(j)][a], detail
+
+
+@settings(max_examples=500, deadline=None)
+@given(delivery_logs())
+def test_ms_ordering_matches_pair_sort_on_delivery_logs(logs):
+    """The set walk against the pair sort it replaced, repeated deliveries
+    included: the same status, and a failure names a real inversion."""
+    cfg = ScenarioConfig(n=9, t=4, workload="raw_broadcast", op_count=0)
+    run = RunData(cfg, [], "quiescent")
+    run.logs = logs
+    v = check_ms_ordering(run)
+    assert v.status == pair_sort_ms_ordering(run).status
+    if v.status == "fail":
+        assert_names_an_inversion(logs, v.detail)
+
+
+def test_ms_ordering_matches_pair_sort_on_sweep_configs():
+    """The same verdict line as the pair sort on every run of the
+    determinism sweep's configs, and at the scale of perfbench's fanout."""
+    for cfg in (*digest_sweep.configs(), *digest_sweep.fanout_configs()):
+        run = run_scenario(cfg)
+        assert check_ms_ordering(run).line() == pair_sort_ms_ordering(run).line(), cfg
+
+
 def test_termination_skips_unfinished_runs():
     run = make_run(GOOD_LOGS, status="stalled")
     assert check_termination(run).status == "skip"
@@ -280,6 +349,112 @@ def test_reordered_channel_fails_fifo():
     def swap(lines):
         lines[a], lines[b] = lines[b], lines[a]
     assert check_fifo(load_run(_tampered(res.text, swap))).status == "fail"
+
+
+def channels_of(log) -> dict:
+    """The channel lists load_run once built, from the log's records:
+    (src, dst) -> ((sd, sn, f) of each send, of each receipt), in log
+    order."""
+    channels = {}
+    for ev in log:
+        p = ev.payload
+        if ev.kind == "send":
+            channel, side = (ev.proc, int(p["to"])), 0
+        elif ev.kind == "recv":
+            channel, side = (int(p["from"]), ev.proc), 1
+        else:
+            continue
+        channels.setdefault(channel, ([], []))[side].append((p["sd"], p["sn"], p["f"]))
+    return channels
+
+
+def channel_list_fifo(channels) -> Verdict:
+    """The check_fifo it replaced: each channel's receipts a prefix of its
+    sends, the first failing channel named."""
+    for (src, dst), (sent, received) in sorted(channels.items()):
+        if received != sent[: len(received)]:
+            return Verdict("fifo", "fail", f"channel {src}->{dst} reorders or loses")
+    return Verdict("fifo", "pass")
+
+
+# crash-free, random crashes, and explicit ones whose keep cuts truncate a
+# fan-out, at n = 5
+_FIFO_CRASHES = ("none", "random:2", "explicit:2@9:1,4@40:3", "explicit:1@0:2,3@25:4")
+
+
+@pytest.mark.parametrize("workload", MP_WORKLOADS)
+def test_fifo_walk_matches_channel_lists(workload):
+    """check_fifo's walk of the log gives the channel lists' verdict on
+    simulated runs, judged live and from their parsed traces."""
+    cut = False
+    for delay in ("uniform", "fifo", "slow:1"):
+        for crash in _FIFO_CRASHES:
+            for seed in range(2):
+                cfg = ScenarioConfig(n=5, t=2, workload=workload, op_count=10, crash=crash,
+                                     delay=delay, seed=seed, nregs=2, writer=2)
+                res = run_scenario(cfg)
+                want = channel_list_fifo(channels_of(res.events))
+                assert check_fifo(res) == want == Verdict("fifo", "pass"), cfg
+                assert check_fifo(load_run(parse_trace(res.text))) == want, cfg
+                cut |= any(len(e) == 5 and e[1] == "send" and e[4] < 5
+                           for e in res.events.entries)
+    assert cut  # some keep cut truncated a fan-out
+
+
+def _recv_lines(lines):
+    """(index, receiver, sender) of each recv line."""
+    return [(k, line.split("|")[2], re.search(" from=([0-9]+)", line)[1])
+            for k, line in enumerate(lines) if line.split("|")[1] == "recv"]
+
+
+def _swap_receipts(lines):
+    recvs = _recv_lines(lines)
+    a, b = next((a, b) for x, a in enumerate(recvs) for b in recvs[x + 1:] if a[1:] == b[1:])
+    lines[a[0]], lines[b[0]] = lines[b[0]], lines[a[0]]
+
+
+def _drop_send(lines):  # the fan-out's send to p2 is gone: its receipt there fails
+    del lines[_first(lines, "send", " to=2\n")]
+
+
+def _repeat_receipt(lines):
+    k = _first(lines, "recv")
+    lines.insert(k + 1, lines[k])
+
+
+def _receipt_from_p3(lines):  # p3 crashed at step 0 and never sent
+    assert not any(line.split("|")[1:3] == ["send", "3"] for line in lines)
+    k = _first(lines, "recv")
+    lines[k] = re.sub(" from=[0-9]+", " from=3", lines[k])
+
+
+@pytest.mark.parametrize("edit,crash", [
+    (_swap_receipts, "none"), (_drop_send, "none"), (_repeat_receipt, "none"),
+    (_receipt_from_p3, "explicit:3@0"),
+], ids=["reordered-receipt", "dropped-send", "duplicated-receipt", "never-sent-channel"])
+def test_fifo_walk_matches_channel_lists_on_tampered_traces(edit, crash):
+    res = run_scenario(ScenarioConfig(n=3, t=1, workload="raw_broadcast", op_count=4,
+                                      crash=crash, seed=2))
+    log = _tampered(res.text, edit)
+    v = check_fifo(load_run(log))
+    assert v == channel_list_fifo(channels_of(log))
+    assert v.status == "fail"
+
+
+def test_fifo_fails_a_receipt_before_its_send():
+    """A receipt moved ahead of its fan-out's send lines keeps every
+    channel's receipts in order, which the channel lists never looked
+    past; the walk fails it, as no channel delivers what is not yet sent."""
+    res = run_scenario(ScenarioConfig(n=3, t=1, workload="raw_broadcast", op_count=4, seed=2))
+    lines = res.text.splitlines(keepends=True)
+    k, dst, src = _recv_lines(lines)[0]
+    fwd = re.search("(f=[^ ]*) from=[0-9]+ (.*)\n", lines[k])
+    j = _first(lines, "send", f"|{src}|{fwd[1]} {fwd[2]} to=1\n")
+    lines.insert(j, lines.pop(k))
+    log = parse_trace("".join(lines))
+    assert channel_list_fifo(channels_of(log)).status == "pass"
+    v = check_fifo(load_run(log))
+    assert (v.status, v.detail) == ("fail", f"channel {src}->{dst} reorders or loses")
 
 
 def test_tampered_send_count_fails_bound():

@@ -7,12 +7,13 @@ from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_check import channel_list_fifo, channels_of
 from test_scd_mp import AlwaysPurgeProcess
 from test_trace_codec import log_of
 
 from scdkit import sim
 from scdkit.core import MsgId, UsageError
-from scdkit.check import OBJECT_WORKLOADS, RunData, evaluate_run, load_run
+from scdkit.check import OBJECT_WORKLOADS, RunData, check_fifo, evaluate_run, load_run
 from scdkit.cli import evaluate, main
 from scdkit.scd_mp import ScdProcess
 from scdkit.sim import (
@@ -470,8 +471,8 @@ def test_stall_rule_matches_per_process_rule(workload):
 
 
 def _fields(fmsg):
-    return {"m": str(fmsg.m.id), "sd": str(fmsg.sd), "sn": str(fmsg.sn_sd),
-            "f": str(fmsg.f), "snf": str(fmsg.sn_f)}
+    return ("m", str(fmsg.m.id), "sd", str(fmsg.sd), "sn", str(fmsg.sn_sd),
+            "f", str(fmsg.f), "snf", str(fmsg.sn_f))
 
 
 class PerCopyRecordSimulator(Simulator):
@@ -481,7 +482,7 @@ class PerCopyRecordSimulator(Simulator):
     per fan-out and per delivery, to its records and their lines.  Sends
     queue on the simulator's channels, send-order queue and enable helper;
     a delivery runs the simulator's own, whose recv entry is then replaced
-    by the record formatted here."""
+    by the entry of the record formatted here."""
 
     def fifo_broadcast(self, src, fmsg):
         n = self.config.n
@@ -491,11 +492,11 @@ class PerCopyRecordSimulator(Simulator):
                     raise _CrashCut()
                 self._cut -= 1
             self._send_seq += 1
-            self.trace("send", src, to=str(dst), **_fields(fmsg))
+            self.trace("send", src, "to", str(dst), *_fields(fmsg))
             if dst not in self.data.faulty:
                 idx = (src - 1) * n + dst - 1
                 q = self.channels[idx]
-                q.append((self._send_seq, fmsg, None, None))
+                q.append((self._send_seq, fmsg, None))
                 if len(q) == 1:
                     self._enable(self._deliveries[idx])
                 if self._order is not None:
@@ -511,7 +512,7 @@ class PerCopyRecordSimulator(Simulator):
         try:
             super().execute(ev)  # a keep cut leaves by _CrashCut
         finally:
-            entries[k] = TraceEvent(self.step, "recv", d, {"from": str(s), **_fields(fmsg)})
+            entries[k] = (self.step, "recv", d, ("from", str(s), *_fields(fmsg)))
 
 
 # (n, crash): crash-free (at n = 1 too), random:K, and explicit crashes whose
@@ -533,7 +534,7 @@ def test_records_match_per_copy_records(workload):
                              crash=crash, delay=delay, seed=seed, nregs=2, writer=min(n, 2))
                 log = Simulator(cfg).run().events
                 per_copy = PerCopyRecordSimulator(cfg).run().events
-                assert list(log) == per_copy.entries, cfg
+                assert list(log) == list(per_copy), cfg
                 assert len(log) == len(per_copy), cfg
                 assert lines(render_trace(log)) == lines(render_trace(log_of(log))), cfg
                 # a send entry stands for its records to p1..p{reach}
@@ -679,15 +680,20 @@ def test_log_len_is_the_record_count():
     assert count == len(list(log))
     log.remove(next(ev for ev in log if ev.kind == "send"))
     assert len(log) == count - 1 == len(list(log))
+    log.remove(next(ev for ev in log if ev.kind == "bcast"))
+    assert len(log) == count - 2 == len(list(log))
 
 
 @pytest.mark.parametrize("kind,to", [("send", "1"), ("send", "2"), ("recv", None)])
 def test_remove_reaches_every_reader(kind, to):
     """remove() takes the record out of the log's entries: a fan-out's first
     or middle send record, or a recv record.  The rendered trace loses
-    exactly its line, load_run one send or one receipt, and len() one."""
+    exactly its line, load_run one send, the channel lists of the records
+    one send or one receipt, and len() one; check_fifo judges the log as
+    those lists do."""
     log = run_scenario(config(n=3, op_count=3, seed=7)).events
     records, text, before = list(log), lines(render_trace(log)), load_run(log)
+    channels = channels_of(log)
     assert not before.faulty
     k = next(k for k, ev in enumerate(records) if ev.kind == kind and ev.payload.get("to") == to)
     ev = records[k]
@@ -702,8 +708,10 @@ def test_remove_reaches_every_reader(kind, to):
         channel, side = (ev.proc, int(p["to"])), 0
     else:
         channel, side = (int(p["from"]), ev.proc), 1
-    assert len(after.channels[channel][side]) == len(before.channels[channel][side]) - 1
-    assert after.channels[channel][1 - side] == before.channels[channel][1 - side]
+    now = channels_of(log)
+    assert len(now[channel][side]) == len(channels[channel][side]) - 1
+    assert now[channel][1 - side] == channels[channel][1 - side]
+    assert check_fifo(after) == channel_list_fifo(now)
 
 
 @pytest.mark.parametrize("kind,key", [("send", "to"), ("recv", "from")])
