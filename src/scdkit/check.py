@@ -44,7 +44,9 @@ gate such as a run that never reached quiescence.  A simulated run is judged
 from the RunData that Simulator.run filled as it ran and returned.  load_run
 builds the same RunData from a stored trace, reading the TraceLog that
 sim.parse_trace gives back entry by entry, and builds no record.  It and
-check_fifo are the only readers of the log's entries; load_run rejects
+check_fifo are the only readers of the log's entries, which they take from
+TraceLog.entries() as (delta, kind, proc, payload, last) tuples, never
+reading the step delta; load_run rejects
 malformed input by exception, so no checker raises on a RunData it
 returned.
 """
@@ -109,10 +111,12 @@ class History:
 def load_run(log: TraceLog) -> RunData:
     """Read every trace record once into RunData; the checkers judge only
     the parsed fields.  The log's entries are read, and no record is built:
-    a send entry counts reach sends, and a (step, kind, proc, fields) entry
-    is read through a dict of its fields.  The entry of the first record
-    after a crash becomes run.late.  Record indices (invoke_idx,
-    return_idx) count the records an entry stands for.  Each distinct id
+    a send entry counts reach sends, and an entry whose last slot is None
+    is read through a dict of its payload fields; no step is read, so the
+    delta slot is not.  The entry of the first record after a crash, as a
+    (delta, kind, proc, payload, last) tuple, becomes run.late.  Record
+    indices (invoke_idx, return_idx) count the records an entry stands
+    for.  Each distinct id
     text is parsed into one MsgId and each distinct tag text into one
     Timestamp, shared by every fact that holds it; sends are counted by
     their `m` text, and each distinct text is parsed at the end (so a bad
@@ -127,10 +131,11 @@ def load_run(log: TraceLog) -> RunData:
     record whose status is not one a run ends with; records after it are
     read.  A send or recv record lacking a FORWARD field check_fifo reads
     raises KeyError too, so check_fifo never does."""
-    entries = log.entries
-    if not entries or entries[0][1] != "config":
+    entries = log.entries()
+    first = next(entries, None)
+    if first is None or first[1] != "config":
         raise ValueError("trace must start with a config record")
-    config = ScenarioConfig.from_payload(_payload(entries[0]))
+    config = ScenarioConfig.from_payload(_payload(first[3]))
     config.validate()
     run = RunData.start(config, log)
     objects = config.workload in OBJECT_WORKLOADS
@@ -153,12 +158,11 @@ def load_run(log: TraceLog) -> RunData:
         return pid
 
     shift = 0  # records before an entry less its index: reach - 1 per send entry
-    for k, ev in enumerate(entries):
-        kind, proc = ev[1], ev[2]
+    for k, (delta, kind, proc, f, last) in enumerate(entries, start=1):
         if kind == "config":
             continue
         if kind == "end":
-            p = _payload(ev)
+            p = _payload(f)
             if p["status"] not in END_STATUSES:
                 raise ValueError(f"run ended with unknown status {p['status']!r}")
             run.status, run.steps = p["status"], int(p["steps"])
@@ -166,19 +170,18 @@ def load_run(log: TraceLog) -> RunData:
         if proc not in run.logs:
             raise KeyError(proc)
         if run.late is None and proc in run.faulty:
-            run.late = ev
-        if len(ev) == 5:  # a FORWARD's send or recv entry
-            last = ev[4]
+            run.late = (delta, kind, proc, f, last)
+        if last is not None:  # a FORWARD's send or recv entry
             if kind == "send":
                 if last > n:
                     peer(str(last))  # raises: the entry stands for a send to p{last}
-                m = ev[3][0]
+                m = f[0]
                 sends[m] = sends.get(m, 0) + last
                 shift += last - 1
             elif last not in pids:
                 peer(last)  # raises
             continue
-        p = _payload(ev)
+        p = _payload(f)
         if kind == "send" or kind == "recv":
             peer(p["to" if kind == "send" else "from"])
             _channel_key(p)  # raises here on a missing field, not in check_fifo
@@ -235,10 +238,9 @@ def load_run(log: TraceLog) -> RunData:
     return run
 
 
-def _payload(entry: tuple) -> dict:
-    """The payload of a (step, kind, proc, fields) entry."""
-    f = entry[3]
-    return dict(zip(f[::2], f[1::2]))
+def _payload(fields: tuple) -> dict:
+    """The payload of a record's (k1, v1, k2, v2, ...) fields."""
+    return dict(zip(fields[::2], fields[1::2]))
 
 
 def _pids(n: int) -> dict:
@@ -398,47 +400,46 @@ def check_termination(run: RunData) -> Verdict:
 
 def check_fifo(run: RunData) -> Verdict:
     """Each channel s->d receives what s sent on it, in order.  One walk of
-    the log numbers each source's fan-outs as they come: a send entry
-    reaches 1..reach, a send record its to= process.  A receipt on s->d
-    must be of the next fan-out of s, after the one its last receipt took,
-    whose reach covers d; the two are compared by their (sd, sn, f) fields.
-    A channel keeps only the number of that last fan-out, so a receipt of a
-    message sent later in the log, or never, fails.  The failing channel
-    first in (src, dst) order is named."""
+    the log numbers each source's fan-outs as they come, each with the
+    range of processes it reaches: 1..reach for a send entry, the to=
+    process alone for a send record.  A receipt on s->d must be of the next
+    fan-out of s, after the one its last receipt took, whose range holds d;
+    the two are compared by their (sd, sn, f) fields.  A channel keeps only
+    the number of that last fan-out, so a receipt of a message sent later
+    in the log, or never, fails.  The failing channel first in (src, dst)
+    order is named."""
     n = run.config.n
     pids = _pids(n)
     width = n + 1
-    fanouts = [[] for _ in range(width)]  # per source: send entries, (key, to) per record
+    fanouts = [[] for _ in range(width)]  # per source: (fields, lowest, highest process)
     taken = [0] * (width * width)  # channel s->d at s * width + d
     failed = set()
-    for e in run.events.entries:
-        kind = e[1]
+    for _, kind, proc, f, last in run.events.entries():
         if kind == "recv":
-            dst = e[2]
-            if len(e) == 5:
-                src, got = pids[e[4]], e[3]
+            if last is not None:
+                src, got = pids[last], f
             else:
-                p = _payload(e)
+                p = _payload(f)
                 src, got = pids[p["from"]], _channel_key(p)
-            sent, c = fanouts[src], src * width + dst
+            sent, c = fanouts[src], src * width + proc
             x = taken[c]
             while x < len(sent):
-                o = sent[x]
+                want, low, high = sent[x]
                 x += 1
-                if dst <= o[4] if len(o) == 5 else dst == o[1]:
-                    want = o[3] if len(o) == 5 else o[0]
+                if low <= proc <= high:
                     if want is not got and _fifo_key(want) != _fifo_key(got):
-                        failed.add((src, dst))
+                        failed.add((src, proc))
                     break
             else:
-                failed.add((src, dst))
+                failed.add((src, proc))
             taken[c] = x
         elif kind == "send":
-            if len(e) == 5:
-                fanouts[e[2]].append(e)
+            if last is not None:
+                fanouts[proc].append((f, 1, last))
             else:
-                p = _payload(e)
-                fanouts[e[2]].append((_channel_key(p), pids[p["to"]]))
+                p = _payload(f)
+                to = pids[p["to"]]
+                fanouts[proc].append((_channel_key(p), to, to))
     if failed:
         src, dst = min(failed)
         return _fail("fifo", f"channel {src}->{dst} reorders or loses")

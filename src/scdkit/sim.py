@@ -28,36 +28,38 @@ enabled but a live process's broadcast never completed, the signature of a
 lost majority, decided from the RunData alone), or out of step budget.
 Trace records are line-oriented: step|kind|proc|key=value..., and their
 kinds are those of RECORD_KINDS; check.load_run rejects any other.  The
-simulator writes them to one ordered TraceLog of dict-free entries (see
-TraceLog for their two shapes): a record is (step, kind, proc, fields),
-its payload's keys and values in the sorted key order of its line, except
-that a fifo-broadcast is one entry standing for all its send records, and a
-delivery one entry for its recv record.  Those two kinds are nearly all of a
-run's records.  A FORWARD's trace fields are looked up once, when it is
-fifo-broadcast, and shared by its send and recv entries; each distinct field
-value (a MsgId or an int) has one text per run, so all FORWARDs of one
-message share its m, sd and sn texts.  No judged path reads records: the
-entries are the log, and iterating it builds each record afresh, a
+simulator writes them to one ordered TraceLog, five flat slots per
+dict-free entry, (step delta, kind, proc, payload, last), each by one
+list.extend (see TraceLog).  A record is one entry whose payload holds its
+keys and values in the sorted key order of its line, except that a
+fifo-broadcast is one entry standing for all its send records, and a
+delivery one entry for its recv record.  Those two kinds are nearly all of
+a run's records.  A FORWARD's trace fields are looked up once, when it is
+fifo-broadcast, and shared by its send and recv entries; each distinct
+field value (a MsgId or an int) has one text per run, so all FORWARDs of
+one message share its m, sd and sn texts.  No judged path reads records:
+the rows are the log, and iterating it builds each record afresh, a
 TraceEvent owning its payload dict, and keeps none.
 
 The trace codec works on the same log.  render_trace writes every line
 straight from the entries: each distinct key list is sorted once per call,
 each FORWARD's field text joined once per call, and the send lines of one
 fan-out are one string.  parse_trace reads the text's lines in bounded
-chunks, so it never holds a list of them all, and gives back a TraceLog:
-the send lines of one fan-out fold into one send entry and a recv line
-becomes one recv entry, sharing one field tuple per distinct field text and
-one string per distinct field value.  Every other line is a (step, kind,
-proc, fields) entry whose field texts, and payload texts before the last
-field, are split once per call, so equal field strings are shared there
-too.  So a parsed trace holds the very entries the simulator wrote.
-render_trace and check.load_run take only a TraceLog and read its entries,
-so neither a judged run nor a checked trace builds a record.
+chunks, so it never holds a list of them all, and gives back a TraceLog of
+the same rows: the send lines of one fan-out fold into one send entry and
+a recv line becomes one recv entry, sharing one field tuple per distinct
+field text and one string per distinct field value.  Every other line is
+one entry whose field texts, and payload texts before the last field, are
+split once per call, so equal field strings are shared there too.  So a
+parsed trace holds the very rows the simulator wrote.  render_trace and
+check.load_run take only a TraceLog and read its entries, so neither a
+judged run nor a checked trace builds a record.
 
 As it runs, the simulator also fills the RunData that the checkers judge,
 from the objects at hand where each record is written: the MsgId, the
 delivered set and the OpResult, never the record text.  Each distinct
-delivered set is one frozenset, with one text, per run.  Channel order is
+delivered set is one frozenset, with one text, per run (Simulator._sets,
+which RwWorld.step is handed in a shared-memory run).  Channel order is
 kept only in the log: check.check_fifo walks its send and recv entries.
 Simulator.run returns the RunData, and a simulated run is judged from it;
 check.load_run reads the same facts back from the log of a stored trace.
@@ -288,50 +290,85 @@ class TraceParseError(Exception):
 
 class TraceLog:
     """A run's records, in order, as one log of entries: the log a simulated
-    run writes, or the one parse_trace reads back from its text.  An entry
-    is a plain tuple of one of two shapes, told apart by its length:
+    run writes, or the one parse_trace reads back from its text.  The log is
+    one flat list, `rows`, five slots per entry: (delta, kind, proc,
+    payload, last).
 
-      * (step, kind, proc, fields), one record: `fields` holds its
-        payload's keys and values in order, (k1, v1, k2, v2, ...);
-      * a FORWARD's records, which are nearly all of a run's.  One
-        fifo-broadcast is (step, "send", src, fwd, reach), standing for its
-        send records to processes 1..reach, and one delivery is
-        (step, "recv", dst, fwd, src text); `fwd` is the FORWARD's shared
-        tuple of field texts, in _FORWARD_KEYS order.
+      * delta is the entry's step less the step of the entry before it, or
+        less 0 for the first entry; a step is the sum of the deltas up to
+        its entry.  A run writes its entries in step order, so a delta is
+        0 or a few steps, one of the small ints CPython shares, and no log
+        holds an int object per step.
+      * kind and proc are those of every record the entry stands for.
+      * last is None for one record whose payload slot holds its keys and
+        values in order, (k1, v1, k2, v2, ...).  Otherwise the entry is a
+        FORWARD's, which are nearly all of a run's records, and its payload
+        is the FORWARD's shared tuple of field texts, in _FORWARD_KEYS
+        order.  One fifo-broadcast is a "send" entry whose last is its
+        reach, standing for its send records to processes 1..reach, and
+        one delivery a "recv" entry whose last is the sender's text.
 
-    So every entry holds the step, kind and proc of its records at indices
-    0-2, and holds only ints, strings and tuples of strings, which the
-    cyclic collector untracks.  Each distinct field value has one text in a
+    So an entry costs its five list slots and nothing of its own: its items
+    are small ints, strings, tuples of strings and None, which the cyclic
+    collector untracks.  Each distinct field value has one text in a
     simulated or parsed log, so all FORWARDs of one message share its m, sd
-    and sn strings.
+    and sn strings.  Readers outside this module take the entries as
+    5-tuples from entries().
 
     len() is the record count, so record indices (an op's invoke_idx and
     return_idx) index the records that iteration yields.  Iteration builds
-    each record afresh as a TraceEvent with its own payload dict, and keeps
-    none: the entries are the log, and every reader sees what they hold."""
+    each record afresh as a TraceEvent with its absolute step and its own
+    payload dict, and keeps none: the rows are the log, and every reader
+    sees what they hold."""
 
-    __slots__ = ("entries", "extra")
+    __slots__ = ("rows", "extra")
 
     def __init__(self):
-        self.entries = []
+        self.rows = []
         self.extra = 0  # records minus entries: reach - 1 per send entry
 
+    @staticmethod
+    def of(records) -> "TraceLog":
+        """A log of one entry per record given, each with its payload's
+        fields, a FORWARD's records too."""
+        log = TraceLog()
+        extend, step = log.rows.extend, 0
+        for ev in records:
+            extend((ev.step - step, ev.kind, ev.proc, _flat(ev.payload), None))
+            step = ev.step
+        return log
+
+    def entries(self):
+        """The entries in order, each as a (delta, kind, proc, payload,
+        last) tuple."""
+        rows = iter(self.rows)
+        return zip(rows, rows, rows, rows, rows)
+
     def __len__(self) -> int:
-        return len(self.entries) + self.extra
+        return len(self.rows) // 5 + self.extra
 
     def __iter__(self):
-        for e in self.entries:
-            yield from _records_of(e)
+        step = 0
+        for delta, kind, proc, payload, last in self.entries():
+            step += delta
+            yield from _records_of(step, kind, proc, payload, last)
 
     def remove(self, record) -> None:
         """Remove the first record equal to record, as list.remove does.  The
         entry that holds it gives way to one entry per other record it
         stood for, so render_trace and check.load_run see the removal too."""
-        for k, e in enumerate(self.entries):
-            records = _records_of(e)
+        rows, step = self.rows, 0
+        for k, (delta, kind, proc, payload, last) in enumerate(self.entries()):
+            step += delta
+            records = _records_of(step, kind, proc, payload, last)
             if record in records:
                 records.remove(record)
-                self.entries[k:k + 1] = map(_entry_of, records)
+                piece = TraceLog.of(records).rows
+                if piece:
+                    piece[0] = delta
+                elif 5 * k + 5 < len(rows):
+                    rows[5 * k + 5] += delta  # the next entry's step stays
+                rows[5 * k:5 * k + 5] = piece
                 self.extra -= len(records)
                 return
         raise ValueError("TraceLog.remove(x): x not in log")
@@ -345,20 +382,14 @@ def _flat(payload: dict) -> tuple:
     return tuple(chain.from_iterable(payload.items()))
 
 
-def _entry_of(ev: TraceEvent) -> tuple:
-    """The (step, kind, proc, fields) entry of one record."""
-    return (*ev[:3], _flat(ev.payload))
-
-
-def _records_of(entry: tuple) -> list:
-    """The records of one TraceLog entry, each payload in the key order of
-    its fields, or for a FORWARD's entry in the sorted key order of its
-    line."""
+def _records_of(step: int, kind: str, proc: int, payload: tuple, last) -> list:
+    """The records, at `step`, of one TraceLog entry past its delta, each
+    payload in the key order of its fields, or for a FORWARD's entry in the
+    sorted key order of its line."""
     new = tuple.__new__
-    if len(entry) == 4:
-        step, kind, proc, f = entry
-        return [new(TraceEvent, (step, kind, proc, dict(zip(f[::2], f[1::2]))))]
-    step, kind, proc, (m, sd, sn, f, snf), last = entry
+    if last is None:
+        return [new(TraceEvent, (step, kind, proc, dict(zip(payload[::2], payload[1::2]))))]
+    m, sd, sn, f, snf = payload
     if kind == "send":
         return [new(TraceEvent, (step, kind, proc, {"f": f, "m": m, "sd": sd, "sn": sn,
                                                    "snf": snf, "to": str(dst)}))
@@ -380,24 +411,24 @@ def render_trace(log: TraceLog) -> str:
     tails = Memo(lambda reach: [*map(str, range(1, reach)), f"{reach}\n"])
     lines = []
     append = lines.append
-    for ev in log.entries:
-        if len(ev) == 4:
-            fields = ev[3]
-            keys = fields[::2]
+    step = 0
+    for delta, kind, proc, payload, last in log.entries():
+        step += delta
+        if last is None:
+            keys = payload[::2]
             fmt = formats.get(keys)
             if fmt is None:
                 fmt = formats[keys] = _line_format(keys)
-            append(fmt(*ev[:3], *fields))
+            append(fmt(step, kind, proc, *payload))
             continue
-        step, kind, proc, fwd, last = ev
         if kind == "send":
-            head = f"{step}|send|{proc}|{_field_text(fwd)} to="
+            head = f"{step}|send|{proc}|{_field_text(payload)} to="
             append(head + ("\n" + head).join(tails[last]))
         else:
-            around = recv_text.get(id(fwd))
+            around = recv_text.get(id(payload))
             if around is None:
-                f, _, rest = _field_text(fwd).partition(" ")
-                around = recv_text[id(fwd)] = (f"{f} from=", f" {rest}\n")
+                f, _, rest = _field_text(payload).partition(" ")
+                around = recv_text[id(payload)] = (f"{f} from=", f" {rest}\n")
             append(f"{step}|recv|{proc}|{around[0]}{last}{around[1]}")
     return "".join(lines)
 
@@ -470,25 +501,28 @@ def parse_trace(text: str) -> TraceLog:
     to=2, ... to=reach is one send entry, and a recv line of that field
     text with its from= field after f= one recv entry.  A line that extends
     the run is told by its text alone: it is the run's first line up to
-    "to=", then the next number, so it is not split.  The field tuple of
+    "to=", then the next number, so it is not split, and it rewrites only
+    the entry's last slot, its reach.  The field tuple of
     each distinct field text, and what each distinct recv payload holds, are
     worked out once per call, so the entries of one FORWARD share one
     field tuple, and its send and recv records share its strings.
-    Every other line is a (step, kind, proc, fields) entry: each distinct
+    Every other line is one entry whose payload is its fields: each distinct
     field text is split once per call, and each distinct payload text before
     the last field turned into its fields once, which later entries with
     that head extend by their last field (a key given twice keeps its first
     place and its last value, as in a dict).  So equal field texts, and
     equal kinds, are one string object, as they are in the simulator's
     entries.  A FORWARD's field values, and a recv line's from= text, are
-    one string per distinct text, shared across forwarders.  The lines are
-    split a bounded chunk at a time (_chunks)."""
+    one string per distinct text, shared across forwarders.  An entry's
+    delta is its step less the last entry's, 0 unless its line's step text
+    differs from the line before.  The lines are split a bounded chunk at a
+    time (_chunks)."""
     if text and not text.endswith("\n"):
         # render_trace ends every record with a newline
         raise TraceParseError(f"line {len(text.splitlines())}: trace ends mid-record")
     log = TraceLog()
-    entries = log.entries
-    append = entries.append
+    rows = log.rows
+    extend = rows.extend
     fields = Memo(lambda chunk: chunk.partition("=")[::2])
 
     def head_of(head):  # (payload dict, its flat fields) of a payload head
@@ -508,7 +542,7 @@ def parse_trace(text: str) -> TraceLog:
 
     recvs = Memo(recv_of)
     kinds = {}
-    step_text = step = None
+    step_text, step = None, 0  # the last line's step text, and its step
     # the last entry's line up to its to value while it is a send entry, and
     # its reach; no line holds "\n"
     run_text, reach = "\n", 0
@@ -517,7 +551,7 @@ def parse_trace(text: str) -> TraceLog:
     for lineno, line in enumerate(lines, start=1):
         if line.startswith(run_text) and line[len(run_text):] == str(reach + 1):
             reach += 1
-            entries[-1] = (step, "send", proc, fwd, reach)
+            rows[-1] = reach
             extra += 1
             continue
         run_text = "\n"
@@ -527,9 +561,11 @@ def parse_trace(text: str) -> TraceLog:
                 continue  # a blank line holds no "|"
             raise TraceParseError(f"line {lineno}: want step|kind|proc|payload")
         s, kind, p, body = parts
+        delta = 0  # this entry's step less the last one's
         try:
             if s != step_text:  # the records of one step are adjacent
-                step, step_text = int(s), s
+                new = int(s)
+                delta, step, step_text = new - step, new, s
             proc = int(p)
         except ValueError as e:
             raise TraceParseError(f"line {lineno}: {e}") from None
@@ -538,12 +574,12 @@ def parse_trace(text: str) -> TraceLog:
             fwd = forwards[head]
             if fwd is not None and last == "to=1":
                 run_text, reach = line[:-1], 1
-                append((step, "send", proc, fwd, 1))
+                extend((delta, "send", proc, fwd, 1))
                 continue
         elif kind == "recv":
             recv = recvs[body]
             if recv is not None:
-                append((step, "recv", proc, recv[0], recv[1]))
+                extend((delta, "recv", proc, *recv))
                 continue
         kind = kinds.setdefault(kind, kind)
         flat = ()
@@ -555,7 +591,7 @@ def parse_trace(text: str) -> TraceLog:
                 # a key given twice keeps its first place and its last value
                 flat = (head_flat + flat if flat[0] not in payload
                         else _flat({**payload, flat[0]: flat[1]}))
-        append((step, kind, proc, flat))
+        extend((delta, kind, proc, flat, None))
     log.extra = extra
     return log
 
@@ -701,9 +737,10 @@ class RwWorld:
                 out.append(("apply", i))
         return out
 
-    def step(self, choice, trace=None, run=None) -> None:
-        """Run one choice.  The simulator passes its trace hook and the
-        RunData it fills; the explorer passes neither."""
+    def step(self, choice, trace=None, run=None, sets=None) -> None:
+        """Run one choice.  The simulator passes its trace hook, the RunData
+        it fills and its table of each distinct delivered set and its text;
+        the explorer passes none of them."""
         tag, i = choice
         p = self.procs[i]
         if tag == "invoke":
@@ -728,8 +765,8 @@ class RwWorld:
             result = self.memory.execute(i, op)
             delivered = p.complete_memop(result)
             if delivered is not None and trace:
-                ids = frozenset(m.id for m in delivered)
-                trace("scd_deliver", i, "set", format_id_set(ids))
+                ids, text = sets[frozenset(m.id for m in delivered)]
+                trace("scd_deliver", i, "set", text)
                 run.logs[i].append(ids)
             # a round runs alone, so a finished broadcast round is op next_op - 1
             if p.frame is None and frame.kind == "broadcast" and trace:
@@ -1044,7 +1081,7 @@ class RunData:
     logs: dict = field(default_factory=dict)         # proc -> [frozenset[MsgId]]
     completed: dict = field(default_factory=dict)    # proc -> set[MsgId] (bcast done)
     sends: dict = field(default_factory=dict)        # MsgId -> FORWARD sends
-    late: Optional[tuple] = None                     # entry of the first record after its crash
+    late: Optional[tuple] = None  # the 5-slot entry of the first record after its crash
     writes: dict = field(default_factory=dict)       # MsgId -> WritePayload
     ops: list = field(default_factory=list)          # OpRecords by invocation
 
@@ -1061,12 +1098,12 @@ class RunData:
         return render_trace(self.events)
 
 
-def _first_late(entries: list, start: int) -> Optional[tuple]:
-    """load_run's crash-silence rule from the TraceLog entries[start:],
-    which hold every crash record: the entry of the first record by a
-    process after its crash record."""
+def _first_late(log: TraceLog, start: int) -> Optional[tuple]:
+    """load_run's crash-silence rule from the entries of log from index
+    start on, which hold every crash record: the entry of the first record
+    by a process after its crash record."""
     faulty = set()
-    for e in islice(entries, start, None):
+    for e in islice(log.entries(), start, None):
         if e[2] in faulty:
             return e
         if e[1] == "crash":
@@ -1092,8 +1129,9 @@ class Simulator:
         config.validate()
         self.config = config
         self.log = TraceLog()
-        self._log_append = self.log.entries.append
+        self._log_extend = self.log.rows.extend
         self.step = 0
+        self._written = 0  # the step of the last entry written
         plan_rng = random.Random(f"{config.seed}:plan")
         self.sched_rng = random.Random(f"{config.seed}:sched")
         self.scripts = plan_ops(config, plan_rng)
@@ -1103,6 +1141,8 @@ class Simulator:
         self._send_seq = 0
         self.data = RunData.start(config, self.log)  # filled as the run goes
         self._first_crash = 0  # entry index of the first crash record, once there is one
+        # each distinct delivered set, and its trace text, once per run
+        self._sets = Memo(lambda ids: (ids, format_id_set(ids)))
         if config.workload in RW_WORKLOADS:
             msgs = {
                 i: [
@@ -1136,8 +1176,6 @@ class Simulator:
             self._order = deque() if self.policy == "fifo" else None
             # the trace text of each FORWARD field value (a MsgId or an int)
             self._text = Memo(str)
-            # each distinct delivered set, and its trace text, once per run
-            self._sets = Memo(lambda ids: (ids, format_id_set(ids)))
         self.trace("config", 0, *chain.from_iterable(sorted(config.to_payload().items())))
 
     # -- trace / transport hooks -----------------------------------------
@@ -1145,7 +1183,9 @@ class Simulator:
     def trace(self, kind: str, proc: int, *fields: str) -> None:
         """Write one record: fields are its payload's keys and values, in the
         sorted key order of its line, so a parsed trace holds equal entries."""
-        self._log_append((self.step, kind, proc, fields))
+        step = self.step
+        self._log_extend((step - self._written, kind, proc, fields, None))
+        self._written = step
 
     def fifo_broadcast(self, src: int, fmsg: ForwardMsg) -> None:
         """Send fmsg to every process, src included, in process order; a
@@ -1174,7 +1214,9 @@ class Simulator:
                     order.append((seq, idx))
         self._send_seq = seq
         if reach:
-            self._log_append((self.step, "send", src, forward, reach))
+            step = self.step
+            self._log_extend((step - self._written, "send", src, forward, reach))
+            self._written = step
             self.log.extra += reach - 1
             sends, mid = self.data.sends, fmsg.m.id
             sends[mid] = sends.get(mid, 0) + reach
@@ -1303,7 +1345,9 @@ class Simulator:
             _, fmsg, forward = q.popleft()
             if not q:
                 self._disable(ev)
-            self._log_append((self.step, "recv", d, forward, self._text[s]))
+            step = self.step
+            self._log_extend((step - self._written, "recv", d, forward, self._text[s]))
+            self._written = step
             scd = self.scd[d]
             out, ms = scd.on_forward(fmsg)
             if out is not None:
@@ -1327,7 +1371,7 @@ class Simulator:
             if obj is not None:
                 self._obj_step(d, obj.on_set_delivered(ms))
         elif self.world is not None:
-            self.world.step(ev, self.trace, self.data)
+            self.world.step(ev, self.trace, self.data, self._sets)
         elif ev[0] == "invoke":
             self.invoke(ev[1])
         else:
@@ -1354,7 +1398,7 @@ class Simulator:
                     self.channels[idx].clear()
                     self._disable(self._deliveries[idx])
         if not self.data.faulty:
-            self._first_crash = len(self.log.entries)
+            self._first_crash = len(self.log.rows) // 5
         self.data.faulty.add(proc)
         self.trace("crash", proc)
 
@@ -1411,7 +1455,7 @@ class Simulator:
             for scd in self.scd[1:]:
                 scd.release()  # no process steps again
         if run.faulty:
-            run.late = _first_late(self.log.entries, self._first_crash)
+            run.late = _first_late(self.log, self._first_crash)
         return run
 
 

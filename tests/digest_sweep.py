@@ -12,12 +12,13 @@ none, random:K, explicit crashes, and explicit crashes whose keep cuts
 interrupt a handler.  For each run the digest takes the rendered trace and
 the verdict lines judged from the RunData the run filled.  Each run must
 also render the same text from its records as from the simulator's log,
-parse back to the entries of that log, also when the parser reads its lines
+parse back to the rows of that log, also when the parser reads its lines
 in chunks of 7 characters (so chunk ends fall after nearly every line), and
 get the same verdicts back from its parsed trace; a mismatch exits 1.  So
-does an entry of the simulated or the parsed log that the cyclic collector
-still tracks after two gc.collect() calls: an entry holds only ints,
-strings and tuples of strings, which the collector untracks.
+does a step delta of the simulated or the parsed log that is negative, or
+deltas that do not add up to the run's steps, and an item of either log
+that the cyclic collector still tracks after a gc.collect() call: the
+items are ints, strings, None and tuples of strings, which it untracks.
 
 The fanout digest runs the same checks over raw_broadcast at n = 11, 13 and
 15 with 4n broadcasts, under the three delay policies, crash-free, with
@@ -109,21 +110,22 @@ def sweep(cfgs) -> tuple:
     for cfg in cfgs:
         run = run_scenario(cfg)
         text = run.text
-        records = TraceLog()  # an entry per record
-        records.entries = [sim._entry_of(ev) for ev in run.events]
-        if render_trace(records) != text:
+        if render_trace(TraceLog.of(run.events)) != text:  # an entry per record
             raise SystemExit(f"records render unlike the log: {cfg}")
         log = parse_trace(text)
-        if log.entries != run.events.entries:
+        if log.rows != run.events.rows:
             raise SystemExit(f"parsed trace unlike the simulator's log: {cfg}")
-        if parse_in_small_chunks(text).entries != log.entries:
+        if parse_in_small_chunks(text).rows != log.rows:
             raise SystemExit(f"trace parsed in small chunks unlike in whole ones: {cfg}")
-        # one collection untracks every fields tuple, but may meet an entry
-        # before the tuple it holds; the next then untracks every entry
+        for rows in (run.events.rows, log.rows):
+            deltas = rows[::5]
+            if min(deltas) < 0 or sum(deltas) != run.steps:
+                raise SystemExit(f"step deltas negative or not summing to the steps: {cfg}")
+        # one collection untracks every fields tuple, and the log's other
+        # items are never tracked
         gc.collect()
-        gc.collect()
-        if any(map(gc.is_tracked, run.events.entries + log.entries)):
-            raise SystemExit(f"a log entry is still tracked by the collector: {cfg}")
+        if any(map(gc.is_tracked, run.events.rows + log.rows)):
+            raise SystemExit(f"a log item is still tracked by the collector: {cfg}")
         verdicts = "".join(v.line() + "\n" for v in evaluate_run(run))
         parsed = "".join(v.line() + "\n" for v in evaluate_run(load_run(log)))
         if parsed != verdicts:

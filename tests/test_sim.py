@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_check import channel_list_fifo, channels_of
 from test_scd_mp import AlwaysPurgeProcess
-from test_trace_codec import log_of
 
 from scdkit import sim
-from scdkit.core import MsgId, UsageError
+from scdkit.core import MsgId, UsageError, format_id_set
 from scdkit.check import OBJECT_WORKLOADS, RunData, check_fifo, evaluate_run, load_run
 from scdkit.cli import evaluate, main
 from scdkit.scd_mp import ScdProcess
@@ -23,6 +22,7 @@ from scdkit.sim import (
     ScenarioConfig,
     Simulator,
     TraceEvent,
+    TraceLog,
     TraceParseError,
     _CrashCut,
     _estimated_steps,
@@ -186,6 +186,24 @@ def test_rw_workload_runs_both_memory_modes():
             assert union is None or got == union
             union = got
         assert len(union) == 4
+
+
+def test_rw_run_shares_each_delivered_set():
+    """A simulated rw_equivalence run holds one frozenset, and one
+    scd_deliver text, per distinct delivered set, as a message-passing run
+    does: equal sets in its logs are one object, and so are their texts."""
+    for mem in ("atomic", "sc"):
+        res = run_scenario(config(workload="rw_equivalence", op_count=6, mem=mem))
+        logs = {i: iter(sets) for i, sets in res.logs.items()}
+        sets, texts = {}, {}
+        for _, kind, proc, payload, _ in res.events.entries():
+            if kind == "scd_deliver":
+                ids, text = next(logs[proc]), payload[1]
+                assert text == format_id_set(ids)
+                assert sets.setdefault(ids, ids) is ids, mem
+                assert texts.setdefault(text, text) is text, mem
+        assert sum(map(len, res.logs.values())) > len(sets)  # some set delivered twice
+        assert all(next(it, None) is None for it in logs.values())
 
 
 def test_object_workloads_return_every_operation():
@@ -507,12 +525,12 @@ class PerCopyRecordSimulator(Simulator):
             return super().execute(ev)
         _, s, d = ev
         fmsg = self.channels[(s - 1) * self.config.n + d - 1][0][1]
-        entries = self.log.entries
-        k = len(entries)
+        rows = self.log.rows
+        k = len(rows)  # the recv entry's delta, at rows[k]
         try:
             super().execute(ev)  # a keep cut leaves by _CrashCut
         finally:
-            entries[k] = (self.step, "recv", d, ("from", str(s), *_fields(fmsg)))
+            rows[k + 3:k + 5] = (("from", str(s), *_fields(fmsg)), None)
 
 
 # (n, crash): crash-free (at n = 1 too), random:K, and explicit crashes whose
@@ -536,10 +554,10 @@ def test_records_match_per_copy_records(workload):
                 per_copy = PerCopyRecordSimulator(cfg).run().events
                 assert list(log) == list(per_copy), cfg
                 assert len(log) == len(per_copy), cfg
-                assert lines(render_trace(log)) == lines(render_trace(log_of(log))), cfg
+                assert lines(render_trace(log)) == lines(render_trace(TraceLog.of(log))), cfg
                 # a send entry stands for its records to p1..p{reach}
-                cut |= any(type(e) is tuple and e[1] == "send" and e[4] < n
-                           for e in log.entries)
+                cut |= any(e[1] == "send" and e[4] is not None and e[4] < n
+                           for e in log.entries())
     assert cut  # some keep cut truncated a fifo-broadcast
 
 
@@ -614,7 +632,7 @@ def test_live_and_parsed_events_load_alike(workload):
     for cfg in _rundata_configs(workload):
         res = run_scenario(cfg)
         parsed = parse_trace(res.text)
-        assert parsed.entries == res.events.entries, cfg
+        assert parsed.rows == res.events.rows, cfg
         from_events, from_text = load_run(res.events), load_run(parsed)
         for f in fields(RunData):
             live = _field(res, f.name)
@@ -623,8 +641,8 @@ def test_live_and_parsed_events_load_alike(workload):
 
 
 def _field(run, name):
-    """A RunData field, its log compared by entries."""
-    return run.events.entries if name == "events" else getattr(run, name)
+    """A RunData field, its log compared by rows."""
+    return run.events.rows if name == "events" else getattr(run, name)
 
 
 @pytest.mark.parametrize("workload", OBJECT_WORKLOADS)

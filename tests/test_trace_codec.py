@@ -34,14 +34,6 @@ from scdkit.sim import (
 )
 
 
-def log_of(records) -> TraceLog:
-    """A TraceLog of one (step, kind, proc, fields) entry per record given:
-    the log of a trace with no FORWARD line in the exact form."""
-    log = TraceLog()
-    log.entries = [sim._entry_of(ev) for ev in records]
-    return log
-
-
 def old_render_event(ev: TraceEvent) -> str:
     body = " ".join(f"{k}={v}" for k, v in sorted(ev.payload.items()))
     return f"{ev.step}|{ev.kind}|{ev.proc}|{body}"
@@ -214,7 +206,7 @@ def forward_lines(draw):
             for step, proc, items in records]
 
 
-_FORWARD_CONFIG = render_trace(log_of([TraceEvent(0, "config", 0, ScenarioConfig(
+_FORWARD_CONFIG = render_trace(TraceLog.of([TraceEvent(0, "config", 0, ScenarioConfig(
     n=3, t=1, workload="snapshot_ops", op_count=2).to_payload())]))
 # records that mark a crash (crash silence) or move the record index of an op
 _OTHER_LINES = st.sampled_from([
@@ -240,8 +232,8 @@ def forward_traces(draw):
 
 def _loaded(log):
     """Every field of load_run(log), or the exception.  The log's records
-    are listed, and the late entry cut to the step, kind and proc of its
-    record, the part that crash silence reads."""
+    are listed, and the late entry cut to the step delta, kind and proc of
+    its record; crash silence reads the kind and proc."""
     try:
         run = load_run(log)
     except Exception as e:  # noqa: BLE001 - the type and message are compared
@@ -260,7 +252,7 @@ def test_forward_lines_parse_render_and_load_as_their_records(text):
         return
     assert (render_trace(log).splitlines(True)
             == old_render_trace(old_parse_trace(text)).splitlines(True))
-    assert _loaded(parse_trace(text)) == _loaded(log_of(parse_trace(text)))
+    assert _loaded(parse_trace(text)) == _loaded(TraceLog.of(parse_trace(text)))
 
 
 _KEYS = st.sampled_from(["", "a", "b", "m", "to", "{}", "}{", "{0}", "%s", "=", "é", "a b"])
@@ -284,7 +276,7 @@ def event_lists(draw):
 @settings(max_examples=300, deadline=None)
 @given(event_lists())
 def test_render_matches_old_render(events):
-    assert (render_trace(log_of(events)).splitlines(True)
+    assert (render_trace(TraceLog.of(events)).splitlines(True)
             == old_render_trace(events).splitlines(True))
 
 
@@ -308,8 +300,8 @@ def assert_one_text_per_field_value(log):
     all forwarders of one message share its m, sd and sn texts, and each
     pid has one text."""
     texts, forwarders = {}, {}
-    for e in log.entries:
-        if len(e) == 5:  # a FORWARD's entry
+    for e in log.entries():
+        if e[4] is not None:  # a FORWARD's entry
             for t in (*e[3], e[4]) if e[1] == "recv" else e[3]:
                 assert texts.setdefault(t, t) is t
             forwarders.setdefault(e[3][0], set()).add(e[3][3])
@@ -369,27 +361,34 @@ def test_parse_holds_no_list_of_all_lines():
 
 
 def test_log_entries_are_untracked():
-    """Every entry of a simulated and of a parsed 300-op log holds only
-    ints, strings and tuples of strings, so the cyclic collector untracks
-    it.  One collection untracks each fields tuple, but may meet an entry
-    before the tuple it holds; the next untracks every entry."""
+    """Every item of a simulated and of a parsed 300-op log is an int, a
+    string, None or a tuple of strings, so one collection leaves none of
+    them tracked by the cyclic collector."""
     log = run_scenario(_SNAPSHOT_300).events
     parsed = parse_trace(render_trace(log))
     gc.collect()
-    gc.collect()
-    for entries in (log.entries, parsed.entries):
-        assert len(entries) > 10**4
-        assert not any(map(gc.is_tracked, entries))
+    for rows in (log.rows, parsed.rows):
+        assert len(rows) > 5 * 10**4
+        assert not any(map(gc.is_tracked, rows))
 
 
 def test_simulated_run_data_is_small():
-    """A 300-op run's RunData, its log included, holds under 3.2 MiB:
-    2.6-2.7 MiB on CPython 3.10-3.13, against 3.4-3.6 MiB while non-FORWARD
-    records were TraceEvents with payload dicts and channel lists held the
-    key of each send and receipt."""
+    """A 300-op run's RunData, its log included, holds under 2.0 MiB:
+    1.57-1.66 MiB on CPython 3.10-3.13, against 2.61-2.65 MiB while each
+    entry was a tuple holding its absolute step."""
     run, kept, _ = _traced_growth(lambda: run_scenario(_SNAPSHOT_300))
     assert len(run.events) > 2 * 10**4
-    assert kept < 3.2 * 2**20
+    assert kept < 2.0 * 2**20
+
+
+def test_parsed_log_is_small():
+    """The parsed log of the same 300-op run holds under 1.5 MiB: 1.10-1.14
+    MiB on CPython 3.10-3.13, against 2.10-2.13 MiB while each entry was a
+    tuple holding its absolute step."""
+    text = render_trace(run_scenario(_SNAPSHOT_300).events)
+    log, kept, _ = _traced_growth(lambda: parse_trace(text))
+    assert len(log) > 2 * 10**4
+    assert kept < 1.5 * 2**20
 
 
 @pytest.mark.parametrize("kind,key", [("send", "to"), ("send", "m"), ("recv", "from")])
