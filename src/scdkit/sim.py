@@ -94,23 +94,27 @@ come.
 
 The exhaustive interleaving explorer for the shared-memory construction
 (explore_rw) drives the same world object as the simulator, enumerating every
-schedule by DFS and deduplicating identical global states.  A state is its
-key, one int packing an interned id per component of the world: each
-process, which holds its script position and liveness, and each
-single-writer memory entry (SENT[j], SETSEQ[j], and queue j in sc mode).  A
-process id stands for one canonical object, never mutated once interned,
-and an entry id for an immutable value.  Process i's choices and their
-steps read only process i, its own entries, and the arrays RwWorld.READS
-names for its frame, and write only the first two, so equal fields there
-give equal successors: one successor table per process maps those fields to
-the key differences of all of process i's choices, and a state costs n
-lookups and one add per successor.  Only a table miss lists process i's
-choices and steps each one, on a clone of process i and a scratch memory
-loaded from the key, and interns the process and the entries the step
-changed.  A process holds only immutable values, and a step rebinds the
-fields it changes, so the clone copies references and the process's state
-key is its fields as they are.  That key leaves out its delivered set, the
-union of its own sequence, which the key holds.
+schedule and deduplicating identical global states.  A state is its key, one
+int packing an interned id per component of the world: each process, which
+holds its script position and liveness, and each single-writer memory entry
+(SENT[j], SETSEQ[j], and queue j in sc mode), with the state's progress
+measure M on top.  M counts invocations, deliveries, entry contents and
+queued writes, and no step lowers it, so the search sweeps the levels of M
+lowest first, each by DFS, and drops a level's keys once it is finished: it
+never holds the keys of the levels behind it.  A process id stands for one
+canonical object, never mutated once interned, and an entry id for an
+immutable value.  Process i's choices and their steps read only process i,
+its own entries, and the arrays RwWorld.READS names for its frame, and write
+only the first two, so equal fields there give equal successors: one
+successor table per process maps those fields to the key differences of all
+of process i's choices, M's rise included, and a state costs n lookups and
+one add per successor.  Only a table miss lists process i's choices and
+steps each one, on a clone of process i and a scratch memory loaded from the
+key, and interns the process and the entries the step changed.  A process
+holds only immutable values, and a step rebinds the fields it changes, so
+the clone copies references and the process's state key is its fields as
+they are.  That key leaves out its delivered set, the union of its own
+sequence, which the key holds.
 """
 from __future__ import annotations
 
@@ -805,8 +809,9 @@ class RwWorld:
 
 
 def explore_rw(n: int, scripts: dict, mem_mode: str = "atomic", state_limit: int = 2_000_000):
-    """Enumerate every schedule of the shared-memory construction by DFS,
-    deduplicating identical global states.
+    """Enumerate every schedule of the shared-memory construction by a
+    sweep-line search over a progress measure, deduplicating identical
+    global states.
 
     Every run of the world is a path through a finite acyclic state graph
     (each step strictly consumes script items, queue entries, frame progress
@@ -816,50 +821,65 @@ def explore_rw(n: int, scripts: dict, mem_mode: str = "atomic", state_limit: int
     A state is its key: one int packing an interned id per component of the
     world, each process (its script position and liveness included) and
     each single-writer entry of the memory (SENT[j], SETSEQ[j] and, in sc
-    mode, queue j; an atomic memory's queues stay empty).  Each field has
-    its own intern table.  A process id maps to one canonical object, never
-    mutated once interned; an entry id maps to its value, which is
-    immutable.  The DFS stack and `seen` hold keys only.
+    mode, queue j; an atomic memory's queues stay empty), with the state's
+    progress measure M above them all.  Each field has its own intern
+    table.  A process id maps to one canonical object, never mutated once
+    interned; an entry id maps to its value, which is immutable.
+
+    M is the sum over processes of next_op and the size of the delivered
+    set, plus twice the size of each SENT entry and twice the length of each
+    SETSEQ entry, plus the length of each queue.  No step lowers it: an
+    invoke adds 1, a write adds 2 to its entry (in sc mode 1 when queued and
+    1 when applied or flushed), a delivery adds its set's size, and a tick
+    or a snapshot's result leaves it as it was.  The search (a sweep-line:
+    Christensen, Kristensen & Mailund, TACAS 2001) finishes one level of M
+    before the next, lowest first, each by DFS from the states that reached
+    it.  Each level has its own set of seen keys and its own stack, and no
+    edge leads back to a finished level, so its set is dropped when it is
+    finished: the search holds the keys of the level it is on and of the
+    levels above it reached so far, never those behind it.  Terminals come
+    out in M order, in DFS order within a level; that order depends only on
+    the inputs.
 
     Process i's choices, and what each of them steps to, read only process
     i (and script i, which is fixed), its own entries, and the arrays
     RwWorld.READS names for its frame; a step writes only process i and its
     own entries.  So one successor table per process maps those fields of a
     key, its read set, to the differences that process i's choices add to
-    the key, in choice order.  The read set depends only on process i's
-    state, so its mask is computed once per interned process id.  A state
-    costs n table lookups and one add per successor, and is terminal when
-    every group is empty; a write by another process misses process i's
-    table only while i is idle or about to snapshot the array written.  Only
-    a table miss loads the key's entries into the scratch world's memory,
-    lists process i's choices (RwWorld.choices) and steps each one
-    (RwWorld.step) on a clone of process i that shares its immutable field
-    values (apply, which writes no process, on the canonical one).  No field
-    and no memory is copied: the own entries a step changed are interned,
-    then put back for the next choice.  Each distinct local transition is
-    therefore stepped once.
+    the key, in choice order.  M's rise is worked out from process i and its
+    own entries before and after the step and added into the difference,
+    so a key plus a difference holds its successor's level; a rise below
+    zero raises RuntimeError, once per table entry.  The read set depends
+    only on process i's state, so its mask is computed once per interned
+    process id.  A state costs n table lookups and one add per successor,
+    and is terminal when every group is empty; a write by another process
+    misses process i's table only while i is idle or about to snapshot the
+    array written.  Only a table miss loads the key's entries into the
+    scratch world's memory, lists process i's choices (RwWorld.choices) and
+    steps each one (RwWorld.step) on a clone of process i that shares its
+    immutable field values (apply, which writes no process, on the canonical
+    one).  No field and no memory is copied: the own entries a step changed
+    are interned, then put back for the next choice.  Each distinct local
+    transition is therefore stepped once.
 
     Field widths come from the inputs.  Each field has its own ids, and a
-    new id comes with a successor key new to `seen`, one per choice; all
-    but those of the last table miss (at most 3 choices) entered `seen`, so
-    a field's ids stay below state_limit + 3, and no input overflows a
-    field.
+    new id comes with a successor key never seen before, one per choice; all
+    but those of the last table miss (at most 3 choices) were counted as
+    states, so a field's ids stay below state_limit + 3, and no input
+    overflows a field.  M, the top field, needs no fixed width.
 
-    Returns (terminal worlds in discovery order, states visited); raises
-    UsageError once more than state_limit states are seen.
+    Returns (terminal worlds in M order, states visited); raises UsageError
+    once more than state_limit states are seen.
     """
     w = RwWorld(n, scripts, mem_mode)  # the root, then the scratch world
     procs, store = w.procs, w.memory.store
-    # the entries by their memory slots, SENT last: a key's top field has no
-    # fixed width, and SENT entries take the fewest values, so that keeps
-    # keys short
-    order = ("SETSEQ", "queue", "SENT") if mem_mode == "sc" else ("SETSEQ", "SENT")
-    entries = [(obj, j) for obj in order for j in range(1, n + 1)]
+    entries = [slot for slot in store if mem_mode == "sc" or slot[0] != "queue"]
     # key fields from the low bits up: field f < n for process f + 1, then
-    # field n + e for entries[e]
+    # field n + e for entries[e], then M from bit level_shift
     id_bits = (max(state_limit, 1) + 2).bit_length()
     id_mask = (1 << id_bits) - 1
     shift = [f * id_bits for f in range(n + len(entries))]
+    level_shift = len(shift) * id_bits
     # per field: state key (process) or value (entry) -> id, and id -> object
     ids = [{} for _ in shift]
     objs = [[] for _ in shift]
@@ -888,12 +908,15 @@ def explore_rw(n: int, scripts: dict, mem_mode: str = "atomic", state_limit: int
             m |= arrays[obj]
         return m
 
+    # the root's M is 0: nothing is invoked, written or delivered
     root = sum(intern(i - 1, p, p.state_key()) << shift[i - 1] for i, p in procs.items())
     loaded = []  # per entry: (field, slot, values)
     for f, slot in enumerate(entries, n):
         root += intern(f, store[slot], store[slot]) << shift[f]
         loaded.append((f, slot, objs[f]))
-    mine = [[loaded[f - n] for f in fs] for fs in own]
+    weight = {"SENT": 2, "SETSEQ": 2, "queue": 1}  # M per element of an entry
+    mine = [[(f, slot, values, weight[slot[0]]) for f, slot, values in loaded if slot[1] == i]
+            for i in range(1, n + 1)]
 
     def successors(i: int, key: int) -> tuple:
         """The key differences of process i's choices at `key`."""
@@ -906,19 +929,24 @@ def explore_rw(n: int, scripts: dict, mem_mode: str = "atomic", state_limit: int
         for c in w.choices((i,)):
             procs[i] = p = proc if c[0] == "apply" else proc.clone()
             w.step(c)
-            diff = 0
+            diff = rise = 0
             if p is not proc:
                 diff = intern(f_proc, p, p.state_key()) - proc_id << shift[f_proc]
-            for f, slot, values in mine[f_proc]:
+                rise = p.next_op - proc.next_op + len(p.delivered) - len(proc.delivered)
+            for f, slot, values, per in mine[f_proc]:
                 v = store[slot]
                 k = key >> shift[f] & id_mask
                 if v is not values[k]:
                     diff += intern(f, v, v) - k << shift[f]
+                    rise += per * (len(v) - len(values[k]))
                     store[slot] = values[k]
-            out.append(diff)
+            if rise < 0:
+                raise RuntimeError(f"p{i}'s {c[0]} lowers the progress measure by {-rise}")
+            out.append(diff + (rise << level_shift))
         return tuple(out)
 
-    memories = {}  # by the entry fields, the top of a key
+    memories = {}  # by the entry fields
+    entry_mask = (1 << level_shift) - (1 << shift[n])
 
     def world_at(key: int) -> RwWorld:
         """A world of the canonical objects of `key`, owning its process
@@ -927,7 +955,7 @@ def explore_rw(n: int, scripts: dict, mem_mode: str = "atomic", state_limit: int
         t = RwWorld.__new__(RwWorld)
         t.n, t.scripts = n, w.scripts
         t.procs = {i: objs[i - 1][key >> shift[i - 1] & id_mask] for i in range(1, n + 1)}
-        top = key >> shift[n]
+        top = key & entry_mask
         m = memories.get(top)
         if m is None:
             m = memories[top] = SharedSnapshotMemory(n, mem_mode)
@@ -937,30 +965,38 @@ def explore_rw(n: int, scripts: dict, mem_mode: str = "atomic", state_limit: int
         return t
 
     groups = [(i, {}, masks[i - 1], shift[i - 1]) for i in range(1, n + 1)]
-    seen = {root}
+    # by M: (keys seen, DFS stack) of each level reached and not finished
+    levels = Memo(lambda level: (set(), []))
+    levels[0] = ({root}, [root])
+    states = 1
     terminals = []
-    stack = [root]
-    while stack:
-        key = stack.pop()
-        terminal = True
-        for i, table, read_masks, proc_shift in groups:
-            local_key = key & read_masks[key >> proc_shift & id_mask]
-            group = table.get(local_key)
-            if group is None:
-                group = table[local_key] = successors(i, key)
-            if not group:
-                continue
-            terminal = False
-            for d in group:
-                k = key + d
-                if k not in seen:
-                    if len(seen) >= state_limit:
-                        raise UsageError(f"state limit {state_limit} exceeded")
-                    seen.add(k)
-                    stack.append(k)
-        if terminal:
-            terminals.append(world_at(key))
-    return terminals, len(seen)
+    while levels:
+        level = min(levels)
+        stack = levels[level][1]
+        while stack:
+            key = stack.pop()
+            terminal = True
+            for i, table, read_masks, proc_shift in groups:
+                local_key = key & read_masks[key >> proc_shift & id_mask]
+                group = table.get(local_key)
+                if group is None:
+                    group = table[local_key] = successors(i, key)
+                if not group:
+                    continue
+                terminal = False
+                for d in group:
+                    k = key + d
+                    seen, todo = levels[k >> level_shift]
+                    if k not in seen:
+                        if states >= state_limit:
+                            raise UsageError(f"state limit {state_limit} exceeded")
+                        states += 1
+                        seen.add(k)
+                        todo.append(k)
+            if terminal:
+                terminals.append(world_at(key))
+        del levels[level]
+    return terminals, states
 
 
 # ---------------------------------------------------------------------------

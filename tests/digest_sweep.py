@@ -138,20 +138,29 @@ def sweep(cfgs) -> tuple:
     return digest.hexdigest()[:16], count
 
 
+def scripts_for(*counts) -> dict:
+    """Scripts for processes 1..len(counts), counts[i-1] messages each."""
+    return {i: [AppMessage(MsgId(i, k), f"{i}.{k}".encode()) for k in range(c)]
+            for i, c in enumerate(counts, start=1)}
+
+
+def terminal_lines(terminals) -> str:
+    """Every terminal's per-process delivery logs, one line per terminal,
+    the lines sorted."""
+    return "".join(sorted(" ".join(
+        f"p{i}=" + "/".join(format_id_set(m.id for m in s) for s in p.log)
+        for i, p in world.procs.items()) + "\n" for world in terminals))
+
+
 def explore_sweep() -> tuple:
     """(hex digest, number of explorations)."""
     digest = hashlib.sha256()
     count = 0
     splits = [(c1, c2) for c1 in range(4) for c2 in range(4) if 1 <= c1 + c2 <= 3]
     for counts, mem in product(splits + [(2, 2), (1, 1, 0)], ("atomic", "sc")):
-        scripts = {i: [AppMessage(MsgId(i, k), f"{i}.{k}".encode()) for k in range(c)]
-                   for i, c in enumerate(counts, start=1)}
-        terminals, states = explore_rw(len(counts), scripts, mem)
-        lines = [f"{'+'.join(map(str, counts))}|{mem}|states={states}|terminals={len(terminals)}"]
-        lines += sorted(" ".join(
-            f"p{i}=" + "/".join(format_id_set(m.id for m in s) for s in p.log)
-            for i, p in world.procs.items()) for world in terminals)
-        digest.update("".join(line + "\n" for line in lines).encode())
+        terminals, states = explore_rw(len(counts), scripts_for(*counts), mem)
+        head = f"{'+'.join(map(str, counts))}|{mem}|states={states}|terminals={len(terminals)}\n"
+        digest.update((head + terminal_lines(terminals)).encode())
         count += 1
     return digest.hexdigest()[:16], count
 

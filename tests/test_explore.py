@@ -1,37 +1,37 @@
 """The exhaustive explorer of the shared-memory construction (explore_rw).
 
 The explorer keys states by interned ids of each process and each memory
-entry, and expands each state through one successor table per process, keyed
-by what that process's choices read (RwWorld.READS).  These tests pin its
-counts and its n = 3 reach, compare it with the explorer it replaced (every
-process copied, nested keys; kept here as an oracle) by state counts and
-terminal multisets, so that no comparison depends on the order terminals are
-found in, check that the oracle sees a read set that is too small, that
-neither a copy-on-write step nor an exploration mutates a component it
-shares, that every process it keys holds only immutable values, and that
-both memory modes give the same outcomes.
+entry, with a progress measure M on top, expands each state through one
+successor table per process, keyed by what that process's choices read
+(RwWorld.READS), and sweeps the levels of M lowest first.  These tests pin
+its counts and its n = 3 reach (in a child process, with its max RSS),
+compare it with the explorer it replaced (every process copied, nested keys;
+kept here as an oracle) by state counts and terminal multisets, so that no
+comparison depends on the order terminals are found in, check that the
+oracle sees a read set that is too small, that no step lowers M and a step
+that did would raise, that the state limit counts every level, that the
+sweep's memory stays bounded, that neither a copy-on-write step nor an
+exploration mutates a component it shares, that every process it keys holds
+only immutable values, and that both memory modes give the same outcomes.
 """
 from __future__ import annotations
 
 import copy
-import hashlib
+import os
+import subprocess
+import sys
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from scdkit.core import AppMessage, MsgId, UsageError, format_id_set
+from digest_sweep import scripts_for, terminal_lines
+from scdkit.core import AppMessage, MsgId, UsageError
 from scdkit.scd_from_snapshot import Frame, RwProcess
 from scdkit.sim import RwWorld, SharedSnapshotMemory, explore_rw
 
 MODES = ("atomic", "sc")
-
-
-def scripts_for(*counts):
-    """Scripts for processes 1..len(counts), counts[i-1] messages each."""
-    return {
-        i: [AppMessage(MsgId(i, k), f"{i}.{k}".encode()) for k in range(c)]
-        for i, c in enumerate(counts, start=1)
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -87,15 +87,6 @@ def full_state(w: RwWorld) -> tuple:
 def logs(terminals) -> list:
     """Each terminal's outcome: the tuple of every process's delivery log."""
     return [tuple(tuple(p.log) for p in w.procs.values()) for w in terminals]
-
-
-def logs_digest(terminals) -> str:
-    """sha256 of every terminal's delivery logs, one line per terminal as
-    tests/digest_sweep.py writes them, the lines sorted so that the digest
-    does not depend on the order the search finds terminals in."""
-    return hashlib.sha256("".join(sorted(" ".join(
-        f"p{i}=" + "/".join(format_id_set(m.id for m in s) for s in p.log)
-        for i, p in w.procs.items()) + "\n" for w in terminals)).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +145,57 @@ def test_oracle_sees_a_read_set_too_small(monkeypatch):
         return got_states == want_states and Counter(logs(got)) == Counter(logs(want))
 
     assert not all(agrees(counts, mem) for counts, mem in DIFF_CASES)
+
+
+def progress(w: RwWorld) -> int:
+    """The progress measure M that explore_rw sweeps by, from the world's
+    components: next_op and the delivered set's size of each process, twice
+    each SENT entry's size and each SETSEQ entry's length, and each queue's
+    length."""
+    store = w.memory.store
+    return sum(p.next_op + len(p.delivered) + 2 * len(store["SENT", i])
+               + 2 * len(store["SETSEQ", i]) + len(store["queue", i])
+               for i, p in w.procs.items())
+
+
+@pytest.mark.parametrize("mem", MODES)
+@pytest.mark.parametrize("counts", [(1, 2), (2, 2)], ids=lambda c: "+".join(map(str, c)))
+def test_no_step_lowers_progress(counts, mem):
+    """At every state of a full-copy walk, no choice steps to a lower M, so
+    no edge leads back to a level the sweep has finished; the explorer's
+    terminals come out in M order."""
+    root = RwWorld(2, scripts_for(*counts), mem)
+    seen = {nested_key(root)}
+    stack = [root]
+    rises = Counter()
+    while stack:
+        w = stack.pop()
+        m = progress(w)
+        for c in w.choices():
+            w2 = full_copy(w)
+            w2.step(c)
+            rises[progress(w2) - m] += 1
+            k = nested_key(w2)
+            if k not in seen:
+                seen.add(k)
+                stack.append(w2)
+    assert min(rises) == 0 and rises[0] < rises.total(), rises
+    terminals = [progress(w) for w in explore_rw(2, scripts_for(*counts), mem)[0]]
+    assert terminals == sorted(terminals) and terminals[0] < terminals[-1]
+
+
+def test_a_step_that_lowers_progress_raises(monkeypatch):
+    """A step that lowered M could reach a state the sweep has dropped, so
+    the explorer refuses the table entry that holds it.  Here an sc apply
+    dequeues a write and loses it."""
+    def lossy_apply(self, pid):
+        q = self.store["queue", pid]
+        self.store["queue", pid] = q[1:]
+        return q[0][:2]
+
+    monkeypatch.setattr(SharedSnapshotMemory, "apply_one", lossy_apply)
+    with pytest.raises(RuntimeError, match="p1's apply lowers the progress measure by 1"):
+        explore_rw(2, scripts_for(1, 0), "sc")
 
 
 @pytest.mark.parametrize("mem", MODES)
@@ -225,6 +267,29 @@ def test_state_limit_raises():
         explore_rw(2, scripts_for(2, 2), "atomic", state_limit=100)
 
 
+@pytest.mark.parametrize("mem", MODES)
+def test_state_limit_counts_the_states_of_every_level(mem):
+    """The limit bounds the distinct states over all levels, not those of
+    the levels still held: the pinned count passes and one less raises."""
+    states = PINNED[(2, 2)][1 + MODES.index(mem)]
+    assert explore_rw(2, scripts_for(2, 2), mem, state_limit=states)[1] == states
+    with pytest.raises(UsageError, match=f"state limit {states - 1} exceeded"):
+        explore_rw(2, scripts_for(2, 2), mem, state_limit=states - 1)
+
+
+def test_sweep_holds_only_the_keys_ahead():
+    """The sweep drops each level's keys once it is finished, so the 2+2 sc
+    exploration (25,967 states) peaks at 3.2 MiB under tracemalloc; keeping
+    every key seen, as a plain DFS does, peaks at 5.8 to 6.2."""
+    tracemalloc.start()
+    try:
+        explore_rw(2, scripts_for(2, 2), "sc")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0 * 2**20, peak / 2**20
+
+
 @pytest.mark.parametrize("n,scripts,mem,match", [
     (2, {3: scripts_for(0, 0, 1)[3]}, "atomic", "not a process id"),
     (2, {0: []}, "atomic", "not a process id"),
@@ -285,14 +350,31 @@ def test_each_local_transition_steps_once(mem, monkeypatch):
     assert not copies
 
 
+# run in a child process, so that its max RSS is the exploration's own
+_THREE_PROCESS_REACH = """
+import hashlib, resource
+from digest_sweep import scripts_for, terminal_lines
+from scdkit.sim import explore_rw
+terminals, states = explore_rw(3, scripts_for(1, 1, 1), "atomic")
+digest = hashlib.sha256(terminal_lines(terminals).encode()).hexdigest()
+print(states, len(terminals), digest, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
 def test_three_process_reach_is_pinned():
     """1+1+1 at n = 3 is past the full-copy oracle's reach, and it is where
     the per-process successor tables share most.  Its counts and terminal
-    logs were pinned on the per-choice memo those tables replaced."""
-    terminals, states = explore_rw(3, scripts_for(1, 1, 1), "atomic")
-    assert (states, len(terminals)) == (1_065_657, 28_396)
-    assert logs_digest(terminals) == (
-        "ee900d4a5221a077047f7ca95284b507847bdabd710f919a3a50746e4291e71a")
+    logs were pinned on the per-choice memo those tables replaced.  The
+    sweep explores it in a child of 66 to 73 MB max RSS on Python 3.10 to
+    3.13; keeping every key seen took 138 MB."""
+    path = [str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", _THREE_PROCESS_REACH],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    states, terminals, digest, max_rss_kb = out.split()
+    assert (int(states), int(terminals)) == (1_065_657, 28_396)
+    assert digest == "ee900d4a5221a077047f7ca95284b507847bdabd710f919a3a50746e4291e71a"
+    assert int(max_rss_kb) < 100 * 1024, f"max RSS {int(max_rss_kb) / 1024:.1f} MB"
 
 
 @pytest.mark.parametrize("mem", MODES)
