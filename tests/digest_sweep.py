@@ -42,7 +42,10 @@ import sys
 from itertools import product
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+# Run as a script, the sweep checks this checkout's src/; imported by a test,
+# it uses whichever scdkit that test imports.
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from scdkit import sim  # noqa: E402
 from scdkit.check import evaluate_run, load_run  # noqa: E402
