@@ -14,9 +14,9 @@ Trace-level checks (delivery logs of message sets):
     (conversely, each A is then the level set at |A|, and those are nested)
   * termination: on quiescent runs, every broadcast by a non-faulty process
     completed and was delivered by all non-faulty processes, and everything
-    delivered by one non-faulty process was delivered by all; skipped on
-    message-passing runs where a majority crashed (liveness needs a correct
-    majority)
+    delivered by one non-faulty process was delivered by all; skipped where
+    the crashes lose liveness (ScenarioConfig.loses_liveness: message
+    passing needs a correct majority)
   * fifo / crash silence / message bound: transport sanity and the n*n cap
     on point-to-point sends per broadcast.  fifo walks the log itself, where
     channel order is kept: no other fact repeats it.
@@ -43,12 +43,14 @@ Verdicts (pass / fail / skip plus a short detail); skip marks a precondition
 gate such as a run that never reached quiescence.  A simulated run is judged
 from the RunData that Simulator.run filled as it ran and returned.  load_run
 builds the same RunData from a stored trace, reading the TraceLog that
-sim.parse_trace gives back entry by entry, and builds no record.  It and
-check_fifo are the only readers of the log's entries, which they take from
-TraceLog.entries() as (delta, kind, proc, payload, last) tuples, never
-reading the step delta; load_run rejects
-malformed input by exception, so no checker raises on a RunData it
-returned.
+sim.parse_trace gives back entry by entry, and builds no record.  It,
+check_fifo and sim._first_late (the crash-silence rule, which load_run
+calls after its pass) are the only readers of the log's entries, which
+they take from TraceLog.entries() as (delta, kind, proc, payload, last)
+tuples, never reading the step delta.  What a workload is (its world, the
+op that reads its object, whether that object syncs) comes from its row
+of sim.WORKLOAD_TABLE, as config.spec.  load_run rejects malformed input
+by exception, so no checker raises on a RunData it returned.
 """
 from __future__ import annotations
 
@@ -59,8 +61,8 @@ from typing import Optional
 
 from .core import INITIAL_TS, MsgId, Timestamp, parse_id_set
 from .shared_objects import INITIAL_VALUE, WritePayload, decode_payload
-from .sim import (END_STATUSES, MP_WORKLOADS, RECORD_KINDS, RW_WORKLOADS, OpRecord,
-                  Memo, RunData, ScenarioConfig, TraceLog, value_parse)
+from .sim import (END_STATUSES, RECORD_KINDS, WORKLOAD_TABLE, OpRecord, Memo, RunData,
+                  ScenarioConfig, TraceLog, _first_late, value_parse)
 
 
 @dataclass
@@ -93,13 +95,7 @@ def _skip(prop, detail):
 # trace ingestion
 
 
-OBJECT_WORKLOADS = (
-    "snapshot_ops",
-    "register_ops",
-    "swmr_register_ops",
-    "sc_register_ops",
-    "sc_snapshot_ops",
-)
+OBJECT_WORKLOADS = tuple(w for w, spec in WORKLOAD_TABLE.items() if spec.read)
 
 
 @dataclass
@@ -113,11 +109,10 @@ def load_run(log: TraceLog) -> RunData:
     the parsed fields.  The log's entries are read, and no record is built:
     a send entry counts reach sends, and an entry whose last slot is None
     is read through a dict of its payload fields; no step is read, so the
-    delta slot is not.  The entry of the first record after a crash, as a
-    (delta, kind, proc, payload, last) tuple, becomes run.late.  Record
-    indices (invoke_idx, return_idx) count the records an entry stands
-    for.  Each distinct id
-    text is parsed into one MsgId and each distinct tag text into one
+    delta slot is not.  After the pass, a trace with a crash gets run.late
+    from sim._first_late, the crash-silence rule Simulator.run applies
+    too.  Record indices (invoke_idx, return_idx) count the records an
+    entry stands for.  Each distinct id text is parsed into one MsgId and each distinct tag text into one
     Timestamp, shared by every fact that holds it; sends are counted by
     their `m` text, and each distinct text is parsed at the end (so a bad
     `m` is reported after any later malformed record); each distinct
@@ -138,10 +133,8 @@ def load_run(log: TraceLog) -> RunData:
     config = ScenarioConfig.from_payload(_payload(first[3]))
     config.validate()
     run = RunData.start(config, log)
-    objects = config.workload in OBJECT_WORKLOADS
-    # the kinds plan_ops issues: a register is read, a snapshot object scanned
-    op_kinds = ((("snapshot", "write") if "snapshot" in config.workload else ("read", "write"))
-                if objects else ("bcast",))
+    read = config.spec.read  # None: the workload has no object
+    op_kinds = (read, "write") if read else ("bcast",)  # the kinds plan_ops issues
     open_ops: dict = {}
     sends: dict = {}  # m text -> send count
     msg_ids = Memo(MsgId.parse)  # id text -> its MsgId
@@ -169,8 +162,6 @@ def load_run(log: TraceLog) -> RunData:
             continue
         if proc not in run.logs:
             raise KeyError(proc)
-        if run.late is None and proc in run.faulty:
-            run.late = (delta, kind, proc, f, last)
         if last is not None:  # a FORWARD's send or recv entry
             if kind == "send":
                 if last > n:
@@ -191,7 +182,7 @@ def load_run(log: TraceLog) -> RunData:
         elif kind == "bcast":
             mid, data = msg_ids[p["id"]], value_parse(p["data"])
             run.broadcasts[mid] = (proc, data)
-            w = decode_payload(data) if objects else None
+            w = decode_payload(data) if read else None
             if isinstance(w, WritePayload):
                 _check_slot(w.r, config)
                 run.writes[mid] = w
@@ -205,14 +196,14 @@ def load_run(log: TraceLog) -> RunData:
             run.faulty.add(proc)
         elif (kind == "op_invoke" or kind == "op_return") and p["op"] not in op_kinds:
             raise ValueError(f"{config.workload} run has a {p['op']!r} op")
-        elif kind == "op_invoke" and objects:
+        elif kind == "op_invoke" and read:
             op = OpRecord(proc, int(p["seq"]), p["op"], invoke_idx=k + shift)
             if op.kind == "write":
                 op.r = _check_slot(int(p["r"]), config)
                 op.value = value_parse(p["v"])
             open_ops[proc] = op
             run.ops.append(op)
-        elif kind == "op_return" and objects:
+        elif kind == "op_return" and read:
             op = open_ops.pop(proc)
             if op.seq != int(p["seq"]):
                 raise ValueError(f"p{proc} returns op {p['seq']} "
@@ -232,6 +223,8 @@ def load_run(log: TraceLog) -> RunData:
             raise ValueError(f"unknown record kind {kind!r}")
     if run.status is None:
         raise ValueError("trace has no end record")
+    if run.faulty:
+        run.late = _first_late(log, 0)
     for m, count in sends.items():  # two texts may spell one id ("1.1", "1.01")
         mid = msg_ids[m]
         run.sends[mid] = run.sends.get(mid, 0) + count
@@ -375,7 +368,7 @@ def _incomparable(logs, level: dict, levels: list) -> str:
 def check_termination(run: RunData) -> Verdict:
     if run.status != "quiescent":
         return _skip("termination", f"run ended {run.status}, not quiescent")
-    if run.config.workload in MP_WORKLOADS and 2 * len(run.faulty) >= run.config.n:
+    if run.config.loses_liveness(len(run.faulty)):
         return _skip("termination", f"{len(run.faulty)} of {run.config.n} processes "
                                     "crashed; liveness needs a correct majority")
     live = [i for i in run.logs if i not in run.faulty]
@@ -640,15 +633,15 @@ def evaluate_run(run: RunData) -> list:
         check_termination(run),
         check_crash_silence(run),
     ]
-    if run.config.workload not in RW_WORKLOADS:
+    spec = run.config.spec
+    if spec.world == "mp":
         out.append(check_fifo(run))
         out.append(check_message_bound(run))
-    if run.config.workload in OBJECT_WORKLOADS:
+    if spec.read is not None:
         h = extract_history(run)
         if run.status != "quiescent":
-            gate = _skip("consistency", f"run ended {run.status}, not quiescent")
-            out.append(gate)
-        elif run.config.workload.startswith("sc_"):
+            out.append(_skip("consistency", f"run ended {run.status}, not quiescent"))
+        elif not spec.syncs:
             out.append(check_sequentially_consistent(h))
         else:
             out.append(check_linearizable_witness(h, timestamp_metadata(run)))

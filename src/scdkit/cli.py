@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import UsageError
-from .check import CONSISTENCY_PROPS, OBJECT_WORKLOADS, evaluate_run, load_run
+from .check import CONSISTENCY_PROPS, evaluate_run, load_run
 from .sim import (RunData, ScenarioConfig, Simulator, TraceParseError, WORKLOADS,
                   parse_trace)
 
@@ -36,7 +36,7 @@ class RunReport:
     def unchecked(self) -> Optional[str]:
         """For an object run none of whose consistency verdicts passed, the
         first of them; None otherwise."""
-        if self.run.config.workload not in OBJECT_WORKLOADS:
+        if self.run.config.spec.read is None:
             return None
         verdicts = [v for v in self.verdicts if v.prop in CONSISTENCY_PROPS]
         return None if any(v.status == "pass" for v in verdicts) else verdicts[0].line()

@@ -26,43 +26,26 @@ Things the simulator injects or enforces:
 Runs end quiescent (nothing enabled, no operation pending), stalled (nothing
 enabled but a live process's broadcast never completed, the signature of a
 lost majority, decided from the RunData alone), or out of step budget.
-Trace records are line-oriented: step|kind|proc|key=value..., and their
-kinds are those of RECORD_KINDS; check.load_run rejects any other.  The
-simulator writes them to one ordered TraceLog, five flat slots per
-dict-free entry, (step delta, kind, proc, payload, last), each by one
-list.extend (see TraceLog).  A record is one entry whose payload holds its
-keys and values in the sorted key order of its line, except that a
-fifo-broadcast is one entry standing for all its send records, and a
-delivery one entry for its recv record.  Those two kinds are nearly all of
-a run's records.  A FORWARD's trace fields are looked up once, when it is
-fifo-broadcast, and shared by its send and recv entries; each distinct
-field value (a MsgId or an int) has one text per run, so all FORWARDs of
-one message share its m, sd and sn texts.  No judged path reads records:
-the rows are the log, and iterating it builds each record afresh, a
-TraceEvent owning its payload dict, and keeps none.
+Trace records are line-oriented, step|kind|proc|key=value..., of the kinds
+in RECORD_KINDS; a run writes them to a TraceLog, which render_trace and
+parse_trace turn into text and back (see their docstrings).
 
-The trace codec works on the same log.  render_trace writes every line
-straight from the entries: each distinct key list is sorted once per call,
-each FORWARD's field text joined once per call, and the send lines of one
-fan-out are one string.  parse_trace reads the text's lines in bounded
-chunks, so it never holds a list of them all, and gives back a TraceLog of
-the same rows: the send lines of one fan-out fold into one send entry and
-a recv line becomes one recv entry, sharing one field tuple per distinct
-field text and one string per distinct field value.  Every other line is
-one entry whose field texts, and payload texts before the last field, are
-split once per call, so equal field strings are shared there too.  So a
-parsed trace holds the very rows the simulator wrote.  render_trace and
-check.load_run take only a TraceLog and read its entries, so neither a
-judged run nor a checked trace builds a record.
+What each workload is, its world, the op that reads its object and whether
+that object runs SYNC rounds, is its row of WORKLOAD_TABLE, and every
+decision that depends on the workload reads the row, never the name.
 
 As it runs, the simulator also fills the RunData that the checkers judge,
 from the objects at hand where each record is written: the MsgId, the
-delivered set and the OpResult, never the record text.  Each distinct
-delivered set is one frozenset, with one text, per run (Simulator._sets,
-which RwWorld.step is handed in a shared-memory run).  Channel order is
-kept only in the log: check.check_fifo walks its send and recv entries.
-Simulator.run returns the RunData, and a simulated run is judged from it;
-check.load_run reads the same facts back from the log of a stored trace.
+delivered set and the OpResult, never the record text.  The records both
+worlds write, bcast, scd_deliver and broadcast_complete (with a bcast op's
+op_return), each have one Simulator method that writes the record and its
+fact; RwWorld.step calls them on the simulator it is handed.  Each distinct
+delivered set is one frozenset, with one text, per run (Simulator._sets).
+Channel order is kept only in the log: check.check_fifo walks its send and
+recv entries.  Simulator.run returns the RunData, and a simulated run is
+judged from it; check.load_run reads the same facts back from the log of a
+stored trace.  Both take the first record after a crash from _first_late,
+the one crash-silence rule.
 
 A message-passing run keeps its enabled events in one sorted list of event
 tuples, Simulator.enabled: ("deliver", sender, receiver) for each non-empty
@@ -85,36 +68,9 @@ process that acts on it.  Each delay policy picks without a scan:
     or a crashed receiver's channels are cleared.  With nothing in flight the
     lowest process starts its next operation.
 
-The draws are those of the scans these replace: an index is randrange's,
-drawn inline with random.Random's own loop (getrandbits(k), k the length's
-bit length, until below the length), and slow draws its random() and
-randrange over a list equal to the filtered copy it once built.  An RwWorld's
-choices are built afresh each step, so they are filtered or ordered as they
-come.
-
-The exhaustive interleaving explorer for the shared-memory construction
-(explore_rw) drives the same world object as the simulator, enumerating every
-schedule and deduplicating identical global states.  A state is its key, one
-int packing an interned id per component of the world: each process, which
-holds its script position and liveness, and each single-writer memory entry
-(SENT[j], SETSEQ[j], and queue j in sc mode), with the state's progress
-measure M on top.  M counts invocations, deliveries, entry contents and
-queued writes, and no step lowers it, so the search sweeps the levels of M
-lowest first, each by DFS, and drops a level's keys once it is finished: it
-never holds the keys of the levels behind it.  A process id stands for one
-canonical object, never mutated once interned, and an entry id for an
-immutable value.  Process i's choices and their steps read only process i,
-its own entries, and the arrays RwWorld.READS names for its frame, and write
-only the first two, so equal fields there give equal successors: one
-successor table per process maps those fields to the key differences of all
-of process i's choices, M's rise included, and a state costs n lookups and
-one add per successor.  Only a table miss lists process i's choices and
-steps each one, on a clone of process i and a scratch memory loaded from the
-key, and interns the process and the entries the step changed.  A process
-holds only immutable values, and a step rebinds the fields it changes, so
-the clone copies references and the process's state key is its fields as
-they are.  That key leaves out its delivered set, the union of its own
-sequence, which the key holds.
+An RwWorld's choices are built afresh each step, so they are filtered or
+ordered as they come.  explore_rw enumerates every schedule of the same
+world (see its docstring).
 """
 from __future__ import annotations
 
@@ -131,15 +87,29 @@ from .scd_from_snapshot import RwProcess
 from .scd_mp import ForwardMsg, ScdProcess
 from .shared_objects import SnapshotObject, SwmrRegister
 
-MP_WORKLOADS = (
-    "raw_broadcast",
-    "snapshot_ops",
-    "register_ops",
-    "swmr_register_ops",
-    "sc_register_ops",
-    "sc_snapshot_ops",
-)
-RW_WORKLOADS = ("rw_equivalence",)
+
+
+class Workload(NamedTuple):
+    """A row of WORKLOAD_TABLE: what a workload is."""
+
+    world: str              # "mp", message passing, or "rw", the shared-memory world
+    read: Optional[str]     # the op that reads its object, read or snapshot; None: no object
+    syncs: bool             # whether its object runs a SYNC round before each op
+    single_writer: bool     # whether only config.writer writes
+
+
+WORKLOAD_TABLE = {  # name: (world, read op, syncs, single writer)
+    "raw_broadcast": Workload("mp", None, False, False),
+    "snapshot_ops": Workload("mp", "snapshot", True, False),
+    "register_ops": Workload("mp", "read", True, False),
+    "swmr_register_ops": Workload("mp", "read", True, True),
+    "sc_register_ops": Workload("mp", "read", False, False),
+    "sc_snapshot_ops": Workload("mp", "snapshot", False, False),
+    "rw_equivalence": Workload("rw", None, False, False),
+}
+WORKLOADS = tuple(WORKLOAD_TABLE)
+MP_WORKLOADS = tuple(w for w in WORKLOADS if WORKLOAD_TABLE[w].world == "mp")
+RW_WORKLOADS = tuple(w for w in WORKLOADS if WORKLOAD_TABLE[w].world == "rw")
 MEM_MODES = ("atomic", "sc")  # SharedSnapshotMemory modes
 END_STATUSES = ("quiescent", "stalled", "budget")  # how Simulator.run ends
 RECORD_KINDS = frozenset((  # every kind of trace record a run writes
@@ -147,7 +117,6 @@ RECORD_KINDS = frozenset((  # every kind of trace record a run writes
     "crash", "op_invoke", "op_return", "mem_write", "mem_snapshot", "mem_apply",
     "end",
 ))
-WORKLOADS = MP_WORKLOADS + RW_WORKLOADS
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +163,14 @@ class ScenarioConfig:
         parse_delay_policy(self.delay, self.n)
 
     @property
+    def spec(self) -> Workload:
+        """The workload's row of WORKLOAD_TABLE."""
+        return WORKLOAD_TABLE[self.workload]
+
+    @property
     def slots(self) -> int:
         """Width of the shared object: a register is the one-slot snapshot."""
-        return self.nregs if "snapshot" in self.workload else 1
+        return self.nregs if self.spec.read == "snapshot" else 1
 
     def crash_count(self) -> int:
         plan = parse_crash_schedule(self.crash, self.n)
@@ -206,10 +180,15 @@ class ScenarioConfig:
             return plan[1]
         return len(plan)
 
+    def loses_liveness(self, crashes: int) -> bool:
+        """The liveness rule: a message-passing run needs a correct majority,
+        so with `crashes` at half of n or more it may never end.  Such runs
+        are labeled rather than treated as failures."""
+        return self.spec.world == "mp" and 2 * crashes >= self.n
+
     def expected_nonterminating(self) -> bool:
-        """Message-passing workloads lose liveness once crashes reach a
-        majority; such configs are labeled rather than treated as failures."""
-        return self.workload in MP_WORKLOADS and 2 * self.crash_count() >= self.n
+        """Whether the planned crashes lose liveness."""
+        return self.loses_liveness(self.crash_count())
 
     def to_payload(self) -> dict:
         return {k: str(getattr(self, f.name))
@@ -741,46 +720,41 @@ class RwWorld:
                 out.append(("apply", i))
         return out
 
-    def step(self, choice, trace=None, run=None, sets=None) -> None:
-        """Run one choice.  The simulator passes its trace hook, the RunData
-        it fills and its table of each distinct delivered set and its text;
-        the explorer passes none of them."""
+    def step(self, choice, sim=None) -> None:
+        """Run one choice.  The simulator passes itself, to write the
+        step's records and their facts; the explorer passes nothing."""
         tag, i = choice
         p = self.procs[i]
         if tag == "invoke":
             k = p.next_op
             p.next_op = k + 1
             m = self.scripts[i][k]
-            if trace:
-                trace("op_invoke", i, "op", "bcast", "seq", str(k))
-                trace("bcast", i, "data", value_str(m.payload), "id", str(m.id))
-                run.broadcasts[m.id] = (i, m.payload)
+            if sim:
+                sim.trace("op_invoke", i, "op", "bcast", "seq", str(k))
+                sim.record_bcast(i, m.id, m.payload)
             p.start_broadcast(m)
         elif tag == "tick":
             p.start_tick()
         elif tag == "mem":
             frame = p.frame
             op = p.pending_memop()
-            if trace:
+            if sim:
                 if op[0] == "write":
-                    trace("mem_write", i, "index", str(op[2]), "obj", op[1])
+                    sim.trace("mem_write", i, "index", str(op[2]), "obj", op[1])
                 else:
-                    trace("mem_snapshot", i, "obj", op[1])
+                    sim.trace("mem_snapshot", i, "obj", op[1])
             result = self.memory.execute(i, op)
             delivered = p.complete_memop(result)
-            if delivered is not None and trace:
-                ids, text = sets[frozenset(m.id for m in delivered)]
-                trace("scd_deliver", i, "set", text)
-                run.logs[i].append(ids)
-            # a round runs alone, so a finished broadcast round is op next_op - 1
-            if p.frame is None and frame.kind == "broadcast" and trace:
-                trace("broadcast_complete", i, "id", str(frame.msg.id))
-                run.completed[i].add(frame.msg.id)
-                trace("op_return", i, "ok", "1", "op", "bcast", "seq", str(p.next_op - 1))
+            if sim:
+                if delivered is not None:
+                    sim.record_scd_deliver(i, delivered)
+                # a round runs alone, so a finished broadcast round is op next_op - 1
+                if p.frame is None and frame.kind == "broadcast":
+                    sim.record_broadcast_complete(i, frame.msg.id, p.next_op - 1)
         else:  # apply, the only other tag
             obj, idx = self.memory.apply_one(i)
-            if trace:
-                trace("mem_apply", i, "index", str(idx), "obj", obj)
+            if sim:
+                sim.trace("mem_apply", i, "index", str(idx), "obj", obj)
 
     def crash(self, i: int) -> None:
         """Crash process i, dropping its queued writes: it writes only
@@ -1009,38 +983,25 @@ def plan_ops(config: ScenarioConfig, rng: random.Random) -> dict:
     counts = {i: config.op_count // config.n for i in per_proc}
     for i in range(1, config.op_count % config.n + 1):
         counts[i] += 1
-    w = config.workload
+    read = config.spec.read
     for i in per_proc:
         for k in range(counts[i]):
             val = f"{i}.{k}".encode("ascii")
-            if w in ("raw_broadcast", "rw_equivalence"):
-                per_proc[i].append(("bcast", val))
-            elif w in ("snapshot_ops", "sc_snapshot_ops"):
-                if rng.random() < 0.5:
-                    per_proc[i].append(("snapshot",))
-                else:
-                    per_proc[i].append(("write", rng.randint(1, config.nregs), val))
-            elif w in ("register_ops", "sc_register_ops"):
-                if rng.random() < 0.5:
-                    per_proc[i].append(("read",))
-                else:
-                    per_proc[i].append(("write", 1, val))
-            elif w == "swmr_register_ops":
-                if i == config.writer and rng.random() < 0.7:
-                    per_proc[i].append(("write", 1, val))
-                else:
-                    per_proc[i].append(("read",))
-            else:
-                raise AssertionError(w)
+            if read is None:
+                op = ("bcast", val)
+            elif config.spec.single_writer:
+                op = ("write", 1, val) if i == config.writer and rng.random() < 0.7 else (read,)
+            elif rng.random() < 0.5:
+                op = (read,)
+            else:  # a register write draws no slot
+                op = ("write", rng.randint(1, config.nregs) if read == "snapshot" else 1, val)
+            per_proc[i].append(op)
     return per_proc
 
 
 def _estimated_steps(config: ScenarioConfig) -> int:
-    if config.workload in RW_WORKLOADS:
-        per_op = 6 * config.n
-    else:
-        rounds = 2 if config.workload in ("snapshot_ops", "register_ops", "swmr_register_ops") else 1
-        per_op = rounds * (2 * config.n * config.n + 4)
+    n, spec = config.n, config.spec
+    per_op = 6 * n if spec.world == "rw" else (1 + spec.syncs) * (2 * n * n + 4)
     return config.op_count * per_op + 10
 
 
@@ -1065,12 +1026,12 @@ def plan_crashes(config: ScenarioConfig, rng: random.Random) -> list:
 
 
 def make_object(pid: int, config: ScenarioConfig):
-    w = config.workload
-    if w == "raw_broadcast":
+    spec = config.spec
+    if spec.read is None:
         return None
-    if w == "swmr_register_ops":
+    if spec.single_writer:
         return SwmrRegister(pid, config.writer)
-    return SnapshotObject(pid, config.slots, synchronized=not w.startswith("sc_"))
+    return SnapshotObject(pid, config.slots, synchronized=spec.syncs)
 
 
 class _CrashCut(Exception):
@@ -1135,12 +1096,13 @@ class RunData:
 
 
 def _first_late(log: TraceLog, start: int) -> Optional[tuple]:
-    """load_run's crash-silence rule from the entries of log from index
-    start on, which hold every crash record: the entry of the first record
-    by a process after its crash record."""
+    """The crash-silence rule, over the entries of log from index start on,
+    which hold every crash record: the entry of the first record by a
+    process after its crash record.  A config or end record is the run's,
+    whatever process it names."""
     faulty = set()
     for e in islice(log.entries(), start, None):
-        if e[2] in faulty:
+        if e[2] in faulty and e[1] != "config" and e[1] != "end":
             return e
         if e[1] == "crash":
             faulty.add(e[2])
@@ -1154,12 +1116,13 @@ _WORK_ORDER = {"mem": 0, "apply": 1, "invoke": 2, "tick": 3}
 class Simulator:
     """The only owner of a run's state.  A message-passing run keeps each
     process in per-pid lists (index 0 unused): its broadcast layer `scd`, its
-    object layer `obj` (None for raw_broadcast), the index of its next
-    scripted operation `next_op`, its open operation `cur` and the sequence
-    number of its next message `msg_seq`.  The handlers below act for one
-    process, one method per event kind.  A shared-memory run drives an
-    RwWorld instead.  run() returns the RunData it filled, whose `faulty` is
-    the only record of who crashed."""
+    object layer `obj` (None for a workload without an object), the index
+    of its next scripted operation `next_op`, its open operation `cur` and
+    the sequence number of its next message `msg_seq`.  The handlers below
+    act for one process, one method per event kind.  A shared-memory run
+    drives an RwWorld instead, whose steps write the records both worlds
+    share through the record_* methods.  run() returns the RunData it
+    filled, whose `faulty` is the only record of who crashed."""
 
     def __init__(self, config: ScenarioConfig):
         config.validate()
@@ -1179,7 +1142,7 @@ class Simulator:
         self._first_crash = 0  # entry index of the first crash record, once there is one
         # each distinct delivered set, and its trace text, once per run
         self._sets = Memo(lambda ids: (ids, format_id_set(ids)))
-        if config.workload in RW_WORKLOADS:
+        if config.spec.world == "rw":
             msgs = {
                 i: [
                     AppMessage(MsgId(i, k), op[1])
@@ -1318,12 +1281,32 @@ class Simulator:
         WritePayload that payload encodes, if it is one."""
         mid = MsgId(i, self.msg_seq[i])
         self.msg_seq[i] += 1
-        self.trace("bcast", i, "data", value_str(payload), "id", str(mid))
-        self.data.broadcasts[mid] = (i, payload)
+        self.record_bcast(i, mid, payload)
         if write is not None:
             self.data.writes[mid] = write
             self.cur[i].ts = write.ts  # a crashed writer's pending write keeps it
         self.fifo_broadcast(i, self.scd[i].scbroadcast(AppMessage(mid, payload)))
+
+    # -- the records both worlds write, each with its fact -------------------
+
+    def record_bcast(self, i: int, mid: MsgId, payload: bytes) -> None:
+        """Process i scd-broadcasts message mid, holding payload."""
+        self.trace("bcast", i, "data", value_str(payload), "id", str(mid))
+        self.data.broadcasts[mid] = (i, payload)
+
+    def record_scd_deliver(self, i: int, ms) -> None:
+        """Process i delivers the set of messages ms."""
+        ids, text = self._sets[frozenset(m.id for m in ms)]
+        self.trace("scd_deliver", i, "set", text)
+        self.data.logs[i].append(ids)
+
+    def record_broadcast_complete(self, i: int, mid: MsgId, seq: Optional[int]) -> None:
+        """Process i's broadcast of mid completes; so does its bcast op
+        number seq, unless seq is None."""
+        self.trace("broadcast_complete", i, "id", str(mid))
+        self.data.completed[i].add(mid)
+        if seq is not None:
+            self.trace("op_return", i, "ok", "1", "op", "bcast", "seq", str(seq))
 
     # -- event machinery --------------------------------------------------
 
@@ -1390,24 +1373,21 @@ class Simulator:
                 self.fifo_broadcast(d, out)
             if ms is None:
                 return
-            ids, text = self._sets[frozenset(m.id for m in ms)]
-            self.trace("scd_deliver", d, "set", text)
-            self.data.logs[d].append(ids)
+            self.record_scd_deliver(d, ms)
             # only a delivered set can complete d's pending broadcast
             done = scd.broadcast_complete()
             if done is not None:
-                self.trace("broadcast_complete", d, "id", str(done))
-                self.data.completed[d].add(done)
                 # a raw broadcast op's message is the only one it broadcasts
-                cur = self.cur[d]
+                cur, seq = self.cur[d], None
                 if cur is not None and cur.kind == "bcast":
                     self._op_returned(d)
-                    self.trace("op_return", d, "ok", "1", "op", "bcast", "seq", str(cur.seq))
+                    seq = cur.seq
+                self.record_broadcast_complete(d, done, seq)
             obj = self.obj[d]
             if obj is not None:
                 self._obj_step(d, obj.on_set_delivered(ms))
         elif self.world is not None:
-            self.world.step(ev, self.trace, self.data, self._sets)
+            self.world.step(ev, self)
         elif ev[0] == "invoke":
             self.invoke(ev[1])
         else:

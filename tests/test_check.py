@@ -490,16 +490,30 @@ def test_event_after_crash_fails_silence():
     assert check_crash_silence(load_run(_tampered(res.text, replay))).status == "fail"
 
 
-@pytest.mark.parametrize("kind", ["recv", "send"])
+@pytest.mark.parametrize("kind", ["recv", "send", "config", "end"])
 def test_crash_silence_fails_on_a_parsed_late_entry(kind):
     """A recv line, or a fan-out's first send line, moved after its
     process's crash line parses into a recv or send entry, and that entry
-    is the late record crash silence names."""
+    is the late record crash silence names.  A config or end line is the
+    run's, whatever process it names: a copy of the run's own, naming the
+    crashed process and put just after its crash line, leaves crash
+    silence passing."""
     res = run_scenario(ScenarioConfig(n=3, t=1, workload="raw_broadcast", op_count=4,
                                       crash="explicit:2@30", seed=1))
     events = list(res.events)
     crash_at = next(k for k, ev in enumerate(events) if ev.kind == "crash")
     assert events[crash_at].proc == 2
+    if kind in ("config", "end"):
+        k = 0 if kind == "config" else len(events) - 1
+        assert events[k].kind == kind
+
+        def move(lines):
+            step = lines[crash_at].split("|", 1)[0]
+            lines.insert(crash_at + 1, f"{step}|{kind}|2|{lines[k].split('|', 3)[3]}")
+        run = load_run(_tampered(res.text, move))
+        assert run.faulty == {2} and run.late is None
+        assert check_crash_silence(run).status == "pass"
+        return
     k = max(k for k, ev in enumerate(events[:crash_at])
             if ev.proc == 2 and ev.kind == kind and ev.payload.get("to", "1") == "1")
 

@@ -29,7 +29,7 @@ import pytest
 from digest_sweep import scripts_for, terminal_lines
 from scdkit.core import AppMessage, MsgId, UsageError
 from scdkit.scd_from_snapshot import Frame, RwProcess
-from scdkit.sim import RwWorld, SharedSnapshotMemory, explore_rw
+from scdkit.sim import RwWorld, ScenarioConfig, SharedSnapshotMemory, explore_rw, run_scenario
 
 MODES = ("atomic", "sc")
 
@@ -463,3 +463,25 @@ def test_memory_modes_give_equal_outcomes(counts):
     assert outcomes[0] == outcomes[1]
     want = OUTCOMES[tuple(sorted(counts))] if len(counts) == 2 else THREE_PROCESS_OUTCOMES
     assert len(outcomes[0]) == want
+
+
+@pytest.mark.parametrize("mem,reached", [("atomic", 25), ("sc", 32)])
+def test_simulated_outcomes_are_explored_terminals(mem, reached):
+    """Every crash-free simulated rw_equivalence run at n = 2, 2+2, ends in
+    an outcome of explore_rw over the same scripts: the delivery logs that
+    the simulator records through RwWorld.step are those of one of the
+    explorer's terminals.  Over the three delay policies and 100 seeds each
+    the runs reach `reached` of the explorer's 121 outcomes."""
+    explored = {tuple(tuple(frozenset(m.id for m in s) for s in log) for log in outcome)
+                for outcome in logs(explore_rw(2, scripts_for(2, 2), mem)[0])}
+    assert len(explored) == OUTCOMES[(2, 2)]
+    seen = set()
+    for delay in ("uniform", "fifo", "slow:1"):
+        for seed in range(100):
+            run = run_scenario(ScenarioConfig(n=2, t=0, workload="rw_equivalence", op_count=4,
+                                              delay=delay, seed=seed, mem=mem))
+            assert run.status == "quiescent"
+            outcome = (tuple(run.logs[1]), tuple(run.logs[2]))
+            assert outcome in explored, (delay, seed)
+            seen.add(outcome)
+    assert len(seen) == reached

@@ -7,6 +7,7 @@ from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_acceptance import _bcasts_per_op
 from test_check import channel_list_fifo, channels_of
 from test_scd_mp import AlwaysPurgeProcess
 
@@ -663,6 +664,49 @@ def test_op_indices_name_their_records(workload):
             ev = records[op.return_idx]
             assert (ev.kind, ev.proc, ev.payload["seq"]) == ("op_return", op.proc, str(op.seq))
     assert left_open  # some crashed or stalled run left an op open
+
+
+# each object workload's row, pinned by behaviour: (the op that reads the
+# object, the broadcasts a completed read and a completed write cost, whether
+# only the writer writes)
+OBJECT_ROWS = {
+    "snapshot_ops": ("snapshot", 1, 2, False),
+    "register_ops": ("read", 1, 2, False),
+    "swmr_register_ops": ("read", 1, 2, True),
+    "sc_register_ops": ("read", 0, 1, False),
+    "sc_snapshot_ops": ("snapshot", 0, 1, False),
+}
+
+
+@pytest.mark.parametrize("workload", OBJECT_WORKLOADS)
+def test_object_workloads_behave_as_their_rows(workload):
+    """At n = 3 over fixed seeds, every planned op is the workload's read op
+    or a write (to a slot of the object), a single-writer workload plans
+    writes for its writer alone, and each completed op costs the broadcasts
+    of its row: a read or snapshot 1 and a write 2 where the object runs
+    SYNC rounds, 0 and 1 where it does not."""
+    assert set(OBJECT_ROWS) == set(OBJECT_WORKLOADS)
+    read, read_cost, write_cost, single_writer = OBJECT_ROWS[workload]
+    cost = {read: read_cost, "write": write_cost}
+    planned, writers = set(), set()
+    for seed in range(12):
+        cfg = config(workload=workload, op_count=9, nregs=2, writer=2, seed=seed)
+        s = Simulator(cfg)
+        for i, script in s.scripts.items():
+            for op in script:
+                assert op[0] in cost, (seed, op)
+                if op[0] == "write":
+                    assert 1 <= op[1] <= cfg.slots, (seed, op)
+                    writers.add(i)
+                planned.add(op[0])
+        run = s.run()
+        assert run.status == "quiescent"
+        done = _bcasts_per_op(run.events)
+        assert len(done) == 9
+        for (proc, seq), (kind, bcasts) in done.items():
+            assert bcasts == cost[kind], (seed, proc, seq, kind)
+    assert planned == set(cost)
+    assert writers == ({2} if single_writer else {1, 2, 3})
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
